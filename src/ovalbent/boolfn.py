@@ -67,7 +67,7 @@ class WalshSpectrum:
     def __init__(self, k: int, values: np.ndarray):
         self.k = k
         self.values = values
-        assert int(np.sum(values * values)) == 1 << (2 * k), \
+        assert int(np.dot(values, values)) == 1 << (2 * k), \
             "Parseval: sum of squared Walsh values must be 2^(2k)"
 
     def histogram(self) -> dict[int, int]:
@@ -100,7 +100,9 @@ class AnfPolynomial:
 def walsh_transform(f: BooleanFunction, masks: np.ndarray | None = None) -> WalshSpectrum:
     """Spectrum of f; entry b correlates against parity(b & x), or against
     the re-indexed inner product masks[b] & x when masks is given."""
-    w = 1 - 2 * f.table.astype(np.int64)
+    w = f.table.astype(np.int64)
+    w *= -2
+    w += 1              # (-1)^f(x) in place: one 2^k temporary, not three
     kernels.walsh_inplace(w)
     if masks is not None:
         w = w[masks]
@@ -110,19 +112,26 @@ def walsh_transform(f: BooleanFunction, masks: np.ndarray | None = None) -> Wals
 def is_bent(f: BooleanFunction) -> bool:
     if f.k % 2 != 0:
         raise ValueError("bentness is defined for an even number of variables")
-    w = walsh_transform(f)
-    return bool(np.all(np.abs(w.values) == 1 << (f.k // 2)))
+    return _flat_spectrum(walsh_transform(f).values, 1 << (f.k // 2))
+
+
+def _flat_spectrum(values: np.ndarray, half: int) -> bool:
+    """|values| == half everywhere, without a 2^k absolute-value copy."""
+    return bool(np.all((values == half) | (values == -half)))
 
 
 def dual(f: BooleanFunction, masks: np.ndarray | None = None) -> BooleanFunction:
-    """Dual bent function read off the Walsh-transform signs."""
+    """Dual bent function read off the Walsh-transform signs.
+
+    With masks, entry b is the sign of the spectrum at masks[b]; the
+    permutation is applied to the sign bits, not to the int64 spectrum."""
     if f.k % 2 != 0:
         raise ValueError("bentness is defined for an even number of variables")
-    w = walsh_transform(f, masks)
-    half = 1 << (f.k // 2)
-    if not np.all(np.abs(w.values) == half):
+    w = walsh_transform(f)
+    if not _flat_spectrum(w.values, 1 << (f.k // 2)):
         raise ValueError("dual is only defined for bent functions")
-    return BooleanFunction(f.k, (w.values < 0).astype(np.uint8))
+    signs = (w.values < 0).view(np.uint8)
+    return BooleanFunction(f.k, signs if masks is None else signs[masks])
 
 
 def anf(f: BooleanFunction) -> AnfPolynomial:

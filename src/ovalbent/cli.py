@@ -400,9 +400,9 @@ def cmd_spread_bent(args) -> int:
         raise InputError(f"prequasifield axioms fail: {rep.failures}")
     try:
         G = _g_table_from_flag(args.g, Q)
+        spec = spreadbent.SpreadBentSpec(Q, G, args.mu)
     except ValueError as e:
         raise InputError(str(e)) from e
-    spec = spreadbent.SpreadBentSpec(Q, G, args.mu)
     analysis = spreadbent.analyze(spec)
     analysis["criterion_witness"] = _witness_json(analysis.get("criterion_witness"))
     d = _out_dir(args)

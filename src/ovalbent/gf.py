@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels
+from . import _gf2, kernels
 
 # log/exp (and other per-element) tables are built for fields up to this
 # many bits; larger fields fall back to scalar arithmetic.
@@ -125,7 +125,10 @@ class BinaryField:
         for i in range(deg):
             if self._trace_slow(1 << i):
                 self._trace_mask |= 1 << i
-        self._dot_mask_images = [self.dot_mask(1 << i) for i in range(deg)]
+        # dot_mask of each basis element: bit j of image i is trace(e_i e_j)
+        self._dot_mask_images = [
+            sum(self.trace(self._raw_mul(1 << i, 1 << j)) << j for j in range(deg))
+            for i in range(deg)]
         self._dot_mask_table: np.ndarray | None = None
         self._trace_table: np.ndarray | None = None
 
@@ -161,6 +164,8 @@ class BinaryField:
             log[acc] = i
             acc = self._raw_mul(acc, self.generator)
         assert acc == 1, "generator order must be 2^deg - 1"
+        exp.flags.writeable = False      # shared through binary_field
+        log.flags.writeable = False
         self.exp, self.log = exp, log
 
     def _trace_slow(self, a: int) -> int:
@@ -217,12 +222,8 @@ class BinaryField:
         return (a & self._trace_mask).bit_count() & 1
 
     def dot_mask(self, b: int) -> int:
-        """Mask with trace(b*x) = parity(mask & x) for all x."""
-        mask = 0
-        for i in range(self.deg):
-            if self._trace_slow(self._raw_mul(b, 1 << i)):
-                mask |= 1 << i
-        return mask
+        """Mask with trace(b*x) = parity(mask & x) for all x (linear in b)."""
+        return _gf2.apply(self._dot_mask_images, b)
 
     # -- table accessors for vectorized paths ----------------------------
 
@@ -273,6 +274,12 @@ class BinaryField:
         return f"BinaryField(deg={self.deg}, poly={self.poly:#x})"
 
 
+@functools.lru_cache(maxsize=None)
+def binary_field(deg: int) -> BinaryField:
+    """GF(2^deg) on the smallest irreducible modulus; one object per degree."""
+    return BinaryField(deg)
+
+
 # ---------------------------------------------------------------------------
 # the pair (F, K) with embedding, unit circle, polar coordinates
 # ---------------------------------------------------------------------------
@@ -292,8 +299,8 @@ class FieldParams:
         self.m = m
         self.n = 2 * m
         self.q = 1 << m
-        self.F = BinaryField(m)
-        self.K = BinaryField(2 * m)
+        self.F = binary_field(m)
+        self.K = binary_field(2 * m)
         self.gamma = self.K.generator
 
         # conjugation x -> x^q is GF(2)-linear
@@ -366,9 +373,6 @@ class FieldParams:
         return self._conj_table
 
     # -- traces and norm ---------------------------------------------------
-
-    def trace_abs_k(self, x: int) -> int:
-        return self.K.trace(x)
 
     def trace_rel(self, x: int) -> int:
         """T(x) = x + x^q, projected to an F-index."""

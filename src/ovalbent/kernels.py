@@ -48,10 +48,11 @@ def _walsh_inplace_np(w: np.ndarray) -> None:
     h = 1
     while h < n:
         v = w.reshape(-1, 2 * h)
-        a = v[:, :h].copy()
+        a = v[:, :h]
         b = v[:, h:]
-        v[:, :h] = a + b
-        v[:, h:] = a - b
+        np.subtract(a, b, out=b)      # b <- a - b
+        a *= 2
+        a -= b                        # a <- 2a - (a - b) = a + b, no temporary
         h *= 2
 
 
@@ -146,13 +147,6 @@ def _collinear_scan_np(pts, conj, log_k, exp_k, ord_k):
                 if conj[r] == r:
                     return i, j, k
     return -1, -1, -1
-
-
-def _two_to_one_witness_np(vals):
-    """Value hit an odd or >2 number of times, or -1 if map is 2-to-1."""
-    counts = np.bincount(vals, minlength=0)
-    bad = np.nonzero((counts != 0) & (counts != 2))[0]
-    return int(bad[0]) if bad.size else -1
 
 
 # ---------------------------------------------------------------------------

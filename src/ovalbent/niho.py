@@ -287,7 +287,3 @@ def load_g_table(path, params: FieldParams) -> UnitCircleMap:
     if not seen.all():
         raise ValueError("g-table must cover the whole circle")
     return UnitCircleMap(params.m, vals)
-
-
-def make_params(spec: NihoSpec) -> FieldParams:
-    return field_make(spec.m)

@@ -17,14 +17,18 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import _gf2, kernels
-from .gf import BinaryField
+from .gf import BinaryField, binary_field
 
 _EXHAUSTIVE_TRIPLE_CAP = 64       # carrier size cap for all-triples checks
 _DEFAULT_SAMPLES = 20000
 
 
 class Prequasifield:
-    """Multiplication table plus the carrier's bilinear form machinery."""
+    """Multiplication table plus the carrier's bilinear form machinery.
+
+    The table is read-only, so structure derived from it (the Gram matrix
+    of B and its inverse, the B-mask tables, the transpose) is computed
+    once per object and kept."""
 
     def __init__(self, m: int, shape: str, table: np.ndarray,
                  kind: str = "table", name: str | None = None):
@@ -32,7 +36,7 @@ class Prequasifield:
             raise ValueError("shape must be 'flat' or 'pair'")
         self.m = m
         self.shape = shape
-        self.field = BinaryField(m)
+        self.field = binary_field(m)
         self.dim = m if shape == "flat" else 2 * m
         self.size = 1 << self.dim
         if table.shape != (self.size, self.size):
@@ -41,18 +45,27 @@ class Prequasifield:
         self.table.flags.writeable = False
         self.kind = kind
         self.name = name or kind
+        # Gram rows: B masks of the basis vectors; B is the trace form on
+        # each F coordinate
+        gram = [self.field.dot_mask(1 << i) for i in range(m)]
+        if shape == "pair":
+            gram += [v << m for v in gram]
+        self._gram = gram
+        self._gram_inv = _gf2.inv(gram, self.dim)
         self._b_mask_table: np.ndarray | None = None
         self._b_bit_table: np.ndarray | None = None
+        self._transposed: Prequasifield | None = None
 
     @classmethod
-    def from_evaluator(cls, m: int, shape: str, mul_fn, kind: str,
+    def from_evaluator(cls, m: int, shape: str, mul_row, kind: str,
                        name: str | None = None) -> "Prequasifield":
-        dim = m if shape == "flat" else 2 * m
-        size = 1 << dim
-        table = np.zeros((size, size), dtype=np.int64)
+        """Table filled one row at a time: mul_row(x, zs) returns the
+        products x o z for the array zs of the whole carrier."""
+        size = 1 << (m if shape == "flat" else 2 * m)
+        zs = np.arange(size, dtype=np.int64)
+        table = np.empty((size, size), dtype=np.int64)
         for x in range(size):
-            for z in range(size):
-                table[x, z] = mul_fn(x, z)
+            table[x] = mul_row(x, zs)
         return cls(m, shape, table, kind, name)
 
     # -- multiplication ----------------------------------------------------
@@ -79,19 +92,15 @@ class Prequasifield:
         return x & (self.field.size - 1), x >> self.m
 
     def b_mask(self, a: int) -> int:
-        """Mask with B(a, x) = parity(mask & x) for all x."""
-        if self.shape == "flat":
-            return self.field.dot_mask(a)
-        a1, a2 = self.unpack(a)
-        return self.field.dot_mask(a1) | (self.field.dot_mask(a2) << self.m)
+        """Mask with B(a, x) = parity(mask & x) for all x (linear in a)."""
+        return _gf2.apply(self._gram, a)
 
     def b_form(self, x: int, y: int) -> int:
         return (self.b_mask(x) & y).bit_count() & 1
 
     def b_mask_table(self) -> np.ndarray:
         if self._b_mask_table is None:
-            self._b_mask_table = kernels.linear_map_table(
-                [self.b_mask(1 << i) for i in range(self.dim)], self.dim)
+            self._b_mask_table = kernels.linear_map_table(self._gram, self.dim)
         return self._b_mask_table
 
     def b_bit_table(self) -> np.ndarray:
@@ -104,8 +113,13 @@ class Prequasifield:
                 .astype(np.uint8) & 1)
         return self._b_bit_table
 
-    def gram_rows(self) -> list[int]:
-        return [self.b_mask(1 << i) for i in range(self.dim)]
+    def transposed(self) -> "Prequasifield":
+        """Q^t, computed once from this table by `transpose_pqf` and kept.
+        Its own transpose is computed from its table in turn, never taken
+        to be this object."""
+        if self._transposed is None:
+            self._transposed = transpose_pqf(self)
+        return self._transposed
 
     def __repr__(self) -> str:
         return (f"Prequasifield({self.name}, m={self.m}, shape={self.shape}, "
@@ -118,11 +132,9 @@ class Prequasifield:
 
 def field_pqf(m: int) -> Prequasifield:
     """GF(2^m) itself, x o z = xz."""
-    F = BinaryField(m)
-    table = np.zeros((F.size, F.size), dtype=np.int64)
-    for x in range(1, F.size):
-        table[x, 1:] = F.mul_vec(np.arange(1, F.size, dtype=np.int64), x)
-    return Prequasifield(m, "flat", table, kind="field")
+    F = binary_field(m)
+    return Prequasifield.from_evaluator(m, "flat", lambda x, zs: F.mul_vec(zs, x),
+                                        kind="field")
 
 
 def kantor_chain(m: int, subdegrees: list[int], lambdas: list[int],
@@ -137,7 +149,7 @@ def kantor_chain(m: int, subdegrees: list[int], lambdas: list[int],
     The result coordinatizes a symplectic spread: every right
     multiplication is self-adjoint since tr(a T_i(b)) = tr_i(T_i(a) T_i(b)).
     """
-    F = BinaryField(m)
+    F = binary_field(m)
     degs = [m] + list(subdegrees)
     for a, b in zip(degs, degs[1:]):
         if a % b != 0 or a == b:
@@ -147,6 +159,8 @@ def kantor_chain(m: int, subdegrees: list[int], lambdas: list[int],
     n_links = len(subdegrees)
     if len(lambdas) != n_links or len(zetas) != n_links:
         raise ValueError("need one lambda and one zeta per chain link")
+    if any(not 0 <= v < F.size for v in lambdas + zetas):
+        raise ValueError(f"lambdas and zetas must be F-indices below {F.size}")
     for lam, d in zip(lambdas, subdegrees):
         if lam == 0 or F.pow(lam, 1 << d) != lam:
             raise ValueError(f"lambda {lam} is not in F_{{2^{d}}}^*")
@@ -154,47 +168,51 @@ def kantor_chain(m: int, subdegrees: list[int], lambdas: list[int],
     c = [1]
     for lam in lambdas:
         c.append(F.mul(c[-1], lam))
+    square = F.pow_table(2)
+    links = [(_trace_onto_table(F, d), c[i], c[i + 1], zetas[i])
+             for i, d in enumerate(subdegrees)]
 
-    def t_onto(x: int, d: int) -> int:
-        acc, y = 0, x
-        for _ in range(m // d):
-            acc ^= y
-            y = F.pow(y, 1 << d)
+    def mul_row(x: int, ys: np.ndarray) -> np.ndarray:
+        xy = F.mul_vec(ys, x)
+        acc = F.mul_vec(square[ys], x)
+        for t, c_prev, c_cur, zeta in links:
+            t_prev = t[F.mul_vec(xy, c_prev)]
+            acc ^= F.mul_vec(F.mul_arr(ys, t_prev), c_prev)
+            acc ^= F.mul_vec(F.mul_arr(ys, t[F.mul_vec(xy, c_cur)]), c_cur)
+            acc ^= F.mul_vec(ys, F.mul(c_prev, int(t[F.mul(x, zeta)])))
+            acc ^= F.mul_vec(t_prev, zeta)
         return acc
 
-    def mul(x: int, y: int) -> int:
-        acc = F.mul(x, F.sqr(y))
-        for i in range(1, n_links + 1):
-            d = subdegrees[i - 1]
-            xy = F.mul(x, y)
-            acc ^= F.mul(c[i - 1], F.mul(y, t_onto(F.mul(c[i - 1], xy), d)))
-            acc ^= F.mul(c[i], F.mul(y, t_onto(F.mul(c[i], xy), d)))
-            acc ^= F.mul(c[i - 1], F.mul(y, t_onto(F.mul(x, zetas[i - 1]), d)))
-            acc ^= F.mul(zetas[i - 1], t_onto(F.mul(c[i - 1], xy), d))
-        return acc
+    return Prequasifield.from_evaluator(m, "flat", mul_row, kind="kantor")
 
-    return Prequasifield.from_evaluator(m, "flat", mul, kind="kantor")
+
+def _trace_onto_table(F: BinaryField, d: int) -> np.ndarray:
+    """T(x) = sum_k x^(2^(dk)), k < deg/d: the trace onto GF(2^d), over F."""
+    t = np.zeros(F.size, dtype=np.int64)
+    for k in range(F.deg // d):
+        t ^= F.pow_table(1 << (d * k))
+    return t
 
 
 def luneburg(m: int) -> Prequasifield:
     """The Lueneburg symplectic prequasifield on F x F, m = 2k+1 odd."""
     if m % 2 == 0 or m < 3:
         raise ValueError("the Lueneburg spread needs odd m >= 3")
-    F = BinaryField(m)
+    F = binary_field(m)
     k = (m - 1) // 2
     # sigma(a) = a^(2^(k+1)), so sigma^(-1)(a) = a^(2^k)
-    sig_inv = 1 << k
+    sig_inv = F.pow_table(1 << k)
+    qmask = F.size - 1
 
-    def mul(x: int, z: int) -> int:
-        qmask = F.size - 1
+    def mul_row(x: int, zs: np.ndarray) -> np.ndarray:
         x1, x2 = x & qmask, x >> m
-        z1, z2 = z & qmask, z >> m
-        w = F.pow(z1, sig_inv) ^ F.mul(z2, F.pow(z2, sig_inv))
-        y1 = F.mul(x1, z1) ^ F.mul(x2, w)
-        y2 = F.mul(x1, w) ^ F.mul(x2, z2)
+        z1, z2 = zs & qmask, zs >> m
+        w = sig_inv[z1] ^ F.mul_arr(z2, sig_inv[z2])
+        y1 = F.mul_vec(z1, x1) ^ F.mul_vec(w, x2)
+        y2 = F.mul_vec(w, x1) ^ F.mul_vec(z2, x2)
         return y1 | (y2 << m)
 
-    return Prequasifield.from_evaluator(m, "pair", mul, kind="luneburg")
+    return Prequasifield.from_evaluator(m, "pair", mul_row, kind="luneburg")
 
 
 # ---------------------------------------------------------------------------
@@ -303,18 +321,27 @@ def validate_prequasifield(Q: Prequasifield, seed: int = 0,
 def adjoint(images: list[int], Q: Prequasifield) -> list[int]:
     """Adjoint of a linear map w.r.t. Q's bilinear form:
     B(adj(x), y) = B(x, map(y)) for all x, y."""
-    g = Q.gram_rows()
-    ginv = _gf2.inv(g, Q.dim)
     mt = _gf2.transpose(images, Q.dim)
-    return _gf2.matmul(_gf2.matmul(g, mt), ginv)
+    return _gf2.matmul(_gf2.matmul(Q._gram, mt), Q._gram_inv)
 
 
 def transpose_pqf(Q: Prequasifield) -> Prequasifield:
-    """x star z = R_z^*(x); coordinatizes the orthogonal (dual) spread."""
+    """x star z = R_z^*(x); coordinatizes the orthogonal (dual) spread.
+
+    Always a fresh object computed from Q's table (`Q.transposed()` is the
+    kept copy).  Row i holds e_i star z = adj(R_z)(e_i) for every z: the
+    vector whose B mask has bit j equal to B(e_i, e_j o z), exactly the
+    basis image `adjoint` gives.  The other rows follow by linearity."""
+    basis_rows = Q.table[[1 << j for j in range(Q.dim)]]
+    b_inv = kernels.linear_map_table(Q._gram_inv, Q.dim)
     table = np.zeros((Q.size, Q.size), dtype=np.int64)
-    for z in range(Q.size):
-        adj = adjoint(Q.right_mult_rows(z), Q)
-        table[:, z] = kernels.linear_map_table(adj, Q.dim)
+    h = 1
+    for i, g in enumerate(Q._gram):
+        mask = np.zeros(Q.size, dtype=np.int64)
+        for j in range(Q.dim):
+            mask |= (np.bitwise_count(basis_rows[j] & g).astype(np.int64) & 1) << j
+        table[h:2 * h] = table[:h] ^ b_inv[mask]
+        h *= 2
     return Prequasifield(Q.m, Q.shape, table, kind="derived",
                          name=f"{Q.name}^t")
 
@@ -328,11 +355,12 @@ def dual_pqf(Q: Prequasifield) -> Prequasifield:
 def is_symplectic(Q: Prequasifield) -> bool:
     """B(x o z, y) = B(x, y o z) for all triples.
 
-    Decided exactly through self-adjointness of every right multiplication
+    Decided exactly through self-adjointness of every right multiplication:
+    R_z^* and R_z agree on the basis, i.e. the basis rows of Q^t and Q
     (equivalent, and identical to the literal triple check, which is
     cross-asserted for small carriers)."""
-    per_z = all(adjoint(Q.right_mult_rows(z), Q) == Q.right_mult_rows(z)
-                for z in range(Q.size))
+    basis = [1 << i for i in range(Q.dim)]
+    per_z = bool(np.array_equal(Q.transposed().table[basis], Q.table[basis]))
     if Q.size <= _EXHAUSTIVE_TRIPLE_CAP:
         bt = Q.b_bit_table()
         literal = all(
@@ -534,11 +562,12 @@ def f_matrix_rep(Q: Prequasifield, z: int) -> list[list[int]]:
     r2 = Q.unpack(Q.mul(Q.pack(0, 1), z))
     mat = [list(r1), list(r2)]
     F = Q.field
-    for lam in range(F.size):          # F-linearity of R_z
-        for (e1, e2), row in (((1, 0), r1), ((0, 1), r2)):
-            got = Q.unpack(Q.mul(Q.pack(F.mul(lam, e1), F.mul(lam, e2)), z))
-            if got != (F.mul(lam, row[0]), F.mul(lam, row[1])):
-                raise ValueError("right multiplication is not F-linear")
+    lams = np.arange(F.size, dtype=np.int64)
+    for shift, row in ((0, r1), (Q.m, r2)):     # F-linearity of R_z on lam*e
+        got = Q.table[lams << shift, z]
+        if not (np.array_equal(got & (F.size - 1), F.mul_vec(lams, row[0]))
+                and np.array_equal(got >> Q.m, F.mul_vec(lams, row[1]))):
+            raise ValueError("right multiplication is not F-linear")
     return mat
 
 

@@ -29,8 +29,13 @@ class SpreadBentSpec:
     mu: int = 0
 
     def __post_init__(self):
-        if self.G.shape != (self.Q.size,):
+        size = self.Q.size
+        if self.G.shape != (size,):
             raise ValueError("G must be a table over the carrier")
+        if not 0 <= self.mu < size:
+            raise ValueError(f"mu must be a carrier element in [0, {size})")
+        if self.G.min() < 0 or self.G.max() >= size:
+            raise ValueError(f"G values must be carrier elements in [0, {size})")
 
 
 @dataclass(frozen=True)
@@ -46,8 +51,8 @@ class BivariateLineOval:
 
 
 def star_table(Q: Prequasifield) -> np.ndarray:
-    """Multiplication table of the transpose prequasifield Q^t."""
-    return spread_mod.transpose_pqf(Q).table
+    """Multiplication table of the transpose prequasifield Q^t (kept on Q)."""
+    return Q.transposed().table
 
 
 def g_square_star(Q: Prequasifield) -> np.ndarray:
@@ -67,7 +72,9 @@ def normalize_mu(spec: SpreadBentSpec) -> SpreadBentSpec:
 
 def walsh_masks(Q: Prequasifield) -> np.ndarray:
     """Spectrum re-indexing for the bivariate inner product B(a,x)+B(b,y)."""
-    bm = Q.b_mask_table()
+    # int32 when the 2*dim-bit indices fit: this array is size^2 long and
+    # lives through the largest Walsh transform
+    bm = Q.b_mask_table().astype(np.int32 if 2 * Q.dim < 32 else np.int64)
     return (bm[None, :] | (bm[:, None] << Q.dim)).ravel()
 
 

@@ -95,3 +95,63 @@ def collinear_triples_naive(points, params):
                 if u1 == u2:
                     bad.append((pts[i], pts[j], pts[k]))
     return bad
+
+
+def luneburg_mul(F):
+    """Scalar Lueneburg multiplication on F x F, F = GF(2^m) with m = 2k+1,
+    elements packed as x1 + 2^m * x2."""
+    m = F.deg
+    sig_inv = 1 << ((m - 1) // 2)     # sigma^(-1)(a) = a^(2^k)
+    qmask = F.size - 1
+
+    def mul(x, z):
+        x1, x2 = x & qmask, x >> m
+        z1, z2 = z & qmask, z >> m
+        w = F.pow(z1, sig_inv) ^ F.mul(z2, F.pow(z2, sig_inv))
+        y1 = F.mul(x1, z1) ^ F.mul(x2, w)
+        y2 = F.mul(x1, w) ^ F.mul(x2, z2)
+        return y1 | (y2 << m)
+    return mul
+
+
+def kantor_mul(F, subdegrees, lambdas, zetas):
+    """Scalar Kantor two-sum multiplication over the chain F > F_1 > ...,
+    with T_i the trace onto F_i by repeated Frobenius powers."""
+    c = [1]
+    for lam in lambdas:
+        c.append(F.mul(c[-1], lam))
+
+    def t_onto(x, d):
+        acc, y = 0, x
+        for _ in range(F.deg // d):
+            acc ^= y
+            y = F.pow(y, 1 << d)
+        return acc
+
+    def mul(x, y):
+        acc = F.mul(x, F.sqr(y))
+        for i, d in enumerate(subdegrees, start=1):
+            xy = F.mul(x, y)
+            acc ^= F.mul(c[i - 1], F.mul(y, t_onto(F.mul(c[i - 1], xy), d)))
+            acc ^= F.mul(c[i], F.mul(y, t_onto(F.mul(c[i], xy), d)))
+            acc ^= F.mul(c[i - 1], F.mul(y, t_onto(F.mul(x, zetas[i - 1]), d)))
+            acc ^= F.mul(zetas[i - 1], t_onto(F.mul(c[i - 1], xy), d))
+        return acc
+    return mul
+
+
+def scalar_table(mul, size):
+    """size x size table of a scalar multiplication, one call per entry."""
+    return np.array([[mul(x, z) for z in range(size)] for x in range(size)],
+                    dtype=np.int64)
+
+
+def trace_form(F):
+    """B(x, y) = tr(xy) on F, the trace summed over the Frobenius orbit."""
+    def bform(x, y):
+        t, a = 0, F.mul(x, y)
+        for _ in range(F.deg):
+            t ^= a
+            a = F.mul(a, a)
+        return t
+    return bform

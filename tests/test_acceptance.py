@@ -234,7 +234,8 @@ def test_criterion_09_spread_algebra_q8():
     Qk = spread.kantor_chain(3, [1], [1], [0])
     Qz = spread.kantor_chain(3, [1], [1], [5])
     Qn = spread.Prequasifield.from_evaluator(
-        3, "flat", lambda x, z: F.mul(F.sqr(x), z), kind="table", name="x^2 z")
+        3, "flat", lambda x, zs: F.mul_vec(zs, F.sqr(x)), kind="table",
+        name="x^2 z")
     # transpose involution
     for Q in (Qf, Qk, Qz, Qn):
         assert np.array_equal(spread.transpose_pqf(spread.transpose_pqf(Q)).table,

@@ -212,3 +212,31 @@ def test_main_callable_directly(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert json.loads(out)["degree"] == 2
+
+
+def _assert_input_error(argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_spread_bent_mu_out_of_range(capsys):
+    for mu in ("16", "-1"):    # field:4 has 16 carrier elements
+        _assert_input_error(["spread", "bent", "--pqf", "field:4", "--g", "sqrt",
+                             "--mu", mu], capsys)
+
+
+def test_spread_bent_g_value_out_of_range(tmp_path, capsys):
+    for bad in (8, -1):
+        gt = tmp_path / "g.txt"
+        gt.write_text(" ".join(map(str, [bad] + list(range(1, 8)))))
+        _assert_input_error(["spread", "bent", "--pqf", "field:3",
+                             "--g", f"table:{gt}"], capsys)
+
+
+def test_spread_bent_g_table_length(tmp_path, capsys):
+    gt = tmp_path / "g.txt"
+    gt.write_text(" ".join(map(str, range(7))))
+    _assert_input_error(["spread", "bent", "--pqf", "field:3",
+                         "--g", f"table:{gt}"], capsys)

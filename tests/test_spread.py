@@ -3,7 +3,8 @@ import pytest
 
 from ovalbent import _gf2, spread
 from ovalbent.gf import BinaryField
-from oracles import brute_adjoint
+from oracles import (brute_adjoint, kantor_mul, luneburg_mul, scalar_table,
+                     trace_form)
 
 
 @pytest.fixture(scope="module")
@@ -32,10 +33,10 @@ def test_broken_multiplication_reported():
     F = BinaryField(3)
     perm = [0, 3, 5, 1, 6, 2, 7, 4]  # nonlinear permutation fixing 0
 
-    def mul(x, z):
-        return F.mul(perm[x], z)
+    def mul_row(x, zs):
+        return F.mul_vec(zs, perm[x])
 
-    Q = spread.Prequasifield.from_evaluator(3, "flat", mul, kind="table")
+    Q = spread.Prequasifield.from_evaluator(3, "flat", mul_row, kind="table")
     rep = spread.validate_prequasifield(Q)
     assert not rep.axioms_ok
     assert "right_distributive" in rep.failures
@@ -139,7 +140,8 @@ def test_symplectic_iff_self_transpose():
     F = BinaryField(3)
     Ql = spread.luneburg(3)
     Qs = spread.Prequasifield.from_evaluator(
-        3, "flat", lambda x, z: F.mul(F.sqr(x), z), kind="table", name="x^2 z")
+        3, "flat", lambda x, zs: F.mul_vec(zs, F.sqr(x)), kind="table",
+        name="x^2 z")
     for Q, want in [(spread.field_pqf(3), True), (Ql, True), (Qs, False)]:
         self_t = bool(np.array_equal(spread.transpose_pqf(Q).table, Q.table))
         assert spread.is_symplectic(Q) == self_t == want
@@ -285,3 +287,56 @@ def test_pqf_file_format(tmp_path):
     assert back.m == 3 and back.shape == "pair"
     with pytest.raises(ValueError):
         spread.loads_pqf("q=7 shape=flat\n")
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_luneburg_rows_match_scalar_oracle(m):
+    Q = spread.luneburg(m)
+    want = scalar_table(luneburg_mul(BinaryField(m)), Q.size)
+    assert np.array_equal(Q.table, want)
+
+
+def test_kantor_rows_match_scalar_oracle():
+    F6 = BinaryField(6)
+    lam = next(x for x in range(2, 64) if F6.pow(x, 4) == x)   # GF(4) - GF(2)
+    chains = ([(3, [1], [1], [z]) for z in range(8)]
+              + [(5, [1], [1], [z]) for z in range(32)]
+              + [(6, [2], [lam], [z]) for z in (7, 9)])
+    for m, degs, lams, zetas in chains:
+        Q = spread.kantor_chain(m, degs, lams, zetas)
+        want = scalar_table(kantor_mul(BinaryField(m), degs, lams, zetas), Q.size)
+        assert np.array_equal(Q.table, want), (m, lams, zetas)
+
+
+def _oracle_transpose_table(Q):
+    bform = trace_form(Q.field)
+    table = np.zeros_like(Q.table)
+    for z in range(Q.size):
+        adj = brute_adjoint(Q.right_mult_rows(z), bform, Q.dim)
+        for x in range(Q.size):
+            table[x, z] = _gf2.apply(adj, x)
+    return table
+
+
+def test_cached_transpose_matches_bruteforce_adjoints(xy2):
+    F = BinaryField(3)
+    nonsymplectic = spread.Prequasifield.from_evaluator(
+        3, "flat", lambda x, zs: F.mul_vec(zs, F.sqr(x)), kind="table")
+    for Q in (spread.field_pqf(4), xy2, spread.kantor_chain(3, [1], [1], [5]),
+              spread.kantor_chain(5, [1], [1], [11]),
+              spread.commutative_from_symplectic(xy2), nonsymplectic):
+        assert Q.size <= 32
+        want = _oracle_transpose_table(Q)
+        assert np.array_equal(Q.transposed().table, want), Q
+        assert np.array_equal(spread.transpose_pqf(Q).table, want), Q
+
+
+def test_transpose_of_transpose_is_recomputed():
+    Q = spread.kantor_chain(3, [1], [1], [5])
+    Qt = spread.transpose_pqf(Q)
+    Qtt = spread.transpose_pqf(Qt)
+    assert Qtt is not Q and np.array_equal(Qtt.table, Q.table)
+    assert Q.transposed() is Q.transposed()            # kept once computed
+    assert Q.transposed() is not Qt                    # transpose_pqf is fresh
+    assert Q.transposed().transposed() is not Q        # never seeded with Q
+    assert np.array_equal(Q.transposed().transposed().table, Q.table)
