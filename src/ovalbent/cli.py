@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Subcommands: niho, oval, dual, ea, spread (build/validate/transpose/
-knuth/bent), bench.  Reports are JSON with sorted keys on stdout, so
-output bytes are deterministic for fixed inputs; timing goes to stderr.
+knuth/bent).  Reports are JSON with sorted keys on stdout, so output
+bytes are deterministic for fixed inputs; timing goes to stderr.
 
 Exit codes: 0 all verdicts pass, 1 a verification failed (the report
-carries a witness), 2 usage or input errors.
+carries a witness), 2 usage or input errors (m outside 2..9 included),
+3 an internal error (traceback on stderr).
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
 
-from . import bench, boolfn, geometry, niho, spread, spreadbent
+from . import boolfn, geometry, niho, spread, spreadbent
 from .gf import field_make
 
 
@@ -423,16 +425,6 @@ def cmd_spread_bent(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bench
-# ---------------------------------------------------------------------------
-
-def cmd_bench(args) -> int:
-    rows = bench.run(walsh_bits=args.walsh_bits, repeats=args.repeats)
-    print(bench.format_table(rows))
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
@@ -519,11 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out-dir", default=None)
     s.set_defaults(fn=cmd_spread_bent)
 
-    p = sub.add_parser("bench", help="compare numba and numpy kernel backends")
-    p.add_argument("--walsh-bits", type=int, default=18)
-    p.add_argument("--repeats", type=int, default=3)
-    p.set_defaults(fn=cmd_bench)
-
     return ap
 
 
@@ -535,6 +522,10 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        traceback.print_exc()
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
     print(f"wall_time_s={time.perf_counter() - t0:.3f}", file=sys.stderr)
     return code
 

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from . import boolfn, kernels
-from .gf import FieldParams
+from .gf import M_RANGE, FieldParams
 
 
 class AffineLineK(NamedTuple):
@@ -358,12 +359,25 @@ def oval_to_json(oval: Oval, params: FieldParams) -> str:
     }, sort_keys=True)
 
 
+def _check_range(values: Iterable[int], hi: int, what: str) -> None:
+    """Reject any value that is not an integer in [0, hi)."""
+    for v in values:
+        if not isinstance(v, Integral) or not 0 <= v < hi:
+            raise ValueError(f"{what} {v} out of range [0, {hi})")
+
+
 def oval_from_json(text: str) -> tuple[int, Oval]:
+    """(m, oval); points must be K-indices and infinite tags circle indices."""
     d = json.loads(text)
     if d.get("kind") != "oval":
         raise ValueError("not an oval JSON document")
-    return d["m"], Oval(frozenset(d["points"]), frozenset(d["infinite"]),
-                        d.get("nucleus"))
+    m = d["m"]
+    if not isinstance(m, Integral) or m not in M_RANGE:
+        raise ValueError(f"m {m!r} out of the supported range")
+    _check_range(d["points"], 1 << (2 * m), "point")
+    _check_range(d["infinite"], (1 << m) + 1, "infinite tag")
+    return m, Oval(frozenset(d["points"]), frozenset(d["infinite"]),
+                   d.get("nucleus"))
 
 
 def line_oval_to_json(lines: Iterable[AffineLineK], params: FieldParams) -> str:
@@ -380,4 +394,6 @@ def line_oval_from_json(text: str, params: FieldParams) -> list[AffineLineK]:
         raise ValueError("not a line-oval JSON document")
     if d["m"] != params.m:
         raise ValueError("field size mismatch")
+    _check_range((j for j, _ in d["lines"]), params.q + 1, "line circle index")
+    _check_range((mu for _, mu in d["lines"]), params.q, "line mu")
     return [AffineLineK(int(params.S[j]), mu) for j, mu in d["lines"]]

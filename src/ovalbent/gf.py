@@ -5,20 +5,27 @@ polynomial-basis representation (constant term = bit 0).  A BinaryField
 object carries the modulus and the log/exp tables; FieldParams ties the
 pair (F, K) together with the subfield embedding, the unit circle and the
 polar decomposition.
+
+Every field has its tables, so the table cap is the input domain: degrees
+1.._TABLE_BITS for BinaryField, and m in M_RANGE (2..9) for FieldParams.
 """
 
 from __future__ import annotations
 
 import functools
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _gf2, kernels
 
-# log/exp (and other per-element) tables are built for fields up to this
-# many bits; larger fields fall back to scalar arithmetic.
+# log/exp (and other per-element) tables are built for every field; this
+# many bits is the largest supported degree.
 _TABLE_BITS = 18
+
+# supported m for the pair (F, K) = (GF(2^m), GF(2^2m)): K must fit the cap
+M_RANGE = range(2, _TABLE_BITS // 2 + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -104,11 +111,12 @@ def smallest_irreducible(deg: int) -> int:
 # ---------------------------------------------------------------------------
 
 class BinaryField:
-    """GF(2^deg) on int bit-masks, with log/exp tables for small degrees."""
+    """GF(2^deg) on int bit-masks, with log/exp tables."""
 
     def __init__(self, deg: int, poly: int | None = None):
-        if deg < 1 or deg > 2 * 16:
-            raise ValueError(f"degree {deg} out of supported range")
+        if not isinstance(deg, Integral) or not 1 <= deg <= _TABLE_BITS:
+            raise ValueError(f"degree {deg!r} out of the supported range "
+                             f"1..{_TABLE_BITS}")
         self.deg = deg
         self.size = 1 << deg
         self.order = self.size - 1
@@ -116,10 +124,7 @@ class BinaryField:
         if self.poly.bit_length() - 1 != deg or not is_irreducible(self.poly):
             raise ValueError(f"{self.poly:#b} is not irreducible of degree {deg}")
         self.generator = self._find_generator()
-        self.exp: np.ndarray | None = None
-        self.log: np.ndarray | None = None
-        if deg <= _TABLE_BITS:
-            self._build_tables()
+        self._build_tables()
         # absolute trace as a parity mask: trace(a) = parity(a & trace_mask)
         self._trace_mask = 0
         for i in range(deg):
@@ -185,9 +190,7 @@ class BinaryField:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self.exp is not None:
-            return int(self.exp[(self.log[a] + self.log[b]) % self.order])
-        return self._raw_mul(a, b)
+        return int(self.exp[(self.log[a] + self.log[b]) % self.order])
 
     def sqr(self, a: int) -> int:
         return self.mul(a, a)
@@ -195,9 +198,7 @@ class BinaryField:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self.exp is not None:
-            return int(self.exp[(self.order - self.log[a]) % self.order])
-        return self._raw_pow(a, self.order - 1)
+        return int(self.exp[(self.order - self.log[a]) % self.order])
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -210,9 +211,7 @@ class BinaryField:
                 raise ZeroDivisionError("0 to a negative power")
             return 0
         e %= self.order
-        if self.exp is not None:
-            return int(self.exp[(self.log[a] * e) % self.order])
-        return self._raw_pow(a, e)
+        return int(self.exp[(self.log[a] * e) % self.order])
 
     def sqrt(self, a: int) -> int:
         # squaring is a bijection in characteristic 2
@@ -227,14 +226,8 @@ class BinaryField:
 
     # -- table accessors for vectorized paths ----------------------------
 
-    def _need_tables(self) -> None:
-        if self.exp is None:
-            raise RuntimeError(
-                f"GF(2^{self.deg}) is above the table cap of {_TABLE_BITS} bits")
-
     def mul_vec(self, arr: np.ndarray, b: int) -> np.ndarray:
         """Pointwise product of an array of elements with a fixed element."""
-        self._need_tables()
         if b == 0:
             return np.zeros_like(arr)
         out = self.exp[(self.log[arr] + self.log[b]) % self.order]
@@ -243,14 +236,12 @@ class BinaryField:
 
     def mul_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise product of two arrays of field elements."""
-        self._need_tables()
         out = self.exp[(self.log[a] + self.log[b]) % self.order]
         out[(a == 0) | (b == 0)] = 0
         return out
 
     def pow_table(self, e: int) -> np.ndarray:
         """Table of x^e over the whole field (0^e = 0 for e > 0)."""
-        self._need_tables()
         e %= self.order
         t = np.zeros(self.size, dtype=np.int64)
         t[self.exp] = self.exp[(self.log[self.exp] * e) % self.order]
@@ -294,8 +285,8 @@ class FieldParams:
     """GF(2^m) inside GF(2^2m): embedding, traces, norm, unit circle."""
 
     def __init__(self, m: int):
-        if not 2 <= m <= 16:
-            raise ValueError("m must be between 2 and 16")
+        if not isinstance(m, Integral) or m not in M_RANGE:
+            raise ValueError(f"m must be between {M_RANGE[0]} and {M_RANGE[-1]}")
         self.m = m
         self.n = 2 * m
         self.q = 1 << m
@@ -304,10 +295,8 @@ class FieldParams:
         self.gamma = self.K.generator
 
         # conjugation x -> x^q is GF(2)-linear
-        self._conj_images = [self.K._raw_pow(1 << i, self.q) for i in range(self.n)]
-        self._conj_table: np.ndarray | None = None
-        if self.n <= _TABLE_BITS:
-            self._conj_table = kernels.linear_map_table(self._conj_images, self.n)
+        self._conj_table = kernels.linear_map_table(
+            [self.K.pow(1 << i, self.q) for i in range(self.n)], self.n)
 
         # embedded subfield F' = {0} u {gamma^(j(q+1))} and the embedding table
         step = self.K.pow(self.gamma, self.q + 1)
@@ -353,23 +342,12 @@ class FieldParams:
     # -- conjugation / subfield ------------------------------------------
 
     def conjugate(self, x: int) -> int:
-        if self._conj_table is not None:
-            return int(self._conj_table[x])
-        acc = 0
-        i = 0
-        while x:
-            if x & 1:
-                acc ^= self._conj_images[i]
-            x >>= 1
-            i += 1
-        return acc
+        return int(self._conj_table[x])
 
     def in_subfield(self, x: int) -> bool:
         return self.conjugate(x) == x
 
     def conj_table(self) -> np.ndarray:
-        if self._conj_table is None:
-            raise RuntimeError("field above table cap")
         return self._conj_table
 
     # -- traces and norm ---------------------------------------------------

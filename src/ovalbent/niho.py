@@ -59,6 +59,11 @@ class NihoSpec:
             raise ValueError(f"unknown family {self.family!r}; have {FAMILIES}")
         if params.m != self.m:
             raise ValueError("field parameters do not match the spec")
+        for name in ("a_index", "alpha2_index"):
+            v = getattr(self, name)
+            if v is not None and not 0 <= v < params.K.size:
+                raise ValueError(f"{name} {v} is not a K-index in "
+                                 f"[0, {params.K.size})")
         a = self.a_index if self.a_index is not None else smallest_half_trace(params)
         ta = params.trace_rel(a)
         alpha2 = self.alpha2_index if self.alpha2_index is not None else 1

@@ -155,3 +155,51 @@ def trace_form(F):
             a = F.mul(a, a)
         return t
     return bform
+
+
+def naive_mobius(table):
+    """ANF coefficients: a(s) = XOR of t(x) over the subsets x of s."""
+    n = len(table)
+    return np.array([np.bitwise_xor.reduce([table[x] for x in range(s + 1)
+                                            if x & s == x])
+                     for s in range(n)], dtype=np.uint8)
+
+
+def niho_fill_naive(gvals, params):
+    """f(x) = tr(lam g(u)) for x = lam u, by polar decomposition of each x."""
+    F = params.F
+    out = np.zeros(params.K.size, dtype=np.uint8)
+    for x in range(1, params.K.size):
+        lam, u = params.polar_decompose(x)
+        out[x] = F.trace(F.mul(lam, int(gvals[params.s_index[u]])))
+    return out
+
+
+def line_cover_naive(lines, params):
+    """Per point of K, the number of the given lines containing it."""
+    return np.array([sum(ln.contains(x, params) for ln in lines)
+                     for x in range(params.K.size)], dtype=np.int64)
+
+
+def bivariate_fill_naive(Q, G):
+    """f(x, y) = B(G(z), x) where x o z = y, found by search; f(0, y) = 0."""
+    size = Q.size
+    out = np.zeros(size * size, dtype=np.uint8)
+    for x in range(1, size):
+        row = [int(v) for v in Q.table[x]]
+        for y in range(size):
+            z = row.index(y)
+            out[x + size * y] = Q.b_form(int(G[z]), x)
+    return out
+
+
+def bivariate_product_dual_naive(star, G):
+    """0 iff y = 0 or x = G(z) + y*z for some z, one point at a time."""
+    size = len(G)
+    out = np.ones(size * size, dtype=np.uint8)
+    for y in range(size):
+        for x in range(size):
+            if y == 0 or any(x == int(G[z]) ^ int(star[y][z])
+                             for z in range(size)):
+                out[x + size * y] = 0
+    return out

@@ -240,3 +240,57 @@ def test_spread_bent_g_table_length(tmp_path, capsys):
     gt.write_text(" ".join(map(str, range(7))))
     _assert_input_error(["spread", "bent", "--pqf", "field:3",
                          "--g", f"table:{gt}"], capsys)
+
+
+def test_niho_coefficient_index_out_of_range(capsys):
+    k4 = 1 << 8                 # |K| at m = 4
+    for a in ("-1", str(k4), str(2 * k4)):
+        _assert_input_error(["niho", "--family", "quadratic", "--m", "4",
+                             "--a-index", a], capsys)
+    for alpha2 in ("-1", "300"):
+        _assert_input_error(["niho", "--family", "binomial_3", "--m", "4",
+                             "--alpha2-index", alpha2], capsys)
+
+
+def test_m_outside_supported_range(capsys):
+    for argv in (["niho", "--family", "quadratic", "--m", "10"],
+                 ["dual", "--family", "quadratic", "--m", "10",
+                  "--method", "walsh"],
+                 ["oval", "verify", "--catalog", "conic_like_S", "--m", "10"],
+                 ["niho", "--family", "quadratic"],
+                 ["spread", "build", "--kind", "field", "--m", "19"],
+                 ["spread", "build", "--kind", "field"]):
+        _assert_input_error(argv, capsys)
+
+
+def _oval_doc(tmp_path, points, infinite=()):
+    path = tmp_path / "oval.json"
+    path.write_text(json.dumps({"kind": "oval", "m": 3, "points": list(points),
+                                "infinite": list(infinite), "nucleus": None}))
+    return str(path)
+
+
+def test_oval_json_out_of_range(tmp_path, capsys):
+    good = list(range(1, 9))     # 8 of the q + 1 = 9 points at m = 3
+    for points, infinite in ((good + [-3], []), (good + [99999], []),
+                             (good, [9]), (good, [-1])):
+        _assert_input_error(["oval", "verify", "--m", "3", "--json",
+                             _oval_doc(tmp_path, points, infinite)], capsys)
+
+
+def test_line_oval_json_out_of_range(tmp_path, capsys):
+    for bad in ([50, 1], [9, 1], [-1, 1], [0, 8], [0, -1]):
+        path = tmp_path / "lines.json"
+        path.write_text(json.dumps({"kind": "line_oval", "m": 3,
+                                    "lines": [bad] + [[j, 1] for j in range(1, 9)]}))
+        _assert_input_error(["oval", "convert", "--m", "3", "--lines-json",
+                             str(path)], capsys)
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    def boom(args):
+        raise KeyError("boom")
+    monkeypatch.setattr(cli, "cmd_ea", boom)
+    assert cli.main(["ea", "--family", "quadratic", "--m", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "internal error: KeyError" in err

@@ -7,10 +7,12 @@ from oracles import irreducible_bruteforce
 
 
 def test_field_make_range():
-    with pytest.raises(ValueError):
-        gf.field_make(1)
-    with pytest.raises(ValueError):
-        gf.field_make(17)
+    for m in (1, 10, 17, None):
+        with pytest.raises(ValueError):
+            gf.field_make(m)
+    for deg in (0, 19):
+        with pytest.raises(ValueError):
+            gf.BinaryField(deg)
 
 
 def test_smallest_irreducible_m2():

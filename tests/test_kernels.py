@@ -1,109 +1,110 @@
 import numpy as np
 import pytest
 
-from ovalbent import gf, kernels, niho
+from ovalbent import gf, kernels, niho, spread, spreadbent
+from ovalbent.geometry import AffineLineK
+from oracles import (bivariate_fill_naive, bivariate_product_dual_naive,
+                     collinear_triples_naive, dot_parity, line_cover_naive,
+                     naive_mobius, naive_walsh, niho_fill_naive)
 
-pytestmark = pytest.mark.skipif(
-    "numba" not in kernels.backends(),
-    reason="numba backend unavailable; nothing to cross-check")
-
-
-@pytest.fixture(autouse=True)
-def restore_backend():
-    prev = kernels.active_backend()
-    yield
-    kernels.set_backend(prev)
+SPECS = [niho.NihoSpec("quadratic", 2), niho.NihoSpec("binomial_1_6", 2),
+         niho.NihoSpec("quadratic", 3), niho.NihoSpec("binomial_3", 3),
+         niho.NihoSpec("leander_r", 3, r=2), niho.NihoSpec("quadratic", 4),
+         niho.NihoSpec("binomial_3", 4), niho.NihoSpec("binomial_1_6", 4)]
 
 
-def _both(name, *args, copy_arg=None):
-    """Run one kernel under both backends and return the two results."""
-    outs = []
-    for backend in ("numpy", "numba"):
-        kernels.set_backend(backend)
-        call_args = [a.copy() if isinstance(a, np.ndarray) and i == copy_arg
-                     else a for i, a in enumerate(args)]
-        res = getattr(kernels, name)(*call_args)
-        outs.append(res if res is not None else call_args[copy_arg])
-    return outs
+def _circle_maps(m, seed):
+    """Family circle maps at m plus two random (mostly non-bent) ones."""
+    p = gf.field_make(m)
+    rng = np.random.default_rng(seed)
+    maps = [niho.g_of_spec(s, p).values for s in SPECS if s.m == m]
+    maps += [rng.integers(0, p.q, size=p.q + 1) for _ in range(2)]
+    return p, maps
 
 
-def test_walsh_backends_agree():
-    rng = np.random.default_rng(0)
-    w = rng.integers(-1, 2, size=1 << 10, dtype=np.int64)
-    a, b = _both("walsh_inplace", w, copy_arg=0)
-    assert np.array_equal(a, b)
+def _carriers():
+    return [spread.field_pqf(m) for m in (2, 3, 4)] + [spread.luneburg(3)]
 
 
-def test_mobius_backends_agree():
-    rng = np.random.default_rng(1)
-    t = rng.integers(0, 2, size=1 << 10, dtype=np.uint8)
-    a, b = _both("mobius_inplace", t, copy_arg=0)
-    assert np.array_equal(a, b)
+@pytest.mark.parametrize("k", [1, 4, 8])
+def test_walsh_inplace(k):
+    table = np.random.default_rng(k).integers(0, 2, size=1 << k, dtype=np.uint8)
+    w = 1 - 2 * table.astype(np.int64)
+    kernels.walsh_inplace(w)
+    assert np.array_equal(w, naive_walsh(table, dot_parity))
 
 
-def test_niho_fill_backends_agree():
-    p = gf.field_make(4)
-    g = niho.g_of_spec(niho.NihoSpec("binomial_3", 4), p)
-    out = np.zeros(p.K.size, dtype=np.uint8)
-    a, b = _both("niho_table_fill", p.S, g.values, p.embed,
-                 p.K.log, p.K.exp, p.K.order,
-                 p.F.log, p.F.exp, p.F.order, p.F.trace_table(), out,
-                 copy_arg=10)
-    assert np.array_equal(a, b)
+@pytest.mark.parametrize("k", [1, 4, 8])
+def test_mobius_inplace(k):
+    table = np.random.default_rng(k).integers(0, 2, size=1 << k, dtype=np.uint8)
+    t = table.copy()
+    kernels.mobius_inplace(t)
+    assert np.array_equal(t, naive_mobius(table))
 
 
-def test_product_dual_backends_agree():
-    p = gf.field_make(4)
-    g = niho.g_of_spec(niho.NihoSpec("binomial_3", 4), p)
-    out = np.zeros(p.K.size, dtype=np.uint8)
-    a, b = _both("univariate_product_dual", p.S, p.embed[g.values],
-                 p.conj_table(), p.K.log, p.K.exp, p.K.order, out, copy_arg=6)
-    assert np.array_equal(a, b)
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_niho_table_fill(m):
+    p, maps = _circle_maps(m, seed=m)
+    for gvals in maps:
+        out = np.full(p.K.size, 7, dtype=np.uint8)
+        kernels.niho_table_fill(p.S, gvals, p.embed, p.K.log, p.K.exp, p.K.order,
+                                p.F.log, p.F.exp, p.F.order, p.F.trace_table(),
+                                out)
+        assert np.array_equal(out, niho_fill_naive(gvals, p))
 
 
-def test_line_cover_backends_agree():
-    p = gf.field_make(4)
-    g = niho.g_of_spec(niho.NihoSpec("quadratic", 4), p)
-    a, b = _both("line_cover_counts", p.line_trace_basis(), p.n, g.values)
-    assert np.array_equal(a, b)
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_line_cover_counts_and_univariate_product_dual(m):
+    p, maps = _circle_maps(m, seed=10 + m)
+    for gvals in maps:
+        lines = [AffineLineK(int(u), int(g)) for u, g in zip(p.S, gvals)]
+        want = line_cover_naive(lines, p)
+        counts = kernels.line_cover_counts(p.line_trace_basis(), p.n, gvals)
+        assert np.array_equal(counts, want)
+        out = np.full(p.K.size, 7, dtype=np.uint8)
+        kernels.univariate_product_dual(p.S, p.embed[gvals], p.conj_table(),
+                                        p.K.log, p.K.exp, p.K.order, out)
+        assert np.array_equal(out, (want == 0).astype(np.uint8))
 
 
-def test_bivariate_backends_agree():
-    from ovalbent import spread, spreadbent
-    Q = spread.luneburg(3)
-    G = spread.sqrt_diag_g_table(Q)
-    out = np.zeros(Q.size * Q.size, dtype=np.uint8)
-    a, b = _both("bivariate_table_fill", Q.table, G, Q.b_bit_table(), out,
-                 copy_arg=3)
-    assert np.array_equal(a, b)
-    st = spreadbent.star_table(Q)
-    a, b = _both("bivariate_product_dual", st, G, out, copy_arg=2)
-    assert np.array_equal(a, b)
+def test_line_cover_counts_repeated_directions():
+    p = gf.field_make(3)
+    rng = np.random.default_rng(3)
+    js = rng.integers(0, p.q + 1, size=20)
+    mus = rng.integers(0, p.q, size=20)
+    lines = [AffineLineK(int(p.S[j]), int(mu)) for j, mu in zip(js, mus)]
+    counts = kernels.line_cover_counts(p.line_trace_basis()[js], p.n, mus)
+    assert np.array_equal(counts, line_cover_naive(lines, p))
 
 
-def test_collinear_backends_agree():
-    p = gf.field_make(4)
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        pts = np.sort(rng.choice(np.arange(1, p.K.size), size=12,
-                                 replace=False)).astype(np.int64)
-        a, b = _both("collinear_scan", pts, p.conj_table(),
-                     p.K.log, p.K.exp, p.K.order)
-        assert tuple(a) == tuple(b)
+@pytest.mark.parametrize("Q", _carriers(), ids=lambda Q: f"{Q.name}:{Q.m}")
+def test_bivariate_kernels(Q):
+    rng = np.random.default_rng(Q.size)
+    for G in (spread.sqrt_diag_g_table(Q), rng.permutation(Q.size),
+              rng.integers(0, Q.size, size=Q.size)):
+        out = np.full(Q.size * Q.size, 7, dtype=np.uint8)
+        kernels.bivariate_table_fill(Q.table, G, Q.b_bit_table(), out)
+        assert np.array_equal(out, bivariate_fill_naive(Q, G))
+        star = spreadbent.star_table(Q)
+        out = np.full(Q.size * Q.size, 7, dtype=np.uint8)
+        kernels.bivariate_product_dual(star, G, out)
+        assert np.array_equal(out, bivariate_product_dual_naive(star, G))
 
 
-def test_env_flag_parsing(monkeypatch):
-    monkeypatch.setenv("OVALBENT_NUMBA", "off")
-    assert not kernels._env_wants_numba()
-    monkeypatch.setenv("OVALBENT_NUMBA", "1")
-    assert kernels._env_wants_numba()
-    monkeypatch.delenv("OVALBENT_NUMBA")
-    assert kernels._env_wants_numba()
-
-
-def test_set_backend_rejects_unknown():
-    with pytest.raises(ValueError):
-        kernels.set_backend("fortran")
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_collinear_scan(m):
+    p = gf.field_make(m)
+    rng = np.random.default_rng(20 + m)
+    sets = [sorted(int(u) for u in p.S)]        # an oval: no triple
+    sets += [sorted(rng.choice(p.K.size, size=min(12, p.K.size // 2),
+                               replace=False).tolist()) for _ in range(5)]
+    for pts in sets:
+        i, j, k = kernels.collinear_scan(np.array(pts, dtype=np.int64),
+                                         p.conj_table(), p.K.log, p.K.exp,
+                                         p.K.order)
+        bad = collinear_triples_naive(pts, p)
+        got = None if i < 0 else (pts[i], pts[j], pts[k])
+        assert got == (bad[0] if bad else None)
 
 
 def test_linear_map_table():
