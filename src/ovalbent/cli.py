@@ -69,11 +69,8 @@ def _spec_from_args(args) -> niho.NihoSpec:
 def cmd_niho(args) -> int:
     spec = _spec_from_args(args)
     params = field_make(spec.m)
-    try:
-        spec.resolve(params)
-        g = niho.g_of_spec(spec, params)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    spec.resolve(params)
+    g = niho.g_of_spec(spec, params)
 
     f = niho.bent_from_g(g, params)
     bent = boolfn.is_bent(f)
@@ -129,10 +126,7 @@ def cmd_oval(args) -> int:
     params = field_make(args.m)
     if args.action == "verify":
         if args.catalog:
-            try:
-                oval = geometry.catalog_oval(args.catalog, params)
-            except ValueError as e:
-                raise InputError(str(e)) from e
+            oval = geometry.catalog_oval(args.catalog, params)
         elif args.json:
             m, oval = geometry.oval_from_json(Path(args.json).read_text())
             if m != args.m:
@@ -154,10 +148,7 @@ def cmd_oval(args) -> int:
         m, oval = geometry.oval_from_json(Path(args.points_json).read_text())
         if m != args.m or oval.infinite:
             raise InputError("conversion needs affine points over the same field")
-        try:
-            lines = geometry.dual_points_to_lines(sorted(oval.points), params)
-        except ValueError as e:
-            raise InputError(str(e)) from e
+        lines = geometry.dual_points_to_lines(sorted(oval.points), params)
         ok, witness = geometry.verify_no_three_concurrent(lines, params)
         print(geometry.line_oval_to_json(lines, params))
         report = {"command": "oval convert", "direction": "points_to_lines",
@@ -168,10 +159,7 @@ def cmd_oval(args) -> int:
     if args.lines_json:
         lines = geometry.line_oval_from_json(Path(args.lines_json).read_text(),
                                              params)
-        try:
-            points = geometry.dual_lines_to_points(lines, params)
-        except ValueError as e:
-            raise InputError(str(e)) from e
+        points = geometry.dual_lines_to_points(lines, params)
         ok, witness = geometry.verify_oval(points, params)
         print(geometry.oval_to_json(
             geometry.Oval(frozenset(points), frozenset()), params))
@@ -193,10 +181,7 @@ def _niho_dual_by_method(method: str, spec, g, params) -> boolfn.BooleanFunction
     if method == "product":
         return niho.dual_product_formula(g, params)
     if method == "budaghyan":
-        try:
-            return niho.dual_budaghyan(spec, params)
-        except ValueError as e:
-            raise InputError(str(e)) from e
+        return niho.dual_budaghyan(spec, params)
     if method == "chi-swap":
         oval = niho.line_oval_from_g(g, params)
         table = np.ones(params.K.size, dtype=np.uint8)
@@ -208,10 +193,7 @@ def _niho_dual_by_method(method: str, spec, g, params) -> boolfn.BooleanFunction
 def cmd_dual(args) -> int:
     spec = _spec_from_args(args)
     params = field_make(spec.m)
-    try:
-        g = niho.g_of_spec(spec, params)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    g = niho.g_of_spec(spec, params)
     if not boolfn.is_bent(niho.bent_from_g(g, params)):
         raise InputError("the requested spec is not bent; no dual exists")
     d1 = _niho_dual_by_method(args.method, spec, g, params)
@@ -244,10 +226,7 @@ def cmd_ea(args) -> int:
     else:
         spec = _spec_from_args(args)
         params = field_make(spec.m)
-        try:
-            f = niho.bent_from_g(niho.g_of_spec(spec, params), params)
-        except ValueError as e:
-            raise InputError(str(e)) from e
+        f = niho.bent_from_g(niho.g_of_spec(spec, params), params)
         source = spec.to_json()
     deg = boolfn.degree(f)
     report = {"command": "ea", "source": source, "k": f.k,
@@ -312,10 +291,7 @@ def _pqf_report(Q: spread.Prequasifield, seed: int) -> dict:
 
 
 def cmd_spread_build(args) -> int:
-    try:
-        Q = _build_pqf(args)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    Q = _build_pqf(args)
     rep = _pqf_report(Q, args.seed)
     report = {"command": "spread build", "kind": args.kind, "m": Q.m,
               "shape": Q.shape, "size": Q.size, "validation": rep}
@@ -362,10 +338,7 @@ def cmd_spread_transpose(args) -> int:
 
 def cmd_spread_knuth(args) -> int:
     Q = _read_pqf(args.pqf)
-    try:
-        items, dtd_eq = spread.knuth_orbit(Q)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    items, dtd_eq = spread.knuth_orbit(Q)
     d = _out_dir(args)
     artifacts = {}
     if d:
@@ -400,11 +373,8 @@ def cmd_spread_bent(args) -> int:
     rep = spread.validate_prequasifield(Q, seed=args.seed)
     if not rep.axioms_ok:
         raise InputError(f"prequasifield axioms fail: {rep.failures}")
-    try:
-        G = _g_table_from_flag(args.g, Q)
-        spec = spreadbent.SpreadBentSpec(Q, G, args.mu)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    G = _g_table_from_flag(args.g, Q)
+    spec = spreadbent.SpreadBentSpec(Q, G, args.mu)
     analysis = spreadbent.analyze(spec)
     analysis["criterion_witness"] = _witness_json(analysis.get("criterion_witness"))
     d = _out_dir(args)
@@ -519,7 +489,7 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         code = args.fn(args)
-    except (InputError, FileNotFoundError, ValueError) as e:
+    except (InputError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

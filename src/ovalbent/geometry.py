@@ -5,6 +5,11 @@ L(u, mu) = {x : T(u x) + mu = 0} with u on the unit circle and mu in F.
 The projective closure adds one point at infinity per parallel class,
 tagged by the circle index of u.
 
+Line incidence goes through `line_point_rows`.  T is F-linear with
+kernel F, so T(y) = mu holds exactly on the coset mu w + F for any w
+with T(w) = 1, and L(u, mu) = u^q (mu w + F): the q points of each line
+in closed form, all lines in one broadcast product.
+
 `verify_oval` is the brute-force collinearity oracle of the package:
 everything faster has to agree with it.
 """
@@ -35,7 +40,6 @@ class LineOval:
     """q+1 mutually non-parallel lines covering each point 0 or 2 times."""
     lines: tuple[AffineLineK, ...]
     e_set: frozenset[int]
-    point_sets: tuple[frozenset[int], ...]
 
 
 @dataclass(frozen=True)
@@ -50,20 +54,27 @@ class Oval:
 # incidence machinery
 # ---------------------------------------------------------------------------
 
+def line_point_rows(lines: Iterable[AffineLineK], params: FieldParams) -> np.ndarray:
+    """(L, q) array whose row j holds the q points of the j-th line.
+
+    L(u, mu) = u^q (mu w + F) with T(w) = 1; w = gamma / T(gamma), which
+    is defined because the generator gamma of K* is not in F.
+    """
+    K, embed, gamma = params.K, params.embed, params.gamma
+    w = K.div(gamma, gamma ^ params.conjugate(gamma))
+    us, mus = np.array(list(lines), dtype=np.int64).reshape(-1, 2).T
+    cosets = K.mul_vec(embed[mus], w)[:, None] ^ embed[None, :]
+    return K.mul_arr(params.conj_table()[us][:, None], cosets)
+
+
 def line_points(line: AffineLineK, params: FieldParams) -> frozenset[int]:
     """The q points of L(u, mu), materialized."""
-    basis = params.line_trace_basis()[params.s_index[line.u]]
-    tvals = kernels.linear_map_table(basis, params.n)
-    return frozenset(np.nonzero(tvals == line.mu)[0].tolist())
+    return frozenset(line_point_rows([line], params)[0].tolist())
 
 
 def line_cover_counts(lines: Iterable[AffineLineK], params: FieldParams) -> np.ndarray:
     """For every point of K, how many of the given lines pass through it."""
-    lines = list(lines)
-    basis = params.line_trace_basis()
-    rows = np.array([basis[params.s_index[ln.u]] for ln in lines], dtype=np.int64)
-    gvals = np.array([ln.mu for ln in lines], dtype=np.int64)
-    return kernels.line_cover_counts(rows, params.n, gvals)
+    return kernels.line_cover_counts(line_point_rows(lines, params), params.n)
 
 
 def verify_line_oval(lines: Iterable[AffineLineK], params: FieldParams):

@@ -394,6 +394,7 @@ class FieldParams:
             self._project_table = t
         return self._project_table
 
+    # no library caller: kept for perfbench/setup_probe.py and tracing.TARGETS
     def line_trace_basis(self) -> np.ndarray:
         """Row j, column i: F-index of T(u_j * e_i), for u_j on the circle.
 

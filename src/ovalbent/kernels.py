@@ -2,8 +2,10 @@
 
 Each kernel has one numpy implementation.  All field multiplications
 inside kernels go through log/exp tables, so kernels only ever see plain
-numpy arrays and ints.  Per-kernel time and work on real workloads come
-from `python3 perfbench/run.py --workload W --trace 1`.
+numpy arrays and ints.  The univariate incidence kernels use closed
+forms: the line cover counts the coset rows of `geometry.line_point_rows`
+and the product dual works ray by ray.  Per-kernel time and work on real
+workloads come from `python3 perfbench/run.py --workload W --trace 1`.
 """
 
 from __future__ import annotations
@@ -53,35 +55,30 @@ def niho_table_fill(s, gvals, embed, log_k, exp_k, ord_k,
 
 def univariate_product_dual(s, g_embedded, conj, log_k, exp_k, ord_k,
                             out) -> None:
-    """Dual via the product formula: 0 iff some T(u x) + g(u) vanishes."""
-    size = out.shape[0]
-    xs = np.arange(1, size, dtype=np.int64)
-    log_x = log_k[xs]
-    covered = np.zeros(size, dtype=bool)
-    covered[0] = bool(np.any(g_embedded == 0))
-    for j in range(s.shape[0]):
-        y = exp_k[(log_x + log_k[s[j]]) % ord_k]
-        covered[1:] |= (y ^ conj[y]) == g_embedded[j]
-    out[:] = 1
-    out[covered] = 0
+    """Dual via the product formula: 0 iff some T(u x) + g(u) vanishes.
 
-
-def line_cover_counts(basis_vals, nbits, gvals) -> np.ndarray:
-    """Counts, per point of K, of lines L(u, g(u)) through it.
-
-    basis_vals[j, i] is the F-index of T(u_j * e_i) for basis bit i.
+    For x = lam v (lam in F*, v on the circle) the factor at u is
+    lam T(uv) + g(u), and T(uv) = 0 only for uv = 1.  So each pair with
+    uv != 1 and g(u) != 0 zeroes the one point g(u) / T(uv) v, and each u
+    with g(u) = 0 zeroes x = 0 and the whole ray through 1/u.
     """
-    size = 1 << nbits
-    counts = np.zeros(size, dtype=np.int64)
-    tvals = np.zeros(size, dtype=np.int64)
-    for j in range(basis_vals.shape[0]):
-        tvals[0] = 0
-        h = 1
-        for i in range(nbits):
-            tvals[h:2 * h] = tvals[:h] ^ basis_vals[j, i]
-            h *= 2
-        counts += tvals == gvals[j]
-    return counts
+    log_s = log_k[s]
+    uv = exp_k[(log_s[:, None] + log_s[None, :]) % ord_k]
+    t = uv ^ conj[uv]
+    hit = (t != 0) & (g_embedded != 0)[:, None]
+    log_pts = log_k[g_embedded][:, None] - log_k[t] + log_s[None, :]
+    out[:] = 1
+    out[exp_k[log_pts[hit] % ord_k]] = 0
+    zero_u = g_embedded == 0
+    if zero_u.any():
+        out[0] = 0
+        rays = log_k[conj[s[zero_u]]][:, None] + np.arange(0, ord_k, s.shape[0])
+        out[exp_k[rays % ord_k]] = 0
+
+
+def line_cover_counts(rows, nbits) -> np.ndarray:
+    """Counts, per point of K, of the lines whose points fill each row."""
+    return np.bincount(rows.ravel(), minlength=1 << nbits)
 
 
 def bivariate_table_fill(mul_table, gvals, bbit, out) -> None:

@@ -4,7 +4,10 @@ Every such function is f(lam u) = tr(lam g(u)) for a map g from the unit
 circle S into F.  This module builds the known families' g maps, the
 truth tables, the associated line ovals, and the dual function along
 three independent routes: Walsh signs, the circle product formula, and
-(for the Leander family) the closed trace form.
+(for the Leander family) the closed trace form.  The line oval comes
+from the coset form of each line L(u, g(u)) (`geometry.line_point_rows`);
+the product route works ray by ray on x = lam v instead, so the two stay
+independent computations of the same zero set.
 
 Powers of circle elements reduce to index arithmetic: S is listed as
 gamma^(j(q-1)), so u^e is the entry at index j*e mod q+1, and fractional
@@ -97,6 +100,15 @@ class NihoSpec:
     @staticmethod
     def from_json(text: str) -> "NihoSpec":
         d = json.loads(text)
+        if not isinstance(d, dict):
+            raise ValueError("a spec must be a JSON object")
+        if not isinstance(d.get("family"), str):
+            raise ValueError("a spec needs a string 'family'")
+        if not isinstance(d.get("m"), int):
+            raise ValueError("a spec needs an integer 'm'")
+        for key in ("a_index", "alpha2_index", "r"):
+            if not isinstance(d.get(key), (int, type(None))):
+                raise ValueError(f"spec field {key!r} must be an integer")
         return NihoSpec(d["family"], d["m"], d.get("a_index"),
                         d.get("alpha2_index"), d.get("r"))
 
@@ -194,9 +206,7 @@ def line_oval_from_g(g: UnitCircleMap, params: FieldParams) -> geometry.LineOval
                          f"{int(counts[witness])} of the lines")
     e_set = frozenset(np.nonzero(counts)[0].tolist())
     assert len(e_set) == params.q * (params.q + 1) // 2
-    point_sets = tuple(geometry.line_points(ln, params) for ln in lines)
-    assert all(len(ps) == params.q for ps in point_sets)
-    return geometry.LineOval(tuple(lines), e_set, point_sets)
+    return geometry.LineOval(tuple(lines), e_set)
 
 
 def dual_walsh(g: UnitCircleMap, params: FieldParams) -> boolfn.BooleanFunction:
@@ -287,8 +297,14 @@ def load_g_table(path, params: FieldParams) -> UnitCircleMap:
             raise ValueError("bad g-table header")
         for line in fh:
             j_s, v_s = line.strip().split(",")
-            vals[int(j_s)] = int(v_s)
-            seen[int(j_s)] = True
+            j, v = int(j_s), int(v_s)
+            if not (0 <= j <= params.q and 0 <= v < params.q):
+                raise ValueError(f"g-table row {j},{v} out of range: u_index "
+                                 f"in [0, {params.q}], g_index in [0, {params.q})")
+            if seen[j]:
+                raise ValueError(f"u_index {j} appears twice")
+            vals[j] = v
+            seen[j] = True
     if not seen.all():
         raise ValueError("g-table must cover the whole circle")
     return UnitCircleMap(params.m, vals)

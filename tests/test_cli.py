@@ -30,7 +30,7 @@ def test_niho_binomial3_m3(tmp_path):
 def test_niho_rejects_odd_m_for_16():
     r = run_cli(["niho", "--family", "binomial_1_6", "--m", "3"])
     assert r.returncode == 2
-    assert "even" in r.stderr
+    assert r.stderr.splitlines() == ["error: the 1/6 binomial needs m even"]
 
 
 def test_niho_quadratic_m2():
@@ -294,3 +294,18 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert cli.main(["ea", "--family", "quadratic", "--m", "2"]) == 3
     err = capsys.readouterr().err
     assert "Traceback" in err and "internal error: KeyError" in err
+
+
+def test_spec_json_malformed(tmp_path, capsys):
+    for doc in ({"family": "quadratic"}, {"m": 4}, [],
+                {"family": "quadratic", "m": "4"},
+                {"family": "quadratic", "m": 4, "a_index": "5"}):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        _assert_input_error(["niho", "--spec-json", str(path)], capsys)
+
+
+def test_unreadable_input_path(tmp_path, capsys):
+    for argv in (["oval", "verify", "--m", "3", "--json", str(tmp_path)],
+                 ["ea", "--table", str(tmp_path)]):
+        _assert_input_error(argv, capsys)

@@ -19,6 +19,16 @@ def test_circle_is_oval_with_nucleus_zero():
     assert ok
 
 
+def test_line_points_closed_form():
+    p = gf.field_make(3)
+    for u in p.S:
+        for mu in range(p.q):
+            ln = geometry.AffineLineK(int(u), mu)
+            pts = geometry.line_points(ln, p)
+            assert len(pts) == p.q
+            assert all(ln.contains(x, p) for x in pts)
+
+
 def test_collinear_points_rejected_with_witness():
     p = gf.field_make(3)
     line = sorted(geometry.line_points(geometry.AffineLineK(int(p.S[1]), 3), p))

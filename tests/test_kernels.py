@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ovalbent import gf, kernels, niho, spread, spreadbent
+from ovalbent import geometry, gf, kernels, niho, spread, spreadbent
 from ovalbent.geometry import AffineLineK
 from oracles import (bivariate_fill_naive, bivariate_product_dual_naive,
                      collinear_triples_naive, dot_parity, line_cover_naive,
@@ -10,7 +10,8 @@ from oracles import (bivariate_fill_naive, bivariate_product_dual_naive,
 SPECS = [niho.NihoSpec("quadratic", 2), niho.NihoSpec("binomial_1_6", 2),
          niho.NihoSpec("quadratic", 3), niho.NihoSpec("binomial_3", 3),
          niho.NihoSpec("leander_r", 3, r=2), niho.NihoSpec("quadratic", 4),
-         niho.NihoSpec("binomial_3", 4), niho.NihoSpec("binomial_1_6", 4)]
+         niho.NihoSpec("binomial_3", 4), niho.NihoSpec("binomial_1_6", 4),
+         niho.NihoSpec("binomial_3", 5), niho.NihoSpec("leander_r", 5, r=2)]
 
 
 def _circle_maps(m, seed):
@@ -20,6 +21,16 @@ def _circle_maps(m, seed):
     maps = [niho.g_of_spec(s, p).values for s in SPECS if s.m == m]
     maps += [rng.integers(0, p.q, size=p.q + 1) for _ in range(2)]
     return p, maps
+
+
+def _incidence_maps(m):
+    """Circle maps for the incidence kernels: `_circle_maps` plus the
+    all-zero map (every line through 0, mu = 0); at odd m the binomial_3
+    map has zeros of its own."""
+    p, maps = _circle_maps(m, seed=10 + m)
+    if m % 2:
+        assert not niho.g_of_spec(niho.NihoSpec("binomial_3", m), p).values.all()
+    return p, maps + [np.zeros(p.q + 1, dtype=np.int64)]
 
 
 def _carriers():
@@ -53,13 +64,13 @@ def test_niho_table_fill(m):
         assert np.array_equal(out, niho_fill_naive(gvals, p))
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_line_cover_counts_and_univariate_product_dual(m):
-    p, maps = _circle_maps(m, seed=10 + m)
+    p, maps = _incidence_maps(m)
     for gvals in maps:
         lines = [AffineLineK(int(u), int(g)) for u, g in zip(p.S, gvals)]
         want = line_cover_naive(lines, p)
-        counts = kernels.line_cover_counts(p.line_trace_basis(), p.n, gvals)
+        counts = kernels.line_cover_counts(geometry.line_point_rows(lines, p), p.n)
         assert np.array_equal(counts, want)
         out = np.full(p.K.size, 7, dtype=np.uint8)
         kernels.univariate_product_dual(p.S, p.embed[gvals], p.conj_table(),
@@ -68,13 +79,15 @@ def test_line_cover_counts_and_univariate_product_dual(m):
 
 
 def test_line_cover_counts_repeated_directions():
-    p = gf.field_make(3)
-    rng = np.random.default_rng(3)
-    js = rng.integers(0, p.q + 1, size=20)
-    mus = rng.integers(0, p.q, size=20)
-    lines = [AffineLineK(int(p.S[j]), int(mu)) for j, mu in zip(js, mus)]
-    counts = kernels.line_cover_counts(p.line_trace_basis()[js], p.n, mus)
-    assert np.array_equal(counts, line_cover_naive(lines, p))
+    for m in (2, 3, 4, 5):
+        p = gf.field_make(m)
+        rng = np.random.default_rng(m)
+        js = rng.integers(0, p.q + 1, size=2 * p.q)
+        mus = rng.integers(0, p.q, size=2 * p.q)
+        mus[:3] = 0                                  # lines through 0
+        lines = [AffineLineK(int(p.S[j]), int(mu)) for j, mu in zip(js, mus)]
+        counts = kernels.line_cover_counts(geometry.line_point_rows(lines, p), p.n)
+        assert np.array_equal(counts, line_cover_naive(lines, p))
 
 
 @pytest.mark.parametrize("Q", _carriers(), ids=lambda Q: f"{Q.name}:{Q.m}")

@@ -267,6 +267,24 @@ def test_g_table_roundtrip(tmp_path):
     assert len(text) == p.q + 2
 
 
+def test_g_table_rejects_bad_indices(tmp_path):
+    p = gf.field_make(2)            # q = 4: u_index in [0, 4], g_index in [0, 4)
+    good = [(j, 1) for j in range(p.q + 1)]
+    bad_tables = [good[:-1] + [(-1, 0)],
+                  good[:-1] + [(5, 0)],
+                  good[:-1] + [(4, 9)],
+                  good[:-1] + [(4, 4)],
+                  good[:-1] + [(4, -1)],
+                  good + [(0, 1)],                # u_index 0 twice
+                  good[:-1]]                      # u_index 4 missing
+    for rows in bad_tables:
+        path = tmp_path / "g.csv"
+        path.write_text("u_index,g_index\n"
+                        + "".join(f"{j},{v}\n" for j, v in rows))
+        with pytest.raises(ValueError):
+            niho.load_g_table(path, p)
+
+
 def test_spec_json_roundtrip():
     spec = niho.NihoSpec("leander_r", 5, r=2)
     assert niho.NihoSpec.from_json(spec.to_json()) == spec
