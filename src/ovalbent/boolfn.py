@@ -199,13 +199,15 @@ def dumps_truth_table(f: BooleanFunction) -> str:
 
 def loads_truth_table(text: str) -> BooleanFunction:
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if len(lines) != 2 or not lines[0].startswith("k="):
-        raise ValueError("expected a `k=<int>` header line and one hex line")
+    if len(lines) != 2 or lines[0][:2] != "k=" or not lines[0][2:].isdecimal():
+        raise ValueError("expected a `k=<int>` header line (k >= 0) and one hex line")
     k = int(lines[0][2:])
     raw = np.frombuffer(bytes.fromhex(lines[1]), dtype=np.uint8)
     bits = np.unpackbits(raw, bitorder="little")
-    if bits.size < (1 << k):
-        raise ValueError("hex payload shorter than 2^k bits")
+    # exactly the 2^k bits, 0-padded to one byte; k is bounded before 2**k
+    if k >= bits.size.bit_length() or bits.size != max(8, 2**k) or bits[2**k:].any():
+        raise ValueError(f"k={k} needs exactly (2^k + 7) // 8 bytes of hex, "
+                         "with the bits past 2^k zero")
     return BooleanFunction(k, bits[: 1 << k])
 
 

@@ -371,24 +371,33 @@ def oval_to_json(oval: Oval, params: FieldParams) -> str:
 
 
 def _check_range(values: Iterable[int], hi: int, what: str) -> None:
-    """Reject any value that is not an integer in [0, hi)."""
+    """Reject any value that is not an integer in [0, hi); JSON true is not."""
     for v in values:
-        if not isinstance(v, Integral) or not 0 <= v < hi:
+        if isinstance(v, bool) or not isinstance(v, Integral) or not 0 <= v < hi:
             raise ValueError(f"{what} {v} out of range [0, {hi})")
+
+
+def _json_document(text: str, kind: str, *lists: str) -> dict:
+    """A JSON object of the given kind whose named keys hold lists."""
+    d = json.loads(text)
+    if not isinstance(d, dict) or d.get("kind") != kind:
+        raise ValueError(f"not a JSON object of kind {kind!r}")
+    for key in lists:
+        if not isinstance(d.get(key), list):
+            raise ValueError(f"{key!r} must be a list")
+    return d
 
 
 def oval_from_json(text: str) -> tuple[int, Oval]:
     """(m, oval); points must be K-indices and infinite tags circle indices."""
-    d = json.loads(text)
-    if d.get("kind") != "oval":
-        raise ValueError("not an oval JSON document")
-    m = d["m"]
+    d = _json_document(text, "oval", "points", "infinite")
+    m, nucleus = d.get("m"), d.get("nucleus")
     if not isinstance(m, Integral) or m not in M_RANGE:
         raise ValueError(f"m {m!r} out of the supported range")
     _check_range(d["points"], 1 << (2 * m), "point")
     _check_range(d["infinite"], (1 << m) + 1, "infinite tag")
-    return m, Oval(frozenset(d["points"]), frozenset(d["infinite"]),
-                   d.get("nucleus"))
+    _check_range([] if nucleus is None else [nucleus], 1 << (2 * m), "nucleus")
+    return m, Oval(frozenset(d["points"]), frozenset(d["infinite"]), nucleus)
 
 
 def line_oval_to_json(lines: Iterable[AffineLineK], params: FieldParams) -> str:
@@ -400,11 +409,12 @@ def line_oval_to_json(lines: Iterable[AffineLineK], params: FieldParams) -> str:
 
 
 def line_oval_from_json(text: str, params: FieldParams) -> list[AffineLineK]:
-    d = json.loads(text)
-    if d.get("kind") != "line_oval":
-        raise ValueError("not a line-oval JSON document")
-    if d["m"] != params.m:
+    d = _json_document(text, "line_oval", "lines")
+    if d.get("m") != params.m:
         raise ValueError("field size mismatch")
-    _check_range((j for j, _ in d["lines"]), params.q + 1, "line circle index")
-    _check_range((mu for _, mu in d["lines"]), params.q, "line mu")
-    return [AffineLineK(int(params.S[j]), mu) for j, mu in d["lines"]]
+    lines = d["lines"]
+    if not all(isinstance(ln, list) and len(ln) == 2 for ln in lines):
+        raise ValueError("each line must be a pair [circle index, mu]")
+    _check_range((j for j, _ in lines), params.q + 1, "line circle index")
+    _check_range((mu for _, mu in lines), params.q, "line mu")
+    return [AffineLineK(int(params.S[j]), mu) for j, mu in lines]

@@ -126,10 +126,7 @@ class BinaryField:
         self.generator = self._find_generator()
         self._build_tables()
         # absolute trace as a parity mask: trace(a) = parity(a & trace_mask)
-        self._trace_mask = 0
-        for i in range(deg):
-            if self._trace_slow(1 << i):
-                self._trace_mask |= 1 << i
+        self._trace_mask = sum(self._trace_slow(1 << i) << i for i in range(deg))
         # dot_mask of each basis element: bit j of image i is trace(e_i e_j)
         self._dot_mask_images = [
             sum(self.trace(self._raw_mul(1 << i, 1 << j)) << j for j in range(deg))
@@ -161,14 +158,22 @@ class BinaryField:
         raise AssertionError("multiplicative group of a finite field is cyclic")
 
     def _build_tables(self) -> None:
-        exp = np.zeros(self.order, dtype=np.int64)
+        # By doubling: multiplication by c = g^h is GF(2)-linear, so
+        # exp[h:2h] is the table of x -> c x gathered at exp[:h].
+        exp = np.ones(self.order, dtype=np.int64)
+        h, c = 1, self.generator
+        while h < self.order:
+            times_c = kernels.linear_map_table(
+                [self._raw_mul(1 << i, c) for i in range(self.deg)], self.deg)
+            n = min(h, self.order - h)
+            exp[h:h + n] = times_c[exp[:n]]
+            h, c = 2 * h, self._raw_mul(c, c)
+        assert self._raw_mul(int(exp[-1]), self.generator) == 1, \
+            "generator order must divide 2^deg - 1"
         log = np.zeros(self.size, dtype=np.int64)
-        acc = 1
-        for i in range(self.order):
-            exp[i] = acc
-            log[acc] = i
-            acc = self._raw_mul(acc, self.generator)
-        assert acc == 1, "generator order must be 2^deg - 1"
+        log[exp] = np.arange(self.order)
+        assert np.array_equal(log[exp], np.arange(self.order)), \
+            "generator powers must be distinct"
         exp.flags.writeable = False      # shared through binary_field
         log.flags.writeable = False
         self.exp, self.log = exp, log
@@ -299,45 +304,30 @@ class FieldParams:
             [self.K.pow(1 << i, self.q) for i in range(self.n)], self.n)
 
         # embedded subfield F' = {0} u {gamma^(j(q+1))} and the embedding table
-        step = self.K.pow(self.gamma, self.q + 1)
-        sub = {0, 1}
-        acc = 1
-        for _ in range(self.q - 2):
-            acc = self.K.mul(acc, step)
-            sub.add(acc)
-        assert len(sub) == self.q, "subfield elements must be distinct"
-        roots = sorted(x for x in sub if self._eval_poly_f(x) == 0)
-        assert len(roots) == self.m, "poly_f splits in K with m distinct roots"
-        beta = roots[0]
-        beta_powers = [self.K.pow(beta, i) for i in range(self.m)]
-        self.embed = kernels.linear_map_table(beta_powers, self.m)
-        assert set(int(v) for v in self.embed) == sub, \
+        sub = np.sort(np.append(self.K.exp[::self.q + 1], 0))
+        assert np.all(np.diff(sub) > 0), "subfield elements must be distinct"
+        acc = np.zeros_like(sub)         # poly_f at every element, by Horner
+        for i in range(self.m, -1, -1):
+            acc = self.K.mul_arr(acc, sub) ^ ((self.F.poly >> i) & 1)
+        roots = sub[acc == 0]
+        assert roots.size == self.m, "poly_f splits in K with m distinct roots"
+        self.embed = kernels.linear_map_table(     # beta = the smallest root
+            [self.K.pow(int(roots[0]), i) for i in range(self.m)], self.m)
+        assert np.array_equal(np.sort(self.embed), sub), \
             "embedding image must equal the gamma-power subfield"
-        self.project = {int(v): i for i, v in enumerate(self.embed)}
+        self.project = dict(zip(self.embed.tolist(), range(self.q)))
 
         # unit circle, ordered as gamma^(j(q-1)), j = 0..q
-        ustep = self.K.pow(self.gamma, self.q - 1)
-        s = np.zeros(self.q + 1, dtype=np.int64)
-        s[0] = 1
-        for j in range(1, self.q + 1):
-            s[j] = self.K.mul(int(s[j - 1]), ustep)
-        assert len(set(s.tolist())) == self.q + 1
-        assert all(self.K.pow(int(u), self.q + 1) == 1 for u in s)
+        s = self.K.exp[(self.q - 1) * np.arange(self.q + 1) % self.K.order]
+        assert np.all(np.diff(np.sort(s)) > 0)
+        assert np.all(self.K.log[s] * (self.q + 1) % self.K.order == 0)
         self.S = s
-        self.s_index = {int(u): j for j, u in enumerate(s)}
+        self.s_index = dict(zip(s.tolist(), range(self.q + 1)))
 
         self._unit_class: np.ndarray | None = None
         self._tr_mask_table: np.ndarray | None = None
         self._project_table: np.ndarray | None = None
         self._line_trace_basis: np.ndarray | None = None
-
-    def _eval_poly_f(self, x: int) -> int:
-        acc = 0
-        for i in range(self.F.poly.bit_length() - 1, -1, -1):
-            acc = self.K.mul(acc, x)
-            if (self.F.poly >> i) & 1:
-                acc ^= 1
-        return acc
 
     # -- conjugation / subfield ------------------------------------------
 
@@ -362,9 +352,6 @@ class FieldParams:
 
     # -- polar coordinates --------------------------------------------------
 
-    def unit_circle(self) -> np.ndarray:
-        return self.S
-
     def polar_decompose(self, x: int) -> PolarForm:
         if x == 0:
             raise ValueError("0 has no polar decomposition")
@@ -379,10 +366,9 @@ class FieldParams:
     def unit_class_table(self) -> np.ndarray:
         """Per nonzero K-index, the S-index of its polar unit part (-1 at 0)."""
         if self._unit_class is None:
-            ucls = np.full(self.K.size, -1, dtype=np.int64)
-            lams = self.embed[1:]
-            for j, u in enumerate(self.S):
-                ucls[self.K.mul_vec(lams, int(u))] = j
+            # gamma^e = gamma^((q+1)a) gamma^((q-1)j), so e = (q-1) j mod q+1
+            ucls = self.K.log * pow(self.q - 1, -1, self.q + 1) % (self.q + 1)
+            ucls[0] = -1
             self._unit_class = ucls
         return self._unit_class
 

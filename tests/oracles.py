@@ -41,6 +41,74 @@ def irreducible_bruteforce(mask):
     return True
 
 
+def mulmod_naive(a, b, poly):
+    """Product in GF(2)[x]/(poly) by shift-and-add, reducing as it goes."""
+    deg = poly.bit_length() - 1
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if (a >> deg) & 1:
+            a ^= poly
+    return r
+
+
+def exp_log_naive(poly, generator):
+    """exp/log tables of GF(2)[x]/(poly) by stepping through the powers."""
+    size = 1 << (poly.bit_length() - 1)
+    exp = np.zeros(size - 1, dtype=np.int64)
+    log = np.zeros(size, dtype=np.int64)
+    acc = 1
+    for i in range(size - 1):
+        exp[i] = acc
+        log[acc] = i
+        acc = mulmod_naive(acc, generator, poly)
+    assert acc == 1, "generator order must be 2^deg - 1"
+    return exp, log
+
+
+def field_pair_naive(params):
+    """(subfield, embed, S, unit class) of the pair (F, K), element by element.
+
+    The subfield is stepped through the powers gamma^(j(q+1)); the embedding
+    sends the generator of F to the smallest root of poly_f in it; the
+    circle is stepped through gamma^(j(q-1)); and the unit class of each
+    nonzero x is the S-index of its polar part x / sqrt(x^(q+1)).
+    """
+    K, q, m = params.K, params.q, params.m
+    step = K.pow(params.gamma, q + 1)
+    sub = [0, 1]
+    for _ in range(q - 2):
+        sub.append(K.mul(sub[-1], step))
+
+    def poly_f(x):
+        acc = 0
+        for i in range(m, -1, -1):
+            acc = K.mul(acc, x) ^ ((params.F.poly >> i) & 1)
+        return acc
+
+    beta = min(x for x in sub if poly_f(x) == 0)
+    embed = np.zeros(q, dtype=np.int64)
+    for a in range(q):
+        for i in range(m):
+            if (a >> i) & 1:
+                embed[a] ^= K.pow(beta, i)
+
+    ustep = K.pow(params.gamma, q - 1)
+    circle = [1]
+    for _ in range(q):
+        circle.append(K.mul(circle[-1], ustep))
+    where = {u: j for j, u in enumerate(circle)}
+
+    ucls = np.full(K.size, -1, dtype=np.int64)
+    for x in range(1, K.size):
+        lam = K.sqrt(K.pow(x, q + 1))
+        ucls[x] = where[K.div(x, lam)]
+    return sorted(sub), embed, np.array(circle, dtype=np.int64), ucls
+
+
 def trace_poly_table(params, terms):
     """Truth table of Tr(sum_i c_i x^(d_i)) by direct exponentiation."""
     K = params.K

@@ -160,6 +160,20 @@ def test_truth_table_file_golden():
     assert boolfn.loads_truth_table("k=3\n4d\n") == f
 
 
+def test_truth_table_payload_is_exact():
+    for k in range(6):
+        f = boolfn.BooleanFunction(k, [1] * (1 << k))
+        text = boolfn.dumps_truth_table(f)
+        assert len(text.split()[1]) == 2 * ((2**k + 7) // 8)
+        assert boolfn.loads_truth_table(text) == f
+    assert boolfn.loads_truth_table("k=2\n0f\n").table.tolist() == [1] * 4
+    for text in ("k=2\nffff\n", "k=2\n1f\n", "k=3\n4d00\n", "k=4\n4d\n",
+                 "k=-1\nff\n", "k=+3\n4d\n", "k=3.0\n4d\n",
+                 "k=99999999999999999999\n00\n"):
+        with pytest.raises(ValueError):
+            boolfn.loads_truth_table(text)
+
+
 def test_truth_table_file_roundtrip(tmp_path):
     rng = np.random.default_rng(1)
     f = boolfn.BooleanFunction(5, rng.integers(0, 2, size=32))

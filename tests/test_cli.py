@@ -309,3 +309,45 @@ def test_unreadable_input_path(tmp_path, capsys):
     for argv in (["oval", "verify", "--m", "3", "--json", str(tmp_path)],
                  ["ea", "--table", str(tmp_path)]):
         _assert_input_error(argv, capsys)
+
+
+def test_oval_json_malformed(tmp_path, capsys):
+    path = tmp_path / "oval.json"
+    nine = list(range(1, 10))    # q + 1 points at m = 3, so verify would run
+    for doc in ([], {"kind": "oval", "m": 3},
+                {"kind": "oval", "m": 3, "points": 5, "infinite": []},
+                {"kind": "oval", "m": 3, "points": nine},
+                {"kind": "oval", "m": 3, "points": nine, "infinite": [],
+                 "nucleus": "0"},
+                {"kind": "oval", "m": 3, "points": nine, "infinite": [],
+                 "nucleus": 64},
+                {"kind": "oval", "m": 3, "points": [True] + nine[1:],
+                 "infinite": []}):
+        path.write_text(json.dumps(doc))
+        _assert_input_error(["oval", "verify", "--m", "3", "--json", str(path)],
+                            capsys)
+
+
+def test_line_oval_json_malformed(tmp_path, capsys):
+    path = tmp_path / "lines.json"
+    for doc in ({"kind": "line_oval", "m": 3}, "lines",
+                {"kind": "line_oval", "m": 3, "lines": {"0": 1}},
+                {"kind": "line_oval", "m": 3, "lines": [[0, 1, 2]]},
+                {"kind": "line_oval", "m": 3, "lines": [5]},
+                {"kind": "line_oval", "m": 3, "lines": [[1.0, 1]]},
+                {"kind": "line_oval", "m": 3, "lines": [[True, 1]]}):
+        path.write_text(json.dumps(doc))
+        _assert_input_error(["oval", "convert", "--m", "3", "--lines-json",
+                             str(path)], capsys)
+
+
+def test_truth_table_malformed(tmp_path, capsys):
+    path = tmp_path / "t.txt"
+    for text in ("k=2\nffff\n",        # 16 bits for a 4-bit table
+                 "k=2\nff\n",          # padding bits set
+                 "k=3\n4d00\n",        # one byte too many
+                 "k=4\n4d\n",          # one byte too few
+                 "k=-1\nff\n", "k=x\nff\n", "k=\nff\n",
+                 "k=99999999999999999999\n00\n", "k=3\nzz\n"):
+        path.write_text(text)
+        _assert_input_error(["ea", "--table", str(path)], capsys)

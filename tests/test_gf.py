@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ovalbent import gf
-from oracles import irreducible_bruteforce
+from oracles import exp_log_naive, field_pair_naive, irreducible_bruteforce
 
 
 def test_field_make_range():
@@ -199,3 +200,37 @@ def test_tr_mask_table_realizes_trace():
         for x in range(p.K.size):
             assert ((int(masks[b]) & x).bit_count() & 1) == \
                 p.K.trace(p.K.mul(b, x))
+
+
+def test_exp_log_tables_match_stepped_powers():
+    for deg in range(1, 19):
+        B = gf.binary_field(deg)
+        exp, log = exp_log_naive(B.poly, B.generator)
+        assert np.array_equal(B.exp, exp) and np.array_equal(B.log, log)
+        assert B.exp.dtype == B.log.dtype == np.int64 and B.log[0] == 0
+        assert not B.exp.flags.writeable and not B.log.flags.writeable
+
+
+def test_field_pair_matches_element_by_element_construction():
+    for m in range(2, 10):
+        p = gf.field_make(m)
+        sub, embed, circle, ucls = field_pair_naive(p)
+        assert sorted(p.embed.tolist()) == sub
+        assert np.array_equal(p.embed, embed)
+        assert np.array_equal(p.S, circle)
+        assert np.array_equal(p.unit_class_table(), ucls)
+
+
+def test_non_primitive_generator_rejected(monkeypatch):
+    # deg 4: 8 of the 16 elements generate GF(16)*; the rest must fail the
+    # order and distinctness checks of the table build
+    built = []
+    for c in range(16):
+        monkeypatch.setattr(gf.BinaryField, "_find_generator", lambda self: c)
+        try:
+            B = gf.BinaryField(4)
+        except AssertionError:
+            continue
+        assert len(set(exp_log_naive(B.poly, c)[0].tolist())) == 15
+        built.append(c)
+    assert len(built) == 8
