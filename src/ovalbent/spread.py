@@ -19,8 +19,20 @@ import numpy as np
 from . import _gf2, kernels
 from .gf import BinaryField, binary_field
 
-_EXHAUSTIVE_TRIPLE_CAP = 64       # carrier size cap for all-triples checks
-_DEFAULT_SAMPLES = 20000
+# GF(2) dimension cap of the carrier: the (size, size) int64 table takes
+# 128 MB at dim 12, and `spread bent` holds several size^2 arrays besides
+MAX_CARRIER_DIM = 12
+
+
+def carrier_dim(m: int, shape: str) -> int:
+    """GF(2) dimension of the carrier, checked against MAX_CARRIER_DIM."""
+    if shape not in ("flat", "pair"):
+        raise ValueError("shape must be 'flat' or 'pair'")
+    dim = m if shape == "flat" else 2 * m
+    if not 1 <= dim <= MAX_CARRIER_DIM:
+        raise ValueError(f"carrier dimension {dim} is outside "
+                         f"1..{MAX_CARRIER_DIM}")
+    return dim
 
 
 class Prequasifield:
@@ -32,12 +44,10 @@ class Prequasifield:
 
     def __init__(self, m: int, shape: str, table: np.ndarray,
                  kind: str = "table", name: str | None = None):
-        if shape not in ("flat", "pair"):
-            raise ValueError("shape must be 'flat' or 'pair'")
+        self.dim = carrier_dim(m, shape)
         self.m = m
         self.shape = shape
         self.field = binary_field(m)
-        self.dim = m if shape == "flat" else 2 * m
         self.size = 1 << self.dim
         if table.shape != (self.size, self.size):
             raise ValueError("multiplication table has the wrong shape")
@@ -61,7 +71,7 @@ class Prequasifield:
                        name: str | None = None) -> "Prequasifield":
         """Table filled one row at a time: mul_row(x, zs) returns the
         products x o z for the array zs of the whole carrier."""
-        size = 1 << (m if shape == "flat" else 2 * m)
+        size = 1 << carrier_dim(m, shape)
         zs = np.arange(size, dtype=np.int64)
         table = np.empty((size, size), dtype=np.int64)
         for x in range(size):
@@ -226,9 +236,9 @@ class PqfReport:
     is_presemifield: bool
     is_commutative: bool
     is_symplectic: bool
-    exhaustive: bool
-    samples: int
     failures: dict = dc_field(default_factory=dict)
+    # every verdict rests on all triples of the carrier, at every size
+    exhaustive = True
 
     def as_dict(self) -> dict:
         return {
@@ -238,78 +248,78 @@ class PqfReport:
             "is_commutative": self.is_commutative,
             "is_symplectic": self.is_symplectic,
             "exhaustive": self.exhaustive,
-            "samples": self.samples,
             "failures": {k: [int(v) for v in vals]
                          for k, vals in self.failures.items()},
         }
 
 
-def validate_prequasifield(Q: Prequasifield, seed: int = 0,
-                           samples: int = _DEFAULT_SAMPLES) -> PqfReport:
-    """Axioms (1)-(4) plus the quasifield/presemifield/commutative flags.
+def _doubling_failures(cols: np.ndarray) -> list[np.ndarray]:
+    """For each h = 2^i, the (h, n) mask of cols[x + h] != cols[x] ^ cols[h]
+    over x < h.  All masks are empty iff every column is GF(2)-linear: the
+    steps rebuild each column from its values at the basis vectors (the
+    first one forces cols[0] == 0)."""
+    out = []
+    h = 1
+    while h < cols.shape[0]:
+        out.append(cols[h:2 * h] != (cols[:h] ^ cols[h]))
+        h *= 2
+    return out
 
-    All-triples checks run exhaustively up to carrier size 64; above that
-    a fixed-seed sample of `samples` triples is drawn (and the report says
-    so).  Failures carry the lexicographically smallest witness found.
+
+def _first_non_permutation(rows: np.ndarray) -> int | None:
+    """Smallest i >= 1 whose row of `rows` is not a permutation of the
+    carrier, or None."""
+    ref = np.arange(rows.shape[1])
+    bad = ~(np.sort(rows[1:], axis=1) == ref).all(axis=1)
+    return int(np.argmax(bad)) + 1 if bad.any() else None
+
+
+def validate_prequasifield(Q: Prequasifield) -> PqfReport:
+    """Axioms (1)-(4) plus the quasifield/presemifield/commutative flags,
+    each decided exactly over the whole carrier in O(size^2).
+
+    Witnesses: the smallest x with x o 0 != 0, the smallest z with
+    0 o z != 0, the smallest z >= 1 whose right multiplication and the
+    smallest x >= 1 whose left section is not a bijection, and for right
+    distributivity a failing triple (x, y, z): the smallest failing
+    column z, then the smallest y = 2^i, then the smallest x < y.
     """
     t = Q.table
-    size = Q.size
     failures: dict[str, tuple] = {}
 
-    if not np.all(t[:, 0] == 0):
-        failures["right_zero"] = (int(np.nonzero(t[:, 0])[0][0]),)
-    if not np.all(t[0, :] == 0):
-        failures["zero_times"] = (int(np.nonzero(t[0, :])[0][0]),)
+    if t[:, 0].any():
+        failures["right_zero"] = (int(np.argmax(t[:, 0] != 0)),)
+    if t[0, :].any():
+        failures["zero_times"] = (int(np.argmax(t[0, :] != 0)),)
+    z = _first_non_permutation(t.T)
+    if z is not None:
+        failures["right_mult_not_bijective"] = (z,)
+    x = _first_non_permutation(t)
+    if x is not None:
+        failures["left_section_not_bijective"] = (x,)
 
-    ref = np.arange(size)
-    for z in range(1, size):
-        if not np.array_equal(np.sort(t[:, z]), ref):
-            failures.setdefault("right_mult_not_bijective", (z,))
-            break
-    for x in range(1, size):
-        if not np.array_equal(np.sort(t[x, :]), ref):
-            failures.setdefault("left_section_not_bijective", (x,))
-            break
+    steps = _doubling_failures(t)
+    bad_cols = np.zeros(Q.size, dtype=bool)
+    for bad in steps:
+        bad_cols |= bad.any(axis=0)
+    if bad_cols.any():
+        z = int(np.argmax(bad_cols))
+        i = next(i for i, bad in enumerate(steps) if bad[:, z].any())
+        x = int(np.argmax(steps[i][:, z]))
+        failures["right_distributive"] = (x, 1 << i, z)
+    left_ok = not any(bad.any() for bad in _doubling_failures(t.T))
 
-    exhaustive = size <= _EXHAUSTIVE_TRIPLE_CAP
-    if exhaustive:
-        xs = np.arange(size)
-        xor = xs[:, None] ^ xs[None, :]
-        rd = t[xor, :] == (t[:, None, :] ^ t[None, :, :])
-        if not rd.all():
-            i = np.argwhere(~rd)[0]
-            failures["right_distributive"] = tuple(int(v) for v in i)
-        ld = t[:, xor] == (t[:, :, None] ^ t[:, None, :])
-        left_ok = bool(ld.all())
-        n_checked = size ** 3
-    else:
-        rng = np.random.default_rng(seed)
-        trip = rng.integers(0, size, size=(samples, 3))
-        rd = t[trip[:, 0] ^ trip[:, 1], trip[:, 2]] == \
-            (t[trip[:, 0], trip[:, 2]] ^ t[trip[:, 1], trip[:, 2]])
-        if not rd.all():
-            i = int(np.nonzero(~rd)[0][0])
-            failures["right_distributive"] = tuple(int(v) for v in trip[i])
-        ld = t[trip[:, 0], trip[:, 1] ^ trip[:, 2]] == \
-            (t[trip[:, 0], trip[:, 1]] ^ t[trip[:, 0], trip[:, 2]])
-        left_ok = bool(ld.all())
-        n_checked = samples
-
-    identity = None
-    for e in range(1, size):
-        if np.array_equal(t[:, e], ref) and np.array_equal(t[e, :], ref):
-            identity = e
-            break
+    ref = np.arange(Q.size)
+    has_identity = bool(((t == ref[:, None]).all(axis=0)
+                         & (t == ref).all(axis=1)).any())
 
     axioms_ok = not failures
     return PqfReport(
         axioms_ok=axioms_ok,
-        is_quasifield=axioms_ok and identity is not None,
+        is_quasifield=axioms_ok and has_identity,
         is_presemifield=axioms_ok and left_ok,
         is_commutative=axioms_ok and bool(np.array_equal(t, t.T)),
         is_symplectic=axioms_ok and is_symplectic(Q),
-        exhaustive=exhaustive,
-        samples=n_checked,
         failures=failures,
     )
 
@@ -359,13 +369,14 @@ def is_symplectic(Q: Prequasifield) -> bool:
     R_z^* and R_z agree on the basis, i.e. the basis rows of Q^t and Q
     (equivalent, and identical to the literal triple check, which is
     cross-asserted for small carriers)."""
+    literal_cap = 64          # size^3 bits for the literal triple check
     basis = [1 << i for i in range(Q.dim)]
     per_z = bool(np.array_equal(Q.transposed().table[basis], Q.table[basis]))
-    if Q.size <= _EXHAUSTIVE_TRIPLE_CAP:
+    if Q.size <= literal_cap:
         bt = Q.b_bit_table()
-        literal = all(
-            np.array_equal(bt[Q.table[:, z], :], bt[:, Q.table[:, z]])
-            for z in range(Q.size))
+        # [x, y, z]: B(x o z, y) against B(x, y o z)
+        literal = bool(np.array_equal(bt[Q.table].transpose(0, 2, 1),
+                                      bt[:, Q.table]))
         assert literal == per_z, "triple check and adjoint check must agree"
     return per_z
 
@@ -380,27 +391,28 @@ def knuth_orbit(Q: Prequasifield):
     seen: dict[bytes, str] = {Q.table.tobytes(): ""}
     items = [("", Q)]
     frontier = [("", Q)]
+    # (word, op) -> the word of the item with the table op(word)
+    step: dict[tuple[str, str], str] = {}
     while frontier:
         nxt = []
         for word, cur in frontier:
-            for op, fn in (("d", dual_pqf), ("t", transpose_pqf)):
-                new = fn(cur)
+            for op, new in (("d", dual_pqf(cur)), ("t", cur.transposed())):
                 key = new.table.tobytes()
                 if key not in seen:
                     seen[key] = word + op
                     items.append((word + op, new))
                     nxt.append((word + op, new))
+                step[word, op] = seen[key]
         frontier = nxt
-    by_word = {w: pq for w, pq in items}
 
     def lookup(word):
-        cur = Q
+        cur = ""
         for op in word:
-            cur = dual_pqf(cur) if op == "d" else transpose_pqf(cur)
+            cur = step[cur, op]
         return cur
 
-    dtd_eq_tdt = bool(np.array_equal(lookup("dtd").table, lookup("tdt").table))
-    return items, dtd_eq_tdt
+    # items are distinct tables, so equal words mean equal tables
+    return items, lookup("dtd") == lookup("tdt")
 
 
 def commutative_from_symplectic(Q: Prequasifield) -> Prequasifield:
@@ -433,21 +445,14 @@ def _left_adjoint_pqf(Q: Prequasifield, name: str) -> Prequasifield:
 # spreads as point sets
 # ---------------------------------------------------------------------------
 
-def spread_member_points(Q: Prequasifield, z: int | None) -> np.ndarray:
-    """Packed points x + size*y of the member {(x, x o z)} (z=None gives
-    the vertical member {(0, y)})."""
-    ys = np.arange(Q.size, dtype=np.int64)
-    if z is None:
-        return Q.size * ys
-    return ys + Q.size * Q.table[:, z]
-
-
 def verify_spread(Q: Prequasifield):
-    """Every nonzero vector of V x V lies in exactly one member."""
-    cover = np.zeros(Q.size * Q.size, dtype=np.int64)
-    cover[spread_member_points(Q, None)] += 1
-    for z in range(Q.size):
-        cover[spread_member_points(Q, z)] += 1
+    """Every nonzero vector of V x V lies in exactly one member: the
+    vertical one {(0, y)} or some {(x, x o z)}.  Returns (ok, the smallest
+    packed point x + size*y covered other than once)."""
+    xs = np.arange(Q.size, dtype=np.int64)
+    points = np.concatenate([Q.size * xs,
+                             (xs[:, None] + Q.size * Q.table).ravel()])
+    cover = np.bincount(points, minlength=Q.size * Q.size)
     bad = np.nonzero(cover[1:] != 1)[0]
     if bad.size:
         return False, int(bad[0]) + 1
@@ -456,15 +461,14 @@ def verify_spread(Q: Prequasifield):
 
 def spreads_perpendicular(Q: Prequasifield, Qt: Prequasifield) -> bool:
     """Member-wise orthogonality of Sigma(Q) and Sigma(Q^t) under
-    <(x,y),(x',y')> = B(x,y') + B(y,x')."""
-    for z in range(Q.size):
-        r = Q.right_mult_rows(z)
-        s = Qt.right_mult_rows(z)
-        for i in range(Q.dim):
-            for j in range(Q.dim):
-                if Q.b_form(1 << i, s[j]) ^ Q.b_form(r[i], 1 << j):
-                    return False
-    return True
+    <(x,y),(x',y')> = B(x,y') + B(y,x'): B(e_i, e_j o' z) = B(e_i o z, e_j)
+    for all basis vectors e_i, e_j and all z."""
+    basis = [1 << i for i in range(Q.dim)]
+    bm = Q.b_mask_table()
+    # both sides indexed [i, j, z]
+    lhs = np.bitwise_count(bm[basis][:, None, None] & Qt.table[basis]) & 1
+    rhs = (bm[Q.table[basis]][:, None, :] >> np.arange(Q.dim)[:, None]) & 1
+    return bool(np.array_equal(lhs, rhs))
 
 
 def kernel_of(Q: Prequasifield) -> list[int]:
@@ -539,67 +543,40 @@ def symmetric_rep_check(Q: Prequasifield) -> bool:
     return True
 
 
-def diagonal_sqrt(mat: list[list[int]], F: BinaryField) -> tuple[int, ...]:
-    """Component-wise square roots of the diagonal of a symmetric matrix
-    over F, in natural order."""
-    t = len(mat)
-    for i in range(t):
-        for j in range(t):
-            if mat[i][j] != mat[j][i]:
-                raise ValueError("matrix must be symmetric")
-    return tuple(F.sqrt(mat[i][i]) for i in range(t))
-
-
-def f_matrix_rep(Q: Prequasifield, z: int) -> list[list[int]]:
-    """Matrix of R_z over F (1x1 for flat carriers; 2x2 for pair carriers,
-    valid when right multiplications are F-linear, as for Lueneburg)."""
-    if Q.shape == "flat":
-        if Q.kind != "field":
-            raise ValueError("flat F-matrix representation is only the "
-                             "field's multiplication-by-z")
-        return [[z]]
-    r1 = Q.unpack(Q.mul(Q.pack(1, 0), z))
-    r2 = Q.unpack(Q.mul(Q.pack(0, 1), z))
-    mat = [list(r1), list(r2)]
-    F = Q.field
-    lams = np.arange(F.size, dtype=np.int64)
-    for shift, row in ((0, r1), (Q.m, r2)):     # F-linearity of R_z on lam*e
-        got = Q.table[lams << shift, z]
-        if not (np.array_equal(got & (F.size - 1), F.mul_vec(lams, row[0]))
-                and np.array_equal(got >> Q.m, F.mul_vec(lams, row[1]))):
-            raise ValueError("right multiplication is not F-linear")
-    return mat
-
-
 def sqrt_diag_g_table(Q: Prequasifield) -> np.ndarray:
     """The o-polynomial G(z) = d(M_z) of a symplectic spread: square roots
-    of the diagonal of the right-multiplication matrices."""
+    of the diagonal of the right-multiplication matrices.
+
+    Field: M_z = [z].  Pair: M_z is the F-matrix with rows the images of
+    (1, 0) and (0, 1), which must be F-linear and symmetric.  Other flat
+    carriers: M_z in an orthonormal basis b_i, diagonal B(b_i o z, b_i)."""
     F = Q.field
-    out = np.zeros(Q.size, dtype=np.int64)
+    t = Q.table
+    root = F.pow_table(1 << (F.deg - 1))
     if Q.kind == "field":
-        for z in range(Q.size):
-            out[z] = F.sqrt(z)
-    elif Q.shape == "pair":
-        for z in range(Q.size):
-            d = diagonal_sqrt(f_matrix_rep(Q, z), F)
-            out[z] = Q.pack(d[0], d[1])
-    else:
-        if not is_symplectic(Q):
-            raise ValueError("diagonal construction needs a symplectic spread")
-        basis = orthonormal_basis(Q)
-        for z in range(Q.size):
-            mz = matrix_rep(Q, z, basis)
-            diag = sum(((mz[i] >> i) & 1) << i for i in range(Q.dim))
-            out[z] = _combine(basis, diag)
+        return root
+    if Q.shape == "pair":
+        low = F.size - 1
+        rows = t[[1, 1 << Q.m]]                   # R_z(1, 0), R_z(0, 1)
+        lams = np.arange(F.size, dtype=np.int64)
+        linear = np.ones(Q.size, dtype=bool)      # R_z(lam e) = lam R_z(e)
+        for shift, row in zip((0, Q.m), rows):
+            got = t[lams << shift]
+            for part, want in ((got & low, row & low), (got >> Q.m, row >> Q.m)):
+                linear &= (part == F.mul_arr(lams[:, None], want)).all(axis=0)
+        ok = linear & ((rows[0] >> Q.m) == (rows[1] & low))
+        if not ok.all():
+            z = int(np.argmax(~ok))
+            raise ValueError("matrix must be symmetric" if linear[z]
+                             else "right multiplication is not F-linear")
+        return root[rows[0] & low] | (root[rows[1] >> Q.m] << Q.m)
+    if not is_symplectic(Q):
+        raise ValueError("diagonal construction needs a symplectic spread")
+    bm = Q.b_mask_table()
+    out = np.zeros(Q.size, dtype=np.int64)
+    for b in orthonormal_basis(Q):
+        out ^= (np.bitwise_count(bm[t[b]] & b).astype(np.int64) & 1) * b
     return out
-
-
-def _combine(basis: list[int], coords: int) -> int:
-    acc = 0
-    for i, b in enumerate(basis):
-        if (coords >> i) & 1:
-            acc ^= b
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -615,20 +592,23 @@ def dumps_pqf(Q: Prequasifield) -> str:
 
 def loads_pqf(text: str) -> Prequasifield:
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    head = lines[0].split()
+    head = lines[0].split() if lines else []
     if len(head) != 2 or not head[0].startswith("q=") or not head[1].startswith("shape="):
         raise ValueError("bad prequasifield header")
     size = int(head[0][2:])
     shape = head[1][6:]
     dim = size.bit_length() - 1
-    if 1 << dim != size:
+    if size < 1 or 1 << dim != size:
         raise ValueError("carrier size must be a power of 2")
-    m = dim if shape == "flat" else dim // 2
     if shape == "pair" and dim % 2:
         raise ValueError("pair carriers have even GF(2) dimension")
+    m = dim if shape == "flat" else dim // 2
+    carrier_dim(m, shape)
     rows = [list(map(int, ln.split())) for ln in lines[1:]]
     if len(rows) != size or any(len(r) != size for r in rows):
         raise ValueError("table must be q rows of q integers")
+    if min(map(min, rows)) < 0 or max(map(max, rows)) >= size:
+        raise ValueError(f"table entries must lie in [0, {size})")
     return Prequasifield(m, shape, np.array(rows, dtype=np.int64), kind="table")
 
 

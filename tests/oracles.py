@@ -4,6 +4,8 @@ Everything here is deliberately naive and shares no code path with the
 package implementations it checks.
 """
 
+import itertools
+
 import numpy as np
 
 
@@ -270,4 +272,157 @@ def bivariate_product_dual_naive(star, G):
             if y == 0 or any(x == int(G[z]) ^ int(star[y][z])
                              for z in range(size)):
                 out[x + size * y] = 0
+    return out
+
+
+# ---------------------------------------------------------------------------
+# prequasifields: all-triples axioms, the per-member spread loops and the
+# per-z diagonal square roots
+# ---------------------------------------------------------------------------
+
+def carrier_form(Q):
+    """B(x, y) on Q's carrier: tr(xy) on F, per coordinate on F x F."""
+    tr = trace_form(Q.field)
+    if Q.shape == "flat":
+        return tr
+    m, low = Q.m, Q.field.size - 1
+    return lambda x, y: tr(x & low, y & low) ^ tr(x >> m, y >> m)
+
+
+def validate_naive(Q):
+    """`validate_prequasifield(Q).as_dict()` without `exhaustive`, with
+    every axiom and flag checked over all triples.
+
+    Witnesses follow the library's rules: the smallest failing x or z, and
+    for right distributivity the smallest failing column z, then the
+    smallest y = 2^i, then the smallest x < y.  That such a triple exists
+    whenever any triple of column z fails is asserted here."""
+    n = Q.size
+    t = [[int(v) for v in row] for row in Q.table]
+    full = set(range(n))
+    failures = {}
+    x = next((x for x in range(n) if t[x][0] != 0), None)
+    if x is not None:
+        failures["right_zero"] = [x]
+    z = next((z for z in range(n) if t[0][z] != 0), None)
+    if z is not None:
+        failures["zero_times"] = [z]
+    z = next((z for z in range(1, n) if {row[z] for row in t} != full), None)
+    if z is not None:
+        failures["right_mult_not_bijective"] = [z]
+    x = next((x for x in range(1, n) if set(t[x]) != full), None)
+    if x is not None:
+        failures["left_section_not_bijective"] = [x]
+
+    def rd_fails(x, y, z):
+        return t[x ^ y][z] != t[x][z] ^ t[y][z]
+
+    z = next((z for z in range(n)
+              if any(rd_fails(x, y, z) for x in range(n) for y in range(n))),
+             None)
+    if z is not None:
+        witness = next(([x, 1 << i, z] for i in range(Q.dim)
+                        for x in range(1 << i) if rd_fails(x, 1 << i, z)), None)
+        assert witness is not None, "the doubling triples miss a failure"
+        failures["right_distributive"] = witness
+
+    ok = not failures
+    left = all(t[x][y ^ z] == t[x][y] ^ t[x][z]
+               for x, y, z in itertools.product(range(n), repeat=3))
+    identity = any(all(t[x][e] == x and t[e][x] == x for x in range(n))
+                   for e in range(1, n))
+    commutative = all(t[x][y] == t[y][x] for x in range(n) for y in range(n))
+    symplectic = False
+    if ok:
+        bform = carrier_form(Q)
+        b = [[bform(x, y) for y in range(n)] for x in range(n)]
+        symplectic = all(b[t[x][z]][y] == b[x][t[y][z]]
+                         for x, y, z in itertools.product(range(n), repeat=3))
+    return {"axioms_ok": ok, "is_quasifield": ok and identity,
+            "is_presemifield": ok and left,
+            "is_commutative": ok and commutative,
+            "is_symplectic": symplectic, "failures": failures}
+
+
+def spread_cover_naive(Q):
+    """(ok, witness) of `verify_spread`, member by member: the smallest
+    nonzero packed point x + size*y not covered exactly once."""
+    n = Q.size
+    cover = [0] * (n * n)
+    for y in range(n):                       # the vertical member
+        cover[n * y] += 1
+    for z in range(n):
+        for x in range(n):
+            cover[x + n * int(Q.table[x, z])] += 1
+    bad = next((p for p in range(1, n * n) if cover[p] != 1), None)
+    return bad is None, bad
+
+
+def perpendicular_naive(Q, Qt):
+    """B(e_i, e_j o' z) = B(e_i o z, e_j) for every z and basis pair."""
+    bform = carrier_form(Q)
+    for z in range(Q.size):
+        for i in range(Q.dim):
+            for j in range(Q.dim):
+                if bform(1 << i, int(Qt.table[1 << j, z])) != \
+                        bform(int(Q.table[1 << i, z]), 1 << j):
+                    return False
+    return True
+
+
+def diagonal_sqrt(mat, F):
+    """Component-wise square roots of the diagonal of a symmetric matrix
+    over F, in natural order."""
+    t = len(mat)
+    for i in range(t):
+        for j in range(t):
+            if mat[i][j] != mat[j][i]:
+                raise ValueError("matrix must be symmetric")
+    return tuple(F.sqrt(mat[i][i]) for i in range(t))
+
+
+def f_matrix_rep(Q, z):
+    """Matrix of R_z over F (1x1 for the field; 2x2 for pair carriers,
+    valid when right multiplications are F-linear, as for Lueneburg)."""
+    F = Q.field
+    if Q.shape == "flat":
+        if Q.kind != "field":
+            raise ValueError("flat F-matrix representation is only the "
+                             "field's multiplication-by-z")
+        return [[z]]
+    rows = [Q.unpack(Q.mul(Q.pack(1, 0), z)), Q.unpack(Q.mul(Q.pack(0, 1), z))]
+    for e, row in zip((Q.pack(1, 0), Q.pack(0, 1)), rows):
+        for lam in range(F.size):           # R_z(lam e) = lam R_z(e)
+            lam_e = Q.pack(*(F.mul(lam, v) for v in Q.unpack(e)))
+            if Q.mul(lam_e, z) != Q.pack(F.mul(lam, row[0]), F.mul(lam, row[1])):
+                raise ValueError("right multiplication is not F-linear")
+    return [list(r) for r in rows]
+
+
+def sqrt_diag_naive(Q, basis):
+    """`sqrt_diag_g_table` one z at a time: sqrt(z) for the field, the
+    square roots of the F-matrix diagonal for pair carriers, and for other
+    flat carriers the sum of the b_i with B(b_i o z, b_i) = 1, after
+    checking that M_z[i][j] = B(b_i o z, b_j) is symmetric (symplectic)
+    in the orthonormal `basis`."""
+    F = Q.field
+    out = np.zeros(Q.size, dtype=np.int64)
+    if Q.kind == "field":
+        for z in range(Q.size):
+            (out[z],) = diagonal_sqrt(f_matrix_rep(Q, z), F)
+        return out
+    if Q.shape == "pair":
+        for z in range(Q.size):
+            out[z] = Q.pack(*diagonal_sqrt(f_matrix_rep(Q, z), F))
+        return out
+    bform = carrier_form(Q)
+    mats = [[[bform(Q.mul(bi, z), bj) for bj in basis] for bi in basis]
+            for z in range(Q.size)]
+    if any(mz[i][j] != mz[j][i] for mz in mats
+           for i in range(Q.dim) for j in range(Q.dim)):
+        raise ValueError("diagonal construction needs a symplectic spread")
+    for z, mz in enumerate(mats):
+        for i, bi in enumerate(basis):
+            if mz[i][i]:
+                out[z] ^= bi
     return out

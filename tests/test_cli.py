@@ -1,6 +1,8 @@
+import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 from ovalbent import boolfn, cli, niho, gf
 
@@ -173,22 +175,37 @@ def test_spread_transpose_roundtrip(tmp_path):
     assert rep["symplectic_fixed_point"] and rep["involution_ok"]
 
 
-def test_seed_controls_sampled_validation_only():
-    # carrier size 128 is above the exhaustive cap: the report says sampled
+def test_validation_is_exhaustive_and_seed_has_no_effect():
+    # carrier size 128: the axioms are still checked on all triples
     build = run_cli(["spread", "build", "--kind", "kantor", "--m", "7",
                      "--chain", "1", "--lambdas", "1", "--zetas", "5"])
     assert build.returncode == 0
     report_text = "\n".join(ln for ln in build.stderr.splitlines()
                             if not ln.startswith("wall_time_s="))
     rep = json.loads(report_text)["validation"]
-    assert not rep["exhaustive"] and rep["samples"] == 20000
+    assert rep["exhaustive"] is True and "samples" not in rep
     assert rep["axioms_ok"] and rep["is_symplectic"]
-    # a different seed must not change the verdicts (only the sample)
+    # --seed is accepted and changes nothing
     v1 = run_cli(["--seed", "1", "spread", "validate"], input=build.stdout)
     v2 = run_cli(["--seed", "2", "spread", "validate"], input=build.stdout)
     assert v1.returncode == v2.returncode == 0
-    assert json.loads(v1.stdout)["validation"]["axioms_ok"]
-    assert json.loads(v2.stdout)["validation"]["axioms_ok"]
+    assert v1.stdout == v2.stdout
+    assert json.loads(v1.stdout)["validation"]["exhaustive"] is True
+
+
+def test_spread_commands_leave_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma, 12 ms of every fresh process
+    for argv in (["spread", "bent", "--pqf", "luneburg:3", "--g", "sqrt"],
+                 ["spread", "validate", "--pqf", "kantor:3:1:1:0"],
+                 ["spread", "knuth", "--pqf", "kantor:3:1:1:0"],
+                 ["spread", "transpose", "--pqf", "kantor:3:1:1:0",
+                  "--out", str(tmp_path / "t.pqf")]):
+        code = ("import sys\nfrom ovalbent import cli\n"
+                f"assert cli.main({argv!r}) == 0\n"
+                "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True)
+        assert r.returncode == 0, (argv, r.stderr)
 
 
 def test_broken_table_validate_exit_code(tmp_path):
@@ -261,6 +278,21 @@ def test_m_outside_supported_range(capsys):
                  ["spread", "build", "--kind", "field", "--m", "19"],
                  ["spread", "build", "--kind", "field"]):
         _assert_input_error(argv, capsys)
+
+
+def test_carrier_above_dimension_cap(monkeypatch, capsys):
+    # GF(2) dimension 13 and 14: refused before any size^2 table exists
+    tracemalloc.start()
+    try:
+        for argv in (["spread", "bent", "--pqf", "luneburg:7", "--g", "sqrt"],
+                     ["spread", "bent", "--pqf", "field:13", "--g", "sqrt"],
+                     ["spread", "build", "--kind", "field", "--m", "13"]):
+            _assert_input_error(argv, capsys)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("q=8192 shape=flat\n"))
+        _assert_input_error(["spread", "validate"], capsys)
+        assert tracemalloc.get_traced_memory()[1] < 16 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def _oval_doc(tmp_path, points, infinite=()):

@@ -9,7 +9,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ovalbent import boolfn, geometry, gf
+from ovalbent import boolfn, geometry, gf, spread
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
@@ -58,3 +58,15 @@ payloads = st.binary(max_size=70).map(bytes.hex) | st.text(max_size=10)
 def test_truth_table_loader(header, payload, tail):
     _returns_or_value_error(boolfn.loads_truth_table,
                             f"{header}\n{payload}\n{tail}")
+
+
+cells = st.integers(-3, 9) | st.integers() | st.text(max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-3, 9).map(lambda q: f"q={q}") | st.text(max_size=6),
+       st.sampled_from(["shape=flat", "shape=pair"]) | st.text(max_size=8),
+       st.lists(st.lists(cells, max_size=5), max_size=5))
+def test_pqf_loader(size, shape, rows):
+    text = "\n".join([f"{size} {shape}"] + [" ".join(map(str, r)) for r in rows])
+    _returns_or_value_error(spread.loads_pqf, text)

@@ -3,8 +3,10 @@ import pytest
 
 from ovalbent import _gf2, spread
 from ovalbent.gf import BinaryField
-from oracles import (brute_adjoint, kantor_mul, luneburg_mul, scalar_table,
-                     trace_form)
+from oracles import (brute_adjoint, diagonal_sqrt, f_matrix_rep, kantor_mul,
+                     luneburg_mul, perpendicular_naive, scalar_table,
+                     spread_cover_naive, sqrt_diag_naive, trace_form,
+                     validate_naive)
 
 
 @pytest.fixture(scope="module")
@@ -255,13 +257,13 @@ def test_orthonormal_basis():
 
 def test_diagonal_sqrt():
     F = BinaryField(3)
-    assert spread.diagonal_sqrt([[5]], F) == (F.sqrt(5),)
-    assert spread.diagonal_sqrt([[0, 0], [0, 0]], F) == (0, 0)
+    assert diagonal_sqrt([[5]], F) == (F.sqrt(5),)
+    assert diagonal_sqrt([[0, 0], [0, 0]], F) == (0, 0)
     with pytest.raises(ValueError):
-        spread.diagonal_sqrt([[0, 1], [2, 0]], F)
+        diagonal_sqrt([[0, 1], [2, 0]], F)
     # Desarguesian: M_z = [z], d = sqrt(z)
     Qf = spread.field_pqf(3)
-    assert spread.f_matrix_rep(Qf, 5) == [[5]]
+    assert f_matrix_rep(Qf, 5) == [[5]]
     G = spread.sqrt_diag_g_table(Qf)
     assert all(G[z] == F.sqrt(z) for z in range(8))
 
@@ -285,8 +287,11 @@ def test_pqf_file_format(tmp_path):
     back = spread.load_pqf(path)
     assert np.array_equal(back.table, Ql.table)
     assert back.m == 3 and back.shape == "pair"
-    with pytest.raises(ValueError):
-        spread.loads_pqf("q=7 shape=flat\n")
+    for bad in ("q=7 shape=flat\n", "", "q=2 shape=flat\n0 0\n0 2\n",
+                "q=2 shape=flat\n0 0\n-1 1\n",
+                "q=2 shape=flat\n0 0\n0 99999999999999999999\n"):
+        with pytest.raises(ValueError):
+            spread.loads_pqf(bad)
 
 
 @pytest.mark.parametrize("m", [3, 5])
@@ -340,3 +345,189 @@ def test_transpose_of_transpose_is_recomputed():
     assert Q.transposed() is not Qt                    # transpose_pqf is fresh
     assert Q.transposed().transposed() is not Q        # never seeded with Q
     assert np.array_equal(Q.transposed().transposed().table, Q.table)
+
+
+# ---------------------------------------------------------------------------
+# the library's whole-array checks against the all-triples and per-member
+# oracles, on every carrier of at most 64 elements and on broken tables
+# ---------------------------------------------------------------------------
+
+def _kantor6(zeta):
+    F6 = BinaryField(6)
+    lam = next(x for x in range(2, 64) if F6.pow(x, 4) == x)   # GF(4) - GF(2)
+    return spread.kantor_chain(6, [2], [lam], [zeta])
+
+
+def _edited(Q, edit, name):
+    """Q's table with one seeded edit, as a plain table prequasifield."""
+    t = Q.table.copy()
+    edit(t, np.random.default_rng(sum(map(ord, name))))
+    return spread.Prequasifield(Q.m, Q.shape, t, kind="table", name=name)
+
+
+def _swap_in_column(t, rng):
+    z = int(rng.integers(1, len(t)))
+    a, b = (int(v) for v in rng.choice(np.arange(1, len(t)), 2, replace=False))
+    t[[a, b], z] = t[[b, a], z]
+
+
+def _swap_in_upper_half(t, rng):
+    """Rows n/2 + 1 and n/2 + 2 of one column swapped: only the last
+    doubling step sees it, at two values of x."""
+    z, h = int(rng.integers(1, len(t))), len(t) // 2
+    t[[h + 1, h + 2], z] = t[[h + 2, h + 1], z]
+
+
+def _repeat_in_column(t, rng):
+    z, x = (int(v) for v in rng.integers(1, len(t) - 1, size=2))
+    t[x, z] = t[x + 1, z]
+
+
+def _nonzero_row0(t, rng):
+    t[0, int(rng.integers(1, len(t)))] = int(rng.integers(1, len(t)))
+
+
+def _nonzero_column0(t, rng):
+    t[int(rng.integers(1, len(t))), 0] = int(rng.integers(1, len(t)))
+
+
+def _nonlinear_rows():
+    F = BinaryField(3)
+    perm = [0, 3, 5, 1, 6, 2, 7, 4]  # nonlinear permutation fixing 0
+    return spread.Prequasifield.from_evaluator(
+        3, "flat", lambda x, zs: F.mul_vec(zs, perm[x]), kind="table")
+
+
+def _x2z():
+    F = BinaryField(3)
+    return spread.Prequasifield.from_evaluator(
+        3, "flat", lambda x, zs: F.mul_vec(zs, F.sqr(x)), kind="table")
+
+
+def _pair_frobenius():
+    """Lueneburg at m = 3 with x1 squared first: GF(2)- but not F-linear."""
+    Q = spread.luneburg(3)
+    xs = np.arange(Q.size)
+    idx = Q.field.pow_table(2)[xs & 7] | (xs >> 3) << 3
+    return spread.Prequasifield(3, "pair", Q.table[idx], kind="table")
+
+
+def _pair_output_frobenius():
+    """Lueneburg at m = 3 with y2 squared last: F-linear in y1 only."""
+    Q = spread.luneburg(3)
+    t = Q.table
+    table = (t & 7) | Q.field.pow_table(2)[t >> 3] << 3
+    return spread.Prequasifield(3, "pair", table, kind="table")
+
+
+def _pair_upper_triangular():
+    """M_z = [[z1, z2], [0, z1]] on F x F: F-linear, not symmetric."""
+    F = BinaryField(3)
+
+    def mul_row(x, zs):
+        x1, x2, z1, z2 = x & 7, x >> 3, zs & 7, zs >> 3
+        return F.mul_vec(z1, x1) | (F.mul_vec(z2, x1) ^ F.mul_vec(z1, x2)) << 3
+    return spread.Prequasifield.from_evaluator(3, "pair", mul_row, kind="table")
+
+
+def _pair_asymmetric_then_nonlinear():
+    """The upper triangular table with its last column taken from
+    `_pair_frobenius`: the first bad z is asymmetric, a later one is
+    not F-linear."""
+    t = _pair_upper_triangular().table.copy()
+    t[:, -1] = _pair_frobenius().table[:, -1]
+    return spread.Prequasifield(3, "pair", t, kind="table")
+
+
+SMALL = {**{f"field:{m}": (lambda m=m: spread.field_pqf(m))
+            for m in range(2, 7)},
+         "luneburg:3": lambda: spread.luneburg(3),
+         **{f"kantor:3:{z}": (lambda z=z: spread.kantor_chain(3, [1], [1], [z]))
+            for z in range(8)},
+         **{f"kantor:5:{z}": (lambda z=z: spread.kantor_chain(5, [1], [1], [z]))
+            for z in (0, 5, 11, 31)},
+         **{f"kantor:6:{z}": (lambda z=z: _kantor6(z)) for z in (7, 9)},
+         "x^2 z": _x2z,
+         "comm(kantor:3:0)": lambda: spread.commutative_from_symplectic(
+             spread.kantor_chain(3, [1], [1], [0]))}
+
+BROKEN = {
+    "nonlinear rows": _nonlinear_rows,
+    "swap in column": lambda: _edited(spread.kantor_chain(5, [1], [1], [11]),
+                                      _swap_in_column, "swap in column"),
+    "swap in upper half": lambda: _edited(spread.luneburg(3),
+                                          _swap_in_upper_half,
+                                          "swap in upper half"),
+    "repeat in column": lambda: _edited(spread.luneburg(3), _repeat_in_column,
+                                        "repeat in column"),
+    "nonzero row 0": lambda: _edited(spread.field_pqf(4), _nonzero_row0,
+                                     "nonzero row 0"),
+    "nonzero column 0": lambda: _edited(spread.kantor_chain(3, [1], [1], [5]),
+                                        _nonzero_column0, "nonzero column 0"),
+    "dual of kantor:6:9": lambda: spread.dual_pqf(_kantor6(9)),
+}
+# pair tables without a symmetric F-matrix representation
+NOT_F_SYMMETRIC = {"pair frobenius": _pair_frobenius,
+                   "pair output frobenius": _pair_output_frobenius,
+                   "pair upper triangular": _pair_upper_triangular,
+                   "pair asymmetric, then nonlinear":
+                       _pair_asymmetric_then_nonlinear}
+CARRIERS = {**SMALL, **BROKEN, **NOT_F_SYMMETRIC,
+            "luneburg:5": lambda: spread.luneburg(5),
+            "kantor:7": lambda: spread.kantor_chain(7, [1], [1], [0]),
+            "field:8": lambda: spread.field_pqf(8)}
+
+
+@pytest.mark.parametrize("name", [*SMALL, *BROKEN, *NOT_F_SYMMETRIC])
+def test_validation_matches_all_triples_oracle(name):
+    Q = CARRIERS[name]()
+    assert Q.size <= 64
+    got = spread.validate_prequasifield(Q).as_dict()
+    assert got.pop("exhaustive") is True
+    assert got == validate_naive(Q)
+    assert got["axioms_ok"] == (name in SMALL or name.endswith("frobenius"))
+    if "right_distributive" in got["failures"]:
+        x, y, z = got["failures"]["right_distributive"]
+        assert Q.mul(x ^ y, z) != Q.mul(x, z) ^ Q.mul(y, z)
+
+
+@pytest.mark.parametrize("name", [*SMALL, *BROKEN, *NOT_F_SYMMETRIC])
+def test_spread_checks_match_member_loops(name):
+    Q = CARRIERS[name]()
+    assert spread.verify_spread(Q) == spread_cover_naive(Q)
+    Qt = Q.transposed()
+    cols = [0, 2, 1, *range(3, Q.size)]      # members 1 and 2 of Q^t swapped
+    swapped = spread.Prequasifield(Q.m, Q.shape, Qt.table[:, cols])
+    for other in (Qt, Q, swapped):
+        assert spread.spreads_perpendicular(Q, other) == \
+            perpendicular_naive(Q, other), other
+    if name in SMALL:
+        assert spread.spreads_perpendicular(Q, Qt)
+
+
+def _sqrt_diag_outcome(fn, *args):
+    try:
+        return fn(*args).tolist()
+    except ValueError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("name", [*SMALL, *NOT_F_SYMMETRIC,
+                                  "luneburg:5", "kantor:7", "field:8"])
+def test_sqrt_diag_matches_per_z_oracle(name):
+    Q = CARRIERS[name]()
+    want = _sqrt_diag_outcome(sqrt_diag_naive, Q, spread.orthonormal_basis(Q))
+    assert _sqrt_diag_outcome(spread.sqrt_diag_g_table, Q) == want
+    rejected = ("x^2 z", "comm(kantor:3:0)", *NOT_F_SYMMETRIC)
+    assert isinstance(want, str) == (name in rejected), want
+
+
+def test_carrier_dimension_cap():
+    assert spread.MAX_CARRIER_DIM == 12
+    for m, shape in ((13, "flat"), (7, "pair"), (0, "flat")):
+        with pytest.raises(ValueError, match="carrier dimension"):
+            spread.carrier_dim(m, shape)
+    with pytest.raises(ValueError, match="carrier dimension"):
+        spread.loads_pqf("q=8192 shape=flat\n")
+    with pytest.raises(ValueError, match="carrier dimension"):
+        spread.Prequasifield.from_evaluator(7, "pair", None, kind="table")
