@@ -60,15 +60,36 @@ class BooleanFunction:
 
 
 class WalshSpectrum:
-    """Integer spectrum; Parseval is asserted at construction."""
+    """Integer spectrum; Parseval is asserted at construction.
+
+    `values` is int32 for k <= 30 (every entry is a sum of 2^k terms +-1,
+    so |entry| <= 2^k fits) and int64 above; Parseval's sum of squares is
+    accumulated in int64 either way."""
 
     __slots__ = ("k", "values")
 
     def __init__(self, k: int, values: np.ndarray):
         self.k = k
         self.values = values
-        assert int(np.dot(values, values)) == 1 << (2 * k), \
-            "Parseval: sum of squared Walsh values must be 2^(2k)"
+        assert int(np.einsum("i,i->", values, values, dtype=np.int64)) \
+            == 1 << (2 * k), "Parseval: sum of squared Walsh values must be 2^(2k)"
+
+    def is_bent(self) -> bool:
+        """|values| == 2^(k/2) everywhere (k must be even)."""
+        if self.k % 2 != 0:
+            raise ValueError("bentness is defined for an even number of variables")
+        half = 1 << (self.k // 2)
+        return bool(np.all((self.values == half) | (self.values == -half)))
+
+    def dual(self, masks: np.ndarray | None = None) -> "BooleanFunction":
+        """Dual bent function read off the signs of this spectrum.
+
+        With masks, entry b is the sign at masks[b]; the permutation is
+        applied to the sign bits, not to the integer spectrum."""
+        if not self.is_bent():
+            raise ValueError("dual is only defined for bent functions")
+        signs = (self.values < 0).view(np.uint8)
+        return BooleanFunction(self.k, signs if masks is None else signs[masks])
 
     def histogram(self) -> dict[int, int]:
         vals, counts = np.unique(self.values, return_counts=True)
@@ -99,8 +120,11 @@ class AnfPolynomial:
 
 def walsh_transform(f: BooleanFunction, masks: np.ndarray | None = None) -> WalshSpectrum:
     """Spectrum of f; entry b correlates against parity(b & x), or against
-    the re-indexed inner product masks[b] & x when masks is given."""
-    w = f.table.astype(np.int64)
+    the re-indexed inner product masks[b] & x when masks is given.
+
+    The butterfly runs in int32 for k <= 30, where |entry| <= 2^k is
+    exact, and in int64 above."""
+    w = f.table.astype(np.int32 if f.k <= 30 else np.int64)
     w *= -2
     w += 1              # (-1)^f(x) in place: one 2^k temporary, not three
     kernels.walsh_inplace(w)
@@ -112,26 +136,15 @@ def walsh_transform(f: BooleanFunction, masks: np.ndarray | None = None) -> Wals
 def is_bent(f: BooleanFunction) -> bool:
     if f.k % 2 != 0:
         raise ValueError("bentness is defined for an even number of variables")
-    return _flat_spectrum(walsh_transform(f).values, 1 << (f.k // 2))
-
-
-def _flat_spectrum(values: np.ndarray, half: int) -> bool:
-    """|values| == half everywhere, without a 2^k absolute-value copy."""
-    return bool(np.all((values == half) | (values == -half)))
+    return walsh_transform(f).is_bent()
 
 
 def dual(f: BooleanFunction, masks: np.ndarray | None = None) -> BooleanFunction:
-    """Dual bent function read off the Walsh-transform signs.
-
-    With masks, entry b is the sign of the spectrum at masks[b]; the
-    permutation is applied to the sign bits, not to the int64 spectrum."""
+    """Dual bent function read off the Walsh-transform signs (see
+    `WalshSpectrum.dual` for masks)."""
     if f.k % 2 != 0:
         raise ValueError("bentness is defined for an even number of variables")
-    w = walsh_transform(f)
-    if not _flat_spectrum(w.values, 1 << (f.k // 2)):
-        raise ValueError("dual is only defined for bent functions")
-    signs = (w.values < 0).view(np.uint8)
-    return BooleanFunction(f.k, signs if masks is None else signs[masks])
+    return walsh_transform(f).dual(masks)
 
 
 def anf(f: BooleanFunction) -> AnfPolynomial:
@@ -165,13 +178,14 @@ def compose_linear(f: BooleanFunction, images: list[int]) -> BooleanFunction:
     return BooleanFunction(f.k, f.table[lmap])
 
 
-def quadratic_rank(f: BooleanFunction) -> int:
+def quadratic_rank(f: BooleanFunction, deg: int | None = None) -> int:
     """GF(2) rank of the symplectic form of a function of degree <= 2.
 
     A complete EA-invariant for quadratic functions; a quadratic function
-    on k bits is bent iff the rank is k.
+    on k bits is bent iff the rank is k.  `deg`: degree(f), when the
+    caller has already computed it.
     """
-    if degree(f) > 2:
+    if (degree(f) if deg is None else deg) > 2:
         raise ValueError("quadratic rank requires degree <= 2")
     t = f.table
     f0 = int(t[0])

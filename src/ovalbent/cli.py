@@ -230,13 +230,13 @@ def cmd_ea(args) -> int:
         f = niho.bent_from_g(niho.g_of_spec(spec, params), params)
         source = spec.to_json()
     deg = boolfn.degree(f)
+    spectrum = boolfn.walsh_transform(f)
     report = {"command": "ea", "source": source, "k": f.k,
               "degree": deg,
-              "spectrum": {str(k): v for k, v in
-                           boolfn.walsh_transform(f).histogram().items()},
-              "bent": boolfn.is_bent(f) if f.k % 2 == 0 else False}
+              "spectrum": {str(k): v for k, v in spectrum.histogram().items()},
+              "bent": spectrum.is_bent() if f.k % 2 == 0 else False}
     if deg <= 2:
-        report["quadratic_rank"] = boolfn.quadratic_rank(f)
+        report["quadratic_rank"] = boolfn.quadratic_rank(f, deg)
     _emit(report)
     return 0
 
@@ -314,9 +314,19 @@ def cmd_spread_validate(args) -> int:
     return 0 if rep["axioms_ok"] and ok else 1
 
 
+def _valid_pqf(path: str) -> spread.Prequasifield:
+    """The prequasifield at `path`; bad input when its axioms fail, since
+    the commands that take it are defined only for prequasifields."""
+    Q = _read_pqf(path)
+    rep = spread.validate_prequasifield(Q)
+    if not rep.axioms_ok:
+        raise InputError(f"prequasifield axioms fail: {rep.failures}")
+    return Q
+
+
 def cmd_spread_transpose(args) -> int:
-    Q = _read_pqf(args.pqf)
-    Qt = spread.transpose_pqf(Q)
+    Q = _valid_pqf(args.pqf)
+    Qt = Q.transposed()        # kept by the validation's symplecticity check
     report = {"command": "spread transpose", "m": Q.m, "shape": Q.shape,
               "involution_ok": bool(np.array_equal(
                   spread.transpose_pqf(Qt).table, Q.table)),
@@ -365,20 +375,17 @@ def _g_table_from_flag(flag: str, Q: spread.Prequasifield) -> np.ndarray:
 
 
 def cmd_spread_bent(args) -> int:
-    Q = _read_pqf(args.pqf)
-    rep = spread.validate_prequasifield(Q)
-    if not rep.axioms_ok:
-        raise InputError(f"prequasifield axioms fail: {rep.failures}")
+    Q = _valid_pqf(args.pqf)
     G = _g_table_from_flag(args.g, Q)
     spec = spreadbent.SpreadBentSpec(Q, G, args.mu)
-    analysis = spreadbent.analyze(spec)
+    kept: dict = {}
+    analysis = spreadbent.analyze(spec, kept)
     analysis["criterion_witness"] = _witness_json(analysis.get("criterion_witness"))
     d = _out_dir(args)
     artifacts = {}
     if analysis["bent"] and d:
-        f = spreadbent.bent_bivariate(spreadbent.normalize_mu(spec))
-        boolfn.save_truth_table(f, d / "truth_table.txt")
-        boolfn.save_truth_table(spreadbent.dual_walsh(spec), d / "dual.txt")
+        boolfn.save_truth_table(kept["truth_table"], d / "truth_table.txt")
+        boolfn.save_truth_table(kept["dual"], d / "dual.txt")
         artifacts = {"truth_table": str(d / "truth_table.txt"),
                      "dual": str(d / "dual.txt")}
     report = {"command": "spread bent", "m": Q.m, "shape": Q.shape,

@@ -12,19 +12,51 @@ from __future__ import annotations
 
 import numpy as np
 
+# entries per block of rows in whole-array table code: large enough that
+# the per-block Python cost vanishes, small enough that the temporaries of
+# a dim-12 carrier stay far below its 128 MB table
+BLOCK_ENTRIES = 1 << 16
+
+
+def row_blocks(size: int):
+    """(x0, xs) over 0..size-1 in blocks of consecutive rows of a
+    (size, size) table: xs is the int64 column (b, 1) of x0..x0+b-1, with
+    b * size about BLOCK_ENTRIES."""
+    rows = max(1, BLOCK_ENTRIES // size)
+    for x0 in range(0, size, rows):
+        yield x0, np.arange(x0, min(x0 + rows, size), dtype=np.int64)[:, None]
+
 
 def walsh_inplace(w: np.ndarray) -> None:
-    """In-place Walsh-Hadamard butterfly on a length-2^k int64 vector."""
+    """In-place Walsh-Hadamard butterfly on a length-2^k signed vector.
+
+    Radix 4: each pass over the array applies the two stages h and 2h to
+    the quarter blocks a0..a3, then one radix-2 stage finishes an odd k.
+    Every intermediate, including the 2a of the last stage, is bounded
+    by the final |entry| <= n, so any signed dtype that holds n is exact.
+    """
     n = w.shape[0]
+    t = np.empty(n // 4, dtype=w.dtype)     # one temporary quarter, reused
     h = 1
-    while h < n:
-        v = w.reshape(-1, 2 * h)
-        a = v[:, :h]
-        b = v[:, h:]
+    while 4 * h <= n:
+        v = w.reshape(-1, 4, h)
+        a0, a1, a2, a3 = v[:, 0], v[:, 1], v[:, 2], v[:, 3]
+        d = t.reshape(-1, h)
+        np.subtract(a0, a1, out=d)          # d  = a0 - a1
+        a0 += a1                            # a0 = a0 + a1
+        np.subtract(a2, a3, out=a1)         # a1 = a2 - a3
+        a2 += a3                            # a2 = a2 + a3
+        np.subtract(d, a1, out=a3)          # a0 - a1 - a2 + a3
+        np.add(d, a1, out=a1)               # a0 - a1 + a2 - a3
+        np.subtract(a0, a2, out=d)          # a0 + a1 - a2 - a3
+        a0 += a2                            # a0 + a1 + a2 + a3
+        a2[...] = d
+        h *= 4
+    if h < n:
+        a, b = w.reshape(2, h)
         np.subtract(a, b, out=b)      # b <- a - b
         a *= 2
         a -= b                        # a <- 2a - (a - b) = a + b, no temporary
-        h *= 2
 
 
 def mobius_inplace(t: np.ndarray) -> None:
@@ -84,20 +116,18 @@ def line_cover_counts(rows, nbits) -> np.ndarray:
 def bivariate_table_fill(mul_table, gvals, bbit, out) -> None:
     """Truth table of f(x, x o z) = B(G(z), x); f(0, y) = 0."""
     size = mul_table.shape[0]
-    zs = np.arange(size)
-    for x in range(1, size):
-        out[x + size * mul_table[x, zs]] = bbit[gvals[zs], x]
+    for x0, xs in row_blocks(size):
+        rows = mul_table[x0:x0 + xs.shape[0]]
+        out[xs + size * rows] = bbit[gvals[None, :], xs]
     out[0::size] = 0
-    out[0] = 0
 
 
 def bivariate_product_dual(star_table, gvals, out) -> None:
     """Dual via the product formula: 0 iff y = 0 or x = G(z) + y*z."""
     size = star_table.shape[0]
     out[:] = 1
-    for y in range(1, size):
-        xs = gvals ^ star_table[y, :]
-        out[xs + size * y] = 0
+    for y0, ys in row_blocks(size):
+        out[(gvals ^ star_table[y0:y0 + ys.shape[0]]) + size * ys] = 0
     out[0:size] = 0
 
 

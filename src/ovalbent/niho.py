@@ -123,11 +123,13 @@ class ResolvedSpec:
 
 
 def smallest_half_trace(params: FieldParams) -> int:
-    """Smallest K-index a with a + a^q = 1 (deterministic normalization)."""
-    for a in range(params.K.size):
-        if params.trace_rel(a) == 1:
-            return a
-    raise AssertionError("T is surjective onto F")
+    """Smallest K-index a with a + a^q = 1 (deterministic normalization),
+    from T over all of K at once."""
+    xs = np.arange(params.K.size, dtype=np.int64)
+    half = params.project_table()[xs ^ params.conj_table()] == 1
+    if not half.any():
+        raise AssertionError("T is surjective onto F")
+    return int(np.argmax(half))
 
 
 def exponents(spec: NihoSpec, params: FieldParams) -> list[tuple[int, int]]:

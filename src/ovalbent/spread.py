@@ -67,15 +67,23 @@ class Prequasifield:
         self._transposed: Prequasifield | None = None
 
     @classmethod
-    def from_evaluator(cls, m: int, shape: str, mul_row, kind: str,
+    def from_evaluator(cls, m: int, shape: str, mul_block, kind: str,
                        name: str | None = None) -> "Prequasifield":
-        """Table filled one row at a time: mul_row(x, zs) returns the
-        products x o z for the array zs of the whole carrier."""
+        """Table filled a block of rows at a time.
+
+        mul_block(xs, zs) gets a column xs of shape (b, 1) holding
+        consecutive x and the row zs of the whole carrier, and returns
+        the (b, size) array of the products x o z (any array that
+        broadcasts to it).  It must evaluate the rule at every (x, z):
+        rows built by XOR from the basis rows would make the right
+        distributivity check of `validate_prequasifield` vacuous.  A
+        block holds about `kernels.BLOCK_ENTRIES` entries, so the
+        evaluator's temporaries stay small at every carrier size."""
         size = 1 << carrier_dim(m, shape)
         zs = np.arange(size, dtype=np.int64)
         table = np.empty((size, size), dtype=np.int64)
-        for x in range(size):
-            table[x] = mul_row(x, zs)
+        for x0, xs in kernels.row_blocks(size):
+            table[x0:x0 + xs.shape[0]] = mul_block(xs, zs)
         return cls(m, shape, table, kind, name)
 
     # -- multiplication ----------------------------------------------------
@@ -143,8 +151,7 @@ class Prequasifield:
 def field_pqf(m: int) -> Prequasifield:
     """GF(2^m) itself, x o z = xz."""
     F = binary_field(m)
-    return Prequasifield.from_evaluator(m, "flat", lambda x, zs: F.mul_vec(zs, x),
-                                        kind="field")
+    return Prequasifield.from_evaluator(m, "flat", F.mul_arr, kind="field")
 
 
 def kantor_chain(m: int, subdegrees: list[int], lambdas: list[int],
@@ -182,18 +189,18 @@ def kantor_chain(m: int, subdegrees: list[int], lambdas: list[int],
     links = [(_trace_onto_table(F, d), c[i], c[i + 1], zetas[i])
              for i, d in enumerate(subdegrees)]
 
-    def mul_row(x: int, ys: np.ndarray) -> np.ndarray:
-        xy = F.mul_vec(ys, x)
-        acc = F.mul_vec(square[ys], x)
+    def mul_block(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        xy = F.mul_arr(xs, ys)
+        acc = F.mul_arr(xs, square[ys])
         for t, c_prev, c_cur, zeta in links:
             t_prev = t[F.mul_vec(xy, c_prev)]
             acc ^= F.mul_vec(F.mul_arr(ys, t_prev), c_prev)
             acc ^= F.mul_vec(F.mul_arr(ys, t[F.mul_vec(xy, c_cur)]), c_cur)
-            acc ^= F.mul_vec(ys, F.mul(c_prev, int(t[F.mul(x, zeta)])))
+            acc ^= F.mul_arr(ys, F.mul_vec(t[F.mul_vec(xs, zeta)], c_prev))
             acc ^= F.mul_vec(t_prev, zeta)
         return acc
 
-    return Prequasifield.from_evaluator(m, "flat", mul_row, kind="kantor")
+    return Prequasifield.from_evaluator(m, "flat", mul_block, kind="kantor")
 
 
 def _trace_onto_table(F: BinaryField, d: int) -> np.ndarray:
@@ -214,15 +221,15 @@ def luneburg(m: int) -> Prequasifield:
     sig_inv = F.pow_table(1 << k)
     qmask = F.size - 1
 
-    def mul_row(x: int, zs: np.ndarray) -> np.ndarray:
-        x1, x2 = x & qmask, x >> m
+    def mul_block(xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+        x1, x2 = xs & qmask, xs >> m
         z1, z2 = zs & qmask, zs >> m
         w = sig_inv[z1] ^ F.mul_arr(z2, sig_inv[z2])
-        y1 = F.mul_vec(z1, x1) ^ F.mul_vec(w, x2)
-        y2 = F.mul_vec(w, x1) ^ F.mul_vec(z2, x2)
+        y1 = F.mul_arr(x1, z1) ^ F.mul_arr(x2, w)
+        y2 = F.mul_arr(x1, w) ^ F.mul_arr(x2, z2)
         return y1 | (y2 << m)
 
-    return Prequasifield.from_evaluator(m, "pair", mul_row, kind="luneburg")
+    return Prequasifield.from_evaluator(m, "pair", mul_block, kind="luneburg")
 
 
 # ---------------------------------------------------------------------------

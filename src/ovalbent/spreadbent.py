@@ -10,6 +10,12 @@ every b != 0 (star = transpose multiplication), and to the 0-or-2 cover
 property of the line oval {x=0} u {y = G(z) + x*z} in A(Q^t).  The dual
 is computed along three independent routes (Walsh signs, the product
 formula, coordinate swap of the covered set) which agree bit-exactly.
+
+`analyze` computes each exact result once: one truth table and one
+Walsh spectrum give both the bentness verdict and the Walsh-sign dual,
+and one run of the criterion is handed to the product and line-oval
+routes.  Only identical recomputation is shared; the three routes stay
+independent computations of the dual.
 """
 
 from __future__ import annotations
@@ -95,42 +101,63 @@ def _is_permutation(values: np.ndarray, size: int) -> bool:
 
 
 def bent_criterion(spec: SpreadBentSpec):
-    """(ok, witness): G bijective and G(z) + b*z 2-to-1 for all b != 0."""
+    """(ok, witness): G bijective and G(z) + b*z 2-to-1 for all b != 0.
+
+    The witness of a failure is the smallest such b, then the smallest
+    value taken neither 0 nor 2 times."""
     spec = normalize_mu(spec)
     Q = spec.Q
     if not _is_permutation(spec.G, Q.size):
         return False, ("G_not_bijective",)
     st = star_table(Q)
-    for b in range(1, Q.size):
-        counts = np.bincount(spec.G ^ st[b, :], minlength=Q.size)
-        bad = np.nonzero((counts != 0) & (counts != 2))[0]
-        if bad.size:
-            return False, ("not_two_to_one", b, int(bad[0]))
+    for b0, bs in kernels.row_blocks(Q.size):
+        vals = spec.G ^ st[b0:b0 + bs.shape[0]]          # [b, z]
+        counts = np.bincount((vals + Q.size * (bs - b0)).ravel(),
+                             minlength=vals.size).reshape(vals.shape)
+        bad = (counts != 0) & (counts != 2)
+        if b0 == 0:
+            bad[0] = False                                # b = 0 is exempt
+        if bad.any():
+            i, v = divmod(int(np.argmax(bad)), Q.size)
+            return False, ("not_two_to_one", b0 + i, v)
     return True, None
 
 
-def line_oval_bivariate(spec: SpreadBentSpec) -> BivariateLineOval:
-    spec = normalize_mu(spec)
-    ok, witness = bent_criterion(spec)
+def _require_bent(spec: SpreadBentSpec, criterion) -> None:
+    """Raise unless the criterion holds; `criterion` is the (ok, witness)
+    of `bent_criterion(spec)` when the caller has it, else None."""
+    ok, witness = bent_criterion(spec) if criterion is None else criterion
     if not ok:
         raise ValueError(f"not bent: criterion failed with witness {witness}")
+
+
+def line_oval_bivariate(spec: SpreadBentSpec, criterion=None) -> BivariateLineOval:
+    """The line oval of a bent spec.  `criterion`: the (ok, witness) of
+    `bent_criterion(spec)`, when the caller has already computed it."""
+    spec = normalize_mu(spec)
+    _require_bent(spec, criterion)
     return _materialize_line_oval(spec.Q, 0, spec.G.copy())
 
 
 def _materialize_line_oval(Q: Prequasifield, c: int,
                            offsets: np.ndarray) -> BivariateLineOval:
-    st = star_table(Q)
-    counts = np.zeros(Q.size * Q.size, dtype=np.int64)
+    """Cover counts scattered line by line, in blocks of lines z: the
+    line {y = offsets[z] + x * z} holds the points x + size*y over all x."""
+    st_cols = star_table(Q).T                     # [z, x] = x * z
+    counts = np.zeros(Q.size * Q.size, dtype=np.int32)
     xs = np.arange(Q.size, dtype=np.int64)
     counts[c + Q.size * xs] += 1
-    for z in range(Q.size):
-        counts[xs + Q.size * (offsets[z] ^ st[:, z])] += 1
+    for z0, zs in kernels.row_blocks(Q.size):
+        ys = offsets[zs] ^ st_cols[z0:z0 + zs.shape[0]]
+        # an int32 increment keeps np.add.at on its fast path; a
+        # Python int 1 makes it about ten times slower
+        np.add.at(counts, xs + Q.size * ys, np.int32(1))
     bad = np.nonzero((counts != 0) & (counts != 2))[0]
     if bad.size:
         p = int(bad[0])
         raise ValueError(f"not a line oval: point ({p % Q.size}, {p // Q.size}) "
                          f"lies on {int(counts[p])} lines")
-    e_table = (counts > 0).astype(np.uint8)
+    e_table = (counts > 0).view(np.uint8)
     assert int(e_table.sum()) == (Q.size * Q.size) // 2 + Q.size // 2
     return BivariateLineOval(Q.size, c, offsets, e_table)
 
@@ -150,20 +177,24 @@ def spec_from_line_oval(oval: BivariateLineOval, Q: Prequasifield) -> SpreadBent
     return SpreadBentSpec(Q, oval.offsets ^ st[oval.c, :], 0)
 
 
-def dual_walsh(spec: SpreadBentSpec) -> boolfn.BooleanFunction:
+def dual_walsh(spec: SpreadBentSpec,
+               spectrum: boolfn.WalshSpectrum | None = None) -> boolfn.BooleanFunction:
     """Walsh-sign dual of the mu-normalized function (all dual routes
-    target the normalized form the incidence statements are phrased for)."""
+    target the normalized form the incidence statements are phrased for).
+    `spectrum`: the unmasked spectrum of `bent_bivariate(normalize_mu(spec))`,
+    when the caller has already computed it."""
     spec = normalize_mu(spec)
-    return boolfn.dual(bent_bivariate(spec), walsh_masks(spec.Q))
+    if spectrum is None:
+        spectrum = boolfn.walsh_transform(bent_bivariate(spec))
+    return spectrum.dual(walsh_masks(spec.Q))
 
 
-def dual_product(spec: SpreadBentSpec) -> boolfn.BooleanFunction:
+def dual_product(spec: SpreadBentSpec, criterion=None) -> boolfn.BooleanFunction:
     """y^(q-1) prod_z (y*z + x + G(z))^(q-1) with the powers read as zero
-    indicators: 0 iff y = 0 or x = G(z) + y*z for some z."""
+    indicators: 0 iff y = 0 or x = G(z) + y*z for some z.  `criterion`:
+    the (ok, witness) of `bent_criterion(spec)`, when already computed."""
     spec = normalize_mu(spec)
-    ok, witness = bent_criterion(spec)
-    if not ok:
-        raise ValueError(f"not bent: criterion failed with witness {witness}")
+    _require_bent(spec, criterion)
     Q = spec.Q
     out = np.zeros(Q.size * Q.size, dtype=np.uint8)
     kernels.bivariate_product_dual(star_table(Q), spec.G, out)
@@ -177,12 +208,14 @@ def dual_chi_swap(oval: BivariateLineOval) -> boolfn.BooleanFunction:
     return boolfn.BooleanFunction(2 * (size.bit_length() - 1), (1 ^ t.T).ravel())
 
 
-def dual_routes(spec: SpreadBentSpec) -> dict:
+def dual_routes(spec: SpreadBentSpec, spectrum=None, criterion=None) -> dict:
     """All three dual routes plus their exact agreement flags, and the
-    line oval that the chi-swap route was read from."""
-    dw = dual_walsh(spec)
-    dp = dual_product(spec)
-    oval = line_oval_bivariate(spec)
+    line oval that the chi-swap route was read from.  `spectrum` and
+    `criterion` are results the caller already has (see `dual_walsh`
+    and `dual_product`); the routes themselves are computed here."""
+    dw = dual_walsh(spec, spectrum)
+    dp = dual_product(spec, criterion)
+    oval = line_oval_bivariate(spec, criterion)
     dc = dual_chi_swap(oval)
     return {"walsh": dw, "product": dp, "chi_swap": dc, "line_oval": oval,
             "walsh_eq_product": dw == dp,
@@ -316,11 +349,18 @@ def action_gl2(spec: SpreadBentSpec, mat: tuple[int, int, int, int],
 # report helpers
 # ---------------------------------------------------------------------------
 
-def analyze(spec: SpreadBentSpec) -> dict:
-    """Verdicts and invariants used by the CLI report."""
+def analyze(spec: SpreadBentSpec, kept: dict | None = None) -> dict:
+    """Verdicts and invariants used by the CLI report.
+
+    One truth table, one Walsh spectrum and one criterion run: the
+    bentness verdict and the Walsh-sign dual read the same spectrum, and
+    the criterion's verdict is handed to the product and line-oval
+    routes.  When `kept` is a dict, the truth table is stored in it under
+    "truth_table" and, for a bent function, the Walsh dual under "dual"."""
     spec0 = normalize_mu(spec)
     f = bent_bivariate(spec0)
-    bent = boolfn.is_bent(f)
+    spectrum = boolfn.walsh_transform(f)
+    bent = spectrum.is_bent()
     crit, witness = bent_criterion(spec0)
     out = {
         "bent": bent,
@@ -328,8 +368,13 @@ def analyze(spec: SpreadBentSpec) -> dict:
         "criterion_witness": witness,
         "verdicts_agree": bent == crit,
     }
+    if kept is not None:
+        kept["truth_table"] = f
     if bent:
-        routes = dual_routes(spec0)
+        routes = dual_routes(spec0, spectrum, (crit, witness))
+        del spectrum        # 4 MB at 2^20 points, done with after the Walsh dual
+        if kept is not None:
+            kept["dual"] = routes["walsh"]
         out["dual_routes_agree"] = bool(routes["walsh_eq_product"]
                                         and routes["walsh_eq_chi_swap"])
         out["lineoval_ok"] = True
@@ -337,10 +382,10 @@ def analyze(spec: SpreadBentSpec) -> dict:
         out["degree"] = boolfn.degree(f)
         assert out["degree"] <= spec.Q.dim, "bent degree exceeds k/2"
         if out["degree"] <= 2:
-            out["quadratic_rank"] = boolfn.quadratic_rank(f)
+            out["quadratic_rank"] = boolfn.quadratic_rank(f, out["degree"])
     else:
         try:
-            line_oval_bivariate(spec0)
+            line_oval_bivariate(spec0, (crit, witness))
             out["lineoval_ok"] = True
         except ValueError:
             out["lineoval_ok"] = False

@@ -21,6 +21,34 @@ def naive_walsh(table, inner):
     return out
 
 
+def walsh_by_rows(table):
+    """The defining sum W(b) = sum_x (-1)^(f(x) + parity(b & x)), vectorized
+    over x one b at a time: the naive double loop at sizes where the pure
+    Python loop is too slow (k <= 12 here)."""
+    n = len(table)
+    xs = np.arange(n, dtype=np.uint64)
+    signs = 1 - 2 * np.asarray(table, dtype=np.int64)
+    out = np.zeros(n, dtype=np.int64)
+    for b in range(n):
+        par = (np.bitwise_count(np.uint64(b) & xs) & 1).astype(np.int64)
+        out[b] = int(((1 - 2 * par) * signs).sum())
+    return out
+
+
+def walsh_radix2_int64(table):
+    """Walsh spectrum by the plain radix-2 butterfly in int64, one stage
+    per pass (the kernel the radix-4 int32 one replaced)."""
+    w = 1 - 2 * np.asarray(table, dtype=np.int64)
+    h = 1
+    while h < w.shape[0]:
+        v = w.reshape(-1, 2 * h)
+        a, b = v[:, :h].copy(), v[:, h:].copy()
+        v[:, :h] = a + b
+        v[:, h:] = a - b
+        h *= 2
+    return w
+
+
 def dot_parity(b, x):
     return (b & x).bit_count() & 1
 
@@ -210,6 +238,12 @@ def kantor_mul(F, subdegrees, lambdas, zetas):
     return mul
 
 
+def field_mul(F):
+    """Scalar product of GF(2)[x]/(F.poly) by shift-and-add, without the
+    log/exp tables."""
+    return lambda x, z: mulmod_naive(x, z, F.poly)
+
+
 def scalar_table(mul, size):
     """size x size table of a scalar multiplication, one call per entry."""
     return np.array([[mul(x, z) for z in range(size)] for x in range(size)],
@@ -261,6 +295,23 @@ def bivariate_fill_naive(Q, G):
             z = row.index(y)
             out[x + size * y] = Q.b_form(int(G[z]), x)
     return out
+
+
+def bent_criterion_naive(G, star):
+    """(ok, witness) of "G bijective and G(z) + b*z 2-to-1 for b != 0",
+    one b at a time: the smallest failing b, then the smallest value hit
+    neither 0 nor 2 times."""
+    size = len(G)
+    if sorted(int(v) for v in G) != list(range(size)):
+        return False, ("G_not_bijective",)
+    for b in range(1, size):
+        hits = [0] * size
+        for z in range(size):
+            hits[int(G[z]) ^ int(star[b][z])] += 1
+        for v in range(size):
+            if hits[v] not in (0, 2):
+                return False, ("not_two_to_one", b, v)
+    return True, None
 
 
 def bivariate_product_dual_naive(star, G):

@@ -11,6 +11,7 @@ import pytest
 
 from ovalbent import boolfn, geometry, gf, niho, spread, spreadbent
 from ovalbent.gf import BinaryField
+from oracles import scalar_table
 
 _T0 = time.perf_counter()
 
@@ -234,8 +235,9 @@ def test_criterion_09_spread_algebra_q8():
     Qk = spread.kantor_chain(3, [1], [1], [0])
     Qz = spread.kantor_chain(3, [1], [1], [5])
     Qn = spread.Prequasifield.from_evaluator(
-        3, "flat", lambda x, zs: F.mul_vec(zs, F.sqr(x)), kind="table",
+        3, "flat", lambda xs, zs: F.mul_arr(zs, F.mul_arr(xs, xs)), kind="table",
         name="x^2 z")
+    assert np.array_equal(Qn.table, scalar_table(lambda x, z: F.mul(z, F.sqr(x)), 8))
     # transpose involution
     for Q in (Qf, Qk, Qz, Qn):
         assert np.array_equal(spread.transpose_pqf(spread.transpose_pqf(Q)).table,

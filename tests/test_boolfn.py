@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ovalbent import boolfn, gf
-from oracles import naive_walsh, dot_parity
+from oracles import naive_walsh, dot_parity, walsh_radix2_int64
 
 
 def test_walsh_constant_zero():
@@ -54,6 +54,28 @@ def test_walsh_matches_naive_k12():
     for b in rng.integers(0, 1 << k, size=8):
         par = (np.bitwise_count(np.uint64(b) & xs) & 1).astype(np.int64)
         assert got[b] == int(((1 - 2 * par) * signs).sum())
+
+
+def test_walsh_2_20_matches_int64_radix2_reference():
+    """One 2^20-point table (the size of `spread bent` on luneburg:5):
+    the int32 radix-4 spectrum equals the int64 radix-2 one."""
+    table = np.random.default_rng(20).integers(0, 2, size=1 << 20,
+                                               dtype=np.uint8)
+    w = boolfn.walsh_transform(boolfn.BooleanFunction(20, table))
+    assert w.values.dtype == np.int32
+    assert np.array_equal(w.values, walsh_radix2_int64(table))
+
+
+def test_parseval_accumulates_in_int64_at_k16():
+    """The k = 16 inner-product bent function: its sum of squares, 2^32,
+    wraps to 0 in an int32 dot product; the construction-time Parseval
+    check must hold anyway."""
+    xs = np.arange(1 << 16, dtype=np.uint64)
+    table = (np.bitwise_count((xs & 0xFF) & (xs >> np.uint64(8))) & 1)
+    w = boolfn.walsh_transform(boolfn.BooleanFunction(16, table))
+    assert w.values.dtype == np.int32 and w.is_bent()
+    assert int(np.dot(w.values, w.values)) != 1 << 32      # the wrap
+    assert w.dual() == boolfn.BooleanFunction(16, table)    # self-dual
 
 
 def _tr_xy(m):

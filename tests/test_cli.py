@@ -4,7 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 
-from ovalbent import boolfn, cli, niho, gf
+from ovalbent import boolfn, cli, niho, gf, spread, spreadbent
 
 
 def run_cli(argv, **kw):
@@ -208,13 +208,46 @@ def test_spread_commands_leave_numpy_ma_unimported(tmp_path):
         assert r.returncode == 0, (argv, r.stderr)
 
 
-def test_broken_table_validate_exit_code(tmp_path):
+def _sum_mod4_table() -> str:
+    """x o z = (x + z) mod 4: fails right_zero, zero_times and right
+    distributivity."""
     lines = ["q=4 shape=flat"]
     for x in range(4):
         lines.append(" ".join(str((x + z) % 4) for z in range(4)))
-    r = run_cli(["spread", "validate"], input="\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def test_broken_table_validate_exit_code(tmp_path):
+    r = run_cli(["spread", "validate"], input=_sum_mod4_table())
     assert r.returncode == 1
     assert not json.loads(r.stdout)["validation"]["axioms_ok"]
+
+
+def test_spread_transpose_rejects_broken_table(tmp_path, capsys):
+    table = tmp_path / "sum_mod4.pqf"
+    table.write_text(_sum_mod4_table())
+    out = tmp_path / "t.pqf"
+    _assert_input_error(["spread", "transpose", "--pqf", str(table),
+                         "--out", str(out)], capsys)
+    assert not out.exists()
+    r = run_cli(["spread", "transpose"], input=_sum_mod4_table())
+    assert r.returncode == 2 and r.stdout == ""
+    err = r.stderr.splitlines()[0]
+    assert err.startswith("error: prequasifield axioms fail")
+    for axiom in ("right_zero", "zero_times", "right_distributive"):
+        assert axiom in err
+
+
+def test_spread_bent_out_dir_artifacts(tmp_path):
+    r = run_cli(["spread", "bent", "--pqf", "luneburg:3", "--g", "sqrt",
+                 "--out-dir", str(tmp_path)])
+    assert r.returncode == 0, r.stderr
+    Q = spread.luneburg(3)
+    spec = spreadbent.SpreadBentSpec(Q, spread.sqrt_diag_g_table(Q))
+    f = boolfn.load_truth_table(tmp_path / "truth_table.txt")
+    assert f == spreadbent.bent_bivariate(spec)
+    d = boolfn.load_truth_table(tmp_path / "dual.txt")
+    assert d == spreadbent.dual_product(spec)
 
 
 def test_usage_error_exit_code():

@@ -5,7 +5,7 @@ from ovalbent import geometry, gf, kernels, niho, spread, spreadbent
 from ovalbent.geometry import AffineLineK
 from oracles import (bivariate_fill_naive, bivariate_product_dual_naive,
                      collinear_triples_naive, dot_parity, line_cover_naive,
-                     naive_mobius, naive_walsh, niho_fill_naive)
+                     naive_mobius, naive_walsh, niho_fill_naive, walsh_by_rows)
 
 SPECS = [niho.NihoSpec("quadratic", 2), niho.NihoSpec("binomial_1_6", 2),
          niho.NihoSpec("quadratic", 3), niho.NihoSpec("binomial_3", 3),
@@ -43,6 +43,19 @@ def test_walsh_inplace(k):
     w = 1 - 2 * table.astype(np.int64)
     kernels.walsh_inplace(w)
     assert np.array_equal(w, naive_walsh(table, dot_parity))
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_walsh_inplace_int32_and_int64(k):
+    """Radix-4 passes plus the radix-2 tail at odd k, in both dtypes."""
+    table = np.random.default_rng(100 + k).integers(0, 2, size=1 << k,
+                                                    dtype=np.uint8)
+    want = naive_walsh(table, dot_parity) if k <= 8 else walsh_by_rows(table)
+    for dtype in (np.int32, np.int64):
+        w = 1 - 2 * table.astype(dtype)
+        kernels.walsh_inplace(w)
+        assert w.dtype == dtype
+        assert np.array_equal(w, want), dtype
 
 
 @pytest.mark.parametrize("k", [1, 4, 8])
@@ -102,6 +115,21 @@ def test_bivariate_kernels(Q):
         out = np.full(Q.size * Q.size, 7, dtype=np.uint8)
         kernels.bivariate_product_dual(star, G, out)
         assert np.array_equal(out, bivariate_product_dual_naive(star, G))
+
+
+def test_bivariate_kernels_in_small_blocks(monkeypatch):
+    """Blocks of five rows with a ragged last block give the same tables."""
+    Q = spread.luneburg(3)
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 5 * Q.size)
+    assert [xs.shape[0] for _, xs in kernels.row_blocks(Q.size)] == [5] * 12 + [4]
+    G = np.random.default_rng(1).permutation(Q.size)
+    out = np.full(Q.size * Q.size, 7, dtype=np.uint8)
+    kernels.bivariate_table_fill(Q.table, G, Q.b_bit_table(), out)
+    assert np.array_equal(out, bivariate_fill_naive(Q, G))
+    star = spreadbent.star_table(Q)
+    out = np.full(Q.size * Q.size, 7, dtype=np.uint8)
+    kernels.bivariate_product_dual(star, G, out)
+    assert np.array_equal(out, bivariate_product_dual_naive(star, G))
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

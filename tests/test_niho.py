@@ -41,6 +41,14 @@ def test_default_coefficient_is_smallest_half_trace():
     assert all(p.trace_rel(b) != 1 for b in range(a))
 
 
+@pytest.mark.parametrize("m", range(2, 10))
+def test_smallest_half_trace_matches_scalar_scan(m):
+    """The whole-array search equals the scalar scan of trace_rel."""
+    p = gf.field_make(m)
+    scan = next(a for a in range(p.K.size) if p.trace_rel(a) == 1)
+    assert niho.smallest_half_trace(p) == scan
+
+
 def test_quadratic_g_is_constant_one():
     # a + a^q = 1 makes g identically 1
     g, p = _g(niho.NihoSpec("quadratic", 3))

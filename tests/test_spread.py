@@ -3,8 +3,8 @@ import pytest
 
 from ovalbent import _gf2, spread
 from ovalbent.gf import BinaryField
-from oracles import (brute_adjoint, diagonal_sqrt, f_matrix_rep, kantor_mul,
-                     luneburg_mul, perpendicular_naive, scalar_table,
+from oracles import (brute_adjoint, diagonal_sqrt, f_matrix_rep, field_mul,
+                     kantor_mul, luneburg_mul, perpendicular_naive, scalar_table,
                      spread_cover_naive, sqrt_diag_naive, trace_form,
                      validate_naive)
 
@@ -30,15 +30,57 @@ def test_field_kernel_is_everything(field8):
     assert spread.kernel_of(field8) == list(range(8))
 
 
-def test_broken_multiplication_reported():
+# Test rules in the block form of `Prequasifield.from_evaluator` (x is a
+# column broadcast against every z), each with its scalar twin: m, shape,
+# block rule, scalar rule.  `test_array_rules_match_scalar_twins` checks
+# that the two give one table.
+F3 = BinaryField(3)
+NONLINEAR_PERM = [0, 3, 5, 1, 6, 2, 7, 4]  # nonlinear permutation fixing 0
+RULES = {
     # a quasigroup on V* that is not right-distributive
-    F = BinaryField(3)
-    perm = [0, 3, 5, 1, 6, 2, 7, 4]  # nonlinear permutation fixing 0
+    "perm(x) z": (3, "flat",
+                  lambda xs, zs: F3.mul_arr(zs, np.array(NONLINEAR_PERM)[xs]),
+                  lambda x, z: F3.mul(z, NONLINEAR_PERM[x])),
+    "x^2 z": (3, "flat",
+              lambda xs, zs: F3.mul_arr(zs, F3.mul_arr(xs, xs)),
+              lambda x, z: F3.mul(z, F3.sqr(x))),
+    # M_z = [[z1, z2], [0, z1]] on F x F: F-linear, not symmetric
+    "upper triangular": (3, "pair",
+                         lambda xs, zs: _upper_triangular(F3.mul_arr, xs, zs),
+                         lambda x, z: _upper_triangular(F3.mul, x, z)),
+}
 
-    def mul_row(x, zs):
-        return F.mul_vec(zs, perm[x])
 
-    Q = spread.Prequasifield.from_evaluator(3, "flat", mul_row, kind="table")
+def _upper_triangular(mul, x, z):
+    x1, x2, z1, z2 = x & 7, x >> 3, z & 7, z >> 3
+    return mul(z1, x1) | (mul(z2, x1) ^ mul(z1, x2)) << 3
+
+
+def _rule_pqf(rule):
+    m, shape, block, _ = RULES[rule]
+    return spread.Prequasifield.from_evaluator(m, shape, block, kind="table",
+                                               name=rule)
+
+
+@pytest.mark.parametrize("name", sorted(RULES))
+def test_array_rules_match_scalar_twins(name):
+    m, shape, _, scalar = RULES[name]
+    Q = _rule_pqf(name)
+    assert np.array_equal(Q.table, scalar_table(scalar, Q.size))
+
+
+def test_from_evaluator_blocks_cover_every_row(monkeypatch):
+    """Blocks of one row, of several rows and a ragged last block all
+    give the table of the scalar rule."""
+    _, _, _, scalar = RULES["upper triangular"]
+    want = scalar_table(scalar, 64)
+    for entries in (1, 64 * 5, 1 << 16):
+        monkeypatch.setattr(spread.kernels, "BLOCK_ENTRIES", entries)
+        assert np.array_equal(_rule_pqf("upper triangular").table, want)
+
+
+def test_broken_multiplication_reported():
+    Q = _rule_pqf("perm(x) z")
     rep = spread.validate_prequasifield(Q)
     assert not rep.axioms_ok
     assert "right_distributive" in rep.failures
@@ -139,11 +181,8 @@ def test_transpose_involution_and_perpendicularity(xy2):
 
 
 def test_symplectic_iff_self_transpose():
-    F = BinaryField(3)
     Ql = spread.luneburg(3)
-    Qs = spread.Prequasifield.from_evaluator(
-        3, "flat", lambda x, zs: F.mul_vec(zs, F.sqr(x)), kind="table",
-        name="x^2 z")
+    Qs = _rule_pqf("x^2 z")
     for Q, want in [(spread.field_pqf(3), True), (Ql, True), (Qs, False)]:
         self_t = bool(np.array_equal(spread.transpose_pqf(Q).table, Q.table))
         assert spread.is_symplectic(Q) == self_t == want
@@ -294,6 +333,13 @@ def test_pqf_file_format(tmp_path):
             spread.loads_pqf(bad)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_field_table_matches_scalar_oracle(m):
+    Q = spread.field_pqf(m)
+    want = scalar_table(field_mul(BinaryField(m)), Q.size)
+    assert np.array_equal(Q.table, want)
+
+
 @pytest.mark.parametrize("m", [3, 5])
 def test_luneburg_rows_match_scalar_oracle(m):
     Q = spread.luneburg(m)
@@ -324,9 +370,7 @@ def _oracle_transpose_table(Q):
 
 
 def test_cached_transpose_matches_bruteforce_adjoints(xy2):
-    F = BinaryField(3)
-    nonsymplectic = spread.Prequasifield.from_evaluator(
-        3, "flat", lambda x, zs: F.mul_vec(zs, F.sqr(x)), kind="table")
+    nonsymplectic = _rule_pqf("x^2 z")
     for Q in (spread.field_pqf(4), xy2, spread.kantor_chain(3, [1], [1], [5]),
               spread.kantor_chain(5, [1], [1], [11]),
               spread.commutative_from_symplectic(xy2), nonsymplectic):
@@ -391,19 +435,6 @@ def _nonzero_column0(t, rng):
     t[int(rng.integers(1, len(t))), 0] = int(rng.integers(1, len(t)))
 
 
-def _nonlinear_rows():
-    F = BinaryField(3)
-    perm = [0, 3, 5, 1, 6, 2, 7, 4]  # nonlinear permutation fixing 0
-    return spread.Prequasifield.from_evaluator(
-        3, "flat", lambda x, zs: F.mul_vec(zs, perm[x]), kind="table")
-
-
-def _x2z():
-    F = BinaryField(3)
-    return spread.Prequasifield.from_evaluator(
-        3, "flat", lambda x, zs: F.mul_vec(zs, F.sqr(x)), kind="table")
-
-
 def _pair_frobenius():
     """Lueneburg at m = 3 with x1 squared first: GF(2)- but not F-linear."""
     Q = spread.luneburg(3)
@@ -420,21 +451,11 @@ def _pair_output_frobenius():
     return spread.Prequasifield(3, "pair", table, kind="table")
 
 
-def _pair_upper_triangular():
-    """M_z = [[z1, z2], [0, z1]] on F x F: F-linear, not symmetric."""
-    F = BinaryField(3)
-
-    def mul_row(x, zs):
-        x1, x2, z1, z2 = x & 7, x >> 3, zs & 7, zs >> 3
-        return F.mul_vec(z1, x1) | (F.mul_vec(z2, x1) ^ F.mul_vec(z1, x2)) << 3
-    return spread.Prequasifield.from_evaluator(3, "pair", mul_row, kind="table")
-
-
 def _pair_asymmetric_then_nonlinear():
     """The upper triangular table with its last column taken from
     `_pair_frobenius`: the first bad z is asymmetric, a later one is
     not F-linear."""
-    t = _pair_upper_triangular().table.copy()
+    t = _rule_pqf("upper triangular").table.copy()
     t[:, -1] = _pair_frobenius().table[:, -1]
     return spread.Prequasifield(3, "pair", t, kind="table")
 
@@ -447,12 +468,12 @@ SMALL = {**{f"field:{m}": (lambda m=m: spread.field_pqf(m))
          **{f"kantor:5:{z}": (lambda z=z: spread.kantor_chain(5, [1], [1], [z]))
             for z in (0, 5, 11, 31)},
          **{f"kantor:6:{z}": (lambda z=z: _kantor6(z)) for z in (7, 9)},
-         "x^2 z": _x2z,
+         "x^2 z": lambda: _rule_pqf("x^2 z"),
          "comm(kantor:3:0)": lambda: spread.commutative_from_symplectic(
              spread.kantor_chain(3, [1], [1], [0]))}
 
 BROKEN = {
-    "nonlinear rows": _nonlinear_rows,
+    "nonlinear rows": lambda: _rule_pqf("perm(x) z"),
     "swap in column": lambda: _edited(spread.kantor_chain(5, [1], [1], [11]),
                                       _swap_in_column, "swap in column"),
     "swap in upper half": lambda: _edited(spread.luneburg(3),
@@ -469,7 +490,7 @@ BROKEN = {
 # pair tables without a symmetric F-matrix representation
 NOT_F_SYMMETRIC = {"pair frobenius": _pair_frobenius,
                    "pair output frobenius": _pair_output_frobenius,
-                   "pair upper triangular": _pair_upper_triangular,
+                   "pair upper triangular": lambda: _rule_pqf("upper triangular"),
                    "pair asymmetric, then nonlinear":
                        _pair_asymmetric_then_nonlinear}
 CARRIERS = {**SMALL, **BROKEN, **NOT_F_SYMMETRIC,

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ovalbent import boolfn, spread, spreadbent
+from ovalbent import boolfn, kernels, spread, spreadbent
 from ovalbent.gf import BinaryField
+from oracles import bent_criterion_naive
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +52,62 @@ def test_vertical_line_pairing(field_spec):
     for z in range(Q.size):
         counts[field_spec.G[z] ^ st[0, z]] += 1
     assert np.all(counts == 1)
+
+
+def _counting(monkeypatch, module, name, counts):
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+
+
+@pytest.mark.parametrize("mu", [0, 3])
+def test_analyze_computes_each_result_once(luneburg_spec, monkeypatch, mu):
+    """One truth table, one Walsh spectrum and one criterion run per
+    analyze, bent (mu = 0) or not (mu = 3 breaks G's bijectivity)."""
+    spec = spreadbent.SpreadBentSpec(luneburg_spec.Q, luneburg_spec.G, mu)
+    counts: dict = {}
+    _counting(monkeypatch, boolfn, "walsh_transform", counts)
+    for name in ("bent_bivariate", "bent_criterion"):
+        _counting(monkeypatch, spreadbent, name, counts)
+    out = spreadbent.analyze(spec)
+    assert out["bent"] is (mu == 0) and out["verdicts_agree"]
+    assert counts == {"walsh_transform": 1, "bent_bivariate": 1,
+                      "bent_criterion": 1}
+
+
+def test_analyze_keeps_truth_table_and_walsh_dual(luneburg_spec):
+    kept: dict = {}
+    spreadbent.analyze(luneburg_spec, kept)
+    assert kept["truth_table"] == spreadbent.bent_bivariate(luneburg_spec)
+    assert kept["dual"] == spreadbent.dual_product(luneburg_spec)
+
+
+def test_criterion_witness_matches_per_b_oracle(monkeypatch):
+    """Block-wise criterion against the per-b loop, with blocks of one
+    row (b = 0 alone, so witnesses come from later blocks), of three rows
+    and of the whole table."""
+    rng = np.random.default_rng(4)
+    for Q in (spread.field_pqf(4), spread.kantor_chain(5, [1], [1], [3]),
+              spread.luneburg(3)):
+        st = spreadbent.star_table(Q)
+        gs = [spread.sqrt_diag_g_table(Q), np.arange(Q.size),
+              rng.permutation(Q.size), rng.integers(0, Q.size, size=Q.size)]
+        for entries in (Q.size, 3 * Q.size, kernels.BLOCK_ENTRIES):
+            monkeypatch.setattr(kernels, "BLOCK_ENTRIES", entries)
+            for G in gs:
+                spec = spreadbent.SpreadBentSpec(Q, np.asarray(G, dtype=np.int64))
+                assert spreadbent.bent_criterion(spec) == \
+                    bent_criterion_naive(spec.G, st), (Q, entries)
+
+
+def test_line_oval_in_small_blocks(luneburg_spec, monkeypatch):
+    want = spreadbent.line_oval_bivariate(luneburg_spec).e_table
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 5 * luneburg_spec.Q.size)
+    got = spreadbent.line_oval_bivariate(luneburg_spec).e_table
+    assert np.array_equal(got, want) and got.dtype == np.uint8
 
 
 def test_g_identity_not_bent():
