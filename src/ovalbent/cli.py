@@ -13,6 +13,7 @@ and carriers of GF(2) dimension above 12), 3 an internal error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -83,7 +84,7 @@ def cmd_niho(args) -> int:
     if bent:
         oval = niho.line_oval_from_g(g, params)
         verdicts["line_oval"] = True
-        counts["e_size"] = len(oval.e_set)
+        counts["e_size"] = oval.e_size()
         dw = niho.dual_walsh(g, params)
         dp = niho.dual_product_formula(g, params)
         verdicts["dual_walsh_eq_product"] = dw == dp
@@ -184,10 +185,8 @@ def _niho_dual_by_method(method: str, spec, g, params) -> boolfn.BooleanFunction
     if method == "budaghyan":
         return niho.dual_budaghyan(spec, params)
     if method == "chi-swap":
-        oval = niho.line_oval_from_g(g, params)
-        table = np.ones(params.K.size, dtype=np.uint8)
-        table[sorted(oval.e_set)] = 0
-        return boolfn.BooleanFunction(params.n, table)
+        e_table = niho.line_oval_from_g(g, params).e_table
+        return boolfn.BooleanFunction(params.n, 1 ^ e_table)
     raise InputError(f"unknown method {method}")
 
 
@@ -411,7 +410,10 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
                    help="JSON file {family, m, a_index?, r?} instead of flags")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  Each subcommand stores its
+    name in `cmd`; `main` looks up `cmd_<name>` at call time."""
     ap = argparse.ArgumentParser(
         prog="ovalbent",
         description="bent functions linear on spreads, their duals, and the "
@@ -424,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("niho", help="build and verify a Niho bent function")
     _add_spec_flags(p)
     p.add_argument("--out-dir", default=None)
-    p.set_defaults(fn=cmd_niho)
+    p.set_defaults(cmd="niho")
 
     p = sub.add_parser("oval", help="verify or convert ovals and line ovals")
     p.add_argument("action", choices=["verify", "convert"])
@@ -433,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", default=None)
     p.add_argument("--points-json", default=None)
     p.add_argument("--lines-json", default=None)
-    p.set_defaults(fn=cmd_oval)
+    p.set_defaults(cmd="oval")
 
     p = sub.add_parser("dual", help="dual of a Niho bent function by route")
     _add_spec_flags(p)
@@ -442,12 +444,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cross-check", default=None,
                    choices=["walsh", "product", "budaghyan", "chi-swap"])
     p.add_argument("--out-dir", default=None)
-    p.set_defaults(fn=cmd_dual)
+    p.set_defaults(cmd="dual")
 
     p = sub.add_parser("ea", help="EA-equivalence invariants of a function")
     _add_spec_flags(p)
     p.add_argument("--table", default=None, help="truth-table file")
-    p.set_defaults(fn=cmd_ea)
+    p.set_defaults(cmd="ea")
 
     p = sub.add_parser("spread", help="prequasifields and bivariate bent functions")
     ssub = p.add_subparsers(dest="spread_command", required=True)
@@ -461,21 +463,21 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--zetas", default="", help="comma list of F-indices")
     b.add_argument("--table", default=None)
     b.add_argument("--out", default=None)
-    b.set_defaults(fn=cmd_spread_build)
+    b.set_defaults(cmd="spread_build")
 
     v = ssub.add_parser("validate", help="check prequasifield axioms")
     v.add_argument("--pqf", default="-")
-    v.set_defaults(fn=cmd_spread_validate)
+    v.set_defaults(cmd="spread_validate")
 
     t = ssub.add_parser("transpose", help="transpose prequasifield")
     t.add_argument("--pqf", default="-")
     t.add_argument("--out", default=None)
-    t.set_defaults(fn=cmd_spread_transpose)
+    t.set_defaults(cmd="spread_transpose")
 
     k = ssub.add_parser("knuth", help="Knuth orbit of a presemifield")
     k.add_argument("--pqf", default="-")
     k.add_argument("--out-dir", default=None)
-    k.set_defaults(fn=cmd_spread_knuth)
+    k.set_defaults(cmd="spread_knuth")
 
     s = ssub.add_parser("bent", help="bivariate bent function on a spread")
     s.add_argument("--pqf", default="-", help="table file, or - for stdin")
@@ -483,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="square-star | sqrt | sqrt-diag | table:FILE")
     s.add_argument("--mu", type=int, default=0)
     s.add_argument("--out-dir", default=None)
-    s.set_defaults(fn=cmd_spread_bent)
+    s.set_defaults(cmd="spread_bent")
 
     return ap
 
@@ -492,7 +494,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        code = args.fn(args)
+        code = globals()[f"cmd_{args.cmd}"](args)
     except (InputError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -39,7 +39,10 @@ class AffineLineK(NamedTuple):
 class LineOval:
     """q+1 mutually non-parallel lines covering each point 0 or 2 times."""
     lines: tuple[AffineLineK, ...]
-    e_set: frozenset[int]
+    e_table: np.ndarray  # read-only uint8 over K: 1 on the covered set E(O)
+
+    def e_size(self) -> int:
+        return int(self.e_table.sum())
 
 
 @dataclass(frozen=True)
@@ -207,24 +210,14 @@ def dual_lines_to_points(lines: Iterable[AffineLineK], params: FieldParams) -> l
 def oval_from_g(g, params: FieldParams) -> Oval:
     """Points u/g(u) (projective closure of the dual of the line oval).
 
-    Requires g to come from a bent function; by the line-oval law this is
-    exactly the 0-or-2 cover property of the lines L(u, g(u)), which is
-    what gets checked.  Zeros of g contribute points at infinity.
+    The lines L(u, g(u)) come from `niho.line_oval_from_g`, which raises
+    when g is not bent; their dual points are the oval, and the zeros of
+    g, whose lines pass through 0, contribute points at infinity.
     """
-    from .niho import UnitCircleMap  # local import to keep layering acyclic
-    assert isinstance(g, UnitCircleMap)
-    lines = [AffineLineK(int(u), int(gv)) for u, gv in zip(params.S, g.values)]
-    ok, witness, _ = verify_line_oval(lines, params)
-    if not ok:
-        raise ValueError(f"g is not bent: point {witness} lies on an odd "
-                         f"number of lines L(u, g(u))")
-    points, infinite = set(), set()
-    for j, gv in enumerate(g.values):
-        if gv == 0:
-            infinite.add(j)
-        else:
-            points.add(params.K.mul(int(params.S[j]),
-                                    params.K.inv(int(params.embed[gv]))))
+    from .niho import line_oval_from_g  # local import to keep layering acyclic
+    lines = line_oval_from_g(g, params).lines
+    points = dual_lines_to_points([ln for ln in lines if ln.mu], params)
+    infinite = [params.s_index[ln.u] for ln in lines if not ln.mu]
     return Oval(frozenset(points), frozenset(infinite), nucleus=0)
 
 

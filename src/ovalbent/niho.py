@@ -200,15 +200,21 @@ def lines_of_g(g: UnitCircleMap, params: FieldParams) -> list[geometry.AffineLin
 
 
 def line_oval_from_g(g: UnitCircleMap, params: FieldParams) -> geometry.LineOval:
-    """The line oval {L(u, g(u))}; errors with a witness when g is not bent."""
+    """The line oval {L(u, g(u))} with its covered set E(O) as a table.
+
+    The one bentness guard for circle maps: by the line-oval law g is
+    bent iff these lines cover every point 0 or 2 times, and a ValueError
+    with a witness point is raised otherwise."""
     lines = lines_of_g(g, params)
     ok, witness, counts = geometry.verify_line_oval(lines, params)
     if not ok:
         raise ValueError(f"g is not bent: point {witness} lies on "
                          f"{int(counts[witness])} of the lines")
-    e_set = frozenset(np.nonzero(counts)[0].tolist())
-    assert len(e_set) == params.q * (params.q + 1) // 2
-    return geometry.LineOval(tuple(lines), e_set)
+    e_table = (counts > 0).view(np.uint8)
+    e_table.flags.writeable = False
+    oval = geometry.LineOval(tuple(lines), e_table)
+    assert oval.e_size() == params.q * (params.q + 1) // 2
+    return oval
 
 
 def dual_walsh(g: UnitCircleMap, params: FieldParams) -> boolfn.BooleanFunction:
@@ -218,12 +224,9 @@ def dual_walsh(g: UnitCircleMap, params: FieldParams) -> boolfn.BooleanFunction:
 
 def dual_product_formula(g: UnitCircleMap, params: FieldParams) -> boolfn.BooleanFunction:
     """Dual as prod_u (T(x u) + g(u))^(q-1), the power taken as the
-    zero indicator: the value at x is 0 iff some factor vanishes."""
-    lines = lines_of_g(g, params)
-    ok, witness, counts = geometry.verify_line_oval(lines, params)
-    if not ok:
-        raise ValueError(f"g is not bent: point {witness} lies on "
-                         f"{int(counts[witness])} of the lines")
+    zero indicator: the value at x is 0 iff some factor vanishes.
+    Raises through `line_oval_from_g` when g is not bent."""
+    line_oval_from_g(g, params)
     ge = params.embed[g.values]
     out = np.zeros(params.K.size, dtype=np.uint8)
     kernels.univariate_product_dual(params.S, ge, params.conj_table(),

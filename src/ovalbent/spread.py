@@ -40,7 +40,9 @@ class Prequasifield:
 
     The table is read-only, so structure derived from it (the Gram matrix
     of B and its inverse, the B-mask tables, the transpose) is computed
-    once per object and kept."""
+    once per object and kept.  The constructor takes ownership of the
+    table it is given: an int64 C-contiguous array is kept as it is, not
+    copied, and becomes read-only."""
 
     def __init__(self, m: int, shape: str, table: np.ndarray,
                  kind: str = "table", name: str | None = None):
@@ -51,7 +53,7 @@ class Prequasifield:
         self.size = 1 << self.dim
         if table.shape != (self.size, self.size):
             raise ValueError("multiplication table has the wrong shape")
-        self.table = table.astype(np.int64)
+        self.table = np.ascontiguousarray(table, dtype=np.int64)
         self.table.flags.writeable = False
         self.kind = kind
         self.name = name or kind
@@ -94,10 +96,6 @@ class Prequasifield:
     def right_mult_rows(self, z: int) -> list[int]:
         """Images of the basis under R_z(x) = x o z (rows of its matrix)."""
         return [int(self.table[1 << i, z]) for i in range(self.dim)]
-
-    def left_mult_rows(self, z: int) -> list[int]:
-        """Images of the basis under L_z(x) = z o x (needs left linearity)."""
-        return [int(self.table[z, 1 << i]) for i in range(self.dim)]
 
     # -- the bilinear form ---------------------------------------------------
 
@@ -441,10 +439,10 @@ def symplectic_from_commutative(Q: Prequasifield) -> Prequasifield:
 
 
 def _left_adjoint_pqf(Q: Prequasifield, name: str) -> Prequasifield:
-    table = np.zeros((Q.size, Q.size), dtype=np.int64)
-    for z in range(Q.size):
-        adj = adjoint(Q.left_mult_rows(z), Q)
-        table[z, :] = kernels.linear_map_table(adj, Q.dim)
+    """z . y = L_z^*(y) with L_z(x) = z o x.  L_z is the right
+    multiplication by z of the dual Q^d, so L_z^*(y) = y star z in the
+    transpose of Q^d, and the table is that transpose's, transposed."""
+    table = transpose_pqf(dual_pqf(Q)).table.T
     return Prequasifield(Q.m, Q.shape, table, kind="derived", name=name)
 
 
@@ -592,8 +590,7 @@ def sqrt_diag_g_table(Q: Prequasifield) -> np.ndarray:
 
 def dumps_pqf(Q: Prequasifield) -> str:
     lines = [f"q={Q.size} shape={Q.shape}"]
-    for x in range(Q.size):
-        lines.append(" ".join(str(int(v)) for v in Q.table[x]))
+    lines += [" ".join(map(str, row)) for row in Q.table.tolist()]
     return "\n".join(lines) + "\n"
 
 

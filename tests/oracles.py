@@ -477,3 +477,37 @@ def sqrt_diag_naive(Q, basis):
             if mz[i][i]:
                 out[z] ^= bi
     return out
+
+
+def left_adjoint_naive(Q):
+    """Table of z . y = L_z^*(y), L_z(x) = z o x, one adjoint per z from
+    the basis images of L_z: the per-z loop `spread` used before it read
+    the table off the transpose of the dual.  It goes through
+    `spread.adjoint`, which is itself checked against `brute_adjoint`."""
+    from ovalbent import kernels, spread
+    table = np.zeros((Q.size, Q.size), dtype=np.int64)
+    for z in range(Q.size):
+        images = [int(Q.table[z, 1 << i]) for i in range(Q.dim)]
+        table[z, :] = kernels.linear_map_table(spread.adjoint(images, Q), Q.dim)
+    return table
+
+
+def dumps_pqf_naive(Q):
+    """The table file text with every entry formatted on its own."""
+    lines = [f"q={Q.size} shape={Q.shape}"]
+    for x in range(Q.size):
+        lines.append(" ".join(str(int(v)) for v in Q.table[x]))
+    return "\n".join(lines) + "\n"
+
+
+def oval_from_g_naive(g, params):
+    """(points, infinite tags) of the oval of a circle map by the formula:
+    u / g(u) for g(u) != 0, and the circle index of u where g(u) = 0."""
+    K = params.K
+    points, infinite = set(), set()
+    for j, gv in enumerate(g.values):
+        if gv == 0:
+            infinite.add(j)
+        else:
+            points.add(K.mul(int(params.S[j]), K.inv(int(params.embed[gv]))))
+    return frozenset(points), frozenset(infinite)

@@ -352,6 +352,21 @@ def test_line_oval_json_out_of_range(tmp_path, capsys):
                              str(path)], capsys)
 
 
+def test_parser_reuse_leaks_nothing_between_calls(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    runs = [["niho", "--family", "binomial_3", "--m", "3"],
+            ["spread", "bent", "--pqf", "field:3", "--g", "sqrt",
+             "--out-dir", str(tmp_path / "d")],
+            ["spread", "bent", "--pqf", "field:3", "--g", "sqrt"],
+            ["ea", "--family", "quadratic", "--m", "2"]]
+    outs = []
+    for argv in runs:
+        assert cli.main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    for argv, out in zip(runs, outs):
+        assert out == run_cli(argv).stdout, argv
+
+
 def test_internal_error_exit_code(monkeypatch, capsys):
     def boom(args):
         raise KeyError("boom")

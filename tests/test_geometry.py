@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from ovalbent import boolfn, geometry, gf, niho
-from oracles import collinear_triples_naive
+from oracles import collinear_triples_naive, oval_from_g_naive
 
 
 def _g(family, m, **kw):
@@ -148,6 +150,26 @@ def test_oval_from_g_zero_count_and_infinite_tags():
     assert ok
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_oval_from_g_matches_formula(m):
+    # every family, and a translate by a covered point, which has zeros
+    p = gf.field_make(m)
+    specs = [niho.NihoSpec("quadratic", m), niho.NihoSpec("binomial_3", m)]
+    if m % 2 == 0:
+        specs.append(niho.NihoSpec("binomial_1_6", m))
+    specs += [niho.NihoSpec("leander_r", m, r=r) for r in range(2, m)
+              if math.gcd(r, m) == 1]
+    for spec in specs:
+        g = niho.g_of_spec(spec, p)
+        c = int(np.argmax(niho.line_oval_from_g(g, p).e_table))
+        gc = niho.shift_by_linear(g, c, p)
+        assert np.any(gc.values == 0)
+        for h in (g, gc):
+            oval = geometry.oval_from_g(h, p)
+            assert (oval.points, oval.infinite) == oval_from_g_naive(h, p), spec
+            assert oval.nucleus == 0
+
+
 def test_oval_from_g_rejects_non_bent():
     p = gf.field_make(3)
     g = niho.UnitCircleMap(3, np.zeros(p.q + 1, dtype=np.int64))
@@ -158,14 +180,14 @@ def test_oval_from_g_rejects_non_bent():
 def test_affine_translate_count():
     # exactly q(q-1)/2 shifts c make g_c nowhere-zero (affine oval)
     g, p = _g("binomial_3", 3)
-    e_set = niho.line_oval_from_g(g, p).e_set
+    e_table = niho.line_oval_from_g(g, p).e_table
     good = []
     for c in range(p.K.size):
         gc = niho.shift_by_linear(g, c, p)
         if not np.any(gc.values == 0):
             good.append(c)
     assert len(good) == p.q * (p.q - 1) // 2
-    assert set(good) == set(range(p.K.size)) - e_set
+    assert good == np.flatnonzero(e_table == 0).tolist()
     for c in good[:5]:
         gc = niho.shift_by_linear(g, c, p)
         oval = geometry.oval_from_g(gc, p)
@@ -281,8 +303,7 @@ def test_round_trip_oval_bent():
         assert f == niho.bent_from_g(g, p)
     # with zeros: shift by c outside E(O) first; recovers f + Tr(cx)
     g, p = _g("binomial_3", 3)
-    e_set = niho.line_oval_from_g(g, p).e_set
-    c = min(set(range(p.K.size)) - e_set)
+    c = int(np.argmin(niho.line_oval_from_g(g, p).e_table))
     gc = niho.shift_by_linear(g, c, p)
     f2 = geometry.bent_from_oval(geometry.oval_from_g(gc, p), p)
     assert f2 == niho.bent_from_g(gc, p)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ovalbent import boolfn, geometry, gf, niho
-from oracles import trace_poly_table
+from oracles import line_cover_naive, trace_poly_table
 
 ALL_SPECS = [
     niho.NihoSpec("quadratic", 2),
@@ -118,6 +118,33 @@ def test_zero_g_gives_zero_function():
         niho.line_oval_from_g(g, p)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_e_table_is_the_covered_set(m):
+    p = gf.field_make(m)
+    for family in ("quadratic", "binomial_3"):
+        oval = niho.line_oval_from_g(niho.g_of_spec(niho.NihoSpec(family, m), p), p)
+        e = oval.e_table
+        assert e.dtype == np.uint8 and e.shape == (p.K.size,)
+        assert not e.flags.writeable
+        assert oval.e_size() == p.q * (p.q + 1) // 2
+        assert np.array_equal(e, line_cover_naive(oval.lines, p) > 0)
+
+
+def test_one_bentness_guard():
+    # every circle-map route that needs bentness raises the guard's error
+    p = gf.field_make(4)
+    rng = np.random.default_rng(8)
+    for vals in (np.zeros(p.q + 1, dtype=np.int64),
+                 rng.integers(0, p.q, size=p.q + 1)):
+        g = niho.UnitCircleMap(4, vals)
+        with pytest.raises(ValueError, match="g is not bent") as want:
+            niho.line_oval_from_g(g, p)
+        for route in (niho.dual_product_formula, geometry.oval_from_g):
+            with pytest.raises(ValueError) as got:
+                route(g, p)
+            assert str(got.value) == str(want.value)
+
+
 def test_restriction_linearity():
     # lam -> f(lam u) is GF(2)-linear on each ray
     for spec in (niho.NihoSpec("binomial_3", 3), niho.NihoSpec("binomial_3", 4)):
@@ -135,7 +162,7 @@ def test_restriction_linearity():
 def test_line_oval_law_and_witness():
     g, p = _g(niho.NihoSpec("binomial_3", 3))
     oval = niho.line_oval_from_g(g, p)
-    assert len(oval.e_set) == p.q * (p.q + 1) // 2 == 36
+    assert oval.e_size() == p.q * (p.q + 1) // 2 == 36
     counts = geometry.line_cover_counts(oval.lines, p)
     assert set(np.unique(counts).tolist()) == {0, 2}
     # parallel lines share no point
@@ -176,10 +203,8 @@ def test_dual_is_complement_characteristic_of_covered_set():
     for spec in (niho.NihoSpec("binomial_3", 3), niho.NihoSpec("binomial_1_6", 4)):
         g, p = _g(spec)
         d = niho.dual_product_formula(g, p)
-        e_set = niho.line_oval_from_g(g, p).e_set
-        want = np.ones(p.K.size, dtype=np.uint8)
-        want[sorted(e_set)] = 0
-        assert np.array_equal(d.table, want)
+        e_table = niho.line_oval_from_g(g, p).e_table
+        assert np.array_equal(d.table, 1 ^ e_table)
 
 
 def test_dual_at_zero_iff_g_vanishes():
@@ -222,11 +247,12 @@ def test_shift_by_linear_zero_is_identity():
 
 def test_shift_translates_line_oval():
     g, p = _g(niho.NihoSpec("binomial_3", 3))
-    e0 = niho.line_oval_from_g(g, p).e_set
+    e0 = niho.line_oval_from_g(g, p).e_table
+    xs = np.arange(p.K.size)
     for c in (1, 9, 42):
         gc = niho.shift_by_linear(g, c, p)
-        ec = niho.line_oval_from_g(gc, p).e_set
-        assert ec == frozenset(x ^ c for x in e0)
+        ec = niho.line_oval_from_g(gc, p).e_table
+        assert np.array_equal(ec[xs ^ c], e0)
 
 
 def test_shift_adds_linear_term_and_dual_translates():
@@ -234,7 +260,8 @@ def test_shift_adds_linear_term_and_dual_translates():
     f = niho.bent_from_g(g, p)
     masks = p.tr_mask_table()
     rng = np.random.default_rng(12)
-    e0 = niho.line_oval_from_g(g, p).e_set
+    e0 = niho.line_oval_from_g(g, p).e_table
+    xs = np.arange(p.K.size)
     for c in rng.integers(0, p.K.size, size=6):
         c = int(c)
         gc = niho.shift_by_linear(g, c, p)
@@ -244,9 +271,7 @@ def test_shift_adds_linear_term_and_dual_translates():
         assert np.array_equal(fc.table, f.table ^ np.array(lin, dtype=np.uint8))
         # dual of the shift = complement characteristic of translated E
         dc = boolfn.dual(fc, masks)
-        want = np.ones(p.K.size, dtype=np.uint8)
-        want[[x ^ c for x in e0]] = 0
-        assert np.array_equal(dc.table, want)
+        assert np.array_equal(dc.table, 1 ^ e0[xs ^ c])
 
 
 def test_general_binomial_coefficients():

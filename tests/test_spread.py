@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ovalbent import _gf2, spread
 from ovalbent.gf import BinaryField
-from oracles import (brute_adjoint, diagonal_sqrt, f_matrix_rep, field_mul,
-                     kantor_mul, luneburg_mul, perpendicular_naive, scalar_table,
+from oracles import (brute_adjoint, diagonal_sqrt, dumps_pqf_naive,
+                     f_matrix_rep, field_mul, kantor_mul, left_adjoint_naive,
+                     luneburg_mul, perpendicular_naive, scalar_table,
                      spread_cover_naive, sqrt_diag_naive, trace_form,
                      validate_naive)
 
@@ -241,6 +244,41 @@ def test_commutative_symplectic_round_trip(xy2):
         spread.commutative_from_symplectic(C)          # not symplectic
     with pytest.raises(ValueError):
         spread.symplectic_from_commutative(xy2)        # not commutative
+
+
+LEFT_ADJOINT_CASES = {
+    **{f"field:{m}": (lambda m=m: spread.field_pqf(m)) for m in (2, 3, 4, 5)},
+    **{f"kantor:3:{z}": (lambda z=z: spread.kantor_chain(3, [1], [1], [z]))
+       for z in range(8)},
+    "kantor:5:11": lambda: spread.kantor_chain(5, [1], [1], [11]),
+    "kantor:7:0": lambda: spread.kantor_chain(7, [1], [1], [0]),
+}
+
+
+@pytest.mark.parametrize("name", LEFT_ADJOINT_CASES)
+def test_left_adjoint_matches_per_z_loop(name):
+    # Q and its partner, the commutative one when Q is a symplectic
+    # presemifield
+    Q = LEFT_ADJOINT_CASES[name]()
+    partner = spread._left_adjoint_pqf(Q, "partner")
+    assert np.array_equal(partner.table, left_adjoint_naive(Q))
+    assert np.array_equal(spread._left_adjoint_pqf(partner, "back").table,
+                          left_adjoint_naive(partner))
+
+
+def test_constructor_takes_the_table_without_a_copy():
+    tracemalloc.start()
+    try:
+        spread.luneburg(5)                    # an 8 MB int64 table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 << 20
+
+
+def test_dumps_pqf_matches_entrywise_format():
+    for Q in (spread.kantor_chain(5, [1], [1], [0]), spread.luneburg(3)):
+        assert spread.dumps_pqf(Q) == dumps_pqf_naive(Q)
 
 
 def test_field_fixed_by_both_constructions(field8):
