@@ -99,6 +99,8 @@ def verify_no_three_concurrent(lines: Iterable[AffineLineK], params: FieldParams
     lines = list(lines)
     if len(set(lines)) != len(lines):
         raise ValueError("lines must be distinct")
+    if len(lines) not in (params.q + 1, params.q + 2):
+        raise ValueError(f"expected q+1 or q+2 lines, got {len(lines)}")
     counts = line_cover_counts(lines, params)
     bad = np.nonzero(counts >= 3)[0]
     if bad.size:
@@ -107,16 +109,16 @@ def verify_no_three_concurrent(lines: Iterable[AffineLineK], params: FieldParams
     for ln in lines:
         per_u[ln.u] = per_u.get(ln.u, 0) + 1
         if per_u[ln.u] >= 3:
-            return False, ("infinite", params.s_index[ln.u])
+            return False, ("infinite", int(params.unit_class_table()[ln.u]))
     return True, None
 
 
 def direction_tag(d: int, params: FieldParams) -> int:
-    """Circle index of the point at infinity of lines with direction d."""
+    """Circle index of the point at infinity of lines with direction d:
+    the unit class of conj(d), since L(u, .) has direction class conj(u)."""
     if d == 0:
         raise ValueError("zero direction")
-    u = params.polar_decompose(d).u
-    return params.s_index[params.conjugate(u)]
+    return int(params.unit_class_table()[params.conjugate(d)])
 
 
 # ---------------------------------------------------------------------------
@@ -145,12 +147,15 @@ def verify_oval(points: Iterable[int], params: FieldParams,
                                      params.K.log, params.K.exp, params.K.order)
     if i >= 0:
         return False, (pts[i], pts[j], pts[k])
-    # two affine + one infinite: collinear iff the tag matches the direction
-    for t in inf:
-        for a in range(len(pts)):
-            for b in range(a + 1, len(pts)):
-                if direction_tag(pts[a] ^ pts[b], params) == t:
-                    return False, (pts[a], pts[b], ("inf", t))
+    # two affine + one infinite: collinear iff the tag is the direction class
+    # of the pair (`direction_tag`); first hit in (tag, a, b) order
+    if inf:
+        a, b = np.triu_indices(len(pts), 1)
+        tags = params.unit_class_table()[params.conj_table()[arr[a] ^ arr[b]]]
+        hit = np.flatnonzero(np.isin(tags, inf))
+        if hit.size:
+            k = hit[np.argmin(tags[hit])]
+            return False, (pts[a[k]], pts[b[k]], ("inf", int(tags[k])))
     # three infinite points always share the line at infinity
     if len(inf) >= 3:
         return False, (("inf", inf[0]), ("inf", inf[1]), ("inf", inf[2]))
@@ -163,15 +168,12 @@ def verify_nucleus_zero(points: Iterable[int], params: FieldParams):
     pts = list(points)
     if any(p == 0 for p in pts):
         return False, 0
-    units = [params.polar_decompose(p).u for p in pts]
-    if len(set(units)) != len(units) or len(units) != params.q + 1:
-        seen: dict[int, int] = {}
-        for p, u in zip(pts, units):
-            if u in seen:
-                return False, (seen[u], p)
-            seen[u] = p
-        return False, None
-    return True, None
+    units = params.unit_class_table()[np.array(pts, dtype=np.int64)]
+    _, first = np.unique(units, return_index=True)
+    if first.size < len(pts):     # the first repeat and the point it repeats
+        k = np.setdiff1d(np.arange(len(pts)), first)[0]
+        return False, (pts[int(np.argmax(units == units[k]))], pts[k])
+    return len(pts) == params.q + 1, None
 
 
 # ---------------------------------------------------------------------------
@@ -184,23 +186,21 @@ def dual_points_to_lines(points: Iterable[int], params: FieldParams) -> list[Aff
     With p = lam * u this is L(u, 1/lam).  The point set is an oval iff
     the image passes `verify_no_three_concurrent`.
     """
-    out = []
-    for p in points:
-        if p == 0:
-            raise ValueError("duality requires nonzero points")
-        lam, u = params.polar_decompose(p)
-        out.append(AffineLineK(u, params.F.inv(lam)))
-    return out
+    pts = np.array(list(points), dtype=np.int64)
+    if np.any(pts == 0):
+        raise ValueError("duality requires nonzero points")
+    lam, j = params.polar(pts)
+    mus = params.F.pow_table(-1)[lam]
+    return [AffineLineK(u, mu)
+            for u, mu in zip(params.S[j].tolist(), mus.tolist())]
 
 
 def dual_lines_to_points(lines: Iterable[AffineLineK], params: FieldParams) -> list[int]:
     """Inverse of `dual_points_to_lines`: L(u, mu) -> u / mu, mu != 0."""
-    out = []
-    for ln in lines:
-        if ln.mu == 0:
-            raise ValueError("a line through 0 has no dual point")
-        out.append(params.K.mul(ln.u, int(params.embed[params.F.inv(ln.mu)])))
-    return out
+    us, mus = np.array(list(lines), dtype=np.int64).reshape(-1, 2).T
+    if np.any(mus == 0):
+        raise ValueError("a line through 0 has no dual point")
+    return params.K.mul_arr(us, params.embed[params.F.pow_table(-1)[mus]]).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +217,7 @@ def oval_from_g(g, params: FieldParams) -> Oval:
     from .niho import line_oval_from_g  # local import to keep layering acyclic
     lines = line_oval_from_g(g, params).lines
     points = dual_lines_to_points([ln for ln in lines if ln.mu], params)
-    infinite = [params.s_index[ln.u] for ln in lines if not ln.mu]
+    infinite = [int(params.unit_class_table()[ln.u]) for ln in lines if not ln.mu]
     return Oval(frozenset(points), frozenset(infinite), nucleus=0)
 
 
@@ -225,15 +225,14 @@ def rho_from_g(g, params: FieldParams) -> np.ndarray:
     """rho(u) = 1/g(u); requires g nowhere zero on the circle."""
     if np.any(g.values == 0):
         raise ValueError("rho-polynomial requires g nonzero on the circle")
-    return np.array([params.F.inv(int(v)) for v in g.values], dtype=np.int64)
+    return params.F.pow_table(-1)[g.values]
 
 
 def g_from_rho(rho: np.ndarray, params: FieldParams):
     from .niho import UnitCircleMap
     if np.any(rho == 0):
         raise ValueError("rho-polynomials are nowhere zero")
-    vals = np.array([params.F.inv(int(v)) for v in rho], dtype=np.int64)
-    return UnitCircleMap(params.m, vals)
+    return UnitCircleMap(params.m, params.F.pow_table(-1)[rho])
 
 
 def rho_subiaco(params: FieldParams) -> np.ndarray:
@@ -245,7 +244,7 @@ def rho_subiaco(params: FieldParams) -> np.ndarray:
         den = (int(params.S[(10 * j) % q1]) ^ int(params.S[(6 * j) % q1])
                ^ u5 ^ int(params.S[(4 * j) % q1]) ^ 1)
         val = K.mul(u5, K.inv(den))
-        out[j] = params.project[val]
+        out[j] = params.project_table()[val]
     return out
 
 
@@ -262,7 +261,7 @@ def rho_adelaide(params: FieldParams) -> np.ndarray:
         cube_root = int(params.S[(j * inv3) % q1])
         num = K.mul(u, K.pow(cube_root ^ 1, 3))
         den = K.pow(u ^ 1, 3)
-        out[j] = params.project[K.mul(num, K.inv(den))]
+        out[j] = params.project_table()[K.mul(num, K.inv(den))]
     return out
 
 
@@ -280,14 +279,9 @@ def catalog_oval(name: str, params: FieldParams) -> Oval:
     """Named hyperovals as point sets (all contain the point 0)."""
     if name == "conic_like_S":
         pts = {int(u) for u in params.S}
-    elif name == "subiaco":
-        rho = rho_subiaco(params)
-        pts = {params.K.mul(int(params.S[j]), int(params.embed[rho[j]]))
-               for j in range(params.q + 1)}
-    elif name == "adelaide":
-        rho = rho_adelaide(params)
-        pts = {params.K.mul(int(params.S[j]), int(params.embed[rho[j]]))
-               for j in range(params.q + 1)}
+    elif name in ("subiaco", "adelaide"):
+        rho = rho_subiaco(params) if name == "subiaco" else rho_adelaide(params)
+        pts = set(params.K.mul_arr(params.S, params.embed[rho]).tolist())
     elif name == "fisher_schmidt":
         pts = fisher_schmidt_points(params)
     else:
@@ -320,17 +314,16 @@ def bent_from_oval(oval: Oval, params: FieldParams) -> boolfn.BooleanFunction:
     if not ok:
         raise ValueError(f"0 is not the nucleus: witness {wit}")
 
-    K, F = params.K, params.F
-    table = np.zeros(K.size, dtype=np.uint8)
-    trf = F.trace_table()
-    lams = np.arange(1, params.q, dtype=np.int64)
-    for v in pts:
-        rad, u = params.polar_decompose(v)
-        xs = K.mul_vec(params.embed[lams], u)
-        table[xs] = trf[F.mul_vec(lams, F.inv(rad))]
+    # pointwise: on the ray of v = lam S[j], tr(x / v) = tr(x g(S[j])), g = 1/lam;
+    # the point units are a permutation of the circle (nucleus 0)
+    from .niho import UnitCircleMap, bent_from_g  # local import, as in oval_from_g
+    lam, j = params.polar(pts)
+    g = UnitCircleMap(params.m, params.F.pow_table(-1)[lam[np.argsort(j)]])
+    f = bent_from_g(g, params)
 
     # explicit polynomial form: sum over v of
     #   [(x^(q^2-q) - v^(q^2-q))^(q^2-1) + 1] * sum_j (x/v)^(2^j)
+    K = params.K
     pw = K.pow_table(params.q * params.q - params.q)
     frob = np.arange(K.size, dtype=np.int64)
     acc = frob.copy()
@@ -344,9 +337,9 @@ def bent_from_oval(oval: Oval, params: FieldParams) -> boolfn.BooleanFunction:
         ratios = K.mul_vec(xs_all, K.inv(v))
         poly ^= np.where(pw == pw[v], acc[ratios], 0)
     assert np.all(poly <= 1), "polynomial form must produce bits"
-    assert np.array_equal(poly.astype(np.uint8), table), \
+    assert np.array_equal(poly.astype(np.uint8), f.table), \
         "polynomial form must match the pointwise table"
-    return boolfn.BooleanFunction(params.n, table)
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +390,7 @@ def line_oval_to_json(lines: Iterable[AffineLineK], params: FieldParams) -> str:
     return json.dumps({
         "kind": "line_oval",
         "m": params.m,
-        "lines": sorted([params.s_index[ln.u], ln.mu] for ln in lines),
+        "lines": sorted([int(params.unit_class_table()[ln.u]), ln.mu] for ln in lines),
     }, sort_keys=True)
 
 

@@ -246,10 +246,9 @@ class BinaryField:
         return out
 
     def pow_table(self, e: int) -> np.ndarray:
-        """Table of x^e over the whole field (0^e = 0 for e > 0)."""
-        e %= self.order
+        """Table of x^e over the whole field (0^e = 0 for e != 0)."""
         t = np.zeros(self.size, dtype=np.int64)
-        t[self.exp] = self.exp[(self.log[self.exp] * e) % self.order]
+        t[self.exp] = self.exp[(self.log[self.exp] * (e % self.order)) % self.order]
         t[0] = 1 if e == 0 else 0
         return t
 
@@ -315,14 +314,12 @@ class FieldParams:
             [self.K.pow(int(roots[0]), i) for i in range(self.m)], self.m)
         assert np.array_equal(np.sort(self.embed), sub), \
             "embedding image must equal the gamma-power subfield"
-        self.project = dict(zip(self.embed.tolist(), range(self.q)))
 
         # unit circle, ordered as gamma^(j(q-1)), j = 0..q
         s = self.K.exp[(self.q - 1) * np.arange(self.q + 1) % self.K.order]
         assert np.all(np.diff(np.sort(s)) > 0)
         assert np.all(self.K.log[s] * (self.q + 1) % self.K.order == 0)
         self.S = s
-        self.s_index = dict(zip(s.tolist(), range(self.q + 1)))
 
         self._unit_class: np.ndarray | None = None
         self._tr_mask_table: np.ndarray | None = None
@@ -344,21 +341,26 @@ class FieldParams:
 
     def trace_rel(self, x: int) -> int:
         """T(x) = x + x^q, projected to an F-index."""
-        return self.project[x ^ self.conjugate(x)]
+        return int(self.project_table()[x ^ self.conjugate(x)])
 
     def norm_rel(self, x: int) -> int:
         """N(x) = x * x^q, projected to an F-index."""
-        return self.project[self.K.mul(x, self.conjugate(x))]
+        return int(self.project_table()[self.K.mul(x, self.conjugate(x))])
 
     # -- polar coordinates --------------------------------------------------
 
-    def polar_decompose(self, x: int) -> PolarForm:
-        if x == 0:
+    def polar(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """(lam, j) with x = lam * S[j] for each nonzero x: j is the unit
+        class of x and lam the F-index of x / S[j]."""
+        xs = np.asarray(xs, dtype=np.int64)
+        if np.any(xs == 0):
             raise ValueError("0 has no polar decomposition")
-        lam_k = self.K.sqrt(self.K.mul(x, self.conjugate(x)))
-        lam = self.project[lam_k]
-        u = self.K.mul(x, self.K.inv(lam_k))
-        return PolarForm(lam, u)
+        j = self.unit_class_table()[xs]
+        return self.project_table()[self.K.mul_arr(xs, self.S[-j])], j
+
+    def polar_decompose(self, x: int) -> PolarForm:
+        lam, j = self.polar([x])
+        return PolarForm(int(lam[0]), int(self.S[j[0]]))
 
     def recompose(self, p: PolarForm) -> int:
         return self.K.mul(int(self.embed[p.lam]), p.u)
@@ -388,12 +390,8 @@ class FieldParams:
         incidence function of every line L(u_j, .) by subset XOR.
         """
         if self._line_trace_basis is None:
-            rows = np.zeros((self.q + 1, self.n), dtype=np.int64)
-            for j, u in enumerate(self.S):
-                for i in range(self.n):
-                    t = self.K.mul(int(u), 1 << i)
-                    rows[j, i] = self.project[t ^ self.conjugate(t)]
-            self._line_trace_basis = rows
+            t = self.K.mul_arr(self.S[:, None], 1 << np.arange(self.n))
+            self._line_trace_basis = self.project_table()[t ^ self._conj_table[t]]
         return self._line_trace_basis
 
     # -- Walsh-transform re-indexing -----------------------------------------

@@ -159,28 +159,27 @@ def g_of_spec(spec: NihoSpec, params: FieldParams) -> UnitCircleMap:
     q1 = params.q + 1
     ta = params.trace_rel(rs.a)
 
-    def t_of_power(j: int, e: int, coef_k: int = 1) -> int:
-        """F-index of T(coef * u^e) at the circle point of index j."""
-        y = params.K.mul(coef_k, int(params.S[(j * e) % q1]))
-        return params.project[y ^ params.conjugate(y)]
+    def t_of_power(e: int, coef_k: int = 1) -> np.ndarray:
+        """F-indices of T(coef * u^e) over the circle, in circle order."""
+        y = params.K.mul_vec(params.S[np.arange(q1) * e % q1], coef_k)
+        return params.project_table()[y ^ params.conj_table()[y]]
 
-    vals = np.zeros(q1, dtype=np.int64)
     if rs.family == "quadratic":
-        vals[:] = ta
+        vals = np.full(q1, ta, dtype=np.int64)
     elif rs.family in ("binomial_3", "binomial_1_6"):
         e2 = (-5) % q1 if rs.family == "binomial_3" else (2 * pow(3, -1, q1)) % q1
-        for j in range(q1):
-            vals[j] = ta ^ t_of_power(j, e2, rs.alpha2)
+        vals = ta ^ t_of_power(e2, rs.alpha2)
     else:
         # closed form ((u + u^q) + (u^w (u + u^q))^... ) with w = 2^(1-r):
         # g(u) = (T(u) + T(u^(w-1))) / T(u^w) for u != 1, g(1) = 1,
         # all exponents mod q+1; scaled by a + a^q (1 when normalized)
         w = pow(1 << (rs.r - 1), -1, q1)
+        num = t_of_power(1) ^ t_of_power((w - 1) % q1)
+        den = t_of_power(w)
+        assert np.all(den[1:] != 0), "T(u^w) vanishes only at u = 1"
+        F = params.F
+        vals = F.mul_vec(F.mul_arr(num, F.pow_table(-1)[den]), ta)
         vals[0] = ta
-        for j in range(1, q1):
-            num = t_of_power(j, 1) ^ t_of_power(j, (w - 1) % q1)
-            den = t_of_power(j, w)
-            vals[j] = params.F.mul(ta, params.F.div(num, den))
     return UnitCircleMap(params.m, vals)
 
 
@@ -280,9 +279,9 @@ def dual_budaghyan(spec: NihoSpec, params: FieldParams,
 def shift_by_linear(g: UnitCircleMap, c: int, params: FieldParams) -> UnitCircleMap:
     """g_c(u) = g(u) + T(c u); the bent function gains the term Tr(c x)
     and the line oval translates by c."""
-    shift = np.array([params.trace_rel(params.K.mul(c, int(u)))
-                      for u in params.S], dtype=np.int64)
-    return UnitCircleMap(params.m, g.values ^ shift)
+    y = params.K.mul_vec(params.S, c)
+    return UnitCircleMap(params.m,
+                         g.values ^ params.project_table()[y ^ params.conj_table()[y]])
 
 
 def save_g_table(g: UnitCircleMap, path) -> None:

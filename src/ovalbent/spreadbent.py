@@ -380,7 +380,8 @@ def analyze(spec: SpreadBentSpec, kept: dict | None = None) -> dict:
         out["lineoval_ok"] = True
         out["e_size"] = routes["line_oval"].e_size()
         out["degree"] = boolfn.degree(f)
-        assert out["degree"] <= spec.Q.dim, "bent degree exceeds k/2"
+        # Rothaus: degree <= k/2 for k >= 4; on k = 2, xy is bent of degree 2
+        assert out["degree"] <= max(2, spec.Q.dim), "bent degree exceeds max(2, k/2)"
         if out["degree"] <= 2:
             out["quadratic_rank"] = boolfn.quadratic_rank(f, out["degree"])
     else:

@@ -5,6 +5,7 @@ package implementations it checks.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -178,6 +179,42 @@ def brute_adjoint(images, bform, dim):
     return rows
 
 
+def project_naive(y, params):
+    """F-index of a subfield element of K, by search over the embedding."""
+    hits = np.flatnonzero(params.embed == y)
+    assert hits.size == 1, "y must lie in the embedded subfield"
+    return int(hits[0])
+
+
+def polar_naive(x, params):
+    """(lam, u) with x = lam u: lam = sqrt(x x^q) lies in F because the norm
+    does and squaring is a bijection, and u = x / lam lies on the circle."""
+    if x == 0:
+        raise ValueError("0 has no polar decomposition")
+    K = params.K
+    lam_k = K.sqrt(K.mul(x, params.conjugate(x)))
+    return project_naive(lam_k, params), K.mul(x, K.inv(lam_k))
+
+
+def direction_tag_naive(d, params):
+    """Circle index of the point at infinity of lines with direction d:
+    the position in S of the conjugate of the polar unit of d."""
+    u = params.conjugate(polar_naive(d, params)[1])
+    return int(np.flatnonzero(params.S == u)[0])
+
+
+def tag_witness_naive(points, infinite, params):
+    """First (tag, a, b) in lex order with pts[a] - pts[b] in direction
+    tag, as (pts[a], pts[b], ("inf", tag)); None when there is none."""
+    pts = sorted(points)
+    for t in sorted(infinite):
+        for a in range(len(pts)):
+            for b in range(a + 1, len(pts)):
+                if direction_tag_naive(pts[a] ^ pts[b], params) == t:
+                    return pts[a], pts[b], ("inf", t)
+    return None
+
+
 def collinear_triples_naive(points, params):
     """All collinear triples among affine K-points, by line membership."""
     pts = sorted(points)
@@ -188,8 +225,8 @@ def collinear_triples_naive(points, params):
                 d1 = pts[i] ^ pts[j]
                 d2 = pts[i] ^ pts[k]
                 # collinear iff d2 in d1*F
-                lam, u1 = params.polar_decompose(d1)
-                lam2, u2 = params.polar_decompose(d2)
+                lam, u1 = polar_naive(d1, params)
+                lam2, u2 = polar_naive(d2, params)
                 if u1 == u2:
                     bad.append((pts[i], pts[j], pts[k]))
     return bad
@@ -272,11 +309,78 @@ def naive_mobius(table):
 def niho_fill_naive(gvals, params):
     """f(x) = tr(lam g(u)) for x = lam u, by polar decomposition of each x."""
     F = params.F
+    s_index = {int(u): j for j, u in enumerate(params.S)}
     out = np.zeros(params.K.size, dtype=np.uint8)
     for x in range(1, params.K.size):
-        lam, u = params.polar_decompose(x)
-        out[x] = F.trace(F.mul(lam, int(gvals[params.s_index[u]])))
+        lam, u = polar_naive(x, params)
+        out[x] = F.trace(F.mul(lam, int(gvals[s_index[u]])))
     return out
+
+
+def g_of_spec_naive(rs, params):
+    """Circle map of a resolved family member, one circle point at a time:
+    T(coef u^e) by multiplying into K and projecting by search."""
+    K, F, q1 = params.K, params.F, params.q + 1
+
+    def t_of_power(j, e, coef_k=1):
+        y = K.mul(coef_k, int(params.S[(j * e) % q1]))
+        return project_naive(y ^ params.conjugate(y), params)
+
+    ta = t_of_power(0, 0, rs.a)          # T(a)
+    vals = np.zeros(q1, dtype=np.int64)
+    if rs.family == "quadratic":
+        vals[:] = ta
+    elif rs.family in ("binomial_3", "binomial_1_6"):
+        e2 = (-5) % q1 if rs.family == "binomial_3" else (2 * pow(3, -1, q1)) % q1
+        for j in range(q1):
+            vals[j] = ta ^ t_of_power(j, e2, rs.alpha2)
+    else:
+        w = pow(1 << (rs.r - 1), -1, q1)
+        vals[0] = ta
+        for j in range(1, q1):
+            num = t_of_power(j, 1) ^ t_of_power(j, (w - 1) % q1)
+            vals[j] = F.mul(ta, F.div(num, t_of_power(j, w)))
+    return vals
+
+
+def family_members(m):
+    """A default member of every family that is defined at m."""
+    from ovalbent import niho
+    specs = [niho.NihoSpec("quadratic", m), niho.NihoSpec("binomial_3", m)]
+    if m % 2 == 0:
+        specs.append(niho.NihoSpec("binomial_1_6", m))
+    rs = [r for r in range(2, m) if math.gcd(r, m) == 1]
+    if rs:
+        specs.append(niho.NihoSpec("leander_r", m, r=rs[0]))
+    return specs
+
+
+def nucleus_witness_naive(points, params):
+    """verify_nucleus_zero by a scan: the first point whose polar unit
+    repeats, with the earlier point of the same unit."""
+    pts = list(points)
+    if 0 in pts:
+        return False, 0
+    seen = {}
+    for v in pts:
+        u = polar_naive(v, params)[1]
+        if u in seen:
+            return False, (seen[u], v)
+        seen[u] = v
+    return len(pts) == params.q + 1, None
+
+
+def bent_from_oval_pointwise(points, params):
+    """f(x) = tr(x / v) on each ray vF, filled ray by ray from the polar
+    form v = rad u of each oval point."""
+    K, F = params.K, params.F
+    table = np.zeros(K.size, dtype=np.uint8)
+    lams = np.arange(1, params.q, dtype=np.int64)
+    for v in points:
+        rad, u = polar_naive(v, params)
+        xs = K.mul_vec(params.embed[lams], u)
+        table[xs] = [F.trace(F.mul(int(lam), F.inv(rad))) for lam in lams]
+    return table
 
 
 def line_cover_naive(lines, params):

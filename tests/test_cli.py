@@ -431,3 +431,29 @@ def test_truth_table_malformed(tmp_path, capsys):
                  "k=99999999999999999999\n00\n", "k=3\nzz\n"):
         path.write_text(text)
         _assert_input_error(["ea", "--table", str(path)], capsys)
+
+
+def test_oval_convert_needs_an_oval_worth_of_points(tmp_path, capsys):
+    from ovalbent import geometry
+    p = gf.field_make(3)
+    for points in ([int(u) for u in p.S][:3], []):
+        _assert_input_error(["oval", "convert", "--m", "3", "--points-json",
+                             _oval_doc(tmp_path, points)], capsys)
+    # the q+1 nonzero points of a catalog hyperoval still convert
+    pts = sorted(geometry.catalog_oval("fisher_schmidt", p).points - {0})
+    assert cli.main(["oval", "convert", "--m", "3", "--points-json",
+                     _oval_doc(tmp_path, pts)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["lines"]) == p.q + 1
+
+
+def test_one_bit_carriers_are_bent(capsys):
+    # on k = 2 variables the bent functions are xy and its affine shifts
+    for pqf in ("field:1", "kantor:1:::"):
+        for g in ("sqrt", "square-star"):
+            assert cli.main(["spread", "bent", "--pqf", pqf, "--g", g]) == 0
+            report = json.loads(capsys.readouterr().out)["report"]
+            assert report["degree"] == 2
+            assert all(report[k] for k in ("bent", "criterion", "verdicts_agree",
+                                           "dual_routes_agree", "lineoval_ok"))
+    assert cli.main(["spread", "build", "--kind", "kantor", "--m", "1"]) == 0
+    assert spread.loads_pqf(capsys.readouterr().out).table.tolist() == [[0, 0], [0, 1]]

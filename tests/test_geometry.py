@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from ovalbent import boolfn, geometry, gf, niho
-from oracles import collinear_triples_naive, oval_from_g_naive
+from oracles import (bent_from_oval_pointwise, collinear_triples_naive,
+                     direction_tag_naive, family_members,
+                     nucleus_witness_naive, oval_from_g_naive,
+                     tag_witness_naive)
 
 
 def _g(family, m, **kw):
@@ -70,6 +73,60 @@ def test_infinite_point_rules():
     if free:
         ok2, _ = geometry.verify_oval(pts, p, infinite=[free[0]])
         assert ok2
+
+
+def test_direction_tag_matches_polar_definition():
+    for m in (2, 3, 4):
+        p = gf.field_make(m)
+        for d in range(1, p.K.size):
+            assert geometry.direction_tag(d, p) == direction_tag_naive(d, p)
+        with pytest.raises(ValueError):
+            geometry.direction_tag(0, p)
+
+
+def _verify_oval_naive(pts, inf, p):
+    """Verdict and witness in verify_oval's order, from the oracles."""
+    triples = collinear_triples_naive(pts, p)
+    if triples:
+        return False, min(triples)
+    witness = tag_witness_naive(pts, inf, p)
+    if witness is not None:
+        return False, witness
+    if len(inf) >= 3:
+        return False, tuple(("inf", t) for t in sorted(inf)[:3])
+    return True, None
+
+
+def test_verify_oval_with_tags_matches_loops():
+    # affine parts drawn from a hyperoval (so the tags decide) or from all
+    # of K, with 0..3 tags; verdict and witness as the scalar loops give
+    rng = np.random.default_rng(9)
+    for m, rounds in ((2, 60), (3, 60), (4, 30)):
+        p = gf.field_make(m)
+        hyperoval = sorted(int(u) for u in p.S) + [0]
+        for _ in range(rounds):
+            k = int(rng.integers(0, 4))
+            n = p.q + int(rng.integers(1, 3)) - k
+            pool = hyperoval if rng.random() < 0.7 else range(p.K.size)
+            pts = [int(v) for v in rng.choice(pool, size=n, replace=False)]
+            inf = [int(t) for t in rng.choice(p.q + 1, size=k, replace=False)]
+            assert geometry.verify_oval(pts, p, inf) == \
+                _verify_oval_naive(pts, inf, p), (m, pts, inf)
+
+
+def test_verify_nucleus_zero_matches_scan():
+    rng = np.random.default_rng(5)
+    for m in (2, 3, 4):
+        p = gf.field_make(m)
+        circle = [int(u) for u in p.S]
+        cases = [circle, circle[::-1], circle[:-1], [0] + circle[1:]]
+        for _ in range(30):
+            n = p.q + int(rng.integers(0, 3))
+            cases.append([int(v) for v in
+                          rng.choice(np.arange(1, p.K.size), size=n, replace=False)])
+        for pts in cases:
+            assert geometry.verify_nucleus_zero(pts, p) == \
+                nucleus_witness_naive(pts, p), (m, pts)
 
 
 def test_three_infinite_points_collinear():
@@ -225,7 +282,7 @@ def test_subiaco_identity():
         for j in range(q1):
             y5 = int(p.S[(5 * j) % q1])
             y1 = int(p.S[j])
-            want = 1 ^ p.project[y5 ^ p.conjugate(y5)] ^ p.project[y1 ^ p.conjugate(y1)]
+            want = 1 ^ p.trace_rel(y5) ^ p.trace_rel(y1)
             assert p.F.inv(int(rho[j])) == want
 
 
@@ -244,7 +301,7 @@ def test_adelaide_identity():
     for j in range(q1):
         ye = int(p.S[(e * j) % q1])
         y1 = int(p.S[j])
-        want = 1 ^ p.project[ye ^ p.conjugate(ye)] ^ p.project[y1 ^ p.conjugate(y1)]
+        want = 1 ^ p.trace_rel(ye) ^ p.trace_rel(y1)
         assert p.F.inv(int(rho[j])) == want
     assert rho[0] == 1
     with pytest.raises(ValueError):
@@ -279,6 +336,21 @@ def test_bent_from_fisher_schmidt():
         f = geometry.bent_from_oval(
             geometry.Oval(frozenset(pts), frozenset(), nucleus=0), p)
         assert boolfn.is_bent(f)
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_bent_from_oval_matches_pointwise_fill(m):
+    # every family's oval (shifted off the zeros of g when it has any)
+    p = gf.field_make(m)
+    for spec in family_members(m):
+        g = niho.g_of_spec(spec, p)
+        if np.any(g.values == 0):
+            c = int(np.argmin(niho.line_oval_from_g(g, p).e_table))
+            g = niho.shift_by_linear(g, c, p)
+        oval = geometry.oval_from_g(g, p)
+        f = geometry.bent_from_oval(oval, p)
+        assert np.array_equal(f.table,
+                              bent_from_oval_pointwise(sorted(oval.points), p))
 
 
 def test_bent_from_oval_preconditions():

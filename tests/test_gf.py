@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ovalbent import gf
-from oracles import exp_log_naive, field_pair_naive, irreducible_bruteforce
+from oracles import (exp_log_naive, field_pair_naive, irreducible_bruteforce,
+                     polar_naive)
 
 
 def test_field_make_range():
@@ -182,7 +183,7 @@ def test_embedded_subfield_closed():
 def test_project_inverts_embed():
     p = gf.field_make(5)
     for a in range(p.q):
-        assert p.project[int(p.embed[a])] == a
+        assert p.project_table()[int(p.embed[a])] == a
 
 
 def test_unit_class_table():
@@ -191,6 +192,36 @@ def test_unit_class_table():
     assert ucls[0] == -1
     for x in range(1, p.K.size):
         assert int(p.S[ucls[x]]) == p.polar_decompose(x).u
+
+
+def test_polar_matches_norm_square_root():
+    for m in (2, 3, 4, 5):
+        p = gf.field_make(m)
+        xs = np.arange(1, p.K.size)
+        lam, j = p.polar(xs)
+        want = [polar_naive(int(x), p) for x in xs]
+        assert lam.tolist() == [w[0] for w in want]
+        assert p.S[j].tolist() == [w[1] for w in want]
+        with pytest.raises(ValueError):
+            p.polar([1, 0, 2])
+
+
+def test_line_trace_basis_matches_scalar_trace():
+    for m in (2, 3, 4):
+        p = gf.field_make(m)
+        want = [[p.trace_rel(p.K.mul(int(u), 1 << i)) for i in range(p.n)]
+                for u in p.S]
+        assert p.line_trace_basis().tolist() == want
+
+
+def test_pow_table_matches_scalar_pow():
+    # 0^e is 1 only for e = 0, also where the group order divides e
+    for deg in (1, 2, 3, 4):
+        B = gf.binary_field(deg)
+        for e in range(-2, 3 * B.order + 1):
+            t = B.pow_table(e)
+            start = 1 if e < 0 else 0
+            assert t[start:].tolist() == [B.pow(x, e) for x in range(start, B.size)]
 
 
 def test_tr_mask_table_realizes_trace():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ovalbent import boolfn, geometry, gf, niho
-from oracles import line_cover_naive, trace_poly_table
+from oracles import (family_members, g_of_spec_naive, line_cover_naive,
+                     trace_poly_table)
 
 ALL_SPECS = [
     niho.NihoSpec("quadratic", 2),
@@ -60,7 +61,7 @@ def test_binomial3_g_formula():
     g, p = _g(niho.NihoSpec("binomial_3", 3))
     for j, u in enumerate(p.S):
         u5 = p.K.pow(int(u), 5)
-        want = 1 ^ p.project[u5 ^ p.conjugate(u5)]
+        want = 1 ^ p.trace_rel(u5)
         assert g.values[j] == want
 
 
@@ -70,7 +71,7 @@ def test_binomial16_g_formula():
     e = (2 * pow(3, -1, p.q + 1)) % (p.q + 1)
     for j, u in enumerate(p.S):
         ue = p.K.pow(int(u), e)
-        assert g.values[j] == 1 ^ p.project[ue ^ p.conjugate(ue)]
+        assert g.values[j] == 1 ^ p.trace_rel(ue)
 
 
 def test_leander_r2_g_formula():
@@ -79,7 +80,7 @@ def test_leander_r2_g_formula():
     half = pow(2, -1, p.q + 1)
     for j, u in enumerate(p.S):
         uh = p.K.pow(int(u), half)
-        assert g.values[j] == 1 ^ p.project[uh ^ p.conjugate(uh)]
+        assert g.values[j] == 1 ^ p.trace_rel(uh)
 
 
 def test_leander_closed_form_equals_sum_form():
@@ -91,8 +92,24 @@ def test_leander_closed_form_equals_sum_form():
             for i in range(1, 1 << (r - 1)):
                 e_i = (1 - i * pow(1 << (r - 1), -1, q1)) % q1
                 y = int(p.S[(j * e_i) % q1])
-                acc ^= p.project[y ^ p.conjugate(y)]
+                acc ^= p.trace_rel(y)
             assert g.values[j] == acc, (m, r, j)
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_g_of_spec_matches_per_point_loop(m):
+    p = gf.field_make(m)
+    for spec in family_members(m):
+        g = niho.g_of_spec(spec, p)
+        assert np.array_equal(g.values, g_of_spec_naive(spec.resolve(p), p)), spec
+
+
+def test_shift_by_linear_matches_scalar_trace():
+    g, p = _g(niho.NihoSpec("binomial_3", 3))
+    for c in range(p.K.size):
+        want = [int(v) ^ p.trace_rel(p.K.mul(c, int(u)))
+                for u, v in zip(p.S, g.values)]
+        assert niho.shift_by_linear(g, c, p).values.tolist() == want
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
