@@ -85,8 +85,8 @@ def cmd_niho(args) -> int:
         oval = niho.line_oval_from_g(g, params)
         verdicts["line_oval"] = True
         counts["e_size"] = oval.e_size()
-        dw = niho.dual_walsh(g, params)
-        dp = niho.dual_product_formula(g, params)
+        dw = niho.dual_walsh(f, params)
+        dp = niho.dual_product_formula(oval, params)
         verdicts["dual_walsh_eq_product"] = dw == dp
         if spec.family == "leander_r" and spec.r is not None and spec.r % 2 == 0:
             db = niho.dual_budaghyan(spec, params)
@@ -177,29 +177,32 @@ def cmd_oval(args) -> int:
 # dual
 # ---------------------------------------------------------------------------
 
-def _niho_dual_by_method(method: str, spec, g, params) -> boolfn.BooleanFunction:
-    if method == "walsh":
-        return niho.dual_walsh(g, params)
-    if method == "product":
-        return niho.dual_product_formula(g, params)
-    if method == "budaghyan":
-        return niho.dual_budaghyan(spec, params)
-    if method == "chi-swap":
-        e_table = niho.line_oval_from_g(g, params).e_table
-        return boolfn.BooleanFunction(params.n, 1 ^ e_table)
-    raise InputError(f"unknown method {method}")
-
-
 def cmd_dual(args) -> int:
     spec = _spec_from_args(args)
     params = field_make(spec.m)
     g = niho.g_of_spec(spec, params)
-    if not boolfn.is_bent(niho.bent_from_g(g, params)):
+    spectrum = boolfn.walsh_transform(niho.bent_from_g(g, params))
+    if not spectrum.is_bent():
         raise InputError("the requested spec is not bent; no dual exists")
-    d1 = _niho_dual_by_method(args.method, spec, g, params)
+    # one line oval for the routes that read it
+    oval = (niho.line_oval_from_g(g, params)
+            if {"product", "chi-swap"} & {args.method, args.cross_check} else None)
+
+    def dual_by(method: str) -> boolfn.BooleanFunction:
+        if method == "walsh":
+            return spectrum.dual(params.tr_mask_table())
+        if method == "product":
+            return niho.dual_product_formula(oval, params)
+        if method == "budaghyan":
+            return niho.dual_budaghyan(spec, params)
+        if method == "chi-swap":
+            return boolfn.BooleanFunction(params.n, 1 ^ oval.e_table)
+        raise InputError(f"unknown method {method}")
+
+    d1 = dual_by(args.method)
     verdicts = {}
     if args.cross_check:
-        d2 = _niho_dual_by_method(args.cross_check, spec, g, params)
+        d2 = dual_by(args.cross_check)
         verdicts[f"{args.method}_eq_{args.cross_check}"] = d1 == d2
     d = _out_dir(args)
     artifacts = {}

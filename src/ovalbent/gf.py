@@ -322,6 +322,7 @@ class FieldParams:
         self.S = s
 
         self._unit_class: np.ndarray | None = None
+        self._polar_log: np.ndarray | None = None
         self._tr_mask_table: np.ndarray | None = None
         self._project_table: np.ndarray | None = None
         self._line_trace_basis: np.ndarray | None = None
@@ -373,6 +374,19 @@ class FieldParams:
             ucls[0] = -1
             self._unit_class = ucls
         return self._unit_class
+
+    def polar_log_table(self) -> np.ndarray:
+        """Per nonzero K-index x = lam * S[j], log_F(lam) as int16 (0 at 0).
+
+        With `unit_class_table()` this is the whole polar decomposition as
+        two gathers: lam = F.exp[table[x]], u = S[unit class of x]."""
+        if self._polar_log is None:
+            lam, _ = self.polar(np.arange(1, self.K.size))
+            t = np.zeros(self.K.size, dtype=np.int16)
+            t[1:] = self.F.log[lam]
+            t.flags.writeable = False
+            self._polar_log = t
+        return self._polar_log
 
     def project_table(self) -> np.ndarray:
         """K-index -> F-index for the embedded subfield, -1 elsewhere."""

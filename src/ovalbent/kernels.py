@@ -69,6 +69,8 @@ def mobius_inplace(t: np.ndarray) -> None:
         h *= 2
 
 
+# no library caller since `niho.bent_from_g` became one gather; kept for
+# perfbench/tracing.py, which wraps it by name
 def niho_table_fill(s, gvals, embed, log_k, exp_k, ord_k,
                     log_f, exp_f, ord_f, tr_f, out) -> None:
     """Truth table of f(lam*u) = tr(lam*g(u)) over all of K, f(0)=0."""

@@ -9,6 +9,11 @@ from the coset form of each line L(u, g(u)) (`geometry.line_point_rows`);
 the product route works ray by ray on x = lam v instead, so the two stay
 independent computations of the same zero set.
 
+The truth table is one gather over K through the polar log table
+(`FieldParams.polar_log_table`).  A command builds it once and hands it
+to the Walsh route, and builds the line oval once: the product route
+takes that `LineOval`, which exists only for a bent g.
+
 Powers of circle elements reduce to index arithmetic: S is listed as
 gamma^(j(q-1)), so u^e is the entry at index j*e mod q+1, and fractional
 exponents are inverses mod q+1.
@@ -16,6 +21,7 @@ exponents are inverses mod q+1.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -41,6 +47,11 @@ class UnitCircleMap:
         if not isinstance(other, UnitCircleMap):
             return NotImplemented
         return self.m == other.m and bool(np.array_equal(self.values, other.values))
+
+
+def _is_int(v) -> bool:
+    """A JSON integer: true and false are bools, which Python counts as ints."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -104,10 +115,10 @@ class NihoSpec:
             raise ValueError("a spec must be a JSON object")
         if not isinstance(d.get("family"), str):
             raise ValueError("a spec needs a string 'family'")
-        if not isinstance(d.get("m"), int):
+        if not _is_int(d.get("m")):
             raise ValueError("a spec needs an integer 'm'")
         for key in ("a_index", "alpha2_index", "r"):
-            if not isinstance(d.get(key), (int, type(None))):
+            if d.get(key) is not None and not _is_int(d[key]):
                 raise ValueError(f"spec field {key!r} must be an integer")
         return NihoSpec(d["family"], d["m"], d.get("a_index"),
                         d.get("alpha2_index"), d.get("r"))
@@ -122,9 +133,10 @@ class ResolvedSpec:
     r: int | None
 
 
+@functools.lru_cache(maxsize=None)
 def smallest_half_trace(params: FieldParams) -> int:
     """Smallest K-index a with a + a^q = 1 (deterministic normalization),
-    from T over all of K at once."""
+    from T over all of K at once; computed once per field."""
     xs = np.arange(params.K.size, dtype=np.int64)
     half = params.project_table()[xs ^ params.conj_table()] == 1
     if not half.any():
@@ -184,12 +196,17 @@ def g_of_spec(spec: NihoSpec, params: FieldParams) -> UnitCircleMap:
 
 
 def bent_from_g(g: UnitCircleMap, params: FieldParams) -> boolfn.BooleanFunction:
-    """Truth table of f(lam u) = tr(lam g(u)), f(0) = 0 (bentness not assumed)."""
-    out = np.zeros(params.K.size, dtype=np.uint8)
-    kernels.niho_table_fill(params.S, g.values, params.embed,
-                            params.K.log, params.K.exp, params.K.order,
-                            params.F.log, params.F.exp, params.F.order,
-                            params.F.trace_table(), out)
+    """Truth table of f(lam u) = tr(lam g(u)), f(0) = 0 (bentness not assumed).
+
+    One gather over K: f(x) = tr_exp[log lam + log g(u)] with lam and u
+    the polar parts of x.  tr_exp lists tr(gamma_F^e) twice, so the sum
+    needs no reduction, and a zero g(u) indexes the zeros past them."""
+    F = params.F
+    tr_exp = np.zeros(3 * F.order, dtype=np.uint8)
+    tr_exp[:2 * F.order] = np.tile(F.trace_table()[F.exp], 2)
+    log_g = np.where(g.values != 0, F.log[g.values], 2 * F.order).astype(np.int16)
+    out = tr_exp[params.polar_log_table() + log_g[params.unit_class_table()]]
+    out[0] = 0
     return boolfn.BooleanFunction(params.n, out)
 
 
@@ -216,19 +233,23 @@ def line_oval_from_g(g: UnitCircleMap, params: FieldParams) -> geometry.LineOval
     return oval
 
 
-def dual_walsh(g: UnitCircleMap, params: FieldParams) -> boolfn.BooleanFunction:
-    """Dual through the Walsh-transform signs (the defining route)."""
-    return boolfn.dual(bent_from_g(g, params), params.tr_mask_table())
+def dual_walsh(f: boolfn.BooleanFunction, params: FieldParams) -> boolfn.BooleanFunction:
+    """Dual of the truth table f through its Walsh-transform signs (the
+    defining route)."""
+    return boolfn.dual(f, params.tr_mask_table())
 
 
-def dual_product_formula(g: UnitCircleMap, params: FieldParams) -> boolfn.BooleanFunction:
-    """Dual as prod_u (T(x u) + g(u))^(q-1), the power taken as the
-    zero indicator: the value at x is 0 iff some factor vanishes.
-    Raises through `line_oval_from_g` when g is not bent."""
-    line_oval_from_g(g, params)
-    ge = params.embed[g.values]
+def dual_product_formula(oval: geometry.LineOval,
+                         params: FieldParams) -> boolfn.BooleanFunction:
+    """Dual as prod_u (T(x u) + g(u))^(q-1) over the lines L(u, g(u)) of
+    the line oval, the power taken as the zero indicator: the value at x
+    is 0 iff some factor vanishes.  `line_oval_from_g` returns an oval
+    only for a bent g, so the oval is this route's bentness guard; the
+    formula reads its pairs (u, g(u)) and never the covered set."""
+    us = np.array([ln.u for ln in oval.lines], dtype=np.int64)
+    ge = params.embed[np.array([ln.mu for ln in oval.lines], dtype=np.int64)]
     out = np.zeros(params.K.size, dtype=np.uint8)
-    kernels.univariate_product_dual(params.S, ge, params.conj_table(),
+    kernels.univariate_product_dual(us, ge, params.conj_table(),
                                     params.K.log, params.K.exp,
                                     params.K.order, out)
     return boolfn.BooleanFunction(params.n, out)

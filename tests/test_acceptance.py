@@ -69,8 +69,9 @@ def test_criterion_02_dual_route_agreement():
     budaghyan_checked = 0
     for family, m, kw in FAMILY_GRID:
         g, p = _g_and_params(family, m, kw)
-        dw = niho.dual_walsh(g, p)
-        assert dw == niho.dual_product_formula(g, p), (family, m)
+        dw = niho.dual_walsh(niho.bent_from_g(g, p), p)
+        oval = niho.line_oval_from_g(g, p)
+        assert dw == niho.dual_product_formula(oval, p), (family, m)
         if family == "leander_r":
             assert dw == niho.dual_budaghyan(_spec(family, m, kw), p), m
             budaghyan_checked += 1

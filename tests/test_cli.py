@@ -4,7 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 
-from ovalbent import boolfn, cli, niho, gf, spread, spreadbent
+from ovalbent import boolfn, cli, geometry, niho, gf, spread, spreadbent
 
 
 def run_cli(argv, **kw):
@@ -26,7 +26,7 @@ def test_niho_binomial3_m3(tmp_path):
     g = niho.load_g_table(tmp_path / "g_table.csv", p)
     assert f == niho.bent_from_g(g, p)
     d = boolfn.load_truth_table(tmp_path / "dual.txt")
-    assert d == niho.dual_walsh(g, p)
+    assert d == niho.dual_walsh(niho.bent_from_g(g, p), p)
 
 
 def test_niho_rejects_odd_m_for_16():
@@ -56,7 +56,6 @@ def test_oval_verify_catalog():
 
 
 def test_oval_verify_failure_exit_code(tmp_path):
-    from ovalbent import geometry
     p = gf.field_make(3)
     line = sorted(geometry.line_points(geometry.AffineLineK(int(p.S[1]), 3), p))
     pts = line + [x for x in range(p.K.size) if x not in line][:1]
@@ -70,7 +69,6 @@ def test_oval_verify_failure_exit_code(tmp_path):
 
 
 def test_oval_convert_round_trip(tmp_path):
-    from ovalbent import geometry
     p = gf.field_make(3)
     doc = geometry.oval_to_json(
         geometry.Oval(frozenset(int(u) for u in p.S), frozenset()), p)
@@ -385,6 +383,43 @@ def test_spec_json_malformed(tmp_path, capsys):
         _assert_input_error(["niho", "--spec-json", str(path)], capsys)
 
 
+def test_spec_json_booleans_are_not_integers(tmp_path, capsys):
+    # bool is an int in Python: JSON true once reached a table as index 1
+    # and crashed with exit 3
+    path = tmp_path / "spec.json"
+    for key in ("m", "a_index", "alpha2_index", "r"):
+        for value in (True, False):
+            path.write_text(json.dumps({"family": "quadratic", "m": 4, key: value}))
+            for cmd in (["niho"], ["dual", "--method", "walsh"], ["ea"]):
+                _assert_input_error([*cmd, "--spec-json", str(path)], capsys)
+
+
+def test_one_fill_cover_and_transform_per_command(monkeypatch, capsys):
+    # each command builds its truth table and its line oval once and
+    # hands them on; niho still runs its three transforms on that table
+    calls: dict = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(niho, "bent_from_g")
+    count(geometry, "line_cover_counts")
+    count(boolfn, "walsh_transform")
+    spec = ["--family", "quadratic", "--m", "5"]
+    assert cli.main(["niho", *spec]) == 0
+    assert calls == {"bent_from_g": 1, "line_cover_counts": 1, "walsh_transform": 3}
+    calls.clear()
+    assert cli.main(["dual", *spec, "--method", "walsh",
+                     "--cross-check", "product"]) == 0
+    assert calls == {"bent_from_g": 1, "line_cover_counts": 1, "walsh_transform": 1}
+    capsys.readouterr()
+
+
 def test_unreadable_input_path(tmp_path, capsys):
     for argv in (["oval", "verify", "--m", "3", "--json", str(tmp_path)],
                  ["ea", "--table", str(tmp_path)]):
@@ -434,7 +469,6 @@ def test_truth_table_malformed(tmp_path, capsys):
 
 
 def test_oval_convert_needs_an_oval_worth_of_points(tmp_path, capsys):
-    from ovalbent import geometry
     p = gf.field_make(3)
     for points in ([int(u) for u in p.S][:3], []):
         _assert_input_error(["oval", "convert", "--m", "3", "--points-json",

@@ -258,6 +258,9 @@ def _first_json(text):
 @example((["oval", "convert", "--m", "3", "--points-json",
            ("file", json.dumps({"kind": "oval", "m": 3, "points": [1, 2, 3],
                                 "infinite": [], "nucleus": None}))], False))
+@example((["niho", "--spec-json",
+           ("file", json.dumps({"family": "quadratic", "m": 4, "a_index": True}))],
+          False))
 def test_cli_exit_contract(command):
     """Exit 0, 1 or 2 only; exit 1 only with a false verdict in the report;
     inputs the library states valid exit 0; a conversion that exits 0 put

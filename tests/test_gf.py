@@ -194,6 +194,16 @@ def test_unit_class_table():
         assert int(p.S[ucls[x]]) == p.polar_decompose(x).u
 
 
+def test_polar_log_table_recomposes_every_nonzero_x():
+    for m in (2, 3, 4, 5):
+        p = gf.field_make(m)
+        t = p.polar_log_table()
+        assert t.dtype == np.int16 and not t.flags.writeable and t[0] == 0
+        xs = np.arange(1, p.K.size)
+        lam = p.embed[p.F.exp[t[xs]]]
+        assert np.array_equal(p.K.mul_arr(lam, p.S[p.unit_class_table()[xs]]), xs)
+
+
 def test_polar_matches_norm_square_root():
     for m in (2, 3, 4, 5):
         p = gf.field_make(m)

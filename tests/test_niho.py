@@ -3,7 +3,7 @@ import pytest
 
 from ovalbent import boolfn, geometry, gf, niho
 from oracles import (family_members, g_of_spec_naive, line_cover_naive,
-                     trace_poly_table)
+                     niho_fill_naive, trace_poly_table)
 
 ALL_SPECS = [
     niho.NihoSpec("quadratic", 2),
@@ -48,6 +48,14 @@ def test_smallest_half_trace_matches_scalar_scan(m):
     p = gf.field_make(m)
     scan = next(a for a in range(p.K.size) if p.trace_rel(a) == 1)
     assert niho.smallest_half_trace(p) == scan
+
+
+def test_smallest_half_trace_scans_k_once_per_field(monkeypatch):
+    p = gf.FieldParams(4)          # a field object no other test has seen
+    a = niho.smallest_half_trace(p)
+    monkeypatch.setattr(p, "conj_table", lambda: pytest.fail("K scanned again"))
+    assert niho.smallest_half_trace(p) == a
+    assert niho.NihoSpec("quadratic", 4).resolve(p).a == a
 
 
 def test_quadratic_g_is_constant_one():
@@ -120,6 +128,22 @@ def test_truth_table_matches_trace_polynomial(spec):
     assert np.array_equal(f.table, want)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_fill_matches_pointwise_polar_oracle(m):
+    # every family, seeded maps with zeros forced in, and the all-zero map
+    p = gf.field_make(m)
+    rng = np.random.default_rng(m)
+    maps = [niho.g_of_spec(spec, p).values for spec in family_members(m)]
+    for _ in range(2):
+        vals = rng.integers(0, p.q, size=p.q + 1)
+        vals[rng.choice(p.q + 1, size=2, replace=False)] = 0
+        maps.append(vals)
+    maps.append(np.zeros(p.q + 1, dtype=np.int64))
+    for vals in maps:
+        f = niho.bent_from_g(niho.UnitCircleMap(m, vals), p)
+        assert np.array_equal(f.table, niho_fill_naive(vals, p))
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
 def test_families_are_bent(spec):
     g, p = _g(spec)
@@ -148,7 +172,11 @@ def test_e_table_is_the_covered_set(m):
 
 
 def test_one_bentness_guard():
-    # every circle-map route that needs bentness raises the guard's error
+    # every circle-map route that needs bentness raises the guard's error;
+    # the product route starts from the LineOval, so the guard is its input
+    def product_route(g, p):
+        return niho.dual_product_formula(niho.line_oval_from_g(g, p), p)
+
     p = gf.field_make(4)
     rng = np.random.default_rng(8)
     for vals in (np.zeros(p.q + 1, dtype=np.int64),
@@ -156,7 +184,7 @@ def test_one_bentness_guard():
         g = niho.UnitCircleMap(4, vals)
         with pytest.raises(ValueError, match="g is not bent") as want:
             niho.line_oval_from_g(g, p)
-        for route in (niho.dual_product_formula, geometry.oval_from_g):
+        for route in (product_route, geometry.oval_from_g):
             with pytest.raises(ValueError) as got:
                 route(g, p)
             assert str(got.value) == str(want.value)
@@ -199,11 +227,11 @@ def test_n_b_structure():
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
 def test_dual_routes_agree(spec):
     g, p = _g(spec)
-    dw = niho.dual_walsh(g, p)
-    dp = niho.dual_product_formula(g, p)
+    f = niho.bent_from_g(g, p)
+    dw = niho.dual_walsh(f, p)
+    dp = niho.dual_product_formula(niho.line_oval_from_g(g, p), p)
     assert dw == dp
     # the dual is bent with dual(dual) = f
-    f = niho.bent_from_g(g, p)
     masks = p.tr_mask_table()
     assert boolfn.is_bent(dw)
     assert boolfn.dual(dw, masks) == f
@@ -211,7 +239,7 @@ def test_dual_routes_agree(spec):
 
 def test_dual_zero_set_size():
     g, p = _g(niho.NihoSpec("quadratic", 4))
-    d = niho.dual_product_formula(g, p)
+    d = niho.dual_product_formula(niho.line_oval_from_g(g, p), p)
     assert int((d.table == 0).sum()) == p.q * (p.q + 1) // 2
 
 
@@ -219,7 +247,7 @@ def test_dual_is_complement_characteristic_of_covered_set():
     # the product dual equals 1 + chi_E(O) pointwise
     for spec in (niho.NihoSpec("binomial_3", 3), niho.NihoSpec("binomial_1_6", 4)):
         g, p = _g(spec)
-        d = niho.dual_product_formula(g, p)
+        d = niho.dual_product_formula(niho.line_oval_from_g(g, p), p)
         e_table = niho.line_oval_from_g(g, p).e_table
         assert np.array_equal(d.table, 1 ^ e_table)
 
@@ -227,10 +255,10 @@ def test_dual_is_complement_characteristic_of_covered_set():
 def test_dual_at_zero_iff_g_vanishes():
     g, p = _g(niho.NihoSpec("binomial_3", 3))  # odd m: g has two zeros
     assert int((g.values == 0).sum()) == 2
-    d = niho.dual_product_formula(g, p)
+    d = niho.dual_product_formula(niho.line_oval_from_g(g, p), p)
     assert d(0) == 0
     g2, p2 = _g(niho.NihoSpec("quadratic", 4))  # g = 1, never zero
-    assert niho.dual_product_formula(g2, p2)(0) == 1
+    assert niho.dual_product_formula(niho.line_oval_from_g(g2, p2), p2)(0) == 1
 
 
 def test_budaghyan_equals_other_routes():
@@ -238,7 +266,8 @@ def test_budaghyan_equals_other_routes():
         spec = niho.NihoSpec("leander_r", m, r=2)
         g, p = _g(spec)
         db = niho.dual_budaghyan(spec, p)
-        assert db == niho.dual_walsh(g, p) == niho.dual_product_formula(g, p)
+        assert db == niho.dual_walsh(niho.bent_from_g(g, p), p)
+        assert db == niho.dual_product_formula(niho.line_oval_from_g(g, p), p)
 
 
 def test_budaghyan_independent_of_e():
@@ -302,7 +331,8 @@ def test_general_binomial_coefficients():
     f = niho.bent_from_g(g, p)
     assert np.array_equal(f.table, trace_poly_table(p, niho.exponents(spec, p)))
     assert boolfn.is_bent(f)
-    assert niho.dual_walsh(g, p) == niho.dual_product_formula(g, p)
+    assert niho.dual_walsh(f, p) == \
+        niho.dual_product_formula(niho.line_oval_from_g(g, p), p)
     with pytest.raises(ValueError):
         niho.NihoSpec("binomial_3", 3, a_index=a, alpha2_index=3).resolve(p)
 
