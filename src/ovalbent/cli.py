@@ -148,9 +148,11 @@ def cmd_oval(args) -> int:
     # convert (the point/line duality)
     if args.points_json:
         m, oval = geometry.oval_from_json(Path(args.points_json).read_text())
-        if m != args.m or oval.infinite:
-            raise InputError("conversion needs affine points over the same field")
-        lines = geometry.dual_points_to_lines(sorted(oval.points), params)
+        if m != args.m:
+            raise InputError("conversion needs points over the same field")
+        # a point at infinity with circle index j is the dual of L(S[j], 0)
+        lines = geometry.dual_points_to_lines(sorted(oval.points), params) + [
+            geometry.AffineLineK(int(params.S[j]), 0) for j in sorted(oval.infinite)]
         ok, witness = geometry.verify_no_three_concurrent(lines, params)
         print(geometry.line_oval_to_json(lines, params))
         report = {"command": "oval convert", "direction": "points_to_lines",
@@ -161,10 +163,9 @@ def cmd_oval(args) -> int:
     if args.lines_json:
         lines = geometry.line_oval_from_json(Path(args.lines_json).read_text(),
                                              params)
-        points = geometry.dual_lines_to_points(lines, params)
-        ok, witness = geometry.verify_oval(points, params)
-        print(geometry.oval_to_json(
-            geometry.Oval(frozenset(points), frozenset()), params))
+        oval = geometry.dual_lines_to_oval(lines, params)
+        ok, witness = geometry.verify_oval(oval.points, params, oval.infinite)
+        print(geometry.oval_to_json(oval, params))
         report = {"command": "oval convert", "direction": "lines_to_points",
                   "verdicts": {"oval": ok},
                   "witnesses": {"collinear_triple": _witness_json(witness)}}
@@ -380,14 +381,17 @@ def cmd_spread_bent(args) -> int:
     Q = _valid_pqf(args.pqf)
     G = _g_table_from_flag(args.g, Q)
     spec = spreadbent.SpreadBentSpec(Q, G, args.mu)
-    kept: dict = {}
-    analysis = spreadbent.analyze(spec, kept)
-    analysis["criterion_witness"] = _witness_json(analysis.get("criterion_witness"))
+    # the verdicts are read on the mu-normalized form
+    analysis, f, dual = spreadbent.analyze(spec)
+    analysis["criterion_witness"] = _witness_json(analysis["criterion_witness"])
     d = _out_dir(args)
     artifacts = {}
     if analysis["bent"] and d:
-        boolfn.save_truth_table(kept["truth_table"], d / "truth_table.txt")
-        boolfn.save_truth_table(kept["dual"], d / "dual.txt")
+        if spec.mu:         # the artifacts hold the requested function
+            f = spreadbent.bent_bivariate(spec)
+            dual = spreadbent.dual_walsh(f, Q)
+        boolfn.save_truth_table(f, d / "truth_table.txt")
+        boolfn.save_truth_table(dual, d / "dual.txt")
         artifacts = {"truth_table": str(d / "truth_table.txt"),
                      "dual": str(d / "dual.txt")}
     report = {"command": "spread bent", "m": Q.m, "shape": Q.shape,

@@ -31,9 +31,6 @@ class AffineLineK(NamedTuple):
     u: int   # unit-circle element of K, the normal direction of the line
     mu: int  # F-index; the line is {x : T(u x) = mu}
 
-    def contains(self, x: int, params: FieldParams) -> bool:
-        return params.trace_rel(params.K.mul(self.u, x)) == self.mu
-
 
 @dataclass(frozen=True)
 class LineOval:
@@ -203,6 +200,19 @@ def dual_lines_to_points(lines: Iterable[AffineLineK], params: FieldParams) -> l
     return params.K.mul_arr(us, params.embed[params.F.pow_table(-1)[mus]]).tolist()
 
 
+def dual_lines_to_oval(lines: Iterable[AffineLineK], params: FieldParams) -> Oval:
+    """The dual points of distinct lines: u / mu for L(u, mu) with mu != 0,
+    and for a line L(u, 0) through 0 the point at infinity with the
+    circle index of u.  Inverse of `dual_points_to_lines` extended by
+    tag j -> L(S[j], 0)."""
+    lines = list(lines)
+    if len(set(lines)) != len(lines):
+        raise ValueError("lines must be distinct")
+    points = dual_lines_to_points([ln for ln in lines if ln.mu], params)
+    infinite = [int(params.unit_class_table()[ln.u]) for ln in lines if not ln.mu]
+    return Oval(frozenset(points), frozenset(infinite))
+
+
 # ---------------------------------------------------------------------------
 # ovals from circle maps, rho-polynomials, catalogs
 # ---------------------------------------------------------------------------
@@ -215,10 +225,8 @@ def oval_from_g(g, params: FieldParams) -> Oval:
     g, whose lines pass through 0, contribute points at infinity.
     """
     from .niho import line_oval_from_g  # local import to keep layering acyclic
-    lines = line_oval_from_g(g, params).lines
-    points = dual_lines_to_points([ln for ln in lines if ln.mu], params)
-    infinite = [int(params.unit_class_table()[ln.u]) for ln in lines if not ln.mu]
-    return Oval(frozenset(points), frozenset(infinite), nucleus=0)
+    oval = dual_lines_to_oval(line_oval_from_g(g, params).lines, params)
+    return Oval(oval.points, oval.infinite, nucleus=0)
 
 
 def rho_from_g(g, params: FieldParams) -> np.ndarray:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 from numbers import Integral
-from typing import NamedTuple
 
 import numpy as np
 
@@ -279,12 +278,6 @@ def binary_field(deg: int) -> BinaryField:
 # the pair (F, K) with embedding, unit circle, polar coordinates
 # ---------------------------------------------------------------------------
 
-class PolarForm(NamedTuple):
-    """x = lam * u with lam in F* (as an F-index) and u on the unit circle."""
-    lam: int
-    u: int
-
-
 class FieldParams:
     """GF(2^m) inside GF(2^2m): embedding, traces, norm, unit circle."""
 
@@ -358,13 +351,6 @@ class FieldParams:
             raise ValueError("0 has no polar decomposition")
         j = self.unit_class_table()[xs]
         return self.project_table()[self.K.mul_arr(xs, self.S[-j])], j
-
-    def polar_decompose(self, x: int) -> PolarForm:
-        lam, j = self.polar([x])
-        return PolarForm(int(lam[0]), int(self.S[j[0]]))
-
-    def recompose(self, p: PolarForm) -> int:
-        return self.K.mul(int(self.embed[p.lam]), p.u)
 
     def unit_class_table(self) -> np.ndarray:
         """Per nonzero K-index, the S-index of its polar unit part (-1 at 0)."""

@@ -476,21 +476,6 @@ def spreads_perpendicular(Q: Prequasifield, Qt: Prequasifield) -> bool:
     return bool(np.array_equal(lhs, rhs))
 
 
-def kernel_of(Q: Prequasifield) -> list[int]:
-    """The kernel K(Q): k with k o (x o y) = (k o x) o y and
-    k o (x + y) = k o x + k o y for all x, y.  Informational only."""
-    t = Q.table
-    xs = np.arange(Q.size)
-    xor = xs[:, None] ^ xs[None, :]
-    out = []
-    for k in range(Q.size):
-        if not np.array_equal(t[k][xor], t[k][:, None] ^ t[k][None, :]):
-            continue
-        if np.array_equal(t[k][t], t[t[k]]):
-            out.append(k)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # orthonormal bases, matrix representations, diagonal square roots
 # ---------------------------------------------------------------------------

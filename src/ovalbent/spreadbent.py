@@ -7,15 +7,13 @@ point (x, y) as x + size*y.
 
 Bentness is equivalent to: G bijective and z -> G(z) + b*z 2-to-1 for
 every b != 0 (star = transpose multiplication), and to the 0-or-2 cover
-property of the line oval {x=0} u {y = G(z) + x*z} in A(Q^t).  The dual
-is computed along three independent routes (Walsh signs, the product
-formula, coordinate swap of the covered set) which agree bit-exactly.
-
-`analyze` computes each exact result once: one truth table and one
-Walsh spectrum give both the bentness verdict and the Walsh-sign dual,
-and one run of the criterion is handed to the product and line-oval
-routes.  Only identical recomputation is shared; the three routes stay
-independent computations of the dual.
+property of the line oval {x=0} u {y = G(z) + x*z} in A(Q^t).  The line
+oval is the bentness guard: `line_oval_bivariate` raises unless the cover
+property holds, and the `BivariateLineOval` it returns exists only for a
+bent function.  The dual is computed along three independent routes,
+each from the object it needs: Walsh signs of the truth table, the
+product formula over the line oval's offsets, and the coordinate swap of
+its covered set; they agree bit-exactly.
 """
 
 from __future__ import annotations
@@ -123,19 +121,11 @@ def bent_criterion(spec: SpreadBentSpec):
     return True, None
 
 
-def _require_bent(spec: SpreadBentSpec, criterion) -> None:
-    """Raise unless the criterion holds; `criterion` is the (ok, witness)
-    of `bent_criterion(spec)` when the caller has it, else None."""
-    ok, witness = bent_criterion(spec) if criterion is None else criterion
-    if not ok:
-        raise ValueError(f"not bent: criterion failed with witness {witness}")
-
-
-def line_oval_bivariate(spec: SpreadBentSpec, criterion=None) -> BivariateLineOval:
-    """The line oval of a bent spec.  `criterion`: the (ok, witness) of
-    `bent_criterion(spec)`, when the caller has already computed it."""
+def line_oval_bivariate(spec: SpreadBentSpec) -> BivariateLineOval:
+    """The line oval of the mu-normalized spec; raises ValueError with a
+    witness point unless it covers every point 0 or 2 times, that is
+    unless the spec is bent."""
     spec = normalize_mu(spec)
-    _require_bent(spec, criterion)
     return _materialize_line_oval(spec.Q, 0, spec.G.copy())
 
 
@@ -177,27 +167,21 @@ def spec_from_line_oval(oval: BivariateLineOval, Q: Prequasifield) -> SpreadBent
     return SpreadBentSpec(Q, oval.offsets ^ st[oval.c, :], 0)
 
 
-def dual_walsh(spec: SpreadBentSpec,
-               spectrum: boolfn.WalshSpectrum | None = None) -> boolfn.BooleanFunction:
-    """Walsh-sign dual of the mu-normalized function (all dual routes
-    target the normalized form the incidence statements are phrased for).
-    `spectrum`: the unmasked spectrum of `bent_bivariate(normalize_mu(spec))`,
-    when the caller has already computed it."""
-    spec = normalize_mu(spec)
-    if spectrum is None:
-        spectrum = boolfn.walsh_transform(bent_bivariate(spec))
-    return spectrum.dual(walsh_masks(spec.Q))
+def dual_walsh(f: boolfn.BooleanFunction,
+               Q: Prequasifield) -> boolfn.BooleanFunction:
+    """Walsh-sign dual of the truth table f over the carrier of Q."""
+    return boolfn.dual(f, walsh_masks(Q))
 
 
-def dual_product(spec: SpreadBentSpec, criterion=None) -> boolfn.BooleanFunction:
+def dual_product(oval: BivariateLineOval,
+                 Q: Prequasifield) -> boolfn.BooleanFunction:
     """y^(q-1) prod_z (y*z + x + G(z))^(q-1) with the powers read as zero
-    indicators: 0 iff y = 0 or x = G(z) + y*z for some z.  `criterion`:
-    the (ok, witness) of `bent_criterion(spec)`, when already computed."""
-    spec = normalize_mu(spec)
-    _require_bent(spec, criterion)
-    Q = spec.Q
+    indicators: 0 iff y = 0 or x = G(z) + y*z for some z.  G is read off
+    the line oval's offsets, so only a bent G reaches the formula."""
+    if oval.c != 0:
+        raise ValueError("the product formula needs the vertical line x = 0")
     out = np.zeros(Q.size * Q.size, dtype=np.uint8)
-    kernels.bivariate_product_dual(star_table(Q), spec.G, out)
+    kernels.bivariate_product_dual(star_table(Q), oval.offsets, out)
     return boolfn.BooleanFunction(2 * Q.dim, out)
 
 
@@ -206,20 +190,6 @@ def dual_chi_swap(oval: BivariateLineOval) -> boolfn.BooleanFunction:
     size = oval.size
     t = oval.e_table.reshape(size, size)
     return boolfn.BooleanFunction(2 * (size.bit_length() - 1), (1 ^ t.T).ravel())
-
-
-def dual_routes(spec: SpreadBentSpec, spectrum=None, criterion=None) -> dict:
-    """All three dual routes plus their exact agreement flags, and the
-    line oval that the chi-swap route was read from.  `spectrum` and
-    `criterion` are results the caller already has (see `dual_walsh`
-    and `dual_product`); the routes themselves are computed here."""
-    dw = dual_walsh(spec, spectrum)
-    dp = dual_product(spec, criterion)
-    oval = line_oval_bivariate(spec, criterion)
-    dc = dual_chi_swap(oval)
-    return {"walsh": dw, "product": dp, "chi_swap": dc, "line_oval": oval,
-            "walsh_eq_product": dw == dp,
-            "walsh_eq_chi_swap": dw == dc}
 
 
 # ---------------------------------------------------------------------------
@@ -349,46 +319,44 @@ def action_gl2(spec: SpreadBentSpec, mat: tuple[int, int, int, int],
 # report helpers
 # ---------------------------------------------------------------------------
 
-def analyze(spec: SpreadBentSpec, kept: dict | None = None) -> dict:
-    """Verdicts and invariants used by the CLI report.
+def analyze(spec: SpreadBentSpec):
+    """(report, f, dual): the verdicts and invariants of the CLI report,
+    the truth table f of the mu-normalized spec, and its Walsh-sign dual
+    (None unless f is bent).
 
     One truth table, one Walsh spectrum and one criterion run: the
-    bentness verdict and the Walsh-sign dual read the same spectrum, and
-    the criterion's verdict is handed to the product and line-oval
-    routes.  When `kept` is a dict, the truth table is stored in it under
-    "truth_table" and, for a bent function, the Walsh dual under "dual"."""
+    bentness verdict and the Walsh-sign dual read the same spectrum.  The
+    line oval is built only when the criterion holds, and the product and
+    chi-swap routes read it."""
     spec0 = normalize_mu(spec)
+    Q = spec0.Q
     f = bent_bivariate(spec0)
     spectrum = boolfn.walsh_transform(f)
     bent = spectrum.is_bent()
+    dual = spectrum.dual(walsh_masks(Q)) if bent else None
+    del spectrum        # 4 MB at 2^20 points, done with after the Walsh dual
     crit, witness = bent_criterion(spec0)
+    oval = None
+    if crit:
+        try:
+            oval = line_oval_bivariate(spec0)
+        except ValueError:
+            pass
     out = {
         "bent": bent,
         "criterion": crit,
         "criterion_witness": witness,
-        "verdicts_agree": bent == crit,
+        "lineoval_ok": oval is not None,
+        "verdicts_agree": bent == crit == (oval is not None),
     }
-    if kept is not None:
-        kept["truth_table"] = f
     if bent:
-        routes = dual_routes(spec0, spectrum, (crit, witness))
-        del spectrum        # 4 MB at 2^20 points, done with after the Walsh dual
-        if kept is not None:
-            kept["dual"] = routes["walsh"]
-        out["dual_routes_agree"] = bool(routes["walsh_eq_product"]
-                                        and routes["walsh_eq_chi_swap"])
-        out["lineoval_ok"] = True
-        out["e_size"] = routes["line_oval"].e_size()
+        out["dual_routes_agree"] = oval is not None and bool(
+            dual == dual_product(oval, Q) and dual == dual_chi_swap(oval))
+        if oval is not None:
+            out["e_size"] = oval.e_size()
         out["degree"] = boolfn.degree(f)
         # Rothaus: degree <= k/2 for k >= 4; on k = 2, xy is bent of degree 2
-        assert out["degree"] <= max(2, spec.Q.dim), "bent degree exceeds max(2, k/2)"
+        assert out["degree"] <= max(2, Q.dim), "bent degree exceeds max(2, k/2)"
         if out["degree"] <= 2:
             out["quadratic_rank"] = boolfn.quadratic_rank(f, out["degree"])
-    else:
-        try:
-            line_oval_bivariate(spec0, (crit, witness))
-            out["lineoval_ok"] = True
-        except ValueError:
-            out["lineoval_ok"] = False
-        out["verdicts_agree"] = out["verdicts_agree"] and not out["lineoval_ok"]
-    return out
+    return out, f, dual

@@ -1,0 +1,14 @@
+"""Every command of the golden corpus keeps its exit code, its stdout
+digest and the digests of the files it writes (see `regen.py`)."""
+
+import json
+
+import regen
+
+
+def test_golden_corpus(tmp_path):
+    corpus = json.loads(regen.CORPUS.read_text())
+    got = regen.replay(corpus, tmp_path)
+    moved = [" ".join(want["argv"]) for want, have in zip(corpus["commands"], got)
+             if want != have]
+    assert not moved, f"{len(moved)} commands changed, first: {moved[:5]}"

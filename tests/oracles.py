@@ -383,9 +383,14 @@ def bent_from_oval_pointwise(points, params):
     return table
 
 
+def line_contains(line, x, params):
+    """x lies on L(u, mu) = {x : T(u x) = mu}, by the definition."""
+    return params.trace_rel(params.K.mul(line.u, x)) == line.mu
+
+
 def line_cover_naive(lines, params):
     """Per point of K, the number of the given lines containing it."""
-    return np.array([sum(ln.contains(x, params) for ln in lines)
+    return np.array([sum(line_contains(ln, x, params) for ln in lines)
                      for x in range(params.K.size)], dtype=np.int64)
 
 

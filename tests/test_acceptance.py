@@ -190,8 +190,10 @@ def test_criterion_07_bivariate_chain():
         except ValueError:
             oval_ok = False
         assert bent == crit == oval_ok == True, (name, wit)  # noqa: E712
-        routes = spreadbent.dual_routes(spec)
-        assert routes["walsh_eq_product"] and routes["walsh_eq_chi_swap"], name
+        oval = spreadbent.line_oval_bivariate(spec)
+        dw = spreadbent.dual_walsh(f, spec.Q)
+        assert dw == spreadbent.dual_product(oval, spec.Q), name
+        assert dw == spreadbent.dual_chi_swap(oval), name
     _report(7, "three verdicts and three dual routes agree on field "
                "(m=3,4), Kantor q=8 and Lueneburg m=3 (2^12 points)")
 
@@ -205,7 +207,7 @@ def test_criterion_08_examples_reproduction():
     txy = np.array([F.trace(F.mul(x, y)) for y in range(8) for x in range(8)],
                    dtype=np.uint8)
     assert np.array_equal(f.table, txy)
-    assert spreadbent.dual_walsh(spec) == f
+    assert spreadbent.dual_walsh(f, Qf) == f
     # Lueneburg m=3: E(O) = zero set of tr(x1 y1 + x2 y2); degree 2; rank 12
     Ql = spread.luneburg(3)
     spec_l = spreadbent.SpreadBentSpec(Ql, spread.sqrt_diag_g_table(Ql))

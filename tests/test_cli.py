@@ -83,6 +83,28 @@ def test_oval_convert_round_trip(tmp_path):
     assert sorted(json.loads(r2.stdout)["points"]) == sorted(int(u) for u in p.S)
 
 
+def test_oval_convert_round_trips_niho_line_ovals(tmp_path, capsys):
+    """Lines through 0 convert to points at infinity: the niho line oval
+    converts to the oval of `oval_from_g` and back to the same lines."""
+    for m in (3, 5):
+        d = tmp_path / f"m{m}"
+        assert cli.main(["niho", "--family", "binomial_3", "--m", str(m),
+                         "--out-dir", str(d)]) == 0
+        capsys.readouterr()
+        assert cli.main(["oval", "convert", "--m", str(m),
+                         "--lines-json", str(d / "line_oval.json")]) == 0
+        points_text = capsys.readouterr().out
+        p = gf.field_make(m)
+        want = geometry.oval_from_g(niho.load_g_table(d / "g_table.csv", p), p)
+        got_m, got = geometry.oval_from_json(points_text)
+        assert got_m == m and got.infinite
+        assert (got.points, got.infinite) == (want.points, want.infinite)
+        (d / "points.json").write_text(points_text)
+        assert cli.main(["oval", "convert", "--m", str(m),
+                         "--points-json", str(d / "points.json")]) == 0
+        assert capsys.readouterr().out == (d / "line_oval.json").read_text()
+
+
 def test_dual_cross_check_all_methods():
     for method, check in [("walsh", "product"), ("product", "chi-swap"),
                           ("budaghyan", "walsh")]:
@@ -245,7 +267,25 @@ def test_spread_bent_out_dir_artifacts(tmp_path):
     f = boolfn.load_truth_table(tmp_path / "truth_table.txt")
     assert f == spreadbent.bent_bivariate(spec)
     d = boolfn.load_truth_table(tmp_path / "dual.txt")
-    assert d == spreadbent.dual_product(spec)
+    assert d == spreadbent.dual_product(spreadbent.line_oval_bivariate(spec), Q)
+
+
+def test_spread_bent_mu_artifacts_hold_the_requested_function(tmp_path, capsys):
+    # G = sqrt + R*(5) with mu = 5 normalizes to the bent G = sqrt
+    Q = spread.field_pqf(3)
+    G = spread.sqrt_diag_g_table(Q) ^ spreadbent.star_table(Q)[5, :]
+    gt = tmp_path / "g.txt"
+    gt.write_text(" ".join(map(str, G.tolist())))
+    out = tmp_path / "out"
+    assert cli.main(["spread", "bent", "--pqf", "field:3", "--g", f"table:{gt}",
+                     "--mu", "5", "--out-dir", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["bent"]
+    spec = spreadbent.SpreadBentSpec(Q, G, 5)
+    f = boolfn.load_truth_table(out / "truth_table.txt")
+    assert f == spreadbent.bent_bivariate(spec)
+    assert f != spreadbent.bent_bivariate(spreadbent.normalize_mu(spec))
+    assert boolfn.load_truth_table(out / "dual.txt") == \
+        boolfn.dual(f, spreadbent.walsh_masks(Q))
 
 
 def test_usage_error_exit_code():

@@ -287,4 +287,6 @@ def test_cli_exit_contract(command):
     if argv[:2] == ["oval", "convert"] and code == 0:
         doc = _first_json(out.getvalue())
         q = 1 << int(argv[3])
-        assert len(doc.get("lines", doc.get("points"))) in (q + 1, q + 2), argv
+        members = (len(doc["lines"]) if "lines" in doc
+                   else len(doc["points"]) + len(doc["infinite"]))
+        assert members in (q + 1, q + 2), argv

@@ -5,7 +5,7 @@ import pytest
 
 from ovalbent import boolfn, geometry, gf, niho
 from oracles import (bent_from_oval_pointwise, collinear_triples_naive,
-                     direction_tag_naive, family_members,
+                     direction_tag_naive, family_members, line_contains,
                      nucleus_witness_naive, oval_from_g_naive,
                      tag_witness_naive)
 
@@ -31,7 +31,17 @@ def test_line_points_closed_form():
             ln = geometry.AffineLineK(int(u), mu)
             pts = geometry.line_points(ln, p)
             assert len(pts) == p.q
-            assert all(ln.contains(x, p) for x in pts)
+            assert all(line_contains(ln, x, p) for x in pts)
+
+
+def test_dual_lines_to_oval_puts_lines_through_0_at_infinity():
+    p = gf.field_make(3)
+    lines = [geometry.AffineLineK(int(u), int(j >= 2)) for j, u in enumerate(p.S)]
+    oval = geometry.dual_lines_to_oval(lines, p)
+    assert oval.infinite == {0, 1}
+    assert oval.points == set(geometry.dual_lines_to_points(lines[2:], p))
+    with pytest.raises(ValueError):
+        geometry.dual_lines_to_oval(lines + lines[:1], p)
 
 
 def test_collinear_points_rejected_with_witness():

@@ -29,10 +29,6 @@ def test_field_flags(field8):
     assert rep.is_commutative and rep.is_symplectic and rep.exhaustive
 
 
-def test_field_kernel_is_everything(field8):
-    assert spread.kernel_of(field8) == list(range(8))
-
-
 # Test rules in the block form of `Prequasifield.from_evaluator` (x is a
 # column broadcast against every z), each with its scalar twin: m, shape,
 # block rule, scalar rule.  `test_array_rules_match_scalar_twins` checks

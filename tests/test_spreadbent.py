@@ -34,12 +34,21 @@ def test_field_sqrt_gives_tr_xy(field_spec):
                     dtype=np.uint8)
     assert np.array_equal(f.table, want)
     # and the dual equals the function itself
-    assert spreadbent.dual_walsh(field_spec) == f
+    assert spreadbent.dual_walsh(f, field_spec.Q) == f
+
+
+def _walsh_product_chi_swap(spec):
+    """The three dual routes of the mu-normalized spec."""
+    Q = spec.Q
+    oval = spreadbent.line_oval_bivariate(spec)
+    f = spreadbent.bent_bivariate(spreadbent.normalize_mu(spec))
+    return (spreadbent.dual_walsh(f, Q), spreadbent.dual_product(oval, Q),
+            spreadbent.dual_chi_swap(oval))
 
 
 def test_field_dual_routes_and_oval(field_spec):
-    routes = spreadbent.dual_routes(field_spec)
-    assert routes["walsh_eq_product"] and routes["walsh_eq_chi_swap"]
+    dw, dp, dc = _walsh_product_chi_swap(field_spec)
+    assert dw == dp and dw == dc
     oval = spreadbent.line_oval_bivariate(field_spec)
     assert oval.e_size() == 36  # 2^(2m-1) + 2^(m-1)
 
@@ -66,23 +75,31 @@ def _counting(monkeypatch, module, name, counts):
 @pytest.mark.parametrize("mu", [0, 3])
 def test_analyze_computes_each_result_once(luneburg_spec, monkeypatch, mu):
     """One truth table, one Walsh spectrum and one criterion run per
-    analyze, bent (mu = 0) or not (mu = 3 breaks G's bijectivity)."""
+    analyze, bent (mu = 0) or not (mu = 3 breaks G's bijectivity); one
+    line-oval cover when the criterion holds and none when it fails."""
     spec = spreadbent.SpreadBentSpec(luneburg_spec.Q, luneburg_spec.G, mu)
     counts: dict = {}
     _counting(monkeypatch, boolfn, "walsh_transform", counts)
-    for name in ("bent_bivariate", "bent_criterion"):
+    for name in ("bent_bivariate", "bent_criterion", "line_oval_bivariate",
+                 "_materialize_line_oval"):
         _counting(monkeypatch, spreadbent, name, counts)
-    out = spreadbent.analyze(spec)
+    out, _, _ = spreadbent.analyze(spec)
     assert out["bent"] is (mu == 0) and out["verdicts_agree"]
+    covers = {"line_oval_bivariate": 1, "_materialize_line_oval": 1}
     assert counts == {"walsh_transform": 1, "bent_bivariate": 1,
-                      "bent_criterion": 1}
+                      "bent_criterion": 1, **(covers if mu == 0 else {})}
 
 
 def test_analyze_keeps_truth_table_and_walsh_dual(luneburg_spec):
-    kept: dict = {}
-    spreadbent.analyze(luneburg_spec, kept)
-    assert kept["truth_table"] == spreadbent.bent_bivariate(luneburg_spec)
-    assert kept["dual"] == spreadbent.dual_product(luneburg_spec)
+    Q = luneburg_spec.Q
+    _, f, dual = spreadbent.analyze(luneburg_spec)
+    assert f == spreadbent.bent_bivariate(luneburg_spec)
+    assert dual == spreadbent.dual_product(
+        spreadbent.line_oval_bivariate(luneburg_spec), Q)
+    _, f, dual = spreadbent.analyze(spreadbent.SpreadBentSpec(Q, luneburg_spec.G, 3))
+    assert dual is None
+    assert f == spreadbent.bent_bivariate(spreadbent.normalize_mu(
+        spreadbent.SpreadBentSpec(Q, luneburg_spec.G, 3)))
 
 
 def test_criterion_witness_matches_per_b_oracle(monkeypatch):
@@ -120,6 +137,21 @@ def test_g_identity_not_bent():
         spreadbent.line_oval_bivariate(bad)
 
 
+def test_line_oval_is_the_bentness_guard():
+    Q = spread.field_pqf(3)
+    for G in (np.arange(8), np.zeros(8)):
+        bad = spreadbent.SpreadBentSpec(Q, G.astype(np.int64))
+        with pytest.raises(ValueError, match=r"not a line oval: point "
+                                             r"\(\d+, \d+\) lies on \d+ lines"):
+            spreadbent.line_oval_bivariate(bad)
+
+
+def test_product_route_reads_the_vertical_line_x_0(field_spec):
+    _, oval_uv = spreadbent.action_linear_shift(field_spec, 3, 5)
+    with pytest.raises(ValueError, match="x = 0"):
+        spreadbent.dual_product(oval_uv, field_spec.Q)
+
+
 def test_g_not_permutation_not_bent():
     Q = spread.field_pqf(3)
     bad = spreadbent.SpreadBentSpec(Q, np.zeros(8, dtype=np.int64))
@@ -147,7 +179,7 @@ def test_kantor_commutative_transpose(kantor_ct_spec):
         h = kantor_ct_spec.G ^ st[b, :]
         counts = np.bincount(h, minlength=Q.size)
         assert set(counts[counts > 0].tolist()) == {2}
-    an = spreadbent.analyze(kantor_ct_spec)
+    an, _, _ = spreadbent.analyze(kantor_ct_spec)
     assert an["bent"] and an["criterion"] and an["dual_routes_agree"]
     assert an["e_size"] == 36
 
@@ -167,7 +199,7 @@ def test_three_verdicts_agree_on_negatives():
 
 
 def test_luneburg_analysis(luneburg_spec):
-    an = spreadbent.analyze(luneburg_spec)
+    an, _, _ = spreadbent.analyze(luneburg_spec)
     assert an["bent"] and an["criterion"] and an["dual_routes_agree"]
     assert an["e_size"] == 2**11 + 2**5 == 2080
     assert an["degree"] == 2 and an["quadratic_rank"] == 12
@@ -208,8 +240,8 @@ def test_mu_normalization(luneburg_spec):
     assert np.array_equal(spreadbent.bent_bivariate(norm).table,
                           f_mu.table ^ tr_mu_y)
     # dual routes on the mu != 0 spec still agree
-    routes = spreadbent.dual_routes(spec_mu)
-    assert routes["walsh_eq_product"]
+    dw, dp, _ = _walsh_product_chi_swap(spec_mu)
+    assert dw == dp
 
 
 def test_shift_action(luneburg_spec):
@@ -261,11 +293,11 @@ def test_rho_action_and_g0_normalization(field_spec):
     assert np.array_equal(spec_c.G, field_spec.G)
     for c in (1, 5):
         spec_c = spreadbent.action_rho(field_spec, c)
-        an = spreadbent.analyze(spec_c)
+        an, _, _ = spreadbent.analyze(spec_c)
         assert an["bent"] and an["dual_routes_agree"]
     g0 = spreadbent.normalize_g0(field_spec)
     assert g0.G[0] == 0
-    assert spreadbent.analyze(g0)["bent"]
+    assert spreadbent.analyze(g0)[0]["bent"]
 
 
 def test_aut_action_frobenius(field_spec):
