@@ -187,18 +187,10 @@ def quadratic_rank(f: BooleanFunction, deg: int | None = None) -> int:
     """
     if (degree(f) if deg is None else deg) > 2:
         raise ValueError("quadratic rank requires degree <= 2")
-    t = f.table
-    f0 = int(t[0])
-    rows = []
-    for i in range(f.k):
-        ei = 1 << i
-        row = 0
-        for j in range(f.k):
-            ej = 1 << j
-            if int(t[ei ^ ej]) ^ int(t[ei]) ^ int(t[ej]) ^ f0:
-                row |= 1 << j
-        rows.append(row)
-    return _gf2.rank(rows)
+    # form[i, j] = f(e_i + e_j) + f(e_i) + f(e_j) + f(0)
+    t, e = f.table, 1 << np.arange(f.k)
+    form = t[e[:, None] ^ e[None, :]] ^ t[e][:, None] ^ t[e][None, :] ^ t[0]
+    return _gf2.rank((form.astype(np.int64) @ e).tolist())
 
 
 # ---------------------------------------------------------------------------

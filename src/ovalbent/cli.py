@@ -248,24 +248,35 @@ def cmd_ea(args) -> int:
 # spread
 # ---------------------------------------------------------------------------
 
+# fields of each `--pqf` kind spec after the kind: m, or m:chain:lambdas:zetas
+_KIND_FIELDS = {"field": 1, "luneburg": 1, "kantor": 4}
+
+
+def _kind_pqf(kind: str, m: int | None, chain: str = "", lambdas: str = "",
+              zetas: str = "") -> spread.Prequasifield:
+    """The prequasifield of a construction kind (a key of `_KIND_FIELDS`);
+    chain, lambdas and zetas are comma lists, read by kantor only."""
+    if kind == "field":
+        return spread.field_pqf(m)
+    if kind == "luneburg":
+        return spread.luneburg(m)
+    return spread.kantor_chain(m, _csv_ints(chain), _csv_ints(lambdas),
+                               _csv_ints(zetas))
+
+
 def _read_pqf(path: str) -> spread.Prequasifield:
     """A table file, '-' for stdin, or a kind spec like 'field:3',
     'luneburg:3', 'kantor:3:1:1:0' (m:chain:lambdas:zetas)."""
     if path == "-":
         return spread.loads_pqf(sys.stdin.read())
     if ":" in path and not Path(path).exists():
-        kind, _, rest = path.partition(":")
-        parts = rest.split(":")
-        if kind == "field":
-            return spread.field_pqf(int(parts[0]))
-        if kind == "luneburg":
-            return spread.luneburg(int(parts[0]))
-        if kind == "kantor":
-            if len(parts) != 4:
-                raise InputError("kantor kind spec is m:chain:lambdas:zetas")
-            return spread.kantor_chain(int(parts[0]), _csv_ints(parts[1]),
-                                       _csv_ints(parts[2]), _csv_ints(parts[3]))
-        raise InputError(f"unknown prequasifield kind {kind!r}")
+        kind, *fields = path.split(":")
+        if kind not in _KIND_FIELDS:
+            raise InputError(f"unknown prequasifield kind {kind!r}")
+        if len(fields) != _KIND_FIELDS[kind]:
+            raise InputError(f"a {kind} kind spec has {_KIND_FIELDS[kind]} "
+                             f"field(s) after the kind, got {len(fields)}")
+        return _kind_pqf(kind, int(fields[0]), *fields[1:])
     return spread.load_pqf(path)
 
 
@@ -274,19 +285,11 @@ def _csv_ints(text: str) -> list[int]:
 
 
 def _build_pqf(args) -> spread.Prequasifield:
-    if args.kind == "field":
-        return spread.field_pqf(args.m)
-    if args.kind == "luneburg":
-        return spread.luneburg(args.m)
-    if args.kind == "kantor":
-        return spread.kantor_chain(args.m, _csv_ints(args.chain),
-                                   _csv_ints(args.lambdas),
-                                   _csv_ints(args.zetas))
     if args.kind == "table":
         if not args.table:
             raise InputError("--kind table needs --table FILE")
         return _read_pqf(args.table)
-    raise InputError(f"unknown kind {args.kind}")
+    return _kind_pqf(args.kind, args.m, args.chain, args.lambdas, args.zetas)
 
 
 def cmd_spread_build(args) -> int:

@@ -245,39 +245,31 @@ def g_from_rho(rho: np.ndarray, params: FieldParams):
 
 def rho_subiaco(params: FieldParams) -> np.ndarray:
     """rho(x) = x^5 / (x^10 + x^6 + x^5 + x^4 + 1) on the unit circle."""
-    K, q1 = params.K, params.q + 1
-    out = np.zeros(q1, dtype=np.int64)
-    for j in range(q1):
-        u5 = int(params.S[(5 * j) % q1])
-        den = (int(params.S[(10 * j) % q1]) ^ int(params.S[(6 * j) % q1])
-               ^ u5 ^ int(params.S[(4 * j) % q1]) ^ 1)
-        val = K.mul(u5, K.inv(den))
-        out[j] = params.project_table()[val]
-    return out
+    cp = params.circle_pow
+    den = cp(10) ^ cp(6) ^ cp(5) ^ cp(4) ^ 1
+    return params.project_table()[params.K.div_arr(cp(5), den)]
 
 
 def rho_adelaide(params: FieldParams) -> np.ndarray:
-    """rho(x) = x (x^(1/3) + 1)^3 / (x + 1)^3 on the circle, rho(1) = 1."""
+    """rho(x) = x (x^(1/3) + 1)^3 / (x + 1)^3 on the circle, rho(1) = 1.
+
+    In characteristic 2, (a + 1)^3 = a^3 + a^2 + a + 1, so numerator and
+    denominator are sums of circle powers."""
     if params.m % 2 != 0:
         raise ValueError("the Adelaide catalog needs m even")
-    K, q1 = params.K, params.q + 1
+    cp, q1 = params.circle_pow, params.q + 1
     inv3 = pow(3, -1, q1)
-    out = np.zeros(q1, dtype=np.int64)
-    out[0] = 1
-    for j in range(1, q1):
-        u = int(params.S[j])
-        cube_root = int(params.S[(j * inv3) % q1])
-        num = K.mul(u, K.pow(cube_root ^ 1, 3))
-        den = K.pow(u ^ 1, 3)
-        out[j] = params.project_table()[K.mul(num, K.inv(den))]
+    num = cp(2) ^ cp(5 * inv3) ^ cp(4 * inv3) ^ cp(1)
+    den = cp(3) ^ cp(2) ^ cp(1) ^ 1
+    out = np.ones(q1, dtype=np.int64)
+    out[1:] = params.project_table()[params.K.div_arr(num[1:], den[1:])]
     return out
 
 
 def fisher_schmidt_points(params: FieldParams) -> set[int]:
     """The point set {u + u^3 + u^-3 : u in S} (hyperoval with 0 added)."""
-    q1 = params.q + 1
-    return {int(params.S[j]) ^ int(params.S[(3 * j) % q1])
-            ^ int(params.S[(-3 * j) % q1]) for j in range(q1)}
+    cp = params.circle_pow
+    return set((cp(1) ^ cp(3) ^ cp(-3)).tolist())
 
 
 CATALOG_NAMES = ("conic_like_S", "subiaco", "adelaide", "fisher_schmidt")
@@ -286,7 +278,7 @@ CATALOG_NAMES = ("conic_like_S", "subiaco", "adelaide", "fisher_schmidt")
 def catalog_oval(name: str, params: FieldParams) -> Oval:
     """Named hyperovals as point sets (all contain the point 0)."""
     if name == "conic_like_S":
-        pts = {int(u) for u in params.S}
+        pts = set(params.S.tolist())
     elif name in ("subiaco", "adelaide"):
         rho = rho_subiaco(params) if name == "subiaco" else rho_adelaide(params)
         pts = set(params.K.mul_arr(params.S, params.embed[rho]).tolist())

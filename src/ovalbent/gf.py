@@ -244,6 +244,14 @@ class BinaryField:
         out[(a == 0) | (b == 0)] = 0
         return out
 
+    def div_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Elementwise quotient a / b of two arrays of field elements."""
+        if np.any(b == 0):
+            raise ZeroDivisionError("0 has no multiplicative inverse")
+        out = self.exp[(self.log[a] - self.log[b]) % self.order]
+        out[a == 0] = 0
+        return out
+
     def pow_table(self, e: int) -> np.ndarray:
         """Table of x^e over the whole field (0^e = 0 for e != 0)."""
         t = np.zeros(self.size, dtype=np.int64)
@@ -333,13 +341,27 @@ class FieldParams:
 
     # -- traces and norm ---------------------------------------------------
 
+    def trace_rel_arr(self, xs) -> np.ndarray:
+        """F-indices of T(x) = x + x^q over an array of K-indices."""
+        xs = np.asarray(xs)
+        return self.project_table()[xs ^ self._conj_table[xs]]
+
     def trace_rel(self, x: int) -> int:
-        """T(x) = x + x^q, projected to an F-index."""
-        return int(self.project_table()[x ^ self.conjugate(x)])
+        """T(x) as an F-index, for one K-index x."""
+        return int(self.trace_rel_arr(x))
 
     def norm_rel(self, x: int) -> int:
         """N(x) = x * x^q, projected to an F-index."""
         return int(self.project_table()[self.K.mul(x, self.conjugate(x))])
+
+    # -- the unit circle -----------------------------------------------------
+
+    def circle_pow(self, e: int) -> np.ndarray:
+        """u^e over the circle, in circle order: S lists gamma^(j(q-1)),
+        so u^e is the entry at index j*e mod q+1 (fractional exponents
+        are inverses mod q+1)."""
+        q1 = self.q + 1
+        return self.S[np.arange(q1) * e % q1]
 
     # -- polar coordinates --------------------------------------------------
 
@@ -390,8 +412,8 @@ class FieldParams:
         incidence function of every line L(u_j, .) by subset XOR.
         """
         if self._line_trace_basis is None:
-            t = self.K.mul_arr(self.S[:, None], 1 << np.arange(self.n))
-            self._line_trace_basis = self.project_table()[t ^ self._conj_table[t]]
+            self._line_trace_basis = self.trace_rel_arr(
+                self.K.mul_arr(self.S[:, None], 1 << np.arange(self.n)))
         return self._line_trace_basis
 
     # -- Walsh-transform re-indexing -----------------------------------------

@@ -14,9 +14,9 @@ The truth table is one gather over K through the polar log table
 to the Walsh route, and builds the line oval once: the product route
 takes that `LineOval`, which exists only for a bent g.
 
-Powers of circle elements reduce to index arithmetic: S is listed as
-gamma^(j(q-1)), so u^e is the entry at index j*e mod q+1, and fractional
-exponents are inverses mod q+1.
+Maps on the circle are index arithmetic: u^e over the circle is one
+gather (`FieldParams.circle_pow`), T of a whole array is another
+(`FieldParams.trace_rel_arr`), and quotients go through `div_arr`.
 """
 
 from __future__ import annotations
@@ -137,8 +137,7 @@ class ResolvedSpec:
 def smallest_half_trace(params: FieldParams) -> int:
     """Smallest K-index a with a + a^q = 1 (deterministic normalization),
     from T over all of K at once; computed once per field."""
-    xs = np.arange(params.K.size, dtype=np.int64)
-    half = params.project_table()[xs ^ params.conj_table()] == 1
+    half = params.trace_rel_arr(np.arange(params.K.size)) == 1
     if not half.any():
         raise AssertionError("T is surjective onto F")
     return int(np.argmax(half))
@@ -173,25 +172,20 @@ def g_of_spec(spec: NihoSpec, params: FieldParams) -> UnitCircleMap:
 
     def t_of_power(e: int, coef_k: int = 1) -> np.ndarray:
         """F-indices of T(coef * u^e) over the circle, in circle order."""
-        y = params.K.mul_vec(params.S[np.arange(q1) * e % q1], coef_k)
-        return params.project_table()[y ^ params.conj_table()[y]]
+        return params.trace_rel_arr(params.K.mul_vec(params.circle_pow(e), coef_k))
 
-    if rs.family == "quadratic":
-        vals = np.full(q1, ta, dtype=np.int64)
-    elif rs.family in ("binomial_3", "binomial_1_6"):
-        e2 = (-5) % q1 if rs.family == "binomial_3" else (2 * pow(3, -1, q1)) % q1
-        vals = ta ^ t_of_power(e2, rs.alpha2)
-    else:
+    vals = np.full(q1, ta, dtype=np.int64)
+    if rs.family in ("binomial_3", "binomial_1_6"):
+        e2 = -5 if rs.family == "binomial_3" else 2 * pow(3, -1, q1)
+        vals ^= t_of_power(e2, rs.alpha2)
+    elif rs.family == "leander_r":
         # closed form ((u + u^q) + (u^w (u + u^q))^... ) with w = 2^(1-r):
         # g(u) = (T(u) + T(u^(w-1))) / T(u^w) for u != 1, g(1) = 1,
-        # all exponents mod q+1; scaled by a + a^q (1 when normalized)
+        # all exponents mod q+1; scaled by a + a^q (1 when normalized);
+        # T(u^w) vanishes only at u = 1
         w = pow(1 << (rs.r - 1), -1, q1)
-        num = t_of_power(1) ^ t_of_power((w - 1) % q1)
-        den = t_of_power(w)
-        assert np.all(den[1:] != 0), "T(u^w) vanishes only at u = 1"
-        F = params.F
-        vals = F.mul_vec(F.mul_arr(num, F.pow_table(-1)[den]), ta)
-        vals[0] = ta
+        num = t_of_power(1) ^ t_of_power(w - 1)
+        vals[1:] = params.F.mul_vec(params.F.div_arr(num[1:], t_of_power(w)[1:]), ta)
     return UnitCircleMap(params.m, vals)
 
 
@@ -283,16 +277,16 @@ def dual_budaghyan(spec: NihoSpec, params: FieldParams,
 
     K, F = params.K, params.F
     conj = params.conj_table()
-    proj = params.project_table()
     xs = np.arange(K.size, dtype=np.int64)
     t = 1 ^ xs ^ conj          # 1 + x + x^q, always in the embedded subfield
-    root_f = F.pow_table(pow((1 << rs.r) - 1, -1, F.order))[proj[t]]
+    root_f = F.pow_table(pow((1 << rs.r) - 1, -1, F.order))[
+        1 ^ params.trace_rel_arr(xs)]
     # even r (hence m odd): multiply into the coset outside F by a
     # primitive cube root of unity, which sits on the unit circle
     omega = int(params.S[(params.q + 1) // 3])
     assert K.pow(omega, 3) == 1 and omega != 1
     root = K.mul_vec(params.embed[root_f], omega)
-    arg = K.mul_vec(t, e) ^ K.pow(e, 1 << (params.n - rs.r)) ^ conj[xs]
+    arg = K.mul_vec(t, e) ^ K.pow(e, 1 << (params.n - rs.r)) ^ conj
     table = K.trace_table()[K.mul_arr(arg, root)]
     return boolfn.BooleanFunction(params.n, table)
 
@@ -300,9 +294,8 @@ def dual_budaghyan(spec: NihoSpec, params: FieldParams,
 def shift_by_linear(g: UnitCircleMap, c: int, params: FieldParams) -> UnitCircleMap:
     """g_c(u) = g(u) + T(c u); the bent function gains the term Tr(c x)
     and the line oval translates by c."""
-    y = params.K.mul_vec(params.S, c)
     return UnitCircleMap(params.m,
-                         g.values ^ params.project_table()[y ^ params.conj_table()[y]])
+                         g.values ^ params.trace_rel_arr(params.K.mul_vec(params.S, c)))
 
 
 def save_g_table(g: UnitCircleMap, path) -> None:

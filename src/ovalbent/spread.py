@@ -13,6 +13,7 @@ symplectic constructions are all phrased through adjoints w.r.t. B.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from numbers import Integral
 
 import numpy as np
 
@@ -167,8 +168,9 @@ def kantor_chain(m: int, subdegrees: list[int], lambdas: list[int],
     F = binary_field(m)
     degs = [m] + list(subdegrees)
     for a, b in zip(degs, degs[1:]):
-        if a % b != 0 or a == b:
-            raise ValueError("subfield degrees must properly divide along the chain")
+        if not isinstance(b, Integral) or not 1 <= b < a or a % b:
+            raise ValueError("each subfield degree d must satisfy 1 <= d < its "
+                             "predecessor in the chain and divide it")
     if (m // degs[-1]) % 2 == 0:
         raise ValueError("[F : F_n] must be odd")
     n_links = len(subdegrees)
@@ -508,29 +510,6 @@ def orthonormal_basis(Q: Prequasifield) -> list[int]:
     if Q.shape == "flat":
         return base
     return base + [b << Q.m for b in base]
-
-
-def matrix_rep(Q: Prequasifield, z: int, basis: list[int]) -> list[int]:
-    """Bit matrix of R_z in an orthonormal basis: M[i][j] = B(R_z b_i, b_j)."""
-    rows = []
-    for bi in basis:
-        img = 0
-        rz = Q.mul(bi, z)
-        for j, bj in enumerate(basis):
-            if Q.b_form(rz, bj):
-                img |= 1 << j
-        rows.append(img)
-    return rows
-
-
-def symmetric_rep_check(Q: Prequasifield) -> bool:
-    """Symplectic iff every M_z is symmetric in an orthonormal basis."""
-    basis = orthonormal_basis(Q)
-    for z in range(Q.size):
-        mz = matrix_rep(Q, z, basis)
-        if mz != _gf2.transpose(mz, Q.dim):
-            return False
-    return True
 
 
 def sqrt_diag_g_table(Q: Prequasifield) -> np.ndarray:

@@ -244,20 +244,16 @@ def action_aut(spec: SpreadBentSpec, phi: np.ndarray):
     if not is_automorphism(Q, phi):
         raise ValueError("phi is not an automorphism of Q")
     f = bent_bivariate(spec)
-    inv_phi = np.zeros(Q.size, dtype=np.int64)
-    inv_phi[phi] = np.arange(Q.size)
-    xs = np.arange(Q.size)
-    idx = inv_phi[xs][None, :] + Q.size * inv_phi[xs][:, None]
+    inv_phi = np.argsort(phi)
+    idx = inv_phi[None, :] + Q.size * inv_phi[:, None]
     f_phi = boolfn.BooleanFunction(f.k, f.table[idx.ravel()])
 
     phi_rows = [int(phi[1 << i]) for i in range(Q.dim)]
     star_rows = spread_mod.adjoint(phi_rows, Q)
-    phi_star = kernels.linear_map_table(star_rows, Q.dim)
-    inv_star = np.zeros(Q.size, dtype=np.int64)
-    inv_star[phi_star] = np.arange(Q.size)
+    inv_star = np.argsort(kernels.linear_map_table(star_rows, Q.dim))
     e = line_oval_bivariate(spec).e_table.reshape(Q.size, Q.size)
     e_phi = np.zeros_like(e)
-    e_phi[np.ix_(inv_star[xs], inv_star[xs])] = e[np.ix_(xs, xs)]
+    e_phi[np.ix_(inv_star, inv_star)] = e
     return f_phi, e_phi.ravel()
 
 
@@ -283,26 +279,18 @@ def action_gl2(spec: SpreadBentSpec, mat: tuple[int, int, int, int],
     if det == 0:
         raise ValueError("singular matrix")
     inv_det = F.inv(det)
-
-    def frob_pow(x: int) -> int:
-        for _ in range(frob % F.deg):
-            x = F.sqr(x)
-        return x
-
-    def psi(x: int, y: int, scale: int) -> tuple[int, int]:
-        x, y = frob_pow(x), frob_pow(y)
-        return (F.mul(scale, F.mul(x, alpha) ^ F.mul(y, gamma)),
-                F.mul(scale, F.mul(x, beta) ^ F.mul(y, delta)))
-
     size = Q.size
-    perm = np.zeros(size * size, dtype=np.int64)       # the plane map psi
-    perm_e = np.zeros(size * size, dtype=np.int64)     # psi scaled by 1/det
-    for x in range(size):
-        for y in range(size):
-            nx, ny = psi(x, y, 1)
-            perm[x + size * y] = nx + size * ny
-            sx, sy = F.mul(nx, inv_det), F.mul(ny, inv_det)
-            perm_e[x + size * y] = sx + size * sy
+    sigma = F.pow_table(1 << (frob % F.deg))
+
+    def plane_map(a: int, b: int, c: int, d: int) -> np.ndarray:
+        """Packed image of x + size*y under (x, y) -> (x', y') [[a, b], [c, d]]
+        with x' = sigma^frob(x), y' = sigma^frob(y)."""
+        nx = F.mul_vec(sigma, a)[None, :] ^ F.mul_vec(sigma, c)[:, None]
+        ny = F.mul_vec(sigma, b)[None, :] ^ F.mul_vec(sigma, d)[:, None]
+        return (nx + size * ny).ravel()
+
+    perm = plane_map(*mat)                                  # the plane map psi
+    perm_e = plane_map(*(F.mul(v, inv_det) for v in mat))   # psi scaled by 1/det
 
     f = bent_bivariate(spec)
     f_psi_table = np.zeros_like(f.table)

@@ -9,6 +9,13 @@ Input files (oval and line-oval documents, G tables) are stored in the
 corpus and written into the directory first; later commands may also
 read the files that earlier ones wrote.
 
+The corpus ends with the timed commands and domain probes of the three
+benchmark workloads (`perfbench/workloads.py`) at seeds 1 and 2, each
+seed's generated files stored as inputs under `<workload><seed>/`.  The
+m = 8 catalog `oval verify` commands are left out, since each takes
+seconds, and so is a command that differs from an earlier one only in
+its `--seed N` prefix, which has no effect.
+
 Rewrite the corpus, from the repository root:
 
     PYTHONPATH=src python tests/golden/regen.py
@@ -30,11 +37,13 @@ import tempfile
 from pathlib import Path
 
 CORPUS = Path(__file__).with_name("cli.json")
+PERFBENCH = Path(__file__).resolve().parents[2] / "perfbench"
 
 MS = range(2, 8)
 PQFS = ("field:2", "field:3", "field:4", "field:5", "luneburg:3",
         "kantor:3:1:1:0", "kantor:5:1:1:11")
 METHODS = ("walsh", "product", "budaghyan", "chi-swap")
+WORKLOAD_SEEDS = (1, 2)
 
 
 def _digest(data: bytes) -> str:
@@ -48,6 +57,7 @@ def _snapshot(tmp: Path) -> dict[str, str]:
 
 def write_inputs(inputs: dict[str, str], tmp: Path) -> None:
     for name, text in inputs.items():
+        (tmp / name).parent.mkdir(parents=True, exist_ok=True)
         (tmp / name).write_text(text)
 
 
@@ -199,6 +209,34 @@ def commands() -> list[list[str]]:
     return cmds
 
 
+def workload_commands(tmp: Path, seen: set[tuple[str, ...]]
+                      ) -> tuple[list[list[str]], dict[str, str]]:
+    """(commands, input files) of the benchmark workloads at each seed,
+    generated by perfbench's own generator into `tmp`; `seen` holds the
+    commands already in the corpus, less any `--seed N` prefix."""
+    sys.path.insert(0, str(PERFBENCH))
+    import workloads
+
+    cmds: list[list[str]] = []
+    inputs: dict[str, str] = {}
+    for name in workloads.GENERATORS:
+        for seed in WORKLOAD_SEEDS:
+            d = tmp / f"{name}{seed}"
+            d.mkdir()
+            timed, probes = workloads.generate(name, seed, d)
+            for op in timed + probes:
+                argv = list(op.argv)
+                key = tuple(argv[2:])              # less `--seed N`
+                if key in seen or ("--catalog" in argv
+                                   and argv[argv.index("--m") + 1] == "8"):
+                    continue
+                seen.add(key)
+                cmds.append([a.replace(str(tmp), "{tmp}") for a in argv])
+            inputs.update((p.relative_to(tmp).as_posix(), p.read_text())
+                          for p in sorted(d.iterdir()))
+    return cmds, inputs
+
+
 def replay(corpus: dict, tmp: Path) -> list[dict]:
     write_inputs(corpus["inputs"], tmp)
     return [run(entry["argv"], tmp) for entry in corpus["commands"]]
@@ -206,9 +244,14 @@ def replay(corpus: dict, tmp: Path) -> list[dict]:
 
 def main() -> int:
     inputs = _inputs()
+    grid = commands()
+    with tempfile.TemporaryDirectory() as d:
+        bench, bench_inputs = workload_commands(
+            Path(d), {tuple(argv) for argv in grid})
+    inputs.update(bench_inputs)
     with tempfile.TemporaryDirectory() as d:
         entries = replay({"inputs": inputs,
-                          "commands": [{"argv": argv} for argv in commands()]},
+                          "commands": [{"argv": argv} for argv in grid + bench]},
                          Path(d))
     # one command per line, so that a changed digest is a one-line diff
     CORPUS.write_text(

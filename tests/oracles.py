@@ -186,6 +186,11 @@ def project_naive(y, params):
     return int(hits[0])
 
 
+def trace_rel_naive(x, params):
+    """F-index of T(x) = x + x^q, the conjugate taken as a scalar power."""
+    return project_naive(x ^ params.K.pow(x, params.q), params)
+
+
 def polar_naive(x, params):
     """(lam, u) with x = lam u: lam = sqrt(x x^q) lies in F because the norm
     does and squaring is a bijection, and u = x / lam lies on the circle."""
@@ -559,6 +564,24 @@ def f_matrix_rep(Q, z):
     return [list(r) for r in rows]
 
 
+def matrix_rep_naive(Q, z, basis):
+    """Bit matrix of R_z in the basis b: M[i][j] = B(b_i o z, b_j), one
+    entry at a time."""
+    bform = carrier_form(Q)
+    return [[bform(Q.mul(bi, z), bj) for bj in basis] for bi in basis]
+
+
+def _symmetric(mat):
+    return all(mat[i][j] == mat[j][i]
+               for i in range(len(mat)) for j in range(len(mat)))
+
+
+def symmetric_rep_naive(Q, basis):
+    """Symplectic, decided apart from `spread.is_symplectic`: every M_z
+    symmetric in the orthonormal basis, one z at a time."""
+    return all(_symmetric(matrix_rep_naive(Q, z, basis)) for z in range(Q.size))
+
+
 def sqrt_diag_naive(Q, basis):
     """`sqrt_diag_g_table` one z at a time: sqrt(z) for the field, the
     square roots of the F-matrix diagonal for pair carriers, and for other
@@ -575,11 +598,8 @@ def sqrt_diag_naive(Q, basis):
         for z in range(Q.size):
             out[z] = Q.pack(*diagonal_sqrt(f_matrix_rep(Q, z), F))
         return out
-    bform = carrier_form(Q)
-    mats = [[[bform(Q.mul(bi, z), bj) for bj in basis] for bi in basis]
-            for z in range(Q.size)]
-    if any(mz[i][j] != mz[j][i] for mz in mats
-           for i in range(Q.dim) for j in range(Q.dim)):
+    mats = [matrix_rep_naive(Q, z, basis) for z in range(Q.size)]
+    if not all(_symmetric(mz) for mz in mats):
         raise ValueError("diagonal construction needs a symplectic spread")
     for z, mz in enumerate(mats):
         for i, bi in enumerate(basis):
@@ -620,3 +640,82 @@ def oval_from_g_naive(g, params):
         else:
             points.add(K.mul(int(params.S[j]), K.inv(int(params.embed[gv]))))
     return frozenset(points), frozenset(infinite)
+
+
+# ---------------------------------------------------------------------------
+# catalog circle maps, one circle element at a time
+# ---------------------------------------------------------------------------
+
+def rho_subiaco_naive(params):
+    """F-indices of rho(u) = u^5 / (u^10 + u^6 + u^5 + u^4 + 1) over the
+    circle in circle order, by scalar powers."""
+    K = params.K
+    out = []
+    for u in params.S.tolist():
+        den = K.pow(u, 10) ^ K.pow(u, 6) ^ K.pow(u, 5) ^ K.pow(u, 4) ^ 1
+        out.append(project_naive(K.mul(K.pow(u, 5), K.inv(den)), params))
+    return out
+
+
+def rho_adelaide_naive(params):
+    """F-indices of rho(u) = u (u^(1/3) + 1)^3 / (u + 1)^3, rho(1) = 1;
+    the cube root is u^(1/3 mod q+1), since u^(q+1) = 1 on the circle."""
+    K = params.K
+    inv3 = pow(3, -1, params.q + 1)
+    out = [1]
+    for u in params.S.tolist()[1:]:
+        num = K.mul(u, K.pow(K.pow(u, inv3) ^ 1, 3))
+        out.append(project_naive(K.mul(num, K.inv(K.pow(u ^ 1, 3))), params))
+    return out
+
+
+def fisher_schmidt_naive(params):
+    """{u + u^3 + u^-3 : u in S} by scalar powers."""
+    K = params.K
+    return {u ^ K.pow(u, 3) ^ K.pow(u, -3) for u in params.S.tolist()}
+
+
+# ---------------------------------------------------------------------------
+# collineations and the quadratic form, one point at a time
+# ---------------------------------------------------------------------------
+
+def gl2_action_naive(F, f_table, e_table, mat, frob):
+    """(f o psi^-1, E') of `spreadbent.action_gl2` on packed tables over
+    F x F, with psi(x, y) = (x', y') [[alpha, beta], [gamma, delta]] for
+    x' = x^(2^frob) applied point by point, and E' the image of E under
+    psi followed by division by det."""
+    size = F.size
+    alpha, beta, gamma, delta = mat
+    inv_det = F.inv(F.mul(alpha, delta) ^ F.mul(beta, gamma))
+    f_psi = np.zeros_like(f_table)
+    e_psi = np.zeros_like(e_table)
+    for x in range(size):
+        for y in range(size):
+            xs, ys = x, y
+            for _ in range(frob % F.deg):
+                xs, ys = F.sqr(xs), F.sqr(ys)
+            nx = F.mul(xs, alpha) ^ F.mul(ys, gamma)
+            ny = F.mul(xs, beta) ^ F.mul(ys, delta)
+            f_psi[nx + size * ny] = f_table[x + size * y]
+            e_psi[F.mul(nx, inv_det) + size * F.mul(ny, inv_det)] = \
+                e_table[x + size * y]
+    return f_psi, e_psi
+
+
+def quadratic_rank_naive(table, k):
+    """GF(2) rank of the form f(e_i + e_j) + f(e_i) + f(e_j) + f(0), the
+    k x k matrix built entry by entry and reduced by row elimination."""
+    t = [int(v) for v in table]
+    mat = [[t[(1 << i) ^ (1 << j)] ^ t[1 << i] ^ t[1 << j] ^ t[0]
+            for j in range(k)] for i in range(k)]
+    rank = 0
+    for col in range(k):
+        piv = next((r for r in range(rank, k) if mat[r][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        for r in range(k):
+            if r != rank and mat[r][col]:
+                mat[r] = [a ^ b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ovalbent import boolfn, gf
-from oracles import naive_walsh, dot_parity, walsh_radix2_int64
+from oracles import (naive_walsh, dot_parity, quadratic_rank_naive,
+                     walsh_radix2_int64)
 
 
 def test_walsh_constant_zero():
@@ -163,6 +164,23 @@ def test_quadratic_rank():
     assert boolfn.degree(cubic) == 3
     with pytest.raises(ValueError):
         boolfn.quadratic_rank(cubic)
+
+
+@pytest.mark.parametrize("k", range(0, 13))
+def test_quadratic_rank_matches_scalar_form(k):
+    """Random functions of degree <= 2: the k x k gather against the
+    entry-by-entry form and its row elimination."""
+    rng = np.random.default_rng(k)
+    xs = np.arange(1 << k)
+    bits = [(xs >> i) & 1 for i in range(k)]
+    for _ in range(4):
+        t = np.full(1 << k, rng.integers(2), dtype=np.uint8)
+        for i in range(k):
+            t ^= (rng.integers(2) * bits[i]).astype(np.uint8)
+            for j in range(i + 1, k):
+                t ^= (rng.integers(2) * bits[i] * bits[j]).astype(np.uint8)
+        f = boolfn.BooleanFunction(k, t)
+        assert boolfn.quadratic_rank(f) == quadratic_rank_naive(t, k)
 
 
 def test_quadratic_bent_iff_full_rank():

@@ -315,6 +315,25 @@ def test_spread_bent_mu_out_of_range(capsys):
                              "--mu", mu], capsys)
 
 
+def test_kantor_chain_degree_out_of_range(capsys):
+    # a degree must satisfy 1 <= d < its predecessor and divide it
+    for argv in (["spread", "build", "--kind", "kantor", "--m", "3", "--chain", "0"],
+                 ["spread", "build", "--kind", "kantor", "--m", "4",
+                  "--chain", "2,0", "--lambdas", "1,1", "--zetas", "0,0"],
+                 ["spread", "bent", "--pqf", "kantor:3:0:1:0", "--g", "sqrt"],
+                 ["spread", "build", "--kind", "kantor", "--m", "3", "--chain", "-1"],
+                 ["spread", "build", "--kind", "kantor", "--m", "3", "--chain", "3",
+                  "--lambdas", "1", "--zetas", "0"]):
+        _assert_input_error(argv, capsys)
+
+
+def test_pqf_kind_spec_field_count(capsys):
+    # field and luneburg take m; kantor takes m:chain:lambdas:zetas
+    for pqf in ("field:3:9", "luneburg:3:junk", "field:", "kantor:3:1:1",
+                "kantor:3:1:1:0:0", "nope:3"):
+        _assert_input_error(["spread", "validate", "--pqf", pqf], capsys)
+
+
 def test_spread_bent_g_value_out_of_range(tmp_path, capsys):
     for bad in (8, -1):
         gt = tmp_path / "g.txt"

@@ -255,6 +255,8 @@ def _first_json(text):
           True))
 @example((["spread", "build", "--kind", "kantor", "--m", "1", "--table",
            ("file", "")], True))
+@example((["spread", "build", "--kind", "kantor", "--m", "3", "--table",
+           ("file", ""), "--chain", "0", "--lambdas", "", "--zetas", ""], False))
 @example((["oval", "convert", "--m", "3", "--points-json",
            ("file", json.dumps({"kind": "oval", "m": 3, "points": [1, 2, 3],
                                 "infinite": [], "nucleus": None}))], False))

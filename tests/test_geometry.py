@@ -5,9 +5,9 @@ import pytest
 
 from ovalbent import boolfn, geometry, gf, niho
 from oracles import (bent_from_oval_pointwise, collinear_triples_naive,
-                     direction_tag_naive, family_members, line_contains,
-                     nucleus_witness_naive, oval_from_g_naive,
-                     tag_witness_naive)
+                     direction_tag_naive, family_members, fisher_schmidt_naive,
+                     line_contains, nucleus_witness_naive, oval_from_g_naive,
+                     rho_adelaide_naive, rho_subiaco_naive, tag_witness_naive)
 
 
 def _g(family, m, **kw):
@@ -316,6 +316,26 @@ def test_adelaide_identity():
     assert rho[0] == 1
     with pytest.raises(ValueError):
         geometry.rho_adelaide(gf.field_make(3))
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_catalogs_match_scalar_oracles(m):
+    """The circle-power catalogs equal their scalar loops, and each
+    catalog hyperoval is its point set u * rho(u) (or u + u^3 + u^-3)
+    with 0 added."""
+    p = gf.field_make(m)
+    K, embed, S = p.K, p.embed, p.S.tolist()
+    rhos = {"subiaco": rho_subiaco_naive(p)}
+    if m % 2 == 0:
+        rhos["adelaide"] = rho_adelaide_naive(p)
+        assert geometry.rho_adelaide(p).tolist() == rhos["adelaide"]
+    assert geometry.rho_subiaco(p).tolist() == rhos["subiaco"]
+    for name, rho in rhos.items():
+        want = {K.mul(u, int(embed[r])) for u, r in zip(S, rho)} | {0}
+        assert geometry.catalog_oval(name, p).points == want, name
+    fs = fisher_schmidt_naive(p)
+    assert geometry.fisher_schmidt_points(p) == fs
+    assert geometry.catalog_oval("fisher_schmidt", p).points == fs | {0}
 
 
 def test_catalog_hyperovals():

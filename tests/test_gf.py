@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from ovalbent import gf
 from oracles import (exp_log_naive, field_pair_naive, irreducible_bruteforce,
-                     polar_naive)
+                     polar_naive, trace_rel_naive)
 
 
 def test_field_make_range():
@@ -226,9 +226,40 @@ def test_polar_matches_norm_square_root():
 def test_line_trace_basis_matches_scalar_trace():
     for m in (2, 3, 4):
         p = gf.field_make(m)
-        want = [[p.trace_rel(p.K.mul(int(u), 1 << i)) for i in range(p.n)]
+        want = [[trace_rel_naive(p.K.mul(int(u), 1 << i), p) for i in range(p.n)]
                 for u in p.S]
         assert p.line_trace_basis().tolist() == want
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+def test_trace_rel_arr_matches_scalar_trace(m):
+    p = gf.field_make(m)
+    want = [trace_rel_naive(x, p) for x in range(p.K.size)]
+    assert p.trace_rel_arr(np.arange(p.K.size)).tolist() == want
+    assert p.trace_rel_arr(np.arange(p.K.size).reshape(-1, 4)).ravel().tolist() == want
+    assert [p.trace_rel(x) for x in range(p.K.size)] == want
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_circle_pow_matches_scalar_pow(m):
+    p = gf.field_make(m)
+    q1 = p.q + 1
+    for e in (0, 1, 3, -3, 5, q1, q1 + 2, pow(2, -1, q1), 7 * q1 - 1):
+        want = [p.K.pow(int(u), e) for u in p.S]
+        assert p.circle_pow(e).tolist() == want, e
+
+
+def test_div_arr_matches_scalar_div():
+    for deg in (1, 2, 3, 6):
+        B = gf.binary_field(deg)
+        a = np.repeat(np.arange(B.size), B.order)
+        b = np.tile(np.arange(1, B.size), B.size)
+        want = [B.div(int(x), int(y)) for x, y in zip(a, b)]
+        assert B.div_arr(a, b).tolist() == want
+        with pytest.raises(ZeroDivisionError):
+            B.div_arr(np.array([1, 1]), np.array([1, 0]))
+        with pytest.raises(ZeroDivisionError):
+            B.div_arr(np.array([0]), np.array([0]))
 
 
 def test_pow_table_matches_scalar_pow():

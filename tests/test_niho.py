@@ -3,7 +3,7 @@ import pytest
 
 from ovalbent import boolfn, geometry, gf, niho
 from oracles import (family_members, g_of_spec_naive, line_cover_naive,
-                     niho_fill_naive, trace_poly_table)
+                     niho_fill_naive, trace_poly_table, trace_rel_naive)
 
 ALL_SPECS = [
     niho.NihoSpec("quadratic", 2),
@@ -44,16 +44,22 @@ def test_default_coefficient_is_smallest_half_trace():
 
 @pytest.mark.parametrize("m", range(2, 10))
 def test_smallest_half_trace_matches_scalar_scan(m):
-    """The whole-array search equals the scalar scan of trace_rel."""
+    """The whole-array search equals the scalar scan of T."""
     p = gf.field_make(m)
-    scan = next(a for a in range(p.K.size) if p.trace_rel(a) == 1)
+    scan = next(a for a in range(p.K.size) if trace_rel_naive(a, p) == 1)
     assert niho.smallest_half_trace(p) == scan
 
 
 def test_smallest_half_trace_scans_k_once_per_field(monkeypatch):
     p = gf.FieldParams(4)          # a field object no other test has seen
     a = niho.smallest_half_trace(p)
-    monkeypatch.setattr(p, "conj_table", lambda: pytest.fail("K scanned again"))
+    trace_rel_arr = p.trace_rel_arr
+
+    def no_scan(xs):
+        if np.size(xs) >= p.K.size:
+            pytest.fail("K scanned again")
+        return trace_rel_arr(xs)
+    monkeypatch.setattr(p, "trace_rel_arr", no_scan)
     assert niho.smallest_half_trace(p) == a
     assert niho.NihoSpec("quadratic", 4).resolve(p).a == a
 

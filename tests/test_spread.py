@@ -8,8 +8,8 @@ from ovalbent.gf import BinaryField
 from oracles import (brute_adjoint, diagonal_sqrt, dumps_pqf_naive,
                      f_matrix_rep, field_mul, kantor_mul, left_adjoint_naive,
                      luneburg_mul, perpendicular_naive, scalar_table,
-                     spread_cover_naive, sqrt_diag_naive, trace_form,
-                     validate_naive)
+                     spread_cover_naive, sqrt_diag_naive, symmetric_rep_naive,
+                     trace_form, validate_naive)
 
 
 @pytest.fixture(scope="module")
@@ -185,7 +185,21 @@ def test_symplectic_iff_self_transpose():
     for Q, want in [(spread.field_pqf(3), True), (Ql, True), (Qs, False)]:
         self_t = bool(np.array_equal(spread.transpose_pqf(Q).table, Q.table))
         assert spread.is_symplectic(Q) == self_t == want
-        assert spread.symmetric_rep_check(Q) == want
+        assert symmetric_rep_naive(Q, spread.orthonormal_basis(Q)) == want
+
+
+@pytest.mark.parametrize("name", ["field:3", "field:4", "luneburg:3", "kantor:3",
+                                  "kantor:5", "x^2 z"])
+def test_is_symplectic_matches_scalar_matrices(name):
+    Q = {"field:3": lambda: spread.field_pqf(3),
+         "field:4": lambda: spread.field_pqf(4),
+         "luneburg:3": lambda: spread.luneburg(3),
+         "kantor:3": lambda: spread.kantor_chain(3, [1], [1], [5]),
+         "kantor:5": lambda: spread.kantor_chain(5, [1], [1], [11]),
+         "x^2 z": lambda: _rule_pqf("x^2 z")}[name]()
+    want = symmetric_rep_naive(Q, spread.orthonormal_basis(Q))
+    assert spread.is_symplectic(Q) == want
+    assert want == (name != "x^2 z")
 
 
 def test_dual_of_commutative_is_itself(field8):

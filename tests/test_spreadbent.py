@@ -3,7 +3,7 @@ import pytest
 
 from ovalbent import boolfn, kernels, spread, spreadbent
 from ovalbent.gf import BinaryField
-from oracles import bent_criterion_naive
+from oracles import bent_criterion_naive, gl2_action_naive
 
 
 @pytest.fixture(scope="module")
@@ -345,3 +345,24 @@ def test_gl2_action(field_spec):
             spreadbent.SpreadBentSpec(spread.luneburg(3),
                                       spread.sqrt_diag_g_table(spread.luneburg(3))),
             (1, 0, 0, 1))
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+def test_gl2_action_matches_scalar_plane_map(m):
+    Q = spread.field_pqf(m)
+    F = Q.field
+    spec = spreadbent.SpreadBentSpec(Q, spread.sqrt_diag_g_table(Q))
+    f = spreadbent.bent_bivariate(spec).table
+    e = spreadbent.line_oval_bivariate(spec).e_table
+    rng = np.random.default_rng(m)
+    mats = [(1, 0, 0, 1), (0, 1, 1, 0), (2, 0, 0, 3)]
+    while len(mats) < 6:
+        M = tuple(int(v) for v in rng.integers(0, Q.size, size=4))
+        if F.mul(M[0], M[3]) != F.mul(M[1], M[2]):
+            mats.append(M)
+    for M in mats:
+        for frob in (0, 1, m - 1, 2 * m + 1):
+            f_psi, e_psi = spreadbent.action_gl2(spec, M, frob=frob)
+            want_f, want_e = gl2_action_naive(F, f, e, M, frob)
+            assert np.array_equal(f_psi.table, want_f), (M, frob)
+            assert np.array_equal(e_psi, want_e), (M, frob)
