@@ -11,11 +11,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import _gf2, kernels
+from . import kernels
 
 
 def _popcounts(idx: np.ndarray) -> np.ndarray:
     return np.bitwise_count(idx.astype(np.uint64)).astype(np.int64)
+
+
+def _rank(rows: list[int]) -> int:
+    """GF(2) rank of int-mask rows (bit j of row i = entry [i][j])."""
+    pivots: list[int] = []
+    for row in rows:
+        for p in pivots:
+            row = min(row, row ^ p)
+        if row:
+            pivots.append(row)
+    return len(pivots)
 
 
 class BooleanFunction:
@@ -172,7 +183,7 @@ def add_affine(f: BooleanFunction, mask: int, const: int = 0) -> BooleanFunction
 
 def compose_linear(f: BooleanFunction, images: list[int]) -> BooleanFunction:
     """f(L(x)) for the linear map sending basis bit i to images[i]."""
-    if len(images) != f.k or _gf2.rank(list(images)) != f.k:
+    if len(images) != f.k or _rank(list(images)) != f.k:
         raise ValueError("linear map must be an invertible k x k matrix")
     lmap = kernels.linear_map_table(images, f.k)
     return BooleanFunction(f.k, f.table[lmap])
@@ -190,7 +201,7 @@ def quadratic_rank(f: BooleanFunction, deg: int | None = None) -> int:
     # form[i, j] = f(e_i + e_j) + f(e_i) + f(e_j) + f(0)
     t, e = f.table, 1 << np.arange(f.k)
     form = t[e[:, None] ^ e[None, :]] ^ t[e][:, None] ^ t[e][None, :] ^ t[0]
-    return _gf2.rank((form.astype(np.int64) @ e).tolist())
+    return _rank((form.astype(np.int64) @ e).tolist())
 
 
 # ---------------------------------------------------------------------------

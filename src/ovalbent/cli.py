@@ -252,7 +252,7 @@ def cmd_ea(args) -> int:
 _KIND_FIELDS = {"field": 1, "luneburg": 1, "kantor": 4}
 
 
-def _kind_pqf(kind: str, m: int | None, chain: str = "", lambdas: str = "",
+def _kind_pqf(kind: str, m: int, chain: str = "", lambdas: str = "",
               zetas: str = "") -> spread.Prequasifield:
     """The prequasifield of a construction kind (a key of `_KIND_FIELDS`);
     chain, lambdas and zetas are comma lists, read by kantor only."""
@@ -289,6 +289,8 @@ def _build_pqf(args) -> spread.Prequasifield:
         if not args.table:
             raise InputError("--kind table needs --table FILE")
         return _read_pqf(args.table)
+    if args.m is None:
+        raise InputError(f"--kind {args.kind} needs --m")
     return _kind_pqf(args.kind, args.m, args.chain, args.lambdas, args.zetas)
 
 

@@ -63,7 +63,7 @@ def line_point_rows(lines: Iterable[AffineLineK], params: FieldParams) -> np.nda
     K, embed, gamma = params.K, params.embed, params.gamma
     w = K.div(gamma, gamma ^ params.conjugate(gamma))
     us, mus = np.array(list(lines), dtype=np.int64).reshape(-1, 2).T
-    cosets = K.mul_vec(embed[mus], w)[:, None] ^ embed[None, :]
+    cosets = K.mul_arr(embed[mus], w)[:, None] ^ embed[None, :]
     return K.mul_arr(params.conj_table()[us][:, None], cosets)
 
 
@@ -334,7 +334,7 @@ def bent_from_oval(oval: Oval, params: FieldParams) -> boolfn.BooleanFunction:
     xs_all = np.arange(K.size, dtype=np.int64)
     poly = np.zeros(K.size, dtype=np.int64)
     for v in pts:
-        ratios = K.mul_vec(xs_all, K.inv(v))
+        ratios = K.mul_arr(xs_all, K.inv(v))
         poly ^= np.where(pw == pw[v], acc[ratios], 0)
     assert np.all(poly <= 1), "polynomial form must produce bits"
     assert np.array_equal(poly.astype(np.uint8), f.table), \

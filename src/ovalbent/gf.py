@@ -17,7 +17,7 @@ from numbers import Integral
 
 import numpy as np
 
-from . import _gf2, kernels
+from . import kernels
 
 # log/exp (and other per-element) tables are built for every field; this
 # many bits is the largest supported degree.
@@ -226,20 +226,13 @@ class BinaryField:
 
     def dot_mask(self, b: int) -> int:
         """Mask with trace(b*x) = parity(mask & x) for all x (linear in b)."""
-        return _gf2.apply(self._dot_mask_images, b)
+        return int(self.dot_mask_table()[b])
 
     # -- table accessors for vectorized paths ----------------------------
 
-    def mul_vec(self, arr: np.ndarray, b: int) -> np.ndarray:
-        """Pointwise product of an array of elements with a fixed element."""
-        if b == 0:
-            return np.zeros_like(arr)
-        out = self.exp[(self.log[arr] + self.log[b]) % self.order]
-        out[arr == 0] = 0
-        return out
-
-    def mul_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise product of two arrays of field elements."""
+    def mul_arr(self, a: np.ndarray, b: np.ndarray | int) -> np.ndarray:
+        """Elementwise product of two arrays of field elements; a scalar b
+        broadcasts."""
         out = self.exp[(self.log[a] + self.log[b]) % self.order]
         out[(a == 0) | (b == 0)] = 0
         return out

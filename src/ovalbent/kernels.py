@@ -150,11 +150,14 @@ def collinear_scan(pts, conj, log_k, exp_k, ord_k):
 def linear_map_table(basis_images, nbits, dtype=np.int64):
     """Table of a GF(2)-linear map from its basis images, by doubling.
 
-    Entry x is the XOR of basis_images[i] over the set bits i of x.
+    Entry x is the XOR of basis_images[i] over the set bits i of x.  The
+    images may carry trailing axes, one per batch of maps: images of shape
+    (nbits, k) give the (2^nbits, k) tables of k maps in one pass.
     """
-    out = np.zeros(1 << nbits, dtype=dtype)
+    images = np.asarray(basis_images, dtype=dtype)
+    out = np.zeros((1 << nbits, *images.shape[1:]), dtype=dtype)
     h = 1
     for i in range(nbits):
-        out[h:2 * h] = out[:h] ^ dtype(basis_images[i])
+        out[h:2 * h] = out[:h] ^ images[i]
         h *= 2
     return out

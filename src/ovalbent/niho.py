@@ -172,7 +172,7 @@ def g_of_spec(spec: NihoSpec, params: FieldParams) -> UnitCircleMap:
 
     def t_of_power(e: int, coef_k: int = 1) -> np.ndarray:
         """F-indices of T(coef * u^e) over the circle, in circle order."""
-        return params.trace_rel_arr(params.K.mul_vec(params.circle_pow(e), coef_k))
+        return params.trace_rel_arr(params.K.mul_arr(params.circle_pow(e), coef_k))
 
     vals = np.full(q1, ta, dtype=np.int64)
     if rs.family in ("binomial_3", "binomial_1_6"):
@@ -185,7 +185,7 @@ def g_of_spec(spec: NihoSpec, params: FieldParams) -> UnitCircleMap:
         # T(u^w) vanishes only at u = 1
         w = pow(1 << (rs.r - 1), -1, q1)
         num = t_of_power(1) ^ t_of_power(w - 1)
-        vals[1:] = params.F.mul_vec(params.F.div_arr(num[1:], t_of_power(w)[1:]), ta)
+        vals[1:] = params.F.mul_arr(params.F.div_arr(num[1:], t_of_power(w)[1:]), ta)
     return UnitCircleMap(params.m, vals)
 
 
@@ -285,8 +285,8 @@ def dual_budaghyan(spec: NihoSpec, params: FieldParams,
     # primitive cube root of unity, which sits on the unit circle
     omega = int(params.S[(params.q + 1) // 3])
     assert K.pow(omega, 3) == 1 and omega != 1
-    root = K.mul_vec(params.embed[root_f], omega)
-    arg = K.mul_vec(t, e) ^ K.pow(e, 1 << (params.n - rs.r)) ^ conj
+    root = K.mul_arr(params.embed[root_f], omega)
+    arg = K.mul_arr(t, e) ^ K.pow(e, 1 << (params.n - rs.r)) ^ conj
     table = K.trace_table()[K.mul_arr(arg, root)]
     return boolfn.BooleanFunction(params.n, table)
 
@@ -295,7 +295,7 @@ def shift_by_linear(g: UnitCircleMap, c: int, params: FieldParams) -> UnitCircle
     """g_c(u) = g(u) + T(c u); the bent function gains the term Tr(c x)
     and the line oval translates by c."""
     return UnitCircleMap(params.m,
-                         g.values ^ params.trace_rel_arr(params.K.mul_vec(params.S, c)))
+                         g.values ^ params.trace_rel_arr(params.K.mul_arr(params.S, c)))
 
 
 def save_g_table(g: UnitCircleMap, path) -> None:

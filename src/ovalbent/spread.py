@@ -6,8 +6,12 @@ quasigroup on V*.  Carriers are either F = GF(2^m) ("flat" shape) or
 F x F packed as x1 + q*x2 ("pair" shape, used by the Lueneburg spread).
 
 The bilinear form B is tr(xy) on F, and the sum of the coordinate forms
-on F x F.  Transposition, symplecticity, and the commutative <->
-symplectic constructions are all phrased through adjoints w.r.t. B.
+on F x F; its masks are one table per carrier (`b_mask_table`).  A
+GF(2)-linear map is a table, built from its basis images by
+`kernels.linear_map_table`, and one batched `adjoint` w.r.t. B serves
+the transpose x star z = R_z^*(x), the symplectic test (every R_z
+self-adjoint), the commutative <-> symplectic partner z . y = L_z^*(y)
+and the action of automorphisms on the dual side.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from numbers import Integral
 
 import numpy as np
 
-from . import _gf2, kernels
+from . import kernels
 from .gf import BinaryField, binary_field
 
 # GF(2) dimension cap of the carrier: the (size, size) int64 table takes
@@ -39,11 +43,11 @@ def carrier_dim(m: int, shape: str) -> int:
 class Prequasifield:
     """Multiplication table plus the carrier's bilinear form machinery.
 
-    The table is read-only, so structure derived from it (the Gram matrix
-    of B and its inverse, the B-mask tables, the transpose) is computed
-    once per object and kept.  The constructor takes ownership of the
-    table it is given: an int64 C-contiguous array is kept as it is, not
-    copied, and becomes read-only."""
+    The table is read-only, so structure derived from it and from the
+    carrier (the B-mask table and its inverse, the B-bit table, the
+    transpose) is computed once per object and kept.  The constructor takes
+    ownership of the table it is given: an int64 C-contiguous array is
+    kept as it is, not copied, and becomes read-only."""
 
     def __init__(self, m: int, shape: str, table: np.ndarray,
                  kind: str = "table", name: str | None = None):
@@ -58,14 +62,8 @@ class Prequasifield:
         self.table.flags.writeable = False
         self.kind = kind
         self.name = name or kind
-        # Gram rows: B masks of the basis vectors; B is the trace form on
-        # each F coordinate
-        gram = [self.field.dot_mask(1 << i) for i in range(m)]
-        if shape == "pair":
-            gram += [v << m for v in gram]
-        self._gram = gram
-        self._gram_inv = _gf2.inv(gram, self.dim)
         self._b_mask_table: np.ndarray | None = None
+        self._b_mask_inverse: np.ndarray | None = None
         self._b_bit_table: np.ndarray | None = None
         self._transposed: Prequasifield | None = None
 
@@ -89,36 +87,30 @@ class Prequasifield:
             table[x0:x0 + xs.shape[0]] = mul_block(xs, zs)
         return cls(m, shape, table, kind, name)
 
-    # -- multiplication ----------------------------------------------------
-
-    def mul(self, x: int, z: int) -> int:
-        return int(self.table[x, z])
-
-    def right_mult_rows(self, z: int) -> list[int]:
-        """Images of the basis under R_z(x) = x o z (rows of its matrix)."""
-        return [int(self.table[1 << i, z]) for i in range(self.dim)]
-
     # -- the bilinear form ---------------------------------------------------
-
-    def pack(self, x1: int, x2: int) -> int:
-        assert self.shape == "pair"
-        return x1 | (x2 << self.m)
-
-    def unpack(self, x: int) -> tuple[int, int]:
-        assert self.shape == "pair"
-        return x & (self.field.size - 1), x >> self.m
 
     def b_mask(self, a: int) -> int:
         """Mask with B(a, x) = parity(mask & x) for all x (linear in a)."""
-        return _gf2.apply(self._gram, a)
-
-    def b_form(self, x: int, y: int) -> int:
-        return (self.b_mask(x) & y).bit_count() & 1
+        return int(self.b_mask_table()[a])
 
     def b_mask_table(self) -> np.ndarray:
+        """B masks of the whole carrier: the trace form's masks on F, and
+        on F x F those of each coordinate, side by side."""
         if self._b_mask_table is None:
-            self._b_mask_table = kernels.linear_map_table(self._gram, self.dim)
+            dm = self.field.dot_mask_table()
+            if self.shape == "pair":
+                dm = (dm[None, :] | (dm[:, None] << self.m)).ravel()
+            self._b_mask_table = dm
         return self._b_mask_table
+
+    def b_mask_inverse(self) -> np.ndarray:
+        """The vector with a given B mask: B is nondegenerate, so the mask
+        table is a permutation of the carrier and this is its inverse."""
+        if self._b_mask_inverse is None:
+            inv = np.empty(self.size, dtype=np.int64)
+            inv[self.b_mask_table()] = np.arange(self.size)
+            self._b_mask_inverse = inv
+        return self._b_mask_inverse
 
     def b_bit_table(self) -> np.ndarray:
         """uint8 matrix of B(x, y) over the whole carrier."""
@@ -193,11 +185,11 @@ def kantor_chain(m: int, subdegrees: list[int], lambdas: list[int],
         xy = F.mul_arr(xs, ys)
         acc = F.mul_arr(xs, square[ys])
         for t, c_prev, c_cur, zeta in links:
-            t_prev = t[F.mul_vec(xy, c_prev)]
-            acc ^= F.mul_vec(F.mul_arr(ys, t_prev), c_prev)
-            acc ^= F.mul_vec(F.mul_arr(ys, t[F.mul_vec(xy, c_cur)]), c_cur)
-            acc ^= F.mul_arr(ys, F.mul_vec(t[F.mul_vec(xs, zeta)], c_prev))
-            acc ^= F.mul_vec(t_prev, zeta)
+            t_prev = t[F.mul_arr(xy, c_prev)]
+            acc ^= F.mul_arr(F.mul_arr(ys, t_prev), c_prev)
+            acc ^= F.mul_arr(F.mul_arr(ys, t[F.mul_arr(xy, c_cur)]), c_cur)
+            acc ^= F.mul_arr(ys, F.mul_arr(t[F.mul_arr(xs, zeta)], c_prev))
+            acc ^= F.mul_arr(t_prev, zeta)
         return acc
 
     return Prequasifield.from_evaluator(m, "flat", mul_block, kind="kantor")
@@ -335,30 +327,28 @@ def validate_prequasifield(Q: Prequasifield) -> PqfReport:
 # adjoints, transpose, dual, Knuth orbit
 # ---------------------------------------------------------------------------
 
-def adjoint(images: list[int], Q: Prequasifield) -> list[int]:
-    """Adjoint of a linear map w.r.t. Q's bilinear form:
-    B(adj(x), y) = B(x, map(y)) for all x, y."""
-    mt = _gf2.transpose(images, Q.dim)
-    return _gf2.matmul(_gf2.matmul(Q._gram, mt), Q._gram_inv)
+def adjoint(images: np.ndarray, Q: Prequasifield) -> np.ndarray:
+    """Tables of the adjoints of k linear maps w.r.t. Q's bilinear form,
+    B(adj(x), y) = B(x, map(y)) for all x, y.
+
+    images[j, c] is the image of the basis vector e_j under map c (shape
+    (dim, k)); entry [x, c] of the (size, k) result is adj_c(x).  Bit j of
+    the B mask of adj(e_i) is B(e_i, map(e_j)), the mask inverse turns it
+    into the vector, and the other x follow by linearity."""
+    images = np.asarray(images, dtype=np.int64)
+    basis_masks = Q.b_mask_table()[1 << np.arange(Q.dim)]
+    bits = np.bitwise_count(basis_masks[:, None, None] & images) & 1   # [i, j, c]
+    masks = (bits.astype(np.int64) << np.arange(Q.dim)[:, None]).sum(axis=1)
+    return kernels.linear_map_table(Q.b_mask_inverse()[masks], Q.dim)
 
 
 def transpose_pqf(Q: Prequasifield) -> Prequasifield:
     """x star z = R_z^*(x); coordinatizes the orthogonal (dual) spread.
 
     Always a fresh object computed from Q's table (`Q.transposed()` is the
-    kept copy).  Row i holds e_i star z = adj(R_z)(e_i) for every z: the
-    vector whose B mask has bit j equal to B(e_i, e_j o z), exactly the
-    basis image `adjoint` gives.  The other rows follow by linearity."""
-    basis_rows = Q.table[[1 << j for j in range(Q.dim)]]
-    b_inv = kernels.linear_map_table(Q._gram_inv, Q.dim)
-    table = np.zeros((Q.size, Q.size), dtype=np.int64)
-    h = 1
-    for i, g in enumerate(Q._gram):
-        mask = np.zeros(Q.size, dtype=np.int64)
-        for j in range(Q.dim):
-            mask |= (np.bitwise_count(basis_rows[j] & g).astype(np.int64) & 1) << j
-        table[h:2 * h] = table[:h] ^ b_inv[mask]
-        h *= 2
+    kept copy): column z is the adjoint of R_z, whose basis images are the
+    basis rows of the table."""
+    table = adjoint(Q.table[1 << np.arange(Q.dim)], Q)
     return Prequasifield(Q.m, Q.shape, table, kind="derived",
                          name=f"{Q.name}^t")
 
@@ -441,10 +431,9 @@ def symplectic_from_commutative(Q: Prequasifield) -> Prequasifield:
 
 
 def _left_adjoint_pqf(Q: Prequasifield, name: str) -> Prequasifield:
-    """z . y = L_z^*(y) with L_z(x) = z o x.  L_z is the right
-    multiplication by z of the dual Q^d, so L_z^*(y) = y star z in the
-    transpose of Q^d, and the table is that transpose's, transposed."""
-    table = transpose_pqf(dual_pqf(Q)).table.T
+    """z . y = L_z^*(y) with L_z(x) = z o x: row z is the adjoint of L_z,
+    whose basis images are the basis columns of the table."""
+    table = adjoint(Q.table[:, 1 << np.arange(Q.dim)].T, Q).T
     return Prequasifield(Q.m, Q.shape, table, kind="derived", name=name)
 
 

@@ -248,9 +248,8 @@ def action_aut(spec: SpreadBentSpec, phi: np.ndarray):
     idx = inv_phi[None, :] + Q.size * inv_phi[:, None]
     f_phi = boolfn.BooleanFunction(f.k, f.table[idx.ravel()])
 
-    phi_rows = [int(phi[1 << i]) for i in range(Q.dim)]
-    star_rows = spread_mod.adjoint(phi_rows, Q)
-    inv_star = np.argsort(kernels.linear_map_table(star_rows, Q.dim))
+    phi_star = spread_mod.adjoint(phi[1 << np.arange(Q.dim), None], Q)[:, 0]
+    inv_star = np.argsort(phi_star)
     e = line_oval_bivariate(spec).e_table.reshape(Q.size, Q.size)
     e_phi = np.zeros_like(e)
     e_phi[np.ix_(inv_star, inv_star)] = e
@@ -285,8 +284,8 @@ def action_gl2(spec: SpreadBentSpec, mat: tuple[int, int, int, int],
     def plane_map(a: int, b: int, c: int, d: int) -> np.ndarray:
         """Packed image of x + size*y under (x, y) -> (x', y') [[a, b], [c, d]]
         with x' = sigma^frob(x), y' = sigma^frob(y)."""
-        nx = F.mul_vec(sigma, a)[None, :] ^ F.mul_vec(sigma, c)[:, None]
-        ny = F.mul_vec(sigma, b)[None, :] ^ F.mul_vec(sigma, d)[:, None]
+        nx = F.mul_arr(sigma, a)[None, :] ^ F.mul_arr(sigma, c)[:, None]
+        ny = F.mul_arr(sigma, b)[None, :] ^ F.mul_arr(sigma, d)[:, None]
         return (nx + size * ny).ravel()
 
     perm = plane_map(*mat)                                  # the plane map psi

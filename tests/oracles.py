@@ -155,17 +155,33 @@ def trace_poly_table(params, terms):
     return out
 
 
+def apply(rows, x):
+    """Row-vector action x -> x * rows of an int-mask matrix (bit j of row
+    i = entry [i][j]): the XOR of rows[i] over the set bits i of x."""
+    acc = 0
+    i = 0
+    while x:
+        if x & 1:
+            acc ^= rows[i]
+        x >>= 1
+        i += 1
+    return acc
+
+
+def rank(rows):
+    """GF(2) rank of int-mask rows, by reduction against the pivots."""
+    pivots = []
+    for row in rows:
+        for p in pivots:
+            row = min(row, row ^ p)
+        if row:
+            pivots.append(row)
+    return len(pivots)
+
+
 def brute_adjoint(images, bform, dim):
     """Search the adjoint map by solving B(adj(e_i), y) = B(e_i, L(y))."""
     size = 1 << dim
-
-    def apply(rows, x):
-        acc = 0
-        for i in range(dim):
-            if (x >> i) & 1:
-                acc ^= rows[i]
-        return acc
-
     rows = []
     for i in range(dim):
         want = [bform(1 << i, apply(images, y)) for y in range(size)]
@@ -383,7 +399,7 @@ def bent_from_oval_pointwise(points, params):
     lams = np.arange(1, params.q, dtype=np.int64)
     for v in points:
         rad, u = polar_naive(v, params)
-        xs = K.mul_vec(params.embed[lams], u)
+        xs = K.mul_arr(params.embed[lams], u)
         table[xs] = [F.trace(F.mul(int(lam), F.inv(rad))) for lam in lams]
     return table
 
@@ -402,12 +418,13 @@ def line_cover_naive(lines, params):
 def bivariate_fill_naive(Q, G):
     """f(x, y) = B(G(z), x) where x o z = y, found by search; f(0, y) = 0."""
     size = Q.size
+    bform = carrier_form(Q)
     out = np.zeros(size * size, dtype=np.uint8)
     for x in range(1, size):
         row = [int(v) for v in Q.table[x]]
         for y in range(size):
             z = row.index(y)
-            out[x + size * y] = Q.b_form(int(G[z]), x)
+            out[x + size * y] = bform(int(G[z]), x)
     return out
 
 
@@ -452,6 +469,28 @@ def carrier_form(Q):
         return tr
     m, low = Q.m, Q.field.size - 1
     return lambda x, y: tr(x & low, y & low) ^ tr(x >> m, y >> m)
+
+
+def pqf_mul(Q, x, z):
+    """x o z, one table entry."""
+    return int(Q.table[x, z])
+
+
+def right_mult_rows(Q, z):
+    """Images of the basis under R_z(x) = x o z (rows of its matrix)."""
+    return [pqf_mul(Q, 1 << i, z) for i in range(Q.dim)]
+
+
+def pack(Q, x1, x2):
+    """The pair-carrier element (x1, x2) as x1 + 2^m * x2."""
+    assert Q.shape == "pair"
+    return x1 | (x2 << Q.m)
+
+
+def unpack(Q, x):
+    """The coordinates (x1, x2) of a pair-carrier element."""
+    assert Q.shape == "pair"
+    return x & (Q.field.size - 1), x >> Q.m
 
 
 def validate_naive(Q):
@@ -555,11 +594,13 @@ def f_matrix_rep(Q, z):
             raise ValueError("flat F-matrix representation is only the "
                              "field's multiplication-by-z")
         return [[z]]
-    rows = [Q.unpack(Q.mul(Q.pack(1, 0), z)), Q.unpack(Q.mul(Q.pack(0, 1), z))]
-    for e, row in zip((Q.pack(1, 0), Q.pack(0, 1)), rows):
+    basis = (pack(Q, 1, 0), pack(Q, 0, 1))
+    rows = [unpack(Q, pqf_mul(Q, e, z)) for e in basis]
+    for e, row in zip(basis, rows):
         for lam in range(F.size):           # R_z(lam e) = lam R_z(e)
-            lam_e = Q.pack(*(F.mul(lam, v) for v in Q.unpack(e)))
-            if Q.mul(lam_e, z) != Q.pack(F.mul(lam, row[0]), F.mul(lam, row[1])):
+            lam_e = pack(Q, *(F.mul(lam, v) for v in unpack(Q, e)))
+            if pqf_mul(Q, lam_e, z) != pack(Q, F.mul(lam, row[0]),
+                                           F.mul(lam, row[1])):
                 raise ValueError("right multiplication is not F-linear")
     return [list(r) for r in rows]
 
@@ -568,7 +609,7 @@ def matrix_rep_naive(Q, z, basis):
     """Bit matrix of R_z in the basis b: M[i][j] = B(b_i o z, b_j), one
     entry at a time."""
     bform = carrier_form(Q)
-    return [[bform(Q.mul(bi, z), bj) for bj in basis] for bi in basis]
+    return [[bform(pqf_mul(Q, bi, z), bj) for bj in basis] for bi in basis]
 
 
 def _symmetric(mat):
@@ -596,7 +637,7 @@ def sqrt_diag_naive(Q, basis):
         return out
     if Q.shape == "pair":
         for z in range(Q.size):
-            out[z] = Q.pack(*diagonal_sqrt(f_matrix_rep(Q, z), F))
+            out[z] = pack(Q, *diagonal_sqrt(f_matrix_rep(Q, z), F))
         return out
     mats = [matrix_rep_naive(Q, z, basis) for z in range(Q.size)]
     if not all(_symmetric(mz) for mz in mats):
@@ -608,17 +649,24 @@ def sqrt_diag_naive(Q, basis):
     return out
 
 
+def adjoint_naive(maps, Q):
+    """(size, k) tables of the adjoints of k linear maps, each given by its
+    list of basis images: one `brute_adjoint` search per map over the form
+    tabulated once from `carrier_form`, applied to every x."""
+    bform = carrier_form(Q)
+    bmat = [[bform(x, y) for y in range(Q.size)] for x in range(Q.size)]
+    out = np.zeros((Q.size, len(maps)), dtype=np.int64)
+    for c, images in enumerate(maps):
+        adj = brute_adjoint(images, lambda x, y: bmat[x][y], Q.dim)
+        out[:, c] = [apply(adj, x) for x in range(Q.size)]
+    return out
+
+
 def left_adjoint_naive(Q):
-    """Table of z . y = L_z^*(y), L_z(x) = z o x, one adjoint per z from
-    the basis images of L_z: the per-z loop `spread` used before it read
-    the table off the transpose of the dual.  It goes through
-    `spread.adjoint`, which is itself checked against `brute_adjoint`."""
-    from ovalbent import kernels, spread
-    table = np.zeros((Q.size, Q.size), dtype=np.int64)
-    for z in range(Q.size):
-        images = [int(Q.table[z, 1 << i]) for i in range(Q.dim)]
-        table[z, :] = kernels.linear_map_table(spread.adjoint(images, Q), Q.dim)
-    return table
+    """Table of z . y = L_z^*(y): row z is the brute-force adjoint of
+    L_z(x) = z o x, whose basis images are z o e_i."""
+    return adjoint_naive([[pqf_mul(Q, z, 1 << i) for i in range(Q.dim)]
+                          for z in range(Q.size)], Q).T
 
 
 def dumps_pqf_naive(Q):

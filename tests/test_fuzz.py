@@ -193,14 +193,17 @@ def commands(draw):
         # carrier tables are 4^m entries: seconds per build from m = 10 on
         build_kind = draw(st.sampled_from(["field", "kantor", "luneburg", "table"]))
         m = draw(st.sampled_from(range(-1, 10)))
-        argv = ["spread", "build", "--kind", build_kind, "--m", str(m),
+        omit_m = draw(rarely)
+        argv = ["spread", "build", "--kind", build_kind,
+                *([] if omit_m else ["--m", str(m)]),
                 "--table", draw(_file(pqf_texts))]
         chain = build_kind == "kantor" and draw(st.booleans())
         if chain:
             csv = st.lists(st.integers(-1, 4), max_size=2).map(
                 lambda v: ",".join(map(str, v)))
             argv += ["--chain", draw(csv), "--lambdas", draw(csv), "--zetas", draw(csv)]
-        must_pass = build_kind in ("field", "kantor") and m >= 1 and not chain
+        must_pass = (build_kind in ("field", "kantor") and m >= 1
+                     and not omit_m and not chain)
     else:
         pqf = draw(_mostly(st.sampled_from(carrier_names), _file(pqf_texts)))
         argv = ["spread", kind, "--pqf", pqf]
@@ -257,6 +260,8 @@ def _first_json(text):
            ("file", "")], True))
 @example((["spread", "build", "--kind", "kantor", "--m", "3", "--table",
            ("file", ""), "--chain", "0", "--lambdas", "", "--zetas", ""], False))
+@example((["spread", "build", "--kind", "luneburg"], False))
+@example((["spread", "build", "--kind", "field"], False))
 @example((["oval", "convert", "--m", "3", "--points-json",
            ("file", json.dumps({"kind": "oval", "m": 3, "points": [1, 2, 3],
                                 "infinite": [], "nucleus": None}))], False))

@@ -157,3 +157,9 @@ def test_linear_map_table():
             if (x >> i) & 1:
                 want ^= images[i]
         assert t[x] == want
+    # images with a trailing axis: the tables of several maps in one call
+    batch = np.array([[3, 1, 0], [5, 2, 7], [9, 4, 7]])
+    tables = kernels.linear_map_table(batch, 3)
+    assert tables.shape == (8, 3)
+    for c in range(3):
+        assert np.array_equal(tables[:, c], kernels.linear_map_table(batch[:, c], 3))

@@ -3,13 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ovalbent import _gf2, spread
+from ovalbent import spread
 from ovalbent.gf import BinaryField
-from oracles import (brute_adjoint, diagonal_sqrt, dumps_pqf_naive,
-                     f_matrix_rep, field_mul, kantor_mul, left_adjoint_naive,
-                     luneburg_mul, perpendicular_naive, scalar_table,
+from oracles import (adjoint_naive, apply, carrier_form, diagonal_sqrt,
+                     dumps_pqf_naive, f_matrix_rep, field_mul, kantor_mul,
+                     left_adjoint_naive, luneburg_mul, pack, perpendicular_naive,
+                     pqf_mul, rank, right_mult_rows, scalar_table,
                      spread_cover_naive, sqrt_diag_naive, symmetric_rep_naive,
-                     trace_form, validate_naive)
+                     unpack, validate_naive)
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +85,7 @@ def test_broken_multiplication_reported():
     assert not rep.axioms_ok
     assert "right_distributive" in rep.failures
     x, y, z = rep.failures["right_distributive"]
-    assert Q.mul(x ^ y, z) != Q.mul(x, z) ^ Q.mul(y, z)
+    assert pqf_mul(Q, x ^ y, z) != pqf_mul(Q, x, z) ^ pqf_mul(Q, y, z)
 
 
 def test_kantor_empty_cancellation_is_xy2(xy2):
@@ -135,36 +136,48 @@ def test_kantor_chain_validation():
 
 def test_adjoint_field_cases(field8):
     F = field8.field
-    # multiplication by c is self-adjoint
-    for c in range(8):
-        rows = [F.mul(c, 1 << i) for i in range(3)]
-        assert spread.adjoint(rows, field8) == rows
-    # Frobenius adjoint is x -> x^(2^(m-1))
-    frob = [F.sqr(1 << i) for i in range(3)]
-    adj = spread.adjoint(frob, field8)
-    want = [F.pow(1 << i, 1 << 2) for i in range(3)]
-    assert adj == want
-    # identity
-    assert spread.adjoint([1, 2, 4], field8) == [1, 2, 4]
+    # multiplication by c is self-adjoint: one map per c, column c
+    mults = [[F.mul(c, 1 << i) for c in range(8)] for i in range(3)]
+    assert np.array_equal(spread.adjoint(mults, field8), field8.table)
+    # the Frobenius adjoint is x -> x^(2^(m-1)); the identity is self-adjoint
+    adj = spread.adjoint([[F.sqr(1 << i), 1 << i] for i in range(3)], field8)
+    assert adj[:, 0].tolist() == [F.pow(x, 1 << 2) for x in range(8)]
+    assert adj[:, 1].tolist() == list(range(8))
 
 
-def test_adjoint_matches_bruteforce(field8):
+def test_adjoint_matches_bruteforce():
+    # per carrier, one call for every right multiplication and four random
+    # maps; luneburg:3 is a pair carrier, x^2 z is not symplectic
     rng = np.random.default_rng(4)
-    for _ in range(5):
-        rows = [int(v) for v in rng.integers(0, 8, size=3)]
-        got = spread.adjoint(rows, field8)
-        want = brute_adjoint(rows, field8.b_form, 3)
-        assert got == want
+    for name in ("field:3", "luneburg:3", "x^2 z"):
+        Q = CARRIERS[name]()
+        images = np.concatenate([Q.table[[1 << i for i in range(Q.dim)]],
+                                 rng.integers(0, Q.size, size=(Q.dim, 4))],
+                                axis=1)
+        assert np.array_equal(spread.adjoint(images, Q),
+                              adjoint_naive(images.T.tolist(), Q)), name
 
 
 def test_adjoint_bilinear_identity(field8):
     rng = np.random.default_rng(8)
-    rows = [int(v) for v in rng.integers(0, 8, size=3)]
-    adj = spread.adjoint(rows, field8)
-    for x in range(8):
-        for y in range(8):
-            assert field8.b_form(_gf2.apply(adj, x), y) == \
-                field8.b_form(x, _gf2.apply(rows, y))
+    images = rng.integers(0, 8, size=(3, 2))
+    adj = spread.adjoint(images, field8)
+    bform = carrier_form(field8)
+    for c in range(2):
+        rows = [int(v) for v in images[:, c]]
+        for x in range(8):
+            for y in range(8):
+                assert bform(int(adj[x, c]), y) == bform(x, apply(rows, y))
+
+
+@pytest.mark.parametrize("name", ["field:3", "luneburg:3"])
+def test_b_mask_table_is_the_form_and_invertible(name):
+    Q = CARRIERS[name]()
+    bm, bform = Q.b_mask_table(), carrier_form(Q)
+    assert np.array_equal(bm[Q.b_mask_inverse()], np.arange(Q.size))
+    for x in range(Q.size):
+        assert [(int(bm[x]) & y).bit_count() & 1 for y in range(Q.size)] == \
+            [bform(x, y) for y in range(Q.size)]
 
 
 def test_field_is_self_transpose(field8):
@@ -246,7 +259,7 @@ def test_commutative_symplectic_round_trip(xy2):
     # explicit form: z * y = sqrt(z y)
     for z in range(8):
         for y in range(8):
-            assert C.mul(z, y) == F.sqrt(F.mul(z, y))
+            assert pqf_mul(C, z, y) == F.sqrt(F.mul(z, y))
     back = spread.symplectic_from_commutative(C)
     assert np.array_equal(back.table, xy2.table)
     assert spread.is_symplectic(back)
@@ -309,8 +322,8 @@ def test_luneburg_construction():
     # d(z) = (sqrt z1, sqrt z2)
     G = spread.sqrt_diag_g_table(Ql)
     for z in range(Ql.size):
-        z1, z2 = Ql.unpack(z)
-        assert G[z] == Ql.pack(F.sqrt(z1), F.sqrt(z2))
+        z1, z2 = unpack(Ql, z)
+        assert G[z] == pack(Ql, F.sqrt(z1), F.sqrt(z2))
     with pytest.raises(ValueError):
         spread.luneburg(4)
 
@@ -331,15 +344,15 @@ def test_orthonormal_basis():
     for m in (2, 3, 4, 5, 6):
         F = BinaryField(m)
         basis = spread.orthonormal_basis_field(F)
-        assert _gf2.rank(basis) == m
+        assert rank(basis) == m
         for i, bi in enumerate(basis):
             for j, bj in enumerate(basis):
                 assert F.trace(F.mul(bi, bj)) == (1 if i == j else 0)
     Ql = spread.luneburg(3)
-    basis = spread.orthonormal_basis(Ql)
+    basis, bform = spread.orthonormal_basis(Ql), carrier_form(Ql)
     for i, bi in enumerate(basis):
         for j, bj in enumerate(basis):
-            assert Ql.b_form(bi, bj) == (1 if i == j else 0)
+            assert bform(bi, bj) == (1 if i == j else 0)
 
 
 def test_diagonal_sqrt():
@@ -407,23 +420,13 @@ def test_kantor_rows_match_scalar_oracle():
         assert np.array_equal(Q.table, want), (m, lams, zetas)
 
 
-def _oracle_transpose_table(Q):
-    bform = trace_form(Q.field)
-    table = np.zeros_like(Q.table)
-    for z in range(Q.size):
-        adj = brute_adjoint(Q.right_mult_rows(z), bform, Q.dim)
-        for x in range(Q.size):
-            table[x, z] = _gf2.apply(adj, x)
-    return table
-
-
 def test_cached_transpose_matches_bruteforce_adjoints(xy2):
     nonsymplectic = _rule_pqf("x^2 z")
     for Q in (spread.field_pqf(4), xy2, spread.kantor_chain(3, [1], [1], [5]),
               spread.kantor_chain(5, [1], [1], [11]),
               spread.commutative_from_symplectic(xy2), nonsymplectic):
         assert Q.size <= 32
-        want = _oracle_transpose_table(Q)
+        want = adjoint_naive([right_mult_rows(Q, z) for z in range(Q.size)], Q)
         assert np.array_equal(Q.transposed().table, want), Q
         assert np.array_equal(spread.transpose_pqf(Q).table, want), Q
 
@@ -557,7 +560,7 @@ def test_validation_matches_all_triples_oracle(name):
     assert got["axioms_ok"] == (name in SMALL or name.endswith("frobenius"))
     if "right_distributive" in got["failures"]:
         x, y, z = got["failures"]["right_distributive"]
-        assert Q.mul(x ^ y, z) != Q.mul(x, z) ^ Q.mul(y, z)
+        assert pqf_mul(Q, x ^ y, z) != pqf_mul(Q, x, z) ^ pqf_mul(Q, y, z)
 
 
 @pytest.mark.parametrize("name", [*SMALL, *BROKEN, *NOT_F_SYMMETRIC])
