@@ -374,11 +374,13 @@ def _g_table_from_flag(flag: str, Q: spread.Prequasifield) -> np.ndarray:
         return spread.sqrt_diag_g_table(Q)
     if flag.startswith("table:"):
         path = flag[len("table:"):]
-        vals = np.array([int(v) for v in Path(path).read_text().split()],
-                        dtype=np.int64)
-        if vals.shape != (Q.size,):
+        vals = [int(v) for v in Path(path).read_text().split()]
+        if len(vals) != Q.size:
             raise InputError("G table must list one value per carrier element")
-        return vals
+        # checked as Python ints, before any value can overflow or wrap
+        if not all(0 <= v < Q.size for v in vals):
+            raise InputError(f"G values must be carrier elements in [0, {Q.size})")
+        return np.array(vals, dtype=np.int32)
     raise InputError(f"unknown --g flag {flag!r}")
 
 

@@ -62,7 +62,7 @@ def line_point_rows(lines: Iterable[AffineLineK], params: FieldParams) -> np.nda
     """
     K, embed, gamma = params.K, params.embed, params.gamma
     w = K.div(gamma, gamma ^ params.conjugate(gamma))
-    us, mus = np.array(list(lines), dtype=np.int64).reshape(-1, 2).T
+    us, mus = np.array(list(lines), dtype=np.int32).reshape(-1, 2).T
     cosets = K.mul_arr(embed[mus], w)[:, None] ^ embed[None, :]
     return K.mul_arr(params.conj_table()[us][:, None], cosets)
 
@@ -139,7 +139,7 @@ def verify_oval(points: Iterable[int], params: FieldParams,
     if total not in (params.q + 1, params.q + 2):
         raise ValueError(f"expected q+1 or q+2 points, got {total}")
 
-    arr = np.array(pts, dtype=np.int64)
+    arr = np.array(pts, dtype=np.int32)
     i, j, k = kernels.collinear_scan(arr, params.conj_table(),
                                      params.K.log, params.K.exp, params.K.order)
     if i >= 0:
@@ -165,7 +165,7 @@ def verify_nucleus_zero(points: Iterable[int], params: FieldParams):
     pts = list(points)
     if any(p == 0 for p in pts):
         return False, 0
-    units = params.unit_class_table()[np.array(pts, dtype=np.int64)]
+    units = params.unit_class_table()[np.array(pts, dtype=np.int32)]
     _, first = np.unique(units, return_index=True)
     if first.size < len(pts):     # the first repeat and the point it repeats
         k = np.setdiff1d(np.arange(len(pts)), first)[0]
@@ -183,7 +183,7 @@ def dual_points_to_lines(points: Iterable[int], params: FieldParams) -> list[Aff
     With p = lam * u this is L(u, 1/lam).  The point set is an oval iff
     the image passes `verify_no_three_concurrent`.
     """
-    pts = np.array(list(points), dtype=np.int64)
+    pts = np.array(list(points), dtype=np.int32)
     if np.any(pts == 0):
         raise ValueError("duality requires nonzero points")
     lam, j = params.polar(pts)
@@ -194,7 +194,7 @@ def dual_points_to_lines(points: Iterable[int], params: FieldParams) -> list[Aff
 
 def dual_lines_to_points(lines: Iterable[AffineLineK], params: FieldParams) -> list[int]:
     """Inverse of `dual_points_to_lines`: L(u, mu) -> u / mu, mu != 0."""
-    us, mus = np.array(list(lines), dtype=np.int64).reshape(-1, 2).T
+    us, mus = np.array(list(lines), dtype=np.int32).reshape(-1, 2).T
     if np.any(mus == 0):
         raise ValueError("a line through 0 has no dual point")
     return params.K.mul_arr(us, params.embed[params.F.pow_table(-1)[mus]]).tolist()
@@ -261,7 +261,7 @@ def rho_adelaide(params: FieldParams) -> np.ndarray:
     inv3 = pow(3, -1, q1)
     num = cp(2) ^ cp(5 * inv3) ^ cp(4 * inv3) ^ cp(1)
     den = cp(3) ^ cp(2) ^ cp(1) ^ 1
-    out = np.ones(q1, dtype=np.int64)
+    out = np.ones(q1, dtype=np.int32)
     out[1:] = params.project_table()[params.K.div_arr(num[1:], den[1:])]
     return out
 
@@ -325,14 +325,14 @@ def bent_from_oval(oval: Oval, params: FieldParams) -> boolfn.BooleanFunction:
     #   [(x^(q^2-q) - v^(q^2-q))^(q^2-1) + 1] * sum_j (x/v)^(2^j)
     K = params.K
     pw = K.pow_table(params.q * params.q - params.q)
-    frob = np.arange(K.size, dtype=np.int64)
+    frob = np.arange(K.size, dtype=np.int32)
     acc = frob.copy()
     sq = K.pow_table(2)
     for _ in range(params.m - 1):
         frob = sq[frob]
         acc = acc ^ frob
-    xs_all = np.arange(K.size, dtype=np.int64)
-    poly = np.zeros(K.size, dtype=np.int64)
+    xs_all = np.arange(K.size, dtype=np.int32)
+    poly = np.zeros(K.size, dtype=np.int32)
     for v in pts:
         ratios = K.mul_arr(xs_all, K.inv(v))
         poly ^= np.where(pw == pw[v], acc[ratios], 0)

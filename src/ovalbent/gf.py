@@ -158,21 +158,27 @@ class BinaryField:
 
     def _build_tables(self) -> None:
         # By doubling: multiplication by c = g^h is GF(2)-linear, so
-        # exp[h:2h] is the table of x -> c x gathered at exp[:h].
-        exp = np.ones(self.order, dtype=np.int64)
+        # exp[h:2h] is the image of exp[:h] under x -> c x, read off two
+        # small tables of that map (low and high bits of x).  Every set-up
+        # temporary stays below half a table.
+        lo_bits = self.deg // 2
+        exp = np.ones(self.order, dtype=np.int32)
+        log = np.zeros(self.size, dtype=np.int32)
         h, c = 1, self.generator
         while h < self.order:
-            times_c = kernels.linear_map_table(
-                [self._raw_mul(1 << i, c) for i in range(self.deg)], self.deg)
+            images = [self._raw_mul(1 << i, c) for i in range(self.deg)]
+            lo = kernels.linear_map_table(images[:lo_bits], lo_bits)
+            hi = kernels.linear_map_table(images[lo_bits:], self.deg - lo_bits)
             n = min(h, self.order - h)
-            exp[h:h + n] = times_c[exp[:n]]
+            exp[h:h + n] = lo[exp[:n] & (lo.size - 1)] ^ hi[exp[:n] >> lo_bits]
+            log[exp[h:h + n]] = np.arange(h, h + n, dtype=np.int32)
             h, c = 2 * h, self._raw_mul(c, c)
         assert self._raw_mul(int(exp[-1]), self.generator) == 1, \
             "generator order must divide 2^deg - 1"
-        log = np.zeros(self.size, dtype=np.int64)
-        log[exp] = np.arange(self.order)
-        assert np.array_equal(log[exp], np.arange(self.order)), \
-            "generator powers must be distinct"
+        # the order entries of exp hit every nonzero element iff distinct
+        seen = np.zeros(self.size, dtype=bool)
+        seen[exp] = True
+        assert seen[1:].all(), "generator powers must be distinct"
         exp.flags.writeable = False      # shared through binary_field
         log.flags.writeable = False
         self.exp, self.log = exp, log
@@ -191,10 +197,13 @@ class BinaryField:
     def add(a: int, b: int) -> int:
         return a ^ b
 
+    # the scalar operations do their log arithmetic on Python ints: an
+    # int32 table entry times a Python int stays int32 and can wrap
+
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return int(self.exp[(self.log[a] + self.log[b]) % self.order])
+        return int(self.exp[(int(self.log[a]) + int(self.log[b])) % self.order])
 
     def sqr(self, a: int) -> int:
         return self.mul(a, a)
@@ -202,7 +211,7 @@ class BinaryField:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        return int(self.exp[(self.order - self.log[a]) % self.order])
+        return int(self.exp[-int(self.log[a]) % self.order])
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -215,7 +224,7 @@ class BinaryField:
                 raise ZeroDivisionError("0 to a negative power")
             return 0
         e %= self.order
-        return int(self.exp[(self.log[a] * e) % self.order])
+        return int(self.exp[int(self.log[a]) * e % self.order])
 
     def sqrt(self, a: int) -> int:
         # squaring is a bijection in characteristic 2
@@ -247,8 +256,10 @@ class BinaryField:
 
     def pow_table(self, e: int) -> np.ndarray:
         """Table of x^e over the whole field (0^e = 0 for e != 0)."""
-        t = np.zeros(self.size, dtype=np.int64)
-        t[self.exp] = self.exp[(self.log[self.exp] * (e % self.order)) % self.order]
+        t = np.zeros(self.size, dtype=np.int32)
+        # log[exp[i]] = i; int64, since i * e passes 2^31 from degree 16
+        i = np.arange(self.order, dtype=np.int64)
+        t[self.exp] = self.exp[i * (e % self.order) % self.order]
         t[0] = 1 if e == 0 else 0
         return t
 
@@ -312,7 +323,7 @@ class FieldParams:
         # unit circle, ordered as gamma^(j(q-1)), j = 0..q
         s = self.K.exp[(self.q - 1) * np.arange(self.q + 1) % self.K.order]
         assert np.all(np.diff(np.sort(s)) > 0)
-        assert np.all(self.K.log[s] * (self.q + 1) % self.K.order == 0)
+        assert np.all(self.K.log[s] % (self.q - 1) == 0)   # s^(q+1) = 1
         self.S = s
 
         self._unit_class: np.ndarray | None = None
@@ -361,7 +372,7 @@ class FieldParams:
     def polar(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """(lam, j) with x = lam * S[j] for each nonzero x: j is the unit
         class of x and lam the F-index of x / S[j]."""
-        xs = np.asarray(xs, dtype=np.int64)
+        xs = np.asarray(xs)
         if np.any(xs == 0):
             raise ValueError("0 has no polar decomposition")
         j = self.unit_class_table()[xs]
@@ -370,8 +381,12 @@ class FieldParams:
     def unit_class_table(self) -> np.ndarray:
         """Per nonzero K-index, the S-index of its polar unit part (-1 at 0)."""
         if self._unit_class is None:
-            # gamma^e = gamma^((q+1)a) gamma^((q-1)j), so e = (q-1) j mod q+1
-            ucls = self.K.log * pow(self.q - 1, -1, self.q + 1) % (self.q + 1)
+            # gamma^e = gamma^((q+1)a) gamma^((q-1)j), so e = (q-1) j mod q+1;
+            # e is reduced first, since e (q-1)^-1 can pass 2^31 from m = 11
+            q1 = self.q + 1
+            ucls = self.K.log % q1
+            ucls *= pow(self.q - 1, -1, q1)
+            ucls %= q1
             ucls[0] = -1
             self._unit_class = ucls
         return self._unit_class
@@ -382,7 +397,7 @@ class FieldParams:
         With `unit_class_table()` this is the whole polar decomposition as
         two gathers: lam = F.exp[table[x]], u = S[unit class of x]."""
         if self._polar_log is None:
-            lam, _ = self.polar(np.arange(1, self.K.size))
+            lam, _ = self.polar(np.arange(1, self.K.size, dtype=np.int32))
             t = np.zeros(self.K.size, dtype=np.int16)
             t[1:] = self.F.log[lam]
             t.flags.writeable = False
@@ -392,7 +407,7 @@ class FieldParams:
     def project_table(self) -> np.ndarray:
         """K-index -> F-index for the embedded subfield, -1 elsewhere."""
         if self._project_table is None:
-            t = np.full(self.K.size, -1, dtype=np.int64)
+            t = np.full(self.K.size, -1, dtype=np.int32)
             t[self.embed] = np.arange(self.q)
             self._project_table = t
         return self._project_table

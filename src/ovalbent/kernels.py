@@ -2,10 +2,12 @@
 
 Each kernel has one numpy implementation.  All field multiplications
 inside kernels go through log/exp tables, so kernels only ever see plain
-numpy arrays and ints.  The univariate incidence kernels use closed
-forms: the line cover counts the coset rows of `geometry.line_point_rows`
-and the product dual works ray by ray.  Per-kernel time and work on real
-workloads come from `python3 perfbench/run.py --workload W --trace 1`.
+numpy arrays and ints.  Index tables and index arithmetic are int32:
+every index is below 2^24, and every log sum below 2^31.  The
+univariate incidence kernels use closed forms: the line cover counts the
+coset rows of `geometry.line_point_rows` and the product dual works ray
+by ray.  Per-kernel time and work on real workloads come from
+`python3 perfbench/run.py --workload W --trace 1`.
 """
 
 from __future__ import annotations
@@ -14,17 +16,17 @@ import numpy as np
 
 # entries per block of rows in whole-array table code: large enough that
 # the per-block Python cost vanishes, small enough that the temporaries of
-# a dim-12 carrier stay far below its 128 MB table
+# a dim-12 carrier stay far below its 64 MB int32 table
 BLOCK_ENTRIES = 1 << 16
 
 
 def row_blocks(size: int):
     """(x0, xs) over 0..size-1 in blocks of consecutive rows of a
-    (size, size) table: xs is the int64 column (b, 1) of x0..x0+b-1, with
+    (size, size) table: xs is the int32 column (b, 1) of x0..x0+b-1, with
     b * size about BLOCK_ENTRIES."""
     rows = max(1, BLOCK_ENTRIES // size)
     for x0 in range(0, size, rows):
-        yield x0, np.arange(x0, min(x0 + rows, size), dtype=np.int64)[:, None]
+        yield x0, np.arange(x0, min(x0 + rows, size), dtype=np.int32)[:, None]
 
 
 def walsh_inplace(w: np.ndarray) -> None:
@@ -74,7 +76,7 @@ def mobius_inplace(t: np.ndarray) -> None:
 def niho_table_fill(s, gvals, embed, log_k, exp_k, ord_k,
                     log_f, exp_f, ord_f, tr_f, out) -> None:
     """Truth table of f(lam*u) = tr(lam*g(u)) over all of K, f(0)=0."""
-    lams = np.arange(1, embed.shape[0], dtype=np.int64)
+    lams = np.arange(1, embed.shape[0], dtype=np.int32)
     log_lam_k = log_k[embed[lams]]
     log_lam_f = log_f[lams]
     for j in range(s.shape[0]):
@@ -94,19 +96,24 @@ def univariate_product_dual(s, g_embedded, conj, log_k, exp_k, ord_k,
     For x = lam v (lam in F*, v on the circle) the factor at u is
     lam T(uv) + g(u), and T(uv) = 0 only for uv = 1.  So each pair with
     uv != 1 and g(u) != 0 zeroes the one point g(u) / T(uv) v, and each u
-    with g(u) = 0 zeroes x = 0 and the whole ray through 1/u.
+    with g(u) = 0 zeroes x = 0 and the whole ray through 1/u.  The pairs
+    run in blocks of u rows (`row_blocks`); every log sum is below 2 ord_k.
     """
     log_s = log_k[s]
-    uv = exp_k[(log_s[:, None] + log_s[None, :]) % ord_k]
-    t = uv ^ conj[uv]
-    hit = (t != 0) & (g_embedded != 0)[:, None]
-    log_pts = log_k[g_embedded][:, None] - log_k[t] + log_s[None, :]
+    log_g = log_k[g_embedded]
     out[:] = 1
-    out[exp_k[log_pts[hit] % ord_k]] = 0
+    for u0, us in row_blocks(s.shape[0]):
+        u = slice(u0, u0 + us.shape[0])
+        uv = exp_k[(log_s[u, None] + log_s) % ord_k]         # [u, v] = u v
+        t = uv ^ conj[uv]                                    # T(uv)
+        hit = (t != 0) & (g_embedded[u, None] != 0)
+        log_pts = log_g[u, None] - log_k[t] + log_s
+        out[exp_k[log_pts[hit] % ord_k]] = 0
     zero_u = g_embedded == 0
     if zero_u.any():
         out[0] = 0
-        rays = log_k[conj[s[zero_u]]][:, None] + np.arange(0, ord_k, s.shape[0])
+        rays = log_k[conj[s[zero_u]]][:, None] + np.arange(
+            0, ord_k, s.shape[0], dtype=np.int32)
         out[exp_k[rays % ord_k]] = 0
 
 
@@ -116,7 +123,8 @@ def line_cover_counts(rows, nbits) -> np.ndarray:
 
 
 def bivariate_table_fill(mul_table, gvals, bbit, out) -> None:
-    """Truth table of f(x, x o z) = B(G(z), x); f(0, y) = 0."""
+    """Truth table of f(x, x o z) = B(G(z), x); f(0, y) = 0.  Packed
+    indices x + size*y stay below 2^24 (size <= 2^12)."""
     size = mul_table.shape[0]
     for x0, xs in row_blocks(size):
         rows = mul_table[x0:x0 + xs.shape[0]]
@@ -125,7 +133,8 @@ def bivariate_table_fill(mul_table, gvals, bbit, out) -> None:
 
 
 def bivariate_product_dual(star_table, gvals, out) -> None:
-    """Dual via the product formula: 0 iff y = 0 or x = G(z) + y*z."""
+    """Dual via the product formula: 0 iff y = 0 or x = G(z) + y*z.
+    Packed indices x + size*y stay below 2^24 (size <= 2^12)."""
     size = star_table.shape[0]
     out[:] = 1
     for y0, ys in row_blocks(size):
@@ -147,7 +156,7 @@ def collinear_scan(pts, conj, log_k, exp_k, ord_k):
     return -1, -1, -1
 
 
-def linear_map_table(basis_images, nbits, dtype=np.int64):
+def linear_map_table(basis_images, nbits, dtype=np.int32):
     """Table of a GF(2)-linear map from its basis images, by doubling.
 
     Entry x is the XOR of basis_images[i] over the set bits i of x.  The
@@ -158,6 +167,7 @@ def linear_map_table(basis_images, nbits, dtype=np.int64):
     out = np.zeros((1 << nbits, *images.shape[1:]), dtype=dtype)
     h = 1
     for i in range(nbits):
-        out[h:2 * h] = out[:h] ^ images[i]
+        # written in place: no half-table temporary
+        np.bitwise_xor(out[:h], images[i], out=out[h:2 * h])
         h *= 2
     return out

@@ -137,7 +137,7 @@ class ResolvedSpec:
 def smallest_half_trace(params: FieldParams) -> int:
     """Smallest K-index a with a + a^q = 1 (deterministic normalization),
     from T over all of K at once; computed once per field."""
-    half = params.trace_rel_arr(np.arange(params.K.size)) == 1
+    half = params.trace_rel_arr(np.arange(params.K.size, dtype=np.int32)) == 1
     if not half.any():
         raise AssertionError("T is surjective onto F")
     return int(np.argmax(half))
@@ -174,7 +174,7 @@ def g_of_spec(spec: NihoSpec, params: FieldParams) -> UnitCircleMap:
         """F-indices of T(coef * u^e) over the circle, in circle order."""
         return params.trace_rel_arr(params.K.mul_arr(params.circle_pow(e), coef_k))
 
-    vals = np.full(q1, ta, dtype=np.int64)
+    vals = np.full(q1, ta, dtype=np.int32)
     if rs.family in ("binomial_3", "binomial_1_6"):
         e2 = -5 if rs.family == "binomial_3" else 2 * pow(3, -1, q1)
         vals ^= t_of_power(e2, rs.alpha2)
@@ -240,8 +240,8 @@ def dual_product_formula(oval: geometry.LineOval,
     is 0 iff some factor vanishes.  `line_oval_from_g` returns an oval
     only for a bent g, so the oval is this route's bentness guard; the
     formula reads its pairs (u, g(u)) and never the covered set."""
-    us = np.array([ln.u for ln in oval.lines], dtype=np.int64)
-    ge = params.embed[np.array([ln.mu for ln in oval.lines], dtype=np.int64)]
+    us = np.array([ln.u for ln in oval.lines], dtype=np.int32)
+    ge = params.embed[np.array([ln.mu for ln in oval.lines], dtype=np.int32)]
     out = np.zeros(params.K.size, dtype=np.uint8)
     kernels.univariate_product_dual(us, ge, params.conj_table(),
                                     params.K.log, params.K.exp,
@@ -277,7 +277,7 @@ def dual_budaghyan(spec: NihoSpec, params: FieldParams,
 
     K, F = params.K, params.F
     conj = params.conj_table()
-    xs = np.arange(K.size, dtype=np.int64)
+    xs = np.arange(K.size, dtype=np.int32)
     t = 1 ^ xs ^ conj          # 1 + x + x^q, always in the embedded subfield
     root_f = F.pow_table(pow((1 << rs.r) - 1, -1, F.order))[
         1 ^ params.trace_rel_arr(xs)]
@@ -307,7 +307,7 @@ def save_g_table(g: UnitCircleMap, path) -> None:
 
 
 def load_g_table(path, params: FieldParams) -> UnitCircleMap:
-    vals = np.zeros(params.q + 1, dtype=np.int64)
+    vals = np.zeros(params.q + 1, dtype=np.int32)
     seen = np.zeros(params.q + 1, dtype=bool)
     with open(path) as fh:
         header = fh.readline().strip()

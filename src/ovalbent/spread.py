@@ -24,8 +24,9 @@ import numpy as np
 from . import kernels
 from .gf import BinaryField, binary_field
 
-# GF(2) dimension cap of the carrier: the (size, size) int64 table takes
-# 128 MB at dim 12, and `spread bent` holds several size^2 arrays besides
+# GF(2) dimension cap of the carrier: the (size, size) int32 table takes
+# 64 MB at dim 12, and `spread bent` holds several size^2 arrays besides;
+# packed points x + size*y stay below 2^24
 MAX_CARRIER_DIM = 12
 
 
@@ -46,8 +47,9 @@ class Prequasifield:
     The table is read-only, so structure derived from it and from the
     carrier (the B-mask table and its inverse, the B-bit table, the
     transpose) is computed once per object and kept.  The constructor takes
-    ownership of the table it is given: an int64 C-contiguous array is
-    kept as it is, not copied, and becomes read-only."""
+    ownership of the table it is given: an int32 C-contiguous array is
+    kept as it is, not copied, and becomes read-only; any other array is
+    copied to int32, which holds every carrier element (below 2^12)."""
 
     def __init__(self, m: int, shape: str, table: np.ndarray,
                  kind: str = "table", name: str | None = None):
@@ -58,7 +60,7 @@ class Prequasifield:
         self.size = 1 << self.dim
         if table.shape != (self.size, self.size):
             raise ValueError("multiplication table has the wrong shape")
-        self.table = np.ascontiguousarray(table, dtype=np.int64)
+        self.table = np.ascontiguousarray(table, dtype=np.int32)
         self.table.flags.writeable = False
         self.kind = kind
         self.name = name or kind
@@ -81,8 +83,8 @@ class Prequasifield:
         block holds about `kernels.BLOCK_ENTRIES` entries, so the
         evaluator's temporaries stay small at every carrier size."""
         size = 1 << carrier_dim(m, shape)
-        zs = np.arange(size, dtype=np.int64)
-        table = np.empty((size, size), dtype=np.int64)
+        zs = np.arange(size, dtype=np.int32)
+        table = np.empty((size, size), dtype=np.int32)
         for x0, xs in kernels.row_blocks(size):
             table[x0:x0 + xs.shape[0]] = mul_block(xs, zs)
         return cls(m, shape, table, kind, name)
@@ -107,7 +109,7 @@ class Prequasifield:
         """The vector with a given B mask: B is nondegenerate, so the mask
         table is a permutation of the carrier and this is its inverse."""
         if self._b_mask_inverse is None:
-            inv = np.empty(self.size, dtype=np.int64)
+            inv = np.empty(self.size, dtype=np.int32)
             inv[self.b_mask_table()] = np.arange(self.size)
             self._b_mask_inverse = inv
         return self._b_mask_inverse
@@ -116,10 +118,11 @@ class Prequasifield:
         """uint8 matrix of B(x, y) over the whole carrier."""
         if self._b_bit_table is None:
             bm = self.b_mask_table()
-            xs = np.arange(self.size, dtype=np.uint64)
-            self._b_bit_table = (
-                np.bitwise_count(bm.astype(np.uint64)[:, None] & xs[None, :])
-                .astype(np.uint8) & 1)
+            xs = np.arange(self.size, dtype=np.int32)
+            bt = np.empty((self.size, self.size), dtype=np.uint8)
+            for x0, rows in kernels.row_blocks(self.size):
+                bt[x0:x0 + rows.shape[0]] = np.bitwise_count(bm[rows] & xs) & 1
+            self._b_bit_table = bt
         return self._b_bit_table
 
     def transposed(self) -> "Prequasifield":
@@ -197,7 +200,7 @@ def kantor_chain(m: int, subdegrees: list[int], lambdas: list[int],
 
 def _trace_onto_table(F: BinaryField, d: int) -> np.ndarray:
     """T(x) = sum_k x^(2^(dk)), k < deg/d: the trace onto GF(2^d), over F."""
-    t = np.zeros(F.size, dtype=np.int64)
+    t = np.zeros(F.size, dtype=np.int32)
     for k in range(F.deg // d):
         t ^= F.pow_table(1 << (d * k))
     return t
@@ -268,7 +271,7 @@ def _doubling_failures(cols: np.ndarray) -> list[np.ndarray]:
 def _first_non_permutation(rows: np.ndarray) -> int | None:
     """Smallest i >= 1 whose row of `rows` is not a permutation of the
     carrier, or None."""
-    ref = np.arange(rows.shape[1])
+    ref = np.arange(rows.shape[1], dtype=np.int32)
     bad = ~(np.sort(rows[1:], axis=1) == ref).all(axis=1)
     return int(np.argmax(bad)) + 1 if bad.any() else None
 
@@ -308,7 +311,7 @@ def validate_prequasifield(Q: Prequasifield) -> PqfReport:
         failures["right_distributive"] = (x, 1 << i, z)
     left_ok = not any(bad.any() for bad in _doubling_failures(t.T))
 
-    ref = np.arange(Q.size)
+    ref = np.arange(Q.size, dtype=np.int32)
     has_identity = bool(((t == ref[:, None]).all(axis=0)
                          & (t == ref).all(axis=1)).any())
 
@@ -335,10 +338,11 @@ def adjoint(images: np.ndarray, Q: Prequasifield) -> np.ndarray:
     (dim, k)); entry [x, c] of the (size, k) result is adj_c(x).  Bit j of
     the B mask of adj(e_i) is B(e_i, map(e_j)), the mask inverse turns it
     into the vector, and the other x follow by linearity."""
-    images = np.asarray(images, dtype=np.int64)
+    images = np.asarray(images, dtype=np.int32)
     basis_masks = Q.b_mask_table()[1 << np.arange(Q.dim)]
     bits = np.bitwise_count(basis_masks[:, None, None] & images) & 1   # [i, j, c]
-    masks = (bits.astype(np.int64) << np.arange(Q.dim)[:, None]).sum(axis=1)
+    masks = (bits.astype(np.int32) << np.arange(Q.dim, dtype=np.int32)[:, None]
+             ).sum(axis=1, dtype=np.int32)
     return kernels.linear_map_table(Q.b_mask_inverse()[masks], Q.dim)
 
 
@@ -445,7 +449,8 @@ def verify_spread(Q: Prequasifield):
     """Every nonzero vector of V x V lies in exactly one member: the
     vertical one {(0, y)} or some {(x, x o z)}.  Returns (ok, the smallest
     packed point x + size*y covered other than once)."""
-    xs = np.arange(Q.size, dtype=np.int64)
+    xs = np.arange(Q.size, dtype=np.int32)
+    # packed points x + size*y stay below 2^24
     points = np.concatenate([Q.size * xs,
                              (xs[:, None] + Q.size * Q.table).ravel()])
     cover = np.bincount(points, minlength=Q.size * Q.size)
@@ -463,7 +468,8 @@ def spreads_perpendicular(Q: Prequasifield, Qt: Prequasifield) -> bool:
     bm = Q.b_mask_table()
     # both sides indexed [i, j, z]
     lhs = np.bitwise_count(bm[basis][:, None, None] & Qt.table[basis]) & 1
-    rhs = (bm[Q.table[basis]][:, None, :] >> np.arange(Q.dim)[:, None]) & 1
+    rhs = (bm[Q.table[basis]][:, None, :]
+           >> np.arange(Q.dim, dtype=np.int32)[:, None]) & 1
     return bool(np.array_equal(lhs, rhs))
 
 
@@ -516,7 +522,7 @@ def sqrt_diag_g_table(Q: Prequasifield) -> np.ndarray:
     if Q.shape == "pair":
         low = F.size - 1
         rows = t[[1, 1 << Q.m]]                   # R_z(1, 0), R_z(0, 1)
-        lams = np.arange(F.size, dtype=np.int64)
+        lams = np.arange(F.size, dtype=np.int32)
         linear = np.ones(Q.size, dtype=bool)      # R_z(lam e) = lam R_z(e)
         for shift, row in zip((0, Q.m), rows):
             got = t[lams << shift]
@@ -531,9 +537,9 @@ def sqrt_diag_g_table(Q: Prequasifield) -> np.ndarray:
     if not is_symplectic(Q):
         raise ValueError("diagonal construction needs a symplectic spread")
     bm = Q.b_mask_table()
-    out = np.zeros(Q.size, dtype=np.int64)
+    out = np.zeros(Q.size, dtype=np.int32)
     for b in orthonormal_basis(Q):
-        out ^= (np.bitwise_count(bm[t[b]] & b).astype(np.int64) & 1) * b
+        out ^= (np.bitwise_count(bm[t[b]] & b).astype(np.int32) & 1) * b
     return out
 
 
@@ -566,7 +572,7 @@ def loads_pqf(text: str) -> Prequasifield:
         raise ValueError("table must be q rows of q integers")
     if min(map(min, rows)) < 0 or max(map(max, rows)) >= size:
         raise ValueError(f"table entries must lie in [0, {size})")
-    return Prequasifield(m, shape, np.array(rows, dtype=np.int64), kind="table")
+    return Prequasifield(m, shape, np.array(rows, dtype=np.int32), kind="table")
 
 
 def save_pqf(Q: Prequasifield, path) -> None:

@@ -3,7 +3,8 @@
 A function on V x V (V the carrier of a prequasifield Q) that is linear
 on every spread member is determined by a map G : V -> V and mu in V:
 f(0, y) = B(mu, y) and f(x, x o z) = B(G(z), x).  Truth tables pack the
-point (x, y) as x + size*y.
+point (x, y) as x + size*y, below 2^24 for carriers of dimension <= 12,
+so packed indices are int32 like the carrier tables.
 
 Bentness is equivalent to: G bijective and z -> G(z) + b*z 2-to-1 for
 every b != 0 (star = transpose multiplication), and to the 0-or-2 cover
@@ -75,10 +76,9 @@ def normalize_mu(spec: SpreadBentSpec) -> SpreadBentSpec:
 
 
 def walsh_masks(Q: Prequasifield) -> np.ndarray:
-    """Spectrum re-indexing for the bivariate inner product B(a,x)+B(b,y)."""
-    # int32 when the 2*dim-bit indices fit: this array is size^2 long and
-    # lives through the largest Walsh transform
-    bm = Q.b_mask_table().astype(np.int32 if 2 * Q.dim < 32 else np.int64)
+    """Spectrum re-indexing for the bivariate inner product B(a,x)+B(b,y):
+    int32 like the B masks, since its 2*dim <= 24-bit entries fit."""
+    bm = Q.b_mask_table()
     return (bm[None, :] | (bm[:, None] << Q.dim)).ravel()
 
 
@@ -135,7 +135,7 @@ def _materialize_line_oval(Q: Prequasifield, c: int,
     line {y = offsets[z] + x * z} holds the points x + size*y over all x."""
     st_cols = star_table(Q).T                     # [z, x] = x * z
     counts = np.zeros(Q.size * Q.size, dtype=np.int32)
-    xs = np.arange(Q.size, dtype=np.int64)
+    xs = np.arange(Q.size, dtype=np.int32)
     counts[c + Q.size * xs] += 1
     for z0, zs in kernels.row_blocks(Q.size):
         ys = offsets[zs] ^ st_cols[z0:z0 + zs.shape[0]]

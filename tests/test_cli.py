@@ -342,6 +342,19 @@ def test_spread_bent_g_value_out_of_range(tmp_path, capsys):
                              "--g", f"table:{gt}"], capsys)
 
 
+def test_spread_bent_g_value_beyond_int32_and_int64(tmp_path, capsys):
+    """Checked as Python ints: no overflow, and no wrap into the carrier."""
+    for bad in ((1 << 31) + 3, (1 << 64) + 3):
+        gt = tmp_path / "g.txt"
+        gt.write_text(" ".join(map(str, [bad] + list(range(1, 8)))))
+        _assert_input_error(["spread", "bent", "--pqf", "field:3",
+                             "--g", f"table:{gt}"], capsys)
+    gt.write_text(f"0 1 2 {(1 << 63) + 1}\n")
+    assert cli.main(["spread", "bent", "--pqf", "field:2",
+                     "--g", f"table:{gt}"]) == 2
+    assert "G values must be carrier elements in [0, 4)" in capsys.readouterr().err
+
+
 def test_spread_bent_g_table_length(tmp_path, capsys):
     gt = tmp_path / "g.txt"
     gt.write_text(" ".join(map(str, range(7))))

@@ -260,6 +260,8 @@ def _first_json(text):
            ("file", "")], True))
 @example((["spread", "build", "--kind", "kantor", "--m", "3", "--table",
            ("file", ""), "--chain", "0", "--lambdas", "", "--zetas", ""], False))
+@example((["spread", "bent", "--pqf", "field:2", "--g",
+           ("table:", ("file", "0 1 2 99999999999999999999\n"))], False))
 @example((["spread", "build", "--kind", "luneburg"], False))
 @example((["spread", "build", "--kind", "field"], False))
 @example((["oval", "convert", "--m", "3", "--points-json",

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ovalbent import gf
+from ovalbent import gf, spread
 from oracles import (exp_log_naive, field_pair_naive, irreducible_bruteforce,
                      polar_naive, trace_rel_naive)
 
@@ -286,18 +286,66 @@ def test_exp_log_tables_match_stepped_powers():
         B = gf.binary_field(deg)
         exp, log = exp_log_naive(B.poly, B.generator)
         assert np.array_equal(B.exp, exp) and np.array_equal(B.log, log)
-        assert B.exp.dtype == B.log.dtype == np.int64 and B.log[0] == 0
+        assert B.log[0] == 0
         assert not B.exp.flags.writeable and not B.log.flags.writeable
 
 
+def test_index_tables_are_int32():
+    """One dtype for every index table, field and carrier alike: int32
+    (every index is below 2^24), with today's read-only flags kept."""
+    p = gf.field_make(9)
+    tables = {"K.exp": p.K.exp, "K.log": p.K.log, "conj": p.conj_table(),
+              "unit class": p.unit_class_table(), "project": p.project_table(),
+              "dot mask": p.K.dot_mask_table()}
+    read_only = [p.K.exp, p.K.log]
+    for Q in (spread.field_pqf(3), spread.luneburg(3)):
+        F = Q.field
+        tables.update({f"{Q.kind} {name}": t for name, t in (
+            ("F.exp", F.exp), ("F.log", F.log), ("dot mask", F.dot_mask_table()),
+            ("table", Q.table), ("transpose", Q.transposed().table),
+            ("B masks", Q.b_mask_table()), ("B mask inverse", Q.b_mask_inverse()))})
+        read_only += [F.exp, F.log, Q.table, Q.transposed().table]
+    for name, t in tables.items():
+        assert t.dtype == np.int32, name
+    assert not any(t.flags.writeable for t in read_only)
+
+
+def _field_pair_matches(m):
+    p = gf.field_make(m)
+    sub, embed, circle, ucls = field_pair_naive(p)
+    assert sorted(p.embed.tolist()) == sub
+    assert np.array_equal(p.embed, embed)
+    assert np.array_equal(p.S, circle)
+    assert np.array_equal(p.unit_class_table(), ucls)
+
+
 def test_field_pair_matches_element_by_element_construction():
-    for m in range(2, 10):
-        p = gf.field_make(m)
-        sub, embed, circle, ucls = field_pair_naive(p)
-        assert sorted(p.embed.tolist()) == sub
-        assert np.array_equal(p.embed, embed)
-        assert np.array_equal(p.S, circle)
-        assert np.array_equal(p.unit_class_table(), ucls)
+    for m in range(2, 9):
+        _field_pair_matches(m)
+
+
+# ---------------------------------------------------------------------------
+# the top of the domain, where int32 log products would wrap: the oracles
+# step through the powers and never read the tables they check
+# ---------------------------------------------------------------------------
+
+def test_unit_classes_at_m9_match_element_by_element_construction():
+    """m = 9, where log * (q-1)^-1 mod q+1 is reduced before it multiplies."""
+    _field_pair_matches(9)
+
+
+def test_powers_at_degree_18_match_stepped_powers():
+    """log * e passes 2^31 at degree 18 for these e: pow_table widens to
+    int64 and scalar pow works on Python ints."""
+    B = gf.binary_field(18)
+    exp, log = exp_log_naive(B.poly, B.generator)
+    xs = np.random.default_rng(18).integers(1, B.size, size=300)
+    for e in (B.order - 1, -1, (1 << 17) + 3):
+        want = np.zeros(B.size, dtype=np.int64)
+        want[1:] = exp[log[1:] * e % B.order]
+        got = B.pow_table(e)
+        assert got.dtype == np.int32 and np.array_equal(got, want), e
+        assert [B.pow(int(x), e) for x in xs] == want[xs].tolist(), e
 
 
 def test_non_primitive_generator_rejected(monkeypatch):

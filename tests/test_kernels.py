@@ -91,6 +91,23 @@ def test_line_cover_counts_and_univariate_product_dual(m):
         assert np.array_equal(out, (want == 0).astype(np.uint8))
 
 
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_univariate_product_dual_in_blocks_of_u_rows(monkeypatch, m):
+    """One and three u rows per block, the last block ragged at m = 4, 5;
+    the maps include zeros of g."""
+    p, maps = _incidence_maps(m)
+    for gvals in maps:
+        lines = [AffineLineK(int(u), int(g)) for u, g in zip(p.S, gvals)]
+        want = (line_cover_naive(lines, p) == 0).astype(np.uint8)
+        for rows in (1, 3):
+            monkeypatch.setattr(kernels, "BLOCK_ENTRIES", rows * (p.q + 1))
+            assert len(list(kernels.row_blocks(p.q + 1))) == -(-(p.q + 1) // rows)
+            out = np.full(p.K.size, 7, dtype=np.uint8)
+            kernels.univariate_product_dual(p.S, p.embed[gvals], p.conj_table(),
+                                            p.K.log, p.K.exp, p.K.order, out)
+            assert np.array_equal(out, want), rows
+
+
 def test_line_cover_counts_repeated_directions():
     for m in (2, 3, 4, 5):
         p = gf.field_make(m)
