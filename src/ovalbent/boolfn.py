@@ -13,9 +13,8 @@ import numpy as np
 
 from . import kernels
 
-
-def _popcounts(idx: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(idx.astype(np.uint64)).astype(np.int64)
+# 1 + weight(col) for col < 2^6, the weights `AnfPolynomial.degree` adds
+_ONE_PLUS_WEIGHT = np.bitwise_count(np.arange(64, dtype=np.uint8)) + np.uint8(1)
 
 
 def _rank(rows: list[int]) -> int:
@@ -120,10 +119,17 @@ class AnfPolynomial:
         self.coeffs = coeffs
 
     def degree(self) -> int:
-        nz = np.nonzero(self.coeffs)[0]
-        if nz.size == 0:
-            return 0
-        return int(_popcounts(nz).max())
+        """Largest weight of a monomial with coefficient 1, in one pass.
+
+        With the coefficient bits viewed as (R, C), C = 2^min(6, k),
+        monomial row*C + col has weight weight(row) + weight(col): each
+        row's coefficients times 1 + weight(col) give, at their max, 1 +
+        the heaviest monomial of the row outside its row bits (0 for
+        none)."""
+        cols = 1 << min(6, self.k)
+        best = (self.coeffs.reshape(-1, cols) * _ONE_PLUS_WEIGHT[:cols]).max(axis=1)
+        rows = np.bitwise_count(np.arange(best.shape[0], dtype=np.uint32))
+        return max(int(np.max(best + rows, where=best != 0, initial=0)) - 1, 0)
 
     def __repr__(self) -> str:
         return f"AnfPolynomial(k={self.k}, degree={self.degree()})"

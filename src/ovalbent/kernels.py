@@ -6,7 +6,12 @@ numpy arrays and ints.  Index tables and index arithmetic are int32:
 every index is below 2^24, and every log sum below 2^31.  The
 univariate incidence kernels use closed forms: the line cover counts the
 coset rows of `geometry.line_point_rows` and the product dual works ray
-by ray.  Per-kernel time and work on real workloads come from
+by ray.  The Walsh and Moebius butterflies never run a numpy operation
+over short rows: the stages of the low index bits, whose rows would be
+2 to 32 entries long, run on a transposed copy of each block of
+`BLOCK_ENTRIES` entries, where they are stages over rows of at least
+2^(k/2) entries (1024 from k = 16 on), and the other stages run in
+place.  Per-kernel time and work on real workloads come from
 `python3 perfbench/run.py --workload W --trace 1`.
 """
 
@@ -29,17 +34,38 @@ def row_blocks(size: int):
         yield x0, np.arange(x0, min(x0 + rows, size), dtype=np.int32)[:, None]
 
 
-def walsh_inplace(w: np.ndarray) -> None:
-    """In-place Walsh-Hadamard butterfly on a length-2^k signed vector.
+def _low_bits_transposed(w: np.ndarray, stages) -> int:
+    """Run the butterfly stages of the low c index bits of w block by block
+    on a transposed copy, where they are stages over long rows; returns
+    C = 2^c, the row length of the first stage left to run in place.
 
-    Radix 4: each pass over the array applies the two stages h and 2h to
-    the quarter blocks a0..a3, then one radix-2 stage finishes an odd k.
-    Every intermediate, including the 2a of the last stage, is bounded
-    by the final |entry| <= n, so any signed dtype that holds n is exact.
-    """
+    Index bit i < c of a block of B = min(BLOCK_ENTRIES, n) entries viewed
+    as (R, C) is bit i of the column; in the (C, R) transpose it is the
+    stage h = R * 2^i.  c is min(6, k // 2) rounded down to even: c <= k/2
+    keeps R >= C, and an even c leaves the Walsh stages of the block all
+    radix 4.  Besides the stages' own temporaries, the only memory is one
+    block-sized buffer."""
+    n = w.shape[0]
+    cols = 1 << (min(6, (n.bit_length() - 1) // 2) & ~1)
+    if cols == 1:
+        return 1
+    block = min(BLOCK_ENTRIES, n)
+    rows = block // cols
+    buf = np.empty((cols, rows), dtype=w.dtype)
+    flat = buf.reshape(-1)
+    for b0 in range(0, n, block):
+        v = w[b0:b0 + block].reshape(rows, cols)
+        buf[...] = v.T
+        stages(flat, rows)
+        v[...] = buf.T
+    return cols
+
+
+def _walsh_stages(w: np.ndarray, h: int) -> None:
+    """Walsh stages h, 2h, .., n/2 of w in place: radix-4 passes over the
+    quarter blocks a0..a3, then one radix-2 stage if an odd count is left."""
     n = w.shape[0]
     t = np.empty(n // 4, dtype=w.dtype)     # one temporary quarter, reused
-    h = 1
     while 4 * h <= n:
         v = w.reshape(-1, 4, h)
         a0, a1, a2, a3 = v[:, 0], v[:, 1], v[:, 2], v[:, 3]
@@ -61,14 +87,32 @@ def walsh_inplace(w: np.ndarray) -> None:
         a -= b                        # a <- 2a - (a - b) = a + b, no temporary
 
 
-def mobius_inplace(t: np.ndarray) -> None:
-    """In-place Moebius (XOR) butterfly on a length-2^k uint8 vector."""
+def walsh_inplace(w: np.ndarray) -> None:
+    """In-place Walsh-Hadamard butterfly on a length-2^k signed vector.
+
+    The low index bits run on transposed blocks (`_low_bits_transposed`),
+    the rest in place, in radix-4 passes plus one radix-2 stage at odd k.
+    The stages commute, and every intermediate,
+    including the 2a of a radix-2 stage, is bounded by the final
+    |entry| <= n, so any signed dtype that holds n is exact.
+    """
+    _walsh_stages(w, _low_bits_transposed(w, _walsh_stages))
+
+
+def _mobius_stages(t: np.ndarray, h: int) -> None:
+    """Moebius stages h, 2h, .., n/2 of t in place: the upper half of each
+    2h row gets the XOR of its lower half."""
     n = t.shape[0]
-    h = 1
     while h < n:
         v = t.reshape(-1, 2 * h)
         v[:, h:] ^= v[:, :h]
         h *= 2
+
+
+def mobius_inplace(t: np.ndarray) -> None:
+    """In-place Moebius (XOR) butterfly on a length-2^k uint8 vector: the
+    low index bits on transposed blocks, the rest in place."""
+    _mobius_stages(t, _low_bits_transposed(t, _mobius_stages))
 
 
 # no library caller since `niho.bent_from_g` became one gather; kept for

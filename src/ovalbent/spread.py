@@ -448,16 +448,26 @@ def _left_adjoint_pqf(Q: Prequasifield, name: str) -> Prequasifield:
 def verify_spread(Q: Prequasifield):
     """Every nonzero vector of V x V lies in exactly one member: the
     vertical one {(0, y)} or some {(x, x o z)}.  Returns (ok, the smallest
-    packed point x + size*y covered other than once)."""
-    xs = np.arange(Q.size, dtype=np.int32)
-    # packed points x + size*y stay below 2^24
-    points = np.concatenate([Q.size * xs,
-                             (xs[:, None] + Q.size * Q.table).ravel()])
-    cover = np.bincount(points, minlength=Q.size * Q.size)
-    bad = np.nonzero(cover[1:] != 1)[0]
-    if bad.size:
-        return False, int(bad[0]) + 1
-    return True, None
+    packed point x + size*y covered other than once).
+
+    A point (x, y) with x != 0 lies on no member but those of row x, so
+    the cover is counted per block of rows (`kernels.row_blocks`), at
+    local index (x - x0)*size + y."""
+    size = Q.size
+    witness = None
+    for x0, xs in kernels.row_blocks(size):
+        b = xs.shape[0]
+        local = (xs - x0) * size + Q.table[x0:x0 + b]
+        cover = np.bincount(local.ravel(), minlength=b * size)
+        if x0 == 0:
+            cover[:size] += 1                   # the vertical member
+            cover[0] = 1                        # (0, 0) is no point
+        bad = np.flatnonzero(cover != 1)
+        if bad.size:
+            # packed points x + size*y stay below 2^24
+            p = int((x0 + bad // size + size * (bad % size)).min())
+            witness = p if witness is None else min(witness, p)
+    return witness is None, witness
 
 
 def spreads_perpendicular(Q: Prequasifield, Qt: Prequasifield) -> bool:

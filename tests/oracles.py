@@ -50,6 +50,44 @@ def walsh_radix2_int64(table):
     return w
 
 
+def walsh_radix4_rows(w):
+    """In-place Walsh butterfly stage by stage over rows of 2^i entries:
+    radix-4 passes, then a radix-2 stage at odd k (the kernel before the
+    low index bits moved to transposed blocks)."""
+    n = w.shape[0]
+    t = np.empty(n // 4, dtype=w.dtype)
+    h = 1
+    while 4 * h <= n:
+        v = w.reshape(-1, 4, h)
+        a0, a1, a2, a3 = v[:, 0], v[:, 1], v[:, 2], v[:, 3]
+        d = t.reshape(-1, h)
+        np.subtract(a0, a1, out=d)
+        a0 += a1
+        np.subtract(a2, a3, out=a1)
+        a2 += a3
+        np.subtract(d, a1, out=a3)
+        np.add(d, a1, out=a1)
+        np.subtract(a0, a2, out=d)
+        a0 += a2
+        a2[...] = d
+        h *= 4
+    if h < n:
+        a, b = w.reshape(2, h)
+        np.subtract(a, b, out=b)
+        a *= 2
+        a -= b
+
+
+def mobius_rows(t):
+    """In-place Moebius butterfly stage by stage over rows of 2^i entries."""
+    n = t.shape[0]
+    h = 1
+    while h < n:
+        v = t.reshape(-1, 2 * h)
+        v[:, h:] ^= v[:, :h]
+        h *= 2
+
+
 def dot_parity(b, x):
     return (b & x).bit_count() & 1
 
@@ -325,6 +363,15 @@ def naive_mobius(table):
     return np.array([np.bitwise_xor.reduce([table[x] for x in range(s + 1)
                                             if x & s == x])
                      for s in range(n)], dtype=np.uint8)
+
+
+def anf_degree_naive(coeffs):
+    """Largest popcount of an index with a nonzero ANF coefficient (0 for
+    the zero polynomial)."""
+    nz = np.nonzero(coeffs)[0]
+    if nz.size == 0:
+        return 0
+    return int(np.bitwise_count(nz.astype(np.uint64)).max())
 
 
 def niho_fill_naive(gvals, params):

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ovalbent import boolfn, gf
-from oracles import (naive_walsh, dot_parity, quadratic_rank_naive, rank,
-                     walsh_radix2_int64)
+from oracles import (anf_degree_naive, naive_walsh, dot_parity,
+                     quadratic_rank_naive, rank, walsh_radix2_int64)
 
 
 def test_walsh_constant_zero():
@@ -119,6 +119,24 @@ def test_anf_degree_examples():
     assert boolfn.degree(_tr_xy(2)) == 2
     lin = boolfn.BooleanFunction(3, [x & 1 for x in range(8)])
     assert boolfn.degree(lin) == 1
+
+
+@pytest.mark.parametrize("k", range(17))
+def test_anf_degree_matches_popcount_scan(k):
+    """The one-pass row/column degree against the popcount of every
+    nonzero coefficient index: sparse and dense random polynomials, the
+    zero polynomial and the single top monomial."""
+    n = 1 << k
+    rng = np.random.default_rng(300 + k)
+    top = np.zeros(n, dtype=np.uint8)
+    top[-1] = 1
+    cases = [np.zeros(n, dtype=np.uint8), top,
+             rng.integers(0, 2, size=n, dtype=np.uint8)]
+    for density in (1 / n, 4 / n, 0.5 / k if k else 1.0):
+        cases.append((rng.random(n) < density).astype(np.uint8))
+    for coeffs in cases:
+        assert boolfn.AnfPolynomial(k, coeffs).degree() == \
+            anf_degree_naive(coeffs)
 
 
 @settings(max_examples=50)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from ovalbent import geometry, gf, kernels, niho, spread, spreadbent
 from ovalbent.geometry import AffineLineK
 from oracles import (bivariate_fill_naive, bivariate_product_dual_naive,
                      collinear_triples_naive, dot_parity, line_cover_naive,
-                     naive_mobius, naive_walsh, niho_fill_naive, walsh_by_rows)
+                     mobius_rows, naive_mobius, naive_walsh, niho_fill_naive,
+                     walsh_by_rows, walsh_radix4_rows)
 
 SPECS = [niho.NihoSpec("quadratic", 2), niho.NihoSpec("binomial_1_6", 2),
          niho.NihoSpec("quadratic", 3), niho.NihoSpec("binomial_3", 3),
@@ -64,6 +67,41 @@ def test_mobius_inplace(k):
     t = table.copy()
     kernels.mobius_inplace(t)
     assert np.array_equal(t, naive_mobius(table))
+
+
+@pytest.mark.parametrize("k", [*range(18), 20])
+def test_butterflies_match_row_references(k):
+    """Block transpose against the stage-by-stage butterflies: no block
+    below k = 4, c = 2 and 4 low bits below k = 12 and 6 above, odd k, one
+    block below k = 17 and several above."""
+    table = np.random.default_rng(200 + k).integers(0, 2, size=1 << k,
+                                                    dtype=np.uint8)
+    for dtype in (np.int32, np.int64):
+        w = 1 - 2 * table.astype(dtype)
+        want = w.copy()
+        walsh_radix4_rows(want)
+        kernels.walsh_inplace(w)
+        assert w.dtype == dtype
+        assert np.array_equal(w, want), dtype
+    t, want = table.copy(), table.copy()
+    mobius_rows(want)
+    kernels.mobius_inplace(t)
+    assert np.array_equal(t, want)
+
+
+def test_walsh_inplace_holds_no_full_size_copy():
+    """At k = 20 the butterfly holds its quarter-size temporary and one
+    transposed block, nothing of the size of the input.  The slack covers
+    numpy's ufunc iteration buffers (about 100 KB on strided operands)."""
+    w = np.ones(1 << 20, dtype=np.int32)
+    tracemalloc.start()
+    try:
+        kernels.walsh_inplace(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < w.nbytes // 4 + 4 * kernels.BLOCK_ENTRIES + (256 << 10), peak
+    assert w[0] == 1 << 20 and not w[1:].any()
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

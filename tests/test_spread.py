@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ovalbent import spread
+from ovalbent import kernels, spread
 from ovalbent.gf import BinaryField
 from oracles import (adjoint_naive, apply, carrier_form, diagonal_sqrt,
                      dumps_pqf_naive, f_matrix_rep, field_mul, kantor_mul,
@@ -564,6 +564,28 @@ def test_validation_matches_all_triples_oracle(name):
     if "right_distributive" in got["failures"]:
         x, y, z = got["failures"]["right_distributive"]
         assert pqf_mul(Q, x ^ y, z) != pqf_mul(Q, x, z) ^ pqf_mul(Q, y, z)
+
+
+@pytest.mark.parametrize("name", [*BROKEN, "luneburg:3", "kantor:5:11"])
+def test_spread_cover_in_small_row_blocks(name, monkeypatch):
+    """Blocks of a few rows each: the cover counts of every block and the
+    smallest witness over all of them."""
+    Q = CARRIERS[name]()
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 3 * Q.size)
+    assert spread.verify_spread(Q) == spread_cover_naive(Q)
+
+
+def test_spread_cover_witness_from_a_later_block(monkeypatch):
+    """Row 1 misses y = 15 and row 15 misses y = 1: the smallest packed
+    point x + 16*y not covered once is (15, 1), in the last block."""
+    Q = spread.field_pqf(4)
+    t = Q.table.copy()
+    for x, y in ((1, 15), (15, 1)):
+        t[x, list(t[x]).index(y)] = y + 1 if y < 15 else 14
+    broken = spread.Prequasifield(Q.m, Q.shape, t, kind="table", name="two rows")
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 3 * Q.size)
+    assert spread.verify_spread(broken) == spread_cover_naive(broken) \
+        == (False, 15 + 16 * 1)
 
 
 @pytest.mark.parametrize("name", [*SMALL, *BROKEN, *NOT_F_SYMMETRIC])
