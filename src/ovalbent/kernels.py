@@ -11,7 +11,11 @@ over short rows: the stages of the low index bits, whose rows would be
 2 to 32 entries long, run on a transposed copy of each block of
 `BLOCK_ENTRIES` entries, where they are stages over rows of at least
 2^(k/2) entries (1024 from k = 16 on), and the other stages run in
-place.  Per-kernel time and work on real workloads come from
+place.  Every per-row value histogram of a square table is counted by
+`row_counts`, one bincount per block of rows (`row_blocks`): the spread
+cover, the spread-bent criterion and the line-oval cover, so none of
+them holds a count array over the whole plane.  Per-kernel time and
+work on real workloads come from
 `python3 perfbench/run.py --workload W --trace 1`.
 """
 
@@ -32,6 +36,19 @@ def row_blocks(size: int):
     rows = max(1, BLOCK_ENTRIES // size)
     for x0 in range(0, size, rows):
         yield x0, np.arange(x0, min(x0 + rows, size), dtype=np.int32)[:, None]
+
+
+def row_counts(size: int, rows):
+    """(x0, counts) per block of `row_blocks(size)`: counts[i, v] is the
+    number of entries v (0 <= v < size) in row i of the (b, n) block
+    rows(x0, b).  The block is packed at local index i*size + v and
+    counted by one bincount, so no count array outlives its block.  The
+    block is packed straight into intp, the dtype bincount casts its
+    input to, which skips an int32 temporary."""
+    for x0, xs in row_blocks(size):
+        b = xs.shape[0]
+        local = np.add(rows(x0, b), size * (xs - x0), dtype=np.intp)
+        yield x0, np.bincount(local.ravel(), minlength=b * size).reshape(b, size)
 
 
 def _low_bits_transposed(w: np.ndarray, stages) -> int:

@@ -108,10 +108,8 @@ def bent_criterion(spec: SpreadBentSpec):
     if not _is_permutation(spec.G, Q.size):
         return False, ("G_not_bijective",)
     st = star_table(Q)
-    for b0, bs in kernels.row_blocks(Q.size):
-        vals = spec.G ^ st[b0:b0 + bs.shape[0]]          # [b, z]
-        counts = np.bincount((vals + Q.size * (bs - b0)).ravel(),
-                             minlength=vals.size).reshape(vals.shape)
+    for b0, counts in kernels.row_counts(
+            Q.size, lambda b0, b: spec.G ^ st[b0:b0 + b]):    # [b, z]
         bad = (counts != 0) & (counts != 2)
         if b0 == 0:
             bad[0] = False                                # b = 0 is exempt
@@ -131,25 +129,29 @@ def line_oval_bivariate(spec: SpreadBentSpec) -> BivariateLineOval:
 
 def _materialize_line_oval(Q: Prequasifield, c: int,
                            offsets: np.ndarray) -> BivariateLineOval:
-    """Cover counts scattered line by line, in blocks of lines z: the
-    line {y = offsets[z] + x * z} holds the points x + size*y over all x."""
-    st_cols = star_table(Q).T                     # [z, x] = x * z
-    counts = np.zeros(Q.size * Q.size, dtype=np.int32)
-    xs = np.arange(Q.size, dtype=np.int32)
-    counts[c + Q.size * xs] += 1
-    for z0, zs in kernels.row_blocks(Q.size):
-        ys = offsets[zs] ^ st_cols[z0:z0 + zs.shape[0]]
-        # an int32 increment keeps np.add.at on its fast path; a
-        # Python int 1 makes it about ten times slower
-        np.add.at(counts, xs + Q.size * ys, np.int32(1))
-    bad = np.nonzero((counts != 0) & (counts != 2))[0]
-    if bad.size:
-        p = int(bad[0])
-        raise ValueError(f"not a line oval: point ({p % Q.size}, {p // Q.size}) "
-                         f"lies on {int(counts[p])} lines")
-    e_table = (counts > 0).view(np.uint8)
-    assert int(e_table.sum()) == (Q.size * Q.size) // 2 + Q.size // 2
-    return BivariateLineOval(Q.size, c, offsets, e_table)
+    """Cover counts per block of x rows (`kernels.row_counts`): the point
+    (x, y) lies on the line {y = offsets[z] + x * z} for each z with
+    offsets[z] + x * z = y, and on the vertical line iff x = c.  Only the
+    uint8 covered set is written, packed x + size*y; the witness of a
+    failure is the smallest x, then the smallest y, whose point lies on
+    neither 0 nor 2 lines, so the count stops at the first bad block."""
+    size = Q.size
+    st = star_table(Q)                            # [x, z] = x * z
+    e_table = np.empty(size * size, dtype=np.uint8)
+    e_cols = e_table.reshape(size, size)          # [y, x]
+    for x0, counts in kernels.row_counts(
+            size, lambda x0, b: offsets ^ st[x0:x0 + b]):   # [x, y]
+        b = counts.shape[0]
+        if x0 <= c < x0 + b:
+            counts[c - x0] += 1                   # the vertical line x = c
+        bad = (counts != 0) & (counts != 2)
+        if bad.any():
+            i, y = divmod(int(np.argmax(bad)), size)
+            raise ValueError(f"not a line oval: point ({x0 + i}, {y}) "
+                             f"lies on {int(counts[i, y])} lines")
+        e_cols[:, x0:x0 + b] = (counts != 0).T
+    assert int(e_table.sum()) == (size * size) // 2 + size // 2
+    return BivariateLineOval(size, c, offsets, e_table)
 
 
 # ---------------------------------------------------------------------------

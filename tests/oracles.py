@@ -492,6 +492,26 @@ def bent_criterion_naive(G, star):
     return True, None
 
 
+def line_oval_cover_naive(Q, c, offsets):
+    """(counts, witness) of the line oval {x = c} u {y = offsets[z] + x*z}
+    in A(Q^t), one line at a time: counts[x + size*y] is the number of
+    lines through (x, y), and the witness is (x, y, count) for the
+    smallest x, then the smallest y, whose point lies on neither 0 nor 2
+    lines, or None.  x*z is read from Q's transpose table, which
+    test_spread checks against the brute-force adjoints."""
+    n = Q.size
+    star = Q.transposed().table
+    counts = [0] * (n * n)
+    for y in range(n):                       # the vertical line x = c
+        counts[c + n * y] += 1
+    for z in range(n):
+        for x in range(n):
+            counts[x + n * (int(offsets[z]) ^ int(star[x, z]))] += 1
+    witness = next(((x, y, counts[x + n * y]) for x in range(n)
+                    for y in range(n) if counts[x + n * y] not in (0, 2)), None)
+    return np.array(counts), witness
+
+
 def bivariate_product_dual_naive(star, G):
     """0 iff y = 0 or x = G(z) + y*z for some z, one point at a time."""
     size = len(G)

@@ -187,6 +187,24 @@ def test_bivariate_kernels_in_small_blocks(monkeypatch):
     assert np.array_equal(out, bivariate_product_dual_naive(star, G))
 
 
+@pytest.mark.parametrize("rows_per_block", [1, 3, 5, 64])
+def test_row_counts_match_per_row_bincount(monkeypatch, rows_per_block):
+    """Per-block counts of a (size, n) table with n != size, against one
+    bincount per row: every block, its first row and a ragged last block."""
+    size, n = 23, 37
+    data = np.random.default_rng(rows_per_block).integers(
+        0, size, size=(size, n)).astype(np.int32)
+    data[4] = size - 1                           # one value n times
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", rows_per_block * size)
+    seen = []
+    for x0, counts in kernels.row_counts(size, lambda x0, b: data[x0:x0 + b]):
+        assert x0 == len(seen) and counts.shape[1] == size
+        seen.extend(counts)
+    assert len(seen) == size
+    for row, counts in zip(data, seen):
+        assert np.array_equal(counts, np.bincount(row, minlength=size))
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_collinear_scan(m):
     p = gf.field_make(m)

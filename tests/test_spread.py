@@ -566,6 +566,35 @@ def test_validation_matches_all_triples_oracle(name):
         assert pqf_mul(Q, x ^ y, z) != pqf_mul(Q, x, z) ^ pqf_mul(Q, y, z)
 
 
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("name", [*BROKEN, "luneburg:3", "kantor:5:11"])
+def test_validation_in_small_row_blocks(name, rows, monkeypatch):
+    """The permutation checks sort blocks of one or three rows (and of
+    columns, copied C-contiguous): the same report and witnesses."""
+    Q = CARRIERS[name]()
+    want = validate_naive(Q)
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", rows * Q.size)
+    got = spread.validate_prequasifield(Q).as_dict()
+    assert got.pop("exhaustive") is True
+    assert got == want
+
+
+def test_commutative_needs_left_distributivity():
+    """x o z = x phi(z) over GF(8), phi swapping 3 and 5: every axiom
+    holds and the basis block is symmetric, but Q is neither left
+    distributive nor commutative (1 o 3 = 5, 3 o 1 = 3)."""
+    F = spread.field_pqf(3)
+    t = F.table[:, [0, 1, 2, 5, 4, 3, 6, 7]]
+    Q = spread.Prequasifield(3, "flat", t, kind="table", name="x phi(z)")
+    basis = 1 << np.arange(Q.dim)
+    assert np.array_equal(t[basis][:, basis], t[basis][:, basis].T)
+    got = spread.validate_prequasifield(Q).as_dict()
+    assert got.pop("exhaustive") is True
+    assert got == validate_naive(Q)
+    assert got["axioms_ok"] and not got["is_presemifield"]
+    assert not got["is_commutative"]
+
+
 @pytest.mark.parametrize("name", [*BROKEN, "luneburg:3", "kantor:5:11"])
 def test_spread_cover_in_small_row_blocks(name, monkeypatch):
     """Blocks of a few rows each: the cover counts of every block and the

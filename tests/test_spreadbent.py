@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ovalbent import boolfn, kernels, spread, spreadbent
 from ovalbent.gf import BinaryField
-from oracles import bent_criterion_naive, gl2_action_naive
+from oracles import bent_criterion_naive, gl2_action_naive, line_oval_cover_naive
+from test_spread import SMALL
 
 
 @pytest.fixture(scope="module")
@@ -120,11 +123,69 @@ def test_criterion_witness_matches_per_b_oracle(monkeypatch):
                     bent_criterion_naive(spec.G, st), (Q, entries)
 
 
-def test_line_oval_in_small_blocks(luneburg_spec, monkeypatch):
-    want = spreadbent.line_oval_bivariate(luneburg_spec).e_table
-    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 5 * luneburg_spec.Q.size)
-    got = spreadbent.line_oval_bivariate(luneburg_spec).e_table
-    assert np.array_equal(got, want) and got.dtype == np.uint8
+def _cover_gs(Q):
+    """Bent G where a sqrt-diag table exists, else the transpose square,
+    then a seeded permutation and a seeded G that takes one value twice."""
+    rng = np.random.default_rng(Q.size)
+    try:
+        bent = spread.sqrt_diag_g_table(Q)
+    except ValueError:
+        bent = spreadbent.g_square_star(Q)
+    twice = rng.permutation(Q.size)
+    twice[-1] = twice[0]
+    return [bent, rng.permutation(Q.size), twice]
+
+
+def _assert_cover_matches(make, Q, c, offsets):
+    """The line oval from make() against the per-line oracle: the covered
+    set and c, or the witness point and its count."""
+    counts, witness = line_oval_cover_naive(Q, c, offsets)
+    if witness is None:
+        oval = make()
+        assert oval.c == c and np.array_equal(oval.offsets, offsets)
+        assert oval.e_table.dtype == np.uint8
+        assert np.array_equal(oval.e_table, (counts > 0).astype(np.uint8))
+    else:
+        x, y, n = witness
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == f"not a line oval: point ({x}, {y}) lies on {n} lines"
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_line_oval_cover_matches_per_line_oracle(name, monkeypatch):
+    """Covered set, verdict and witness against the per-line loop, for
+    c = 0 and for a shifted oval (c = v != 0), with blocks of one row
+    (witnesses from later blocks), of three rows and of the whole table."""
+    Q = SMALL[name]()
+    st = spreadbent.star_table(Q)
+    rng = np.random.default_rng(7)
+    for entries in (Q.size, 3 * Q.size, Q.size * Q.size):
+        monkeypatch.setattr(kernels, "BLOCK_ENTRIES", entries)
+        for G in _cover_gs(Q):
+            spec = spreadbent.SpreadBentSpec(Q, np.asarray(G, dtype=np.int64))
+            _assert_cover_matches(lambda: spreadbent.line_oval_bivariate(spec),
+                                  Q, 0, spec.G)
+            u, v = int(rng.integers(Q.size)), int(rng.integers(1, Q.size))
+            _assert_cover_matches(
+                lambda: spreadbent.action_linear_shift(spec, u, v)[1],
+                Q, v, spec.G ^ u ^ st[v])
+
+
+def test_line_oval_cover_counts_in_row_blocks():
+    """At luneburg:5 (2^20 points) the cover holds its uint8 covered set
+    and the count arrays of one block, no count array over the plane."""
+    Q = spread.luneburg(5)
+    spec = spreadbent.SpreadBentSpec(Q, spread.sqrt_diag_g_table(Q))
+    spreadbent.star_table(Q)                     # the kept transpose table
+    tracemalloc.start()
+    try:
+        oval = spreadbent.line_oval_bivariate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+    assert oval.e_size() == Q.size * Q.size // 2 + Q.size // 2
 
 
 def test_g_identity_not_bent():
