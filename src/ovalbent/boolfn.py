@@ -170,12 +170,6 @@ def anf(f: BooleanFunction) -> AnfPolynomial:
     return AnfPolynomial(f.k, c)
 
 
-def from_anf(a: AnfPolynomial) -> BooleanFunction:
-    t = a.coeffs.copy()
-    kernels.mobius_inplace(t)
-    return BooleanFunction(a.k, t)
-
-
 def degree(f: BooleanFunction) -> int:
     return anf(f).degree()
 
@@ -185,14 +179,6 @@ def add_affine(f: BooleanFunction, mask: int, const: int = 0) -> BooleanFunction
     bits = [(mask >> i) & 1 for i in range(f.k)]
     par = kernels.linear_map_table(bits, f.k, dtype=np.uint8)
     return BooleanFunction(f.k, f.table ^ par ^ (const & 1))
-
-
-def compose_linear(f: BooleanFunction, images: list[int]) -> BooleanFunction:
-    """f(L(x)) for the linear map sending basis bit i to images[i]."""
-    if len(images) != f.k or _rank(list(images)) != f.k:
-        raise ValueError("linear map must be an invertible k x k matrix")
-    lmap = kernels.linear_map_table(images, f.k)
-    return BooleanFunction(f.k, f.table[lmap])
 
 
 def quadratic_rank(f: BooleanFunction, deg: int | None = None) -> int:

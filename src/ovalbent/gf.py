@@ -328,7 +328,6 @@ class FieldParams:
 
         self._unit_class: np.ndarray | None = None
         self._polar_log: np.ndarray | None = None
-        self._tr_mask_table: np.ndarray | None = None
         self._project_table: np.ndarray | None = None
         self._line_trace_basis: np.ndarray | None = None
 
@@ -427,10 +426,9 @@ class FieldParams:
     # -- Walsh-transform re-indexing -----------------------------------------
 
     def tr_mask_table(self) -> np.ndarray:
-        """mask[b] with Tr(b x) = parity(mask[b] & x); indexes the spectrum."""
-        if self._tr_mask_table is None:
-            self._tr_mask_table = self.K.dot_mask_table()
-        return self._tr_mask_table
+        """mask[b] with Tr(b x) = parity(mask[b] & x); indexes the spectrum.
+        The table is K's, kept on K."""
+        return self.K.dot_mask_table()
 
     def __repr__(self) -> str:
         return (f"FieldParams(m={self.m}, poly_f={self.F.poly:#x}, "

@@ -183,13 +183,16 @@ def line_cover_counts(rows, nbits) -> np.ndarray:
     return np.bincount(rows.ravel(), minlength=1 << nbits)
 
 
-def bivariate_table_fill(mul_table, gvals, bbit, out) -> None:
-    """Truth table of f(x, x o z) = B(G(z), x); f(0, y) = 0.  Packed
-    indices x + size*y stay below 2^24 (size <= 2^12)."""
+def bivariate_table_fill(mul_table, gvals, bmask, out) -> None:
+    """Truth table of f(x, x o z) = B(G(z), x) = parity(bmask[G(z)] & x);
+    f(0, y) = 0.  The bits of each row block are counted from the 1-D
+    B-mask table.  Packed indices x + size*y stay below 2^24
+    (size <= 2^12)."""
     size = mul_table.shape[0]
+    gmasks = bmask[gvals]
     for x0, xs in row_blocks(size):
         rows = mul_table[x0:x0 + xs.shape[0]]
-        out[xs + size * rows] = bbit[gvals[None, :], xs]
+        out[xs + size * rows] = np.bitwise_count(gmasks & xs) & 1
     out[0::size] = 0
 
 

@@ -45,11 +45,13 @@ class Prequasifield:
     """Multiplication table plus the carrier's bilinear form machinery.
 
     The table is read-only, so structure derived from it and from the
-    carrier (the B-mask table and its inverse, the B-bit table, the
-    transpose) is computed once per object and kept.  The constructor takes
-    ownership of the table it is given: an int32 C-contiguous array is
-    kept as it is, not copied, and becomes read-only; any other array is
-    copied to int32, which holds every carrier element (below 2^12)."""
+    carrier (the B-mask table and its inverse, the transpose) is computed
+    once per object and kept.  B is read off the 1-D mask table as
+    B(x, y) = parity(mask[x] & y), never from a (size, size) bit table.
+    The constructor takes ownership of the table it is given: an int32
+    C-contiguous array is kept as it is, not copied, and becomes
+    read-only; any other array is copied to int32, which holds every
+    carrier element (below 2^12)."""
 
     def __init__(self, m: int, shape: str, table: np.ndarray,
                  kind: str = "table", name: str | None = None):
@@ -66,7 +68,6 @@ class Prequasifield:
         self.name = name or kind
         self._b_mask_table: np.ndarray | None = None
         self._b_mask_inverse: np.ndarray | None = None
-        self._b_bit_table: np.ndarray | None = None
         self._transposed: Prequasifield | None = None
 
     @classmethod
@@ -113,17 +114,6 @@ class Prequasifield:
             inv[self.b_mask_table()] = np.arange(self.size)
             self._b_mask_inverse = inv
         return self._b_mask_inverse
-
-    def b_bit_table(self) -> np.ndarray:
-        """uint8 matrix of B(x, y) over the whole carrier."""
-        if self._b_bit_table is None:
-            bm = self.b_mask_table()
-            xs = np.arange(self.size, dtype=np.int32)
-            bt = np.empty((self.size, self.size), dtype=np.uint8)
-            for x0, rows in kernels.row_blocks(self.size):
-                bt[x0:x0 + rows.shape[0]] = np.bitwise_count(bm[rows] & xs) & 1
-            self._b_bit_table = bt
-        return self._b_bit_table
 
     def transposed(self) -> "Prequasifield":
         """Q^t, computed once from this table by `transpose_pqf` and kept.
@@ -324,13 +314,16 @@ def validate_prequasifield(Q: Prequasifield) -> PqfReport:
         failures["right_distributive"] = (x, 1 << i, z)
     left_ok = not any(bad.any() for bad in _doubling_failures(t.T))
 
-    ref = np.arange(Q.size, dtype=np.int32)
-    has_identity = bool(((t == ref[:, None]).all(axis=0)
-                         & (t == ref).all(axis=1)).any())
-
-    basis = 1 << np.arange(Q.dim)
-    basis_block = t[basis][:, basis]
     axioms_ok = not failures
+    basis = 1 << np.arange(Q.dim)
+    has_identity = False
+    if axioms_ok:
+        # every column is linear: column e is R_e = id iff it fixes the
+        # basis, and only those few rows are compared in full
+        ref = np.arange(Q.size, dtype=np.int32)
+        cands = np.flatnonzero((t[basis] == basis[:, None]).all(axis=0))
+        has_identity = any(np.array_equal(t[e], ref) for e in cands)
+    basis_block = t[basis][:, basis]
     return PqfReport(
         axioms_ok=axioms_ok,
         is_quasifield=axioms_ok and has_identity,
@@ -391,8 +384,9 @@ def is_symplectic(Q: Prequasifield) -> bool:
     basis = [1 << i for i in range(Q.dim)]
     per_z = bool(np.array_equal(Q.transposed().table[basis], Q.table[basis]))
     if Q.size <= literal_cap:
-        bt = Q.b_bit_table()
-        # [x, y, z]: B(x o z, y) against B(x, y o z)
+        bt = np.bitwise_count(Q.b_mask_table()[:, None]
+                              & np.arange(Q.size, dtype=np.int32)) & 1
+        # bt[x, y] = B(x, y); [x, y, z]: B(x o z, y) against B(x, y o z)
         literal = bool(np.array_equal(bt[Q.table].transpose(0, 2, 1),
                                       bt[:, Q.table]))
         assert literal == per_z, "triple check and adjoint check must agree"

@@ -15,6 +15,11 @@ bent function.  The dual is computed along three independent routes,
 each from the object it needs: Walsh signs of the truth table, the
 product formula over the line oval's offsets, and the coordinate swap of
 its covered set; they agree bit-exactly.
+
+Every B bit is read off the 1-D B-mask table of the carrier, so the form
+needs no size^2 table: the fill counts B(G(z), x) per row block, and the
+Walsh-sign dual w.r.t. the direct sum B(a, x) + B(b, y) is the plain
+sign dual gathered along each axis by the mask table.
 """
 
 from __future__ import annotations
@@ -75,20 +80,15 @@ def normalize_mu(spec: SpreadBentSpec) -> SpreadBentSpec:
     return SpreadBentSpec(spec.Q, spec.G ^ st[spec.mu, :], 0)
 
 
-def walsh_masks(Q: Prequasifield) -> np.ndarray:
-    """Spectrum re-indexing for the bivariate inner product B(a,x)+B(b,y):
-    int32 like the B masks, since its 2*dim <= 24-bit entries fit."""
-    bm = Q.b_mask_table()
-    return (bm[None, :] | (bm[:, None] << Q.dim)).ravel()
-
-
 def bent_bivariate(spec: SpreadBentSpec) -> boolfn.BooleanFunction:
     """Truth table on 2*dim bits of the spread-linear function."""
     Q = spec.Q
+    bm = Q.b_mask_table()
     out = np.zeros(Q.size * Q.size, dtype=np.uint8)
-    kernels.bivariate_table_fill(Q.table, spec.G, Q.b_bit_table(), out)
+    kernels.bivariate_table_fill(Q.table, spec.G, bm, out)
     if spec.mu:
-        out[0::Q.size][:] = Q.b_bit_table()[spec.mu, :]
+        # f(0, y) = B(mu, y) = B(y, mu): B is symmetric
+        out[0::Q.size] = np.bitwise_count(bm & spec.mu) & 1
     return boolfn.BooleanFunction(2 * Q.dim, out)
 
 
@@ -169,10 +169,22 @@ def spec_from_line_oval(oval: BivariateLineOval, Q: Prequasifield) -> SpreadBent
     return SpreadBentSpec(Q, oval.offsets ^ st[oval.c, :], 0)
 
 
+def _b_form_dual(plain: boolfn.BooleanFunction,
+                 Q: Prequasifield) -> boolfn.BooleanFunction:
+    """The dual w.r.t. B(a, x) + B(b, y) from the plain sign dual (w.r.t.
+    the dot product on packed bits): entry a + size*b is the plain entry
+    at mask[a] + size*mask[b].  The form is a direct sum, so this is the
+    B-mask permutation along each axis of the (b, a) plane."""
+    bm = Q.b_mask_table()
+    signs = plain.table.reshape(Q.size, Q.size)          # [b, a]
+    return boolfn.BooleanFunction(
+        plain.k, np.take(np.take(signs, bm, axis=0), bm, axis=1).ravel())
+
+
 def dual_walsh(f: boolfn.BooleanFunction,
                Q: Prequasifield) -> boolfn.BooleanFunction:
     """Walsh-sign dual of the truth table f over the carrier of Q."""
-    return boolfn.dual(f, walsh_masks(Q))
+    return _b_form_dual(boolfn.dual(f), Q)
 
 
 def dual_product(oval: BivariateLineOval,
@@ -322,7 +334,7 @@ def analyze(spec: SpreadBentSpec):
     f = bent_bivariate(spec0)
     spectrum = boolfn.walsh_transform(f)
     bent = spectrum.is_bent()
-    dual = spectrum.dual(walsh_masks(Q)) if bent else None
+    dual = _b_form_dual(spectrum.dual(), Q) if bent else None
     del spectrum        # 4 MB at 2^20 points, done with after the Walsh dual
     crit, witness = bent_criterion(spec0)
     oval = None

@@ -365,6 +365,16 @@ def naive_mobius(table):
                      for s in range(n)], dtype=np.uint8)
 
 
+def compose_linear(table, images):
+    """f(L(x)) for the linear map sending basis bit i to images[i], one
+    point at a time; ValueError unless L is an invertible k x k matrix."""
+    k = len(images)
+    if len(table) != 1 << k or rank(images) != k:
+        raise ValueError("linear map must be an invertible k x k matrix")
+    return np.array([table[apply(images, x)] for x in range(1 << k)],
+                    dtype=np.uint8)
+
+
 def anf_degree_naive(coeffs):
     """Largest popcount of an index with a nonzero ANF coefficient (0 for
     the zero polynomial)."""
@@ -536,6 +546,17 @@ def carrier_form(Q):
         return tr
     m, low = Q.m, Q.field.size - 1
     return lambda x, y: tr(x & low, y & low) ^ tr(x >> m, y >> m)
+
+
+def b_form_masks(Q):
+    """Packed a + size*b -> the mask m with parity(m & (x + size*y)) =
+    B(a, x) + B(b, y) for all x, y: the spectrum index of the bivariate
+    inner product, bit by bit from `carrier_form`."""
+    bform = carrier_form(Q)
+    n = Q.size
+    mask = [sum(bform(a, 1 << i) << i for i in range(Q.dim)) for a in range(n)]
+    return np.array([mask[a] | mask[b] << Q.dim for b in range(n)
+                     for a in range(n)], dtype=np.int64)
 
 
 def pqf_mul(Q, x, z):

@@ -11,7 +11,7 @@ import pytest
 
 from ovalbent import boolfn, geometry, gf, niho, spread, spreadbent
 from ovalbent.gf import BinaryField
-from oracles import scalar_table
+from oracles import carrier_form, scalar_table
 
 _T0 = time.perf_counter()
 
@@ -165,12 +165,11 @@ def test_criterion_06_random_shifts():
         Q = spec.Q
         size = Q.size
         e0 = spreadbent.line_oval_bivariate(spec).e_table.reshape(size, size)
-        masks = spreadbent.walsh_masks(Q)
         xs = np.arange(size)
         for _ in range(20):
             u, v = int(rng.integers(size)), int(rng.integers(size))
             f_uv, oval_uv = spreadbent.action_linear_shift(spec, u, v)
-            d = boolfn.dual(f_uv, masks)
+            d = spreadbent.dual_walsh(f_uv, Q)
             shifted = np.zeros_like(e0)
             shifted[np.ix_(xs ^ u, xs ^ v)] = e0
             want = (1 ^ shifted.T).ravel()
@@ -212,8 +211,8 @@ def test_criterion_08_examples_reproduction():
     Ql = spread.luneburg(3)
     spec_l = spreadbent.SpreadBentSpec(Ql, spread.sqrt_diag_g_table(Ql))
     oval = spreadbent.line_oval_bivariate(spec_l)
-    bb = Ql.b_bit_table()
-    quadric = np.array([1 ^ bb[x, y] for y in range(64) for x in range(64)],
+    bform = carrier_form(Ql)
+    quadric = np.array([1 ^ bform(x, y) for y in range(64) for x in range(64)],
                        dtype=np.uint8)
     assert np.array_equal(oval.e_table, quadric)
     f_l = spreadbent.bent_bivariate(spec_l)

@@ -164,7 +164,7 @@ def test_bivariate_kernels(Q):
     for G in (spread.sqrt_diag_g_table(Q), rng.permutation(Q.size),
               rng.integers(0, Q.size, size=Q.size)):
         out = np.full(Q.size * Q.size, 7, dtype=np.uint8)
-        kernels.bivariate_table_fill(Q.table, G, Q.b_bit_table(), out)
+        kernels.bivariate_table_fill(Q.table, G, Q.b_mask_table(), out)
         assert np.array_equal(out, bivariate_fill_naive(Q, G))
         star = spreadbent.star_table(Q)
         out = np.full(Q.size * Q.size, 7, dtype=np.uint8)
@@ -179,7 +179,7 @@ def test_bivariate_kernels_in_small_blocks(monkeypatch):
     assert [xs.shape[0] for _, xs in kernels.row_blocks(Q.size)] == [5] * 12 + [4]
     G = np.random.default_rng(1).permutation(Q.size)
     out = np.full(Q.size * Q.size, 7, dtype=np.uint8)
-    kernels.bivariate_table_fill(Q.table, G, Q.b_bit_table(), out)
+    kernels.bivariate_table_fill(Q.table, G, Q.b_mask_table(), out)
     assert np.array_equal(out, bivariate_fill_naive(Q, G))
     star = spreadbent.star_table(Q)
     out = np.full(Q.size * Q.size, 7, dtype=np.uint8)

@@ -489,6 +489,15 @@ def _nonzero_column0(t, rng):
     t[int(rng.integers(1, len(t))), 0] = int(rng.integers(1, len(t)))
 
 
+def _x_phi_z():
+    """x o z = x phi(z) over GF(8), phi swapping 3 and 5: every axiom holds
+    and the basis block is symmetric, but Q is neither left distributive
+    nor commutative (1 o 3 = 5, 3 o 1 = 3).  Column 1 is the identity map,
+    row 1 is phi, so there is no identity element."""
+    t = spread.field_pqf(3).table[:, [0, 1, 2, 5, 4, 3, 6, 7]]
+    return spread.Prequasifield(3, "flat", t, kind="table", name="x phi(z)")
+
+
 def _pair_frobenius():
     """Lueneburg at m = 3 with x1 squared first: GF(2)- but not F-linear."""
     Q = spread.luneburg(3)
@@ -524,7 +533,8 @@ SMALL = {**{f"field:{m}": (lambda m=m: spread.field_pqf(m))
          **{f"kantor:6:{z}": (lambda z=z: _kantor6(z)) for z in (7, 9)},
          "x^2 z": lambda: _rule_pqf("x^2 z"),
          "comm(kantor:3:0)": lambda: spread.commutative_from_symplectic(
-             spread.kantor_chain(3, [1], [1], [0]))}
+             spread.kantor_chain(3, [1], [1], [0])),
+         "x phi(z)": lambda: _x_phi_z()}
 
 BROKEN = {
     "nonlinear rows": lambda: _rule_pqf("perm(x) z"),
@@ -567,7 +577,8 @@ def test_validation_matches_all_triples_oracle(name):
 
 
 @pytest.mark.parametrize("rows", [1, 3])
-@pytest.mark.parametrize("name", [*BROKEN, "luneburg:3", "kantor:5:11"])
+@pytest.mark.parametrize("name", [*BROKEN, "luneburg:3", "kantor:5:11",
+                                  "x phi(z)"])
 def test_validation_in_small_row_blocks(name, rows, monkeypatch):
     """The permutation checks sort blocks of one or three rows (and of
     columns, copied C-contiguous): the same report and witnesses."""
@@ -580,19 +591,20 @@ def test_validation_in_small_row_blocks(name, rows, monkeypatch):
 
 
 def test_commutative_needs_left_distributivity():
-    """x o z = x phi(z) over GF(8), phi swapping 3 and 5: every axiom
-    holds and the basis block is symmetric, but Q is neither left
-    distributive nor commutative (1 o 3 = 5, 3 o 1 = 3)."""
-    F = spread.field_pqf(3)
-    t = F.table[:, [0, 1, 2, 5, 4, 3, 6, 7]]
-    Q = spread.Prequasifield(3, "flat", t, kind="table", name="x phi(z)")
+    """The x phi(z) table (`_x_phi_z`): symmetric on the basis block, but
+    neither left distributive nor commutative; its identity column is not
+    matched by an identity row."""
+    Q = _x_phi_z()
+    t = Q.table
     basis = 1 << np.arange(Q.dim)
     assert np.array_equal(t[basis][:, basis], t[basis][:, basis].T)
+    assert np.array_equal(t[:, 1], np.arange(8))
+    assert not np.array_equal(t[1], np.arange(8))
     got = spread.validate_prequasifield(Q).as_dict()
     assert got.pop("exhaustive") is True
     assert got == validate_naive(Q)
     assert got["axioms_ok"] and not got["is_presemifield"]
-    assert not got["is_commutative"]
+    assert not got["is_commutative"] and not got["is_quasifield"]
 
 
 @pytest.mark.parametrize("name", [*BROKEN, "luneburg:3", "kantor:5:11"])

@@ -5,7 +5,8 @@ import pytest
 
 from ovalbent import boolfn, kernels, spread, spreadbent
 from ovalbent.gf import BinaryField
-from oracles import bent_criterion_naive, gl2_action_naive, line_oval_cover_naive
+from oracles import (b_form_masks, bent_criterion_naive, carrier_form,
+                     gl2_action_naive, line_oval_cover_naive, walsh_by_rows)
 from test_spread import SMALL
 
 
@@ -172,6 +173,43 @@ def test_line_oval_cover_matches_per_line_oracle(name, monkeypatch):
                 Q, v, spec.G ^ u ^ st[v])
 
 
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_walsh_dual_matches_mask_oracle(name):
+    """The axis-gathered Walsh dual against the row-by-row spectrum read
+    through the packed masks of B(a, x) + B(b, y) from `carrier_form`: on
+    a seeded Maiorana-McFarland function x . pi(y) + h(y), bent with an
+    irregular dual on every carrier, and on the spread-linear functions of
+    each G of `_cover_gs` with a seeded mu, whose mu row is B(mu, y).  A
+    function the oracle finds not bent has no dual, in `dual_walsh` and
+    in `analyze`."""
+    Q = SMALL[name]()
+    bform, masks = carrier_form(Q), b_form_masks(Q)
+    n = Q.size
+    rng = np.random.default_rng(n + 1)
+    pi, h = rng.permutation(n), rng.integers(0, 2, size=n)
+    mm = (np.bitwise_count(np.arange(n) & pi[:, None]) & 1) ^ h[:, None]  # [y, x]
+    fs = [boolfn.BooleanFunction(2 * Q.dim, mm.ravel())]
+    for G in _cover_gs(Q):
+        mu = int(rng.integers(1, n))
+        spec = spreadbent.SpreadBentSpec(Q, np.asarray(G, dtype=np.int64), mu)
+        f_mu = spreadbent.bent_bivariate(spec)
+        assert f_mu.table[0::n].tolist() == [bform(mu, y) for y in range(n)]
+        _, f, dual = spreadbent.analyze(spec)
+        fs += [f_mu, f]
+        w = walsh_by_rows(f.table)
+        assert (dual is None) == bool(np.any(np.abs(w) != 1 << Q.dim))
+        if dual is not None:
+            assert np.array_equal(dual.table, (w < 0).astype(np.uint8)[masks])
+    for g in fs:
+        w = walsh_by_rows(g.table)
+        if np.all(np.abs(w) == 1 << Q.dim):
+            want = (w < 0).astype(np.uint8)[masks]
+            assert np.array_equal(spreadbent.dual_walsh(g, Q).table, want)
+        else:
+            with pytest.raises(ValueError):
+                spreadbent.dual_walsh(g, Q)
+
+
 def test_line_oval_cover_counts_in_row_blocks():
     """At luneburg:5 (2^20 points) the cover holds its uint8 covered set
     and the count arrays of one block, no count array over the plane."""
@@ -270,8 +308,8 @@ def test_luneburg_covered_set_is_quadric(luneburg_spec):
     # E(O) equals the zero set of q(x, y) = tr(x1 y1 + x2 y2)
     Q = luneburg_spec.Q
     oval = spreadbent.line_oval_bivariate(luneburg_spec)
-    bb = Q.b_bit_table()
-    want = np.array([1 ^ bb[x, y] for y in range(Q.size) for x in range(Q.size)],
+    bform = carrier_form(Q)
+    want = np.array([1 ^ bform(x, y) for y in range(Q.size) for x in range(Q.size)],
                     dtype=np.uint8)
     assert np.array_equal(oval.e_table, want)
 
@@ -293,11 +331,13 @@ def test_mu_normalization(luneburg_spec):
     spec_mu = spreadbent.SpreadBentSpec(Q, luneburg_spec.G ^ st[mu, :], mu=mu)
     f_mu = spreadbent.bent_bivariate(spec_mu)
     assert boolfn.is_bent(f_mu)
-    assert f_mu.table[0 :: Q.size].tolist() == Q.b_bit_table()[mu, :].tolist()
+    bform = carrier_form(Q)
+    mu_row = [bform(mu, y) for y in range(Q.size)]
+    assert f_mu.table[0 :: Q.size].tolist() == mu_row
     norm = spreadbent.normalize_mu(spec_mu)
     assert norm.mu == 0 and np.array_equal(norm.G, luneburg_spec.G)
     # f_norm = f_mu + tr(mu y)
-    tr_mu_y = np.repeat(Q.b_bit_table()[mu, :], Q.size)
+    tr_mu_y = np.repeat(mu_row, Q.size)
     assert np.array_equal(spreadbent.bent_bivariate(norm).table,
                           f_mu.table ^ tr_mu_y)
     # dual routes on the mu != 0 spec still agree
@@ -308,7 +348,6 @@ def test_mu_normalization(luneburg_spec):
 def test_shift_action(luneburg_spec):
     Q = luneburg_spec.Q
     oval0 = spreadbent.line_oval_bivariate(luneburg_spec)
-    masks = spreadbent.walsh_masks(Q)
     rng = np.random.default_rng(5)
     size = Q.size
     xs = np.arange(size)
@@ -316,7 +355,7 @@ def test_shift_action(luneburg_spec):
         u, v = int(rng.integers(size)), int(rng.integers(size))
         f_uv, oval_uv = spreadbent.action_linear_shift(luneburg_spec, u, v)
         assert boolfn.is_bent(f_uv)
-        assert boolfn.dual(f_uv, masks) == spreadbent.dual_chi_swap(oval_uv)
+        assert spreadbent.dual_walsh(f_uv, Q) == spreadbent.dual_chi_swap(oval_uv)
         et = oval0.e_table.reshape(size, size)
         shifted = np.zeros_like(et)
         shifted[np.ix_(xs ^ u, xs ^ v)] = et
@@ -368,7 +407,7 @@ def test_aut_action_frobenius(field_spec):
     assert spreadbent.is_automorphism(Q, phi)
     f_phi, e_phi = spreadbent.action_aut(field_spec, phi)
     assert boolfn.is_bent(f_phi)
-    d = boolfn.dual(f_phi, spreadbent.walsh_masks(Q))
+    d = spreadbent.dual_walsh(f_phi, Q)
     swap = (1 ^ e_phi.reshape(8, 8).T).ravel()
     assert np.array_equal(d.table, swap)
     # identity map is a fixed point
@@ -382,7 +421,6 @@ def test_aut_action_frobenius(field_spec):
 def test_gl2_action(field_spec):
     Q = field_spec.Q
     F = Q.field
-    masks = spreadbent.walsh_masks(Q)
     rng = np.random.default_rng(11)
     done = 0
     while done < 12:
@@ -392,7 +430,7 @@ def test_gl2_action(field_spec):
         frob = int(rng.integers(3))
         f_psi, e_psi = spreadbent.action_gl2(field_spec, M, frob=frob)
         assert boolfn.is_bent(f_psi)
-        d = boolfn.dual(f_psi, masks)
+        d = spreadbent.dual_walsh(f_psi, Q)
         swap = (1 ^ e_psi.reshape(8, 8).T).ravel()
         assert np.array_equal(d.table, swap), (M, frob)
         done += 1
