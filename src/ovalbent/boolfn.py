@@ -43,6 +43,18 @@ class BooleanFunction:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "table", t)
 
+    @classmethod
+    def _own(cls, k: int, bits: np.ndarray) -> "BooleanFunction":
+        """Wrap a uint8 bit table that this library has just made and
+        holds no other reference to, without the copy and the range check
+        of the constructor (the Walsh-sign duals)."""
+        assert bits.dtype == np.uint8 and bits.shape == (1 << k,)
+        bits.flags.writeable = False
+        f = object.__new__(cls)
+        object.__setattr__(f, "k", k)
+        object.__setattr__(f, "table", bits)
+        return f
+
     def __setattr__(self, name, value):
         raise AttributeError("BooleanFunction is immutable")
 
@@ -74,13 +86,16 @@ class WalshSpectrum:
 
     `values` is int32 for k <= 30 (every entry is a sum of 2^k terms +-1,
     so |entry| <= 2^k fits) and int64 above; Parseval's sum of squares is
-    accumulated in int64 either way."""
+    accumulated in int64 either way.  The values are read-only, so the
+    bentness verdict is decided once per spectrum and kept."""
 
-    __slots__ = ("k", "values")
+    __slots__ = ("k", "values", "_bent")
 
     def __init__(self, k: int, values: np.ndarray):
         self.k = k
         self.values = values
+        values.flags.writeable = False
+        self._bent: bool | None = None
         assert int(np.einsum("i,i->", values, values, dtype=np.int64)) \
             == 1 << (2 * k), "Parseval: sum of squared Walsh values must be 2^(2k)"
 
@@ -88,8 +103,10 @@ class WalshSpectrum:
         """|values| == 2^(k/2) everywhere (k must be even)."""
         if self.k % 2 != 0:
             raise ValueError("bentness is defined for an even number of variables")
-        half = 1 << (self.k // 2)
-        return bool(np.all((self.values == half) | (self.values == -half)))
+        if self._bent is None:
+            half = 1 << (self.k // 2)
+            self._bent = bool(np.all((self.values == half) | (self.values == -half)))
+        return self._bent
 
     def dual(self, masks: np.ndarray | None = None) -> "BooleanFunction":
         """Dual bent function read off the signs of this spectrum.
@@ -99,7 +116,7 @@ class WalshSpectrum:
         if not self.is_bent():
             raise ValueError("dual is only defined for bent functions")
         signs = (self.values < 0).view(np.uint8)
-        return BooleanFunction(self.k, signs if masks is None else signs[masks])
+        return BooleanFunction._own(self.k, signs if masks is None else signs[masks])
 
     def histogram(self) -> dict[int, int]:
         vals, counts = np.unique(self.values, return_counts=True)

@@ -141,7 +141,7 @@ def verify_oval(points: Iterable[int], params: FieldParams,
 
     arr = np.array(pts, dtype=np.int32)
     i, j, k = kernels.collinear_scan(arr, params.conj_table(),
-                                     params.K.log, params.K.exp, params.K.order)
+                                     params.K.log, params.K.exp2, params.K.order)
     if i >= 0:
         return False, (pts[i], pts[j], pts[k])
     # two affine + one infinite: collinear iff the tag is the direction class

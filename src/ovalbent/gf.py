@@ -8,6 +8,16 @@ polar decomposition.
 
 Every field has its tables, so the table cap is the input domain: degrees
 1.._TABLE_BITS for BinaryField, and m in M_RANGE (2..9) for FieldParams.
+
+The product rule.  `exp2` is the antilog table written twice and then one
+0 (2 order + 1 entries), and `log[0]` is the sentinel 2 order, the index
+of that 0.  For nonzero a and b, log a + log b <= 2 order - 2 indexes the
+doubled table directly; a zero operand makes the sum at least 2 order,
+and a gather with mode="clip" reads every index past the end as the last
+entry, the 0.  A quotient reads log a + order - log b, which lies in
+[1, 2 order - 1] for a != 0 and is at least 2 order + 1 for a = 0.  So
+every vectorized product and quotient is one clipped gather: no modulo,
+no zero mask.  `exp` is the view exp2[:order].
 """
 
 from __future__ import annotations
@@ -162,7 +172,9 @@ class BinaryField:
         # small tables of that map (low and high bits of x).  Every set-up
         # temporary stays below half a table.
         lo_bits = self.deg // 2
-        exp = np.ones(self.order, dtype=np.int32)
+        exp2 = np.empty(2 * self.order + 1, dtype=np.int32)
+        exp = exp2[:self.order]
+        exp[0] = 1
         log = np.zeros(self.size, dtype=np.int32)
         h, c = 1, self.generator
         while h < self.order:
@@ -179,9 +191,15 @@ class BinaryField:
         seen = np.zeros(self.size, dtype=bool)
         seen[exp] = True
         assert seen[1:].all(), "generator powers must be distinct"
-        exp.flags.writeable = False      # shared through binary_field
+        # the product rule (module docstring): exp twice, a zero tail, and
+        # log 0 the index of that zero
+        exp2[self.order:-1] = exp
+        exp2[-1] = 0
+        log[0] = 2 * self.order
+        exp2.flags.writeable = False     # shared through binary_field
         log.flags.writeable = False
-        self.exp, self.log = exp, log
+        self.exp2, self.log = exp2, log
+        self.exp = exp2[:self.order]
 
     def _trace_slow(self, a: int) -> int:
         t, x = 0, a
@@ -198,12 +216,12 @@ class BinaryField:
         return a ^ b
 
     # the scalar operations do their log arithmetic on Python ints: an
-    # int32 table entry times a Python int stays int32 and can wrap
+    # int32 table entry times a Python int stays int32 and can wrap.  `mul`
+    # follows the product rule, the clip written as a min.
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self.exp[(int(self.log[a]) + int(self.log[b])) % self.order])
+        return int(self.exp2[min(int(self.log[a]) + int(self.log[b]),
+                                 2 * self.order)])
 
     def sqr(self, a: int) -> int:
         return self.mul(a, a)
@@ -211,7 +229,7 @@ class BinaryField:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        return int(self.exp[-int(self.log[a]) % self.order])
+        return int(self.exp2[self.order - int(self.log[a])])
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -239,20 +257,21 @@ class BinaryField:
 
     # -- table accessors for vectorized paths ----------------------------
 
+    # the log sums are intp: numpy's gather takes its fast path only for
+    # intp indices
+
     def mul_arr(self, a: np.ndarray, b: np.ndarray | int) -> np.ndarray:
         """Elementwise product of two arrays of field elements; a scalar b
-        broadcasts."""
-        out = self.exp[(self.log[a] + self.log[b]) % self.order]
-        out[(a == 0) | (b == 0)] = 0
-        return out
+        broadcasts.  One clipped gather (the product rule)."""
+        return np.take(self.exp2, np.add(self.log[a], self.log[b], dtype=np.intp),
+                       mode="clip")
 
     def div_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise quotient a / b of two arrays of field elements."""
         if np.any(b == 0):
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        out = self.exp[(self.log[a] - self.log[b]) % self.order]
-        out[a == 0] = 0
-        return out
+        return np.take(self.exp2, np.add(self.log[a], self.order - self.log[b],
+                                         dtype=np.intp), mode="clip")
 
     def pow_table(self, e: int) -> np.ndarray:
         """Table of x^e over the whole field (0^e = 0 for e != 0)."""

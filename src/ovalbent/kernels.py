@@ -2,9 +2,15 @@
 
 Each kernel has one numpy implementation.  All field multiplications
 inside kernels go through log/exp tables, so kernels only ever see plain
-numpy arrays and ints.  Index tables and index arithmetic are int32:
-every index is below 2^24, and every log sum below 2^31.  The
-univariate incidence kernels use closed forms: the line cover counts the
+numpy arrays and ints.  The kernels that do their own log arithmetic
+take the doubled antilog table `BinaryField.exp2` in their `exp_k`
+position (the product rule of `gf`): the product sums log u + log v of
+`univariate_product_dual` and the quotient sums log d1 + ord - log d2
+of `collinear_scan` stay below 2 ord and index it with no modulo.  Index
+tables and index arithmetic are int32 (every index is below 2^24, and
+every log sum below 2^31), except the product sums log u + log v, which
+are intp, the index dtype of numpy's fast gather path.  The univariate
+incidence kernels use closed forms: the line cover counts the
 coset rows of `geometry.line_point_rows` and the product dual works ray
 by ray.  The Walsh and Moebius butterflies never run a numpy operation
 over short rows: the stages of the low index bits, whose rows would be
@@ -158,16 +164,21 @@ def univariate_product_dual(s, g_embedded, conj, log_k, exp_k, ord_k,
     lam T(uv) + g(u), and T(uv) = 0 only for uv = 1.  So each pair with
     uv != 1 and g(u) != 0 zeroes the one point g(u) / T(uv) v, and each u
     with g(u) = 0 zeroes x = 0 and the whole ray through 1/u.  The pairs
-    run in blocks of u rows (`row_blocks`); every log sum is below 2 ord_k.
+    run in blocks of u rows (`row_blocks`).  exp_k is the doubled antilog
+    table (`BinaryField.exp2`): the sums log u + log v and the ray sums
+    are below 2 ord_k and index it directly.
     """
     log_s = log_k[s]
     log_g = log_k[g_embedded]
     out[:] = 1
     for u0, us in row_blocks(s.shape[0]):
         u = slice(u0, u0 + us.shape[0])
-        uv = exp_k[(log_s[u, None] + log_s) % ord_k]         # [u, v] = u v
+        uv = exp_k[np.add(log_s[u, None], log_s, dtype=np.intp)]    # [u, v] = u v
         t = uv ^ conj[uv]                                    # T(uv)
         hit = (t != 0) & (g_embedded[u, None] != 0)
+        # log g - log T + log v lies in (-ord_k, 2 ord_k), so it keeps its
+        # modulo; the sentinel log 0 of a zero g or T only reaches the
+        # entries that `hit` drops
         log_pts = log_g[u, None] - log_k[t] + log_s
         out[exp_k[log_pts[hit] % ord_k]] = 0
     zero_u = g_embedded == 0
@@ -175,7 +186,7 @@ def univariate_product_dual(s, g_embedded, conj, log_k, exp_k, ord_k,
         out[0] = 0
         rays = log_k[conj[s[zero_u]]][:, None] + np.arange(
             0, ord_k, s.shape[0], dtype=np.int32)
-        out[exp_k[rays % ord_k]] = 0
+        out[exp_k[rays]] = 0
 
 
 def line_cover_counts(rows, nbits) -> np.ndarray:
@@ -207,14 +218,18 @@ def bivariate_product_dual(star_table, gvals, out) -> None:
 
 
 def collinear_scan(pts, conj, log_k, exp_k, ord_k):
-    """First (lex) triple of F-collinear affine points, or (-1,-1,-1)."""
+    """First (lex) triple of F-collinear affine points, or (-1,-1,-1).
+
+    The points are distinct, so each ratio d1 / d2 reads the doubled
+    antilog table exp_k (`BinaryField.exp2`) at log d1 + ord_k - log d2,
+    in [1, 2 ord_k - 1]."""
     n = pts.shape[0]
     for i in range(n):
         for j in range(i + 1, n):
             d1 = pts[i] ^ pts[j]
             for k in range(j + 1, n):
                 d2 = pts[j] ^ pts[k]
-                r = exp_k[(log_k[d1] + ord_k - log_k[d2]) % ord_k]
+                r = exp_k[log_k[d1] + ord_k - log_k[d2]]
                 if conj[r] == r:
                     return i, j, k
     return -1, -1, -1

@@ -192,14 +192,15 @@ def g_of_spec(spec: NihoSpec, params: FieldParams) -> UnitCircleMap:
 def bent_from_g(g: UnitCircleMap, params: FieldParams) -> boolfn.BooleanFunction:
     """Truth table of f(lam u) = tr(lam g(u)), f(0) = 0 (bentness not assumed).
 
-    One gather over K: f(x) = tr_exp[log lam + log g(u)] with lam and u
-    the polar parts of x.  tr_exp lists tr(gamma_F^e) twice, so the sum
-    needs no reduction, and a zero g(u) indexes the zeros past them."""
+    One clipped gather over K: f(x) = tr(exp2[log lam + log g(u)]) with
+    lam and u the polar parts of x, the product rule of `gf` read through
+    the trace: a zero g(u) has the sentinel log and lands on the zero
+    tail."""
     F = params.F
-    tr_exp = np.zeros(3 * F.order, dtype=np.uint8)
-    tr_exp[:2 * F.order] = np.tile(F.trace_table()[F.exp], 2)
-    log_g = np.where(g.values != 0, F.log[g.values], 2 * F.order).astype(np.int16)
-    out = tr_exp[params.polar_log_table() + log_g[params.unit_class_table()]]
+    tr_exp2 = F.trace_table()[F.exp2]
+    log_g = F.log[g.values].astype(np.int16)
+    out = np.take(tr_exp2, params.polar_log_table() + log_g[params.unit_class_table()],
+                  mode="clip")
     out[0] = 0
     return boolfn.BooleanFunction(params.n, out)
 
@@ -244,7 +245,7 @@ def dual_product_formula(oval: geometry.LineOval,
     ge = params.embed[np.array([ln.mu for ln in oval.lines], dtype=np.int32)]
     out = np.zeros(params.K.size, dtype=np.uint8)
     kernels.univariate_product_dual(us, ge, params.conj_table(),
-                                    params.K.log, params.K.exp,
+                                    params.K.log, params.K.exp2,
                                     params.K.order, out)
     return boolfn.BooleanFunction(params.n, out)
 

@@ -177,7 +177,7 @@ def _b_form_dual(plain: boolfn.BooleanFunction,
     B-mask permutation along each axis of the (b, a) plane."""
     bm = Q.b_mask_table()
     signs = plain.table.reshape(Q.size, Q.size)          # [b, a]
-    return boolfn.BooleanFunction(
+    return boolfn.BooleanFunction._own(
         plain.k, np.take(np.take(signs, bm, axis=0), bm, axis=1).ravel())
 
 

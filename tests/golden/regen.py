@@ -206,6 +206,13 @@ def commands() -> list[list[str]]:
              ["spread", "bent", "--pqf", "field:4", "--g", "sqrt",
               "--mu", "16"],
              ["spread", "bent", "--pqf", "field:1", "--g", "sqrt"]]
+    # the dim-9 and dim-10 carriers: each build dumps its whole product table
+    cmds += [["spread", "build"] + b for b in
+             (["--kind", "field", "--m", "10"],
+              ["--kind", "luneburg", "--m", "5"],
+              ["--kind", "kantor", "--m", "9", "--chain", "1",
+               "--lambdas", "1", "--zetas", "0"])]
+    cmds.append(["spread", "bent", "--pqf", "field:10", "--g", "sqrt"])
     return cmds
 
 

@@ -113,6 +113,33 @@ def test_dual_involution_and_rejects_non_bent():
         boolfn.dual(boolfn.BooleanFunction(2, [0, 0, 0, 0]))
 
 
+def test_spectrum_keeps_its_verdict_and_duals_are_read_only():
+    """A spectrum is read-only and decides bentness once; its sign duals,
+    plain and B-form, are read-only tables of their own.  The public
+    constructor still copies its input and rejects non-bits."""
+    from ovalbent import spread, spreadbent
+    f = _tr_xy(3)
+    s = boolfn.walsh_transform(f)
+    assert not s.values.flags.writeable and s._bent is None
+    assert s.is_bent() and s._bent is True
+    plain = s.dual()
+    b_form = spreadbent._b_form_dual(plain, spread.field_pqf(3))
+    for d in (plain, b_form):
+        assert not d.table.flags.writeable and d.table.dtype == np.uint8
+        assert not np.shares_memory(d.table, s.values)
+    assert b_form == f
+    bits = np.zeros(4, dtype=np.uint8)
+    g = boolfn.BooleanFunction(2, bits)
+    bits[0] = 1
+    assert g.table[0] == 0
+    with pytest.raises(ValueError):
+        boolfn.BooleanFunction(2, [2, 0, 0, 0])
+    not_bent = boolfn.walsh_transform(boolfn.BooleanFunction(2, [0, 0, 0, 0]))
+    assert not not_bent.is_bent() and not_bent._bent is False
+    with pytest.raises(ValueError):
+        not_bent.dual()
+
+
 def test_anf_degree_examples():
     assert boolfn.degree(boolfn.BooleanFunction(3, [1] * 8)) == 0
     assert boolfn.degree(_tr_xy(2)) == 2

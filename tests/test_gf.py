@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from ovalbent import gf, spread
 from oracles import (exp_log_naive, field_pair_naive, irreducible_bruteforce,
-                     polar_naive, trace_rel_naive)
+                     mulmod_naive, polar_naive, trace_rel_naive)
 
 
 def test_field_make_range():
@@ -285,19 +285,104 @@ def test_exp_log_tables_match_stepped_powers():
     for deg in range(1, 19):
         B = gf.binary_field(deg)
         exp, log = exp_log_naive(B.poly, B.generator)
-        assert np.array_equal(B.exp, exp) and np.array_equal(B.log, log)
-        assert B.log[0] == 0
+        assert np.array_equal(B.exp, exp) and np.array_equal(B.log[1:], log[1:])
+        # the product rule: exp twice, one 0, and log 0 the index of that 0
+        assert B.log[0] == 2 * B.order
+        assert B.exp2.shape == (2 * B.order + 1,) and B.exp2[-1] == 0
+        assert np.array_equal(B.exp2[B.order:-1], exp)
+        assert B.exp.base is B.exp2         # one antilog array, exp a view
         assert not B.exp.flags.writeable and not B.log.flags.writeable
+        assert not B.exp2.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# the product rule: each product and quotient is one clipped gather through
+# the doubled antilog table, checked against shift-and-add products
+# ---------------------------------------------------------------------------
+
+def _pairs(B):
+    """Every pair up to degree 6, seeded pairs above, with zeros on either
+    side and both."""
+    if B.deg <= 6:
+        return np.divmod(np.arange(B.size * B.size), B.size)
+    a, b = np.random.default_rng(B.deg).integers(0, B.size, size=(2, 300))
+    a[:10] = 0
+    b[5:15] = 0
+    return a, b
+
+
+@pytest.mark.parametrize("deg", range(1, 19))
+def test_products_and_quotients_match_shift_and_add(deg):
+    B = gf.binary_field(deg)
+    a, b = _pairs(B)
+    want = [mulmod_naive(int(x), int(y), B.poly) for x, y in zip(a, b)]
+    assert B.mul_arr(a, b).tolist() == want
+    assert [B.mul(int(x), int(y)) for x, y in zip(a, b)] == want
+    # a / b is the one c with c * b = a
+    nz = b != 0
+    quo = B.div_arr(a[nz], b[nz])
+    assert [mulmod_naive(int(c), int(y), B.poly) for c, y in zip(quo, b[nz])] \
+        == a[nz].tolist()
+    assert [B.div(int(x), int(y)) for x, y in zip(a[nz], b[nz])] == quo.tolist()
+    assert all(mulmod_naive(B.inv(int(y)), int(y), B.poly) == 1 for y in b[nz])
+
+
+@pytest.mark.parametrize("deg", range(1, 19))
+def test_product_rule_boundaries(deg):
+    B = gf.binary_field(deg)
+
+    def naive(x, y):
+        return mulmod_naive(x, y, B.poly)
+
+    top = int(B.exp[-1])                     # log top = order - 1
+    # log a + log b = 2 order - 2, the last entry before the zero tail
+    assert B.mul_arr(np.array([top]), np.array([top])).tolist() == [naive(top, top)]
+    assert B.mul(top, top) == naive(top, top)
+    # a zero on either side, and both
+    assert B.mul_arr(np.array([0, top, 0]), np.array([top, 0, 0])).tolist() == [0, 0, 0]
+    assert B.mul(0, top) == B.mul(top, 0) == B.mul(0, 0) == 0
+    # a scalar b of 0 and of 1
+    xs = np.arange(B.size)
+    assert not B.mul_arr(xs, 0).any()
+    assert B.mul_arr(xs, 1).tolist() == xs.tolist()
+    # quotients: a = 0; log a < log b (index 1); log a = order - 1 over
+    # log b = 0 (index 2 order - 1)
+    assert B.div_arr(np.array([0, 0]), np.array([1, top])).tolist() == [0, 0]
+    assert B.div(0, top) == 0
+    assert naive(int(B.div_arr(np.array([1]), np.array([top]))[0]), top) == 1
+    assert naive(B.div(1, top), top) == 1
+    assert B.div_arr(np.array([top]), np.array([1])).tolist() == [top]
+    assert B.div(top, 1) == top and B.div(top, top) == 1
+    for op in (lambda: B.div(1, 0), lambda: B.inv(0),
+               lambda: B.div_arr(np.array([1]), np.array([0]))):
+        with pytest.raises(ZeroDivisionError):
+            op()
+    # an element past the field still raises in the log gather
+    with pytest.raises(IndexError):
+        B.mul_arr(np.array([B.size]), 1)
+    # broadcast (b, 1) x (n,) shapes, zeros included
+    rows = np.array([0, 1, top, B.size - 1])[:, None]
+    cols = np.random.default_rng(deg).integers(0, B.size, size=37)
+    cols[:2] = 0, 1
+    got = B.mul_arr(rows, cols)
+    assert got.shape == (4, 37)
+    assert got.tolist() == [[naive(int(x), int(y)) for y in cols] for x in rows[:, 0]]
+    cols[cols == 0] = 1
+    got = B.div_arr(rows, cols)
+    assert got.shape == (4, 37)
+    assert [[naive(int(c), int(y)) for c, y in zip(row, cols)] for row in got] \
+        == np.broadcast_to(rows, (4, 37)).tolist()
 
 
 def test_index_tables_are_int32():
     """One dtype for every index table, field and carrier alike: int32
     (every index is below 2^24), with today's read-only flags kept."""
     p = gf.field_make(9)
-    tables = {"K.exp": p.K.exp, "K.log": p.K.log, "conj": p.conj_table(),
+    tables = {"K.exp": p.K.exp, "K.exp2": p.K.exp2, "K.log": p.K.log,
+              "conj": p.conj_table(),
               "unit class": p.unit_class_table(), "project": p.project_table(),
               "dot mask": p.K.dot_mask_table()}
-    read_only = [p.K.exp, p.K.log]
+    read_only = [p.K.exp, p.K.exp2, p.K.log]
     for Q in (spread.field_pqf(3), spread.luneburg(3)):
         F = Q.field
         tables.update({f"{Q.kind} {name}": t for name, t in (

@@ -125,7 +125,7 @@ def test_line_cover_counts_and_univariate_product_dual(m):
         assert np.array_equal(counts, want)
         out = np.full(p.K.size, 7, dtype=np.uint8)
         kernels.univariate_product_dual(p.S, p.embed[gvals], p.conj_table(),
-                                        p.K.log, p.K.exp, p.K.order, out)
+                                        p.K.log, p.K.exp2, p.K.order, out)
         assert np.array_equal(out, (want == 0).astype(np.uint8))
 
 
@@ -142,7 +142,7 @@ def test_univariate_product_dual_in_blocks_of_u_rows(monkeypatch, m):
             assert len(list(kernels.row_blocks(p.q + 1))) == -(-(p.q + 1) // rows)
             out = np.full(p.K.size, 7, dtype=np.uint8)
             kernels.univariate_product_dual(p.S, p.embed[gvals], p.conj_table(),
-                                            p.K.log, p.K.exp, p.K.order, out)
+                                            p.K.log, p.K.exp2, p.K.order, out)
             assert np.array_equal(out, want), rows
 
 
@@ -214,7 +214,7 @@ def test_collinear_scan(m):
                                replace=False).tolist()) for _ in range(5)]
     for pts in sets:
         i, j, k = kernels.collinear_scan(np.array(pts, dtype=np.int64),
-                                         p.conj_table(), p.K.log, p.K.exp,
+                                         p.conj_table(), p.K.log, p.K.exp2,
                                          p.K.order)
         bad = collinear_triples_naive(pts, p)
         got = None if i < 0 else (pts[i], pts[j], pts[k])
