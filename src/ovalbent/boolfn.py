@@ -82,12 +82,14 @@ class BooleanFunction:
 
 
 class WalshSpectrum:
-    """Integer spectrum; Parseval is asserted at construction.
+    """Integer spectrum; Parseval is checked at construction.
 
     `values` is int32 for k <= 30 (every entry is a sum of 2^k terms +-1,
     so |entry| <= 2^k fits) and int64 above; Parseval's sum of squares is
-    accumulated in int64 either way.  The values are read-only, so the
-    bentness verdict is decided once per spectrum and kept."""
+    accumulated in int64 either way.  The check raises AssertionError
+    itself, not through `assert`, so that `python -O` keeps it: the
+    bentness verdict rests on it.  The values are read-only, so that
+    verdict is decided once per spectrum and kept."""
 
     __slots__ = ("k", "values", "_bent")
 
@@ -96,16 +98,18 @@ class WalshSpectrum:
         self.values = values
         values.flags.writeable = False
         self._bent: bool | None = None
-        assert int(np.einsum("i,i->", values, values, dtype=np.int64)) \
-            == 1 << (2 * k), "Parseval: sum of squared Walsh values must be 2^(2k)"
+        if int(np.einsum("i,i->", values, values, dtype=np.int64)) != 1 << (2 * k):
+            raise AssertionError("Parseval: sum of squared Walsh values must be 2^(2k)")
 
     def is_bent(self) -> bool:
-        """|values| == 2^(k/2) everywhere (k must be even)."""
+        """|values| == 2^(k/2) everywhere (k must be even).  The 2^k squares
+        sum to 2^(2k) (Parseval), so that holds iff no |value| exceeds
+        2^(k/2): two reductions, no temporary."""
         if self.k % 2 != 0:
             raise ValueError("bentness is defined for an even number of variables")
         if self._bent is None:
             half = 1 << (self.k // 2)
-            self._bent = bool(np.all((self.values == half) | (self.values == -half)))
+            self._bent = bool(self.values.max() <= half and self.values.min() >= -half)
         return self._bent
 
     def dual(self, masks: np.ndarray | None = None) -> "BooleanFunction":

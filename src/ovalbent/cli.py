@@ -421,7 +421,8 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha2-index", type=int, default=None)
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--spec-json", default=None,
-                   help="JSON file {family, m, a_index?, r?} instead of flags")
+                   help="JSON file {family, m, a_index?, alpha2_index?, r?} "
+                        "instead of flags")
 
 
 @functools.lru_cache(maxsize=None)

@@ -73,6 +73,13 @@ class NihoSpec:
             raise ValueError(f"unknown family {self.family!r}; have {FAMILIES}")
         if params.m != self.m:
             raise ValueError("field parameters do not match the spec")
+        # a field the family never reads would still be echoed in reports
+        if self.alpha2_index is not None and \
+                self.family not in ("binomial_3", "binomial_1_6"):
+            raise ValueError(f"alpha2_index is only read by binomial_3 and "
+                             f"binomial_1_6, not {self.family}")
+        if self.r is not None and self.family != "leander_r":
+            raise ValueError(f"r is only read by leander_r, not {self.family}")
         for name in ("a_index", "alpha2_index"):
             v = getattr(self, name)
             if v is not None and not 0 <= v < params.K.size:

@@ -245,43 +245,50 @@ class PqfReport:
         }
 
 
-def _doubling_failures(cols: np.ndarray) -> list[np.ndarray]:
-    """For each h = 2^i, the (h, n) mask of cols[x + h] != cols[x] ^ cols[h]
-    over x < h.  All masks are empty iff every column is GF(2)-linear: the
-    steps rebuild each column from its values at the basis vectors (the
-    first one forces cols[0] == 0)."""
-    out = []
-    h = 1
-    while h < cols.shape[0]:
-        out.append(cols[h:2 * h] != (cols[:h] ^ cols[h]))
-        h *= 2
-    return out
-
-
-def _first_non_permutation(rows: np.ndarray) -> int | None:
-    """Smallest i >= 1 whose row of `rows` is not a permutation of the
-    carrier, or None.  Rows are sorted one block (`kernels.row_blocks`)
-    at a time, on a C-contiguous copy: numpy sorts the rows of the
-    F-ordered view t.T about twice as slowly.  A block of t.T is copied
-    in its own layout first and then transposed; at dim 10 to 12 that is
-    about twice as fast as one transposing copy, whose reads stride a
-    whole table row per entry."""
+def _line_check(rows: np.ndarray) -> tuple[tuple | None, int | None]:
+    """(nonlinear, non_perm) over the rows r of `rows`, one block
+    (`kernels.row_blocks`) at a time, each on one C-contiguous copy (a
+    block of t.T is copied in its own layout first, then transposed: at
+    dim 10 to 12 twice as fast as one copy striding a table row per entry).
+    nonlinear is (i, h, x): the smallest row i that is not GF(2)-linear,
+    then the smallest h = 2^j, then the smallest x < h with
+    r[x + h] != r[x] ^ r[h].  The doubling steps lin[x + h] = lin[x] ^ r[h]
+    from lin[0] = 0 rebuild r from its basis values, so r is linear iff
+    r == lin, and r agrees with lin below its first mismatch p, which gives
+    that witness: h the top bit of p (h = 1 at p = 0, where r[0] != 0).
+    non_perm is the smallest row i >= 1 that is not a permutation of the
+    carrier.  Either is None if there is no such row."""
     size = rows.shape[1]
     ref = np.arange(size, dtype=np.int32)
-    for x0, xs in kernels.row_blocks(rows.shape[0]):
-        block = np.ascontiguousarray(rows[x0:x0 + xs.shape[0]].copy(order="K"))
-        block.sort(axis=1)
-        bad = ~(block == ref).all(axis=1)
-        if x0 == 0:
-            bad[0] = False                      # row 0 is the zero map
-        if bad.any():
-            return x0 + int(np.argmax(bad))
-    return None
+    nonlinear = non_perm = None
+    for i0, ids in kernels.row_blocks(rows.shape[0]):
+        block = np.ascontiguousarray(rows[i0:i0 + ids.shape[0]].copy(order="K"))
+        if nonlinear is None:
+            lin = np.zeros_like(block)
+            for j in range(size.bit_length() - 1):
+                h = 1 << j
+                np.bitwise_xor(lin[:, :h], block[:, h:h + 1], out=lin[:, h:2 * h])
+            bad = block != lin
+            if bad.any():
+                i, p = divmod(int(np.argmax(bad)), size)
+                h = 1 << max(p.bit_length() - 1, 0)
+                nonlinear = (i0 + i, h, p % h)
+        if non_perm is None:
+            block.sort(axis=1)
+            bad_rows = (block != ref).any(axis=1)
+            bad_rows[0] &= i0 > 0                   # row 0 is the zero map
+            if bad_rows.any():
+                non_perm = i0 + int(np.argmax(bad_rows))
+        if nonlinear is not None and non_perm is not None:
+            break
+    return nonlinear, non_perm
 
 
 def validate_prequasifield(Q: Prequasifield) -> PqfReport:
     """Axioms (1)-(4) plus the quasifield/presemifield/commutative flags,
-    each decided exactly over the whole carrier in O(size^2).
+    each decided exactly over the whole carrier in O(size^2); linearity
+    and bijectivity by one `_line_check` per axis (t.T: right, t: left),
+    which allocates nothing the size of the table.
 
     Witnesses: the smallest x with x o 0 != 0, the smallest z with
     0 o z != 0, the smallest z >= 1 whose right multiplication and the
@@ -296,23 +303,15 @@ def validate_prequasifield(Q: Prequasifield) -> PqfReport:
         failures["right_zero"] = (int(np.argmax(t[:, 0] != 0)),)
     if t[0, :].any():
         failures["zero_times"] = (int(np.argmax(t[0, :] != 0)),)
-    z = _first_non_permutation(t.T)
+    nonlinear, z = _line_check(t.T)
     if z is not None:
         failures["right_mult_not_bijective"] = (z,)
-    x = _first_non_permutation(t)
+    left_nonlinear, x = _line_check(t)
     if x is not None:
         failures["left_section_not_bijective"] = (x,)
-
-    steps = _doubling_failures(t)
-    bad_cols = np.zeros(Q.size, dtype=bool)
-    for bad in steps:
-        bad_cols |= bad.any(axis=0)
-    if bad_cols.any():
-        z = int(np.argmax(bad_cols))
-        i = next(i for i, bad in enumerate(steps) if bad[:, z].any())
-        x = int(np.argmax(steps[i][:, z]))
-        failures["right_distributive"] = (x, 1 << i, z)
-    left_ok = not any(bad.any() for bad in _doubling_failures(t.T))
+    if nonlinear is not None:
+        failures["right_distributive"] = nonlinear[::-1]     # (x, y, z)
+    left_ok = left_nonlinear is None
 
     axioms_ok = not failures
     basis = 1 << np.arange(Q.dim)

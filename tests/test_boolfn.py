@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,8 +34,10 @@ def test_walsh_of_field_linear_function():
 def test_walsh_matches_naive(bits):
     table = [(bits >> i) & 1 for i in range(16)]
     f = boolfn.BooleanFunction(4, table)
-    got = boolfn.walsh_transform(f).values
+    w = boolfn.walsh_transform(f)
+    got = w.values
     assert np.array_equal(got, naive_walsh(table, dot_parity))
+    assert w.is_bent() == bool(np.all(np.abs(got) == 4))
 
 
 def test_walsh_masked_matches_naive_field_inner():
@@ -77,6 +84,23 @@ def test_parseval_accumulates_in_int64_at_k16():
     assert w.values.dtype == np.int32 and w.is_bent()
     assert int(np.dot(w.values, w.values)) != 1 << 32      # the wrap
     assert w.dual() == boolfn.BooleanFunction(16, table)    # self-dual
+
+
+def test_parseval_check_survives_python_O():
+    """`is_bent` reads only the extremes and rests on Parseval, so the
+    construction check must raise under -O, which strips `assert`."""
+    code = ("import sys, numpy as np\n"
+            "from ovalbent import boolfn\n"
+            "assert False, 'not run under -O'\n"
+            "try:\n"
+            "    boolfn.WalshSpectrum(2, np.array([2, 2, 2, 0], dtype=np.int32))\n"
+            "except AssertionError as e:\n"
+            "    sys.exit(0 if 'Parseval' in str(e) else 1)\n"
+            "sys.exit(1)\n")
+    src = str(Path(boolfn.__file__).parents[1])
+    r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                       text=True, env={**os.environ, "PYTHONPATH": src})
+    assert r.returncode == 0, r.stderr
 
 
 def _tr_xy(m):

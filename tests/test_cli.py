@@ -469,6 +469,26 @@ def test_spec_json_booleans_are_not_integers(tmp_path, capsys):
                 _assert_input_error([*cmd, "--spec-json", str(path)], capsys)
 
 
+def test_spec_fields_the_family_ignores(tmp_path, capsys):
+    # a report once echoed alpha2_index or r that nothing had read
+    path = tmp_path / "spec.json"
+    for family, key, value in (("quadratic", "alpha2_index", 5),
+                               ("leander_r", "alpha2_index", 0),
+                               ("quadratic", "r", 2), ("binomial_3", "r", 2),
+                               ("binomial_1_6", "r", 3)):
+        m = 5 if family == "leander_r" else 4
+        flag = "--" + key.replace("_", "-")
+        path.write_text(json.dumps({"family": family, "m": m, key: value}))
+        for cmd in (["niho"], ["dual", "--method", "walsh"], ["ea"]):
+            _assert_input_error([*cmd, "--family", family, "--m", str(m),
+                                 flag, str(value)], capsys)
+            _assert_input_error([*cmd, "--spec-json", str(path)], capsys)
+    for argv in (["--family", "binomial_3", "--m", "3", "--alpha2-index", "1"],
+                 ["--family", "leander_r", "--m", "5", "--r", "2"]):
+        assert cli.main(["niho", *argv]) == 0
+    capsys.readouterr()
+
+
 def test_one_fill_cover_and_transform_per_command(monkeypatch, capsys):
     # each command builds its truth table and its line oval once and
     # hands them on; niho still runs its three transforms on that table

@@ -270,10 +270,13 @@ def _first_json(text):
 @example((["niho", "--spec-json",
            ("file", json.dumps({"family": "quadratic", "m": 4, "a_index": True}))],
           False))
+@example((["niho", "--family", "quadratic", "--m", "3", "--alpha2-index", "5"],
+          False))
 def test_cli_exit_contract(command):
     """Exit 0, 1 or 2 only; exit 1 only with a false verdict in the report;
-    inputs the library states valid exit 0; a conversion that exits 0 put
-    out a whole (line) oval of q+1 or q+2 members."""
+    inputs the library states valid exit 0; a report's Niho spec names only
+    the fields its family reads; a conversion that exits 0 put out a whole
+    (line) oval of q+1 or q+2 members."""
     argv, must_pass = command
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
@@ -293,6 +296,11 @@ def test_cli_exit_contract(command):
     report = _first_json(stream.getvalue())
     if code == 1:
         assert _has_false(report), (argv, report)
+    if argv[0] in ("niho", "dual"):
+        spec = report["spec"]
+        assert "alpha2_index" not in spec \
+            or spec["family"] in ("binomial_3", "binomial_1_6"), argv
+        assert "r" not in spec or spec["family"] == "leander_r", argv
     if argv[:2] == ["oval", "convert"] and code == 0:
         doc = _first_json(out.getvalue())
         q = 1 << int(argv[3])

@@ -33,6 +33,10 @@ def test_spec_validation():
         niho.NihoSpec("quadratic", 3, a_index=0).resolve(gf.field_make(3))
     with pytest.raises(ValueError):
         niho.NihoSpec("nope", 3).resolve(gf.field_make(3))
+    with pytest.raises(ValueError, match="alpha2_index is only read"):
+        niho.NihoSpec("quadratic", 3, alpha2_index=5).resolve(gf.field_make(3))
+    with pytest.raises(ValueError, match="r is only read"):
+        niho.NihoSpec("binomial_3", 3, r=2).resolve(gf.field_make(3))
 
 
 def test_default_coefficient_is_smallest_half_trace():

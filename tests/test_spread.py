@@ -302,6 +302,21 @@ def test_constructor_takes_the_table_without_a_copy():
     assert peak < 6 << 20
 
 
+def test_validation_holds_one_row_block_at_a_time():
+    """Both line checks work on one row block at a time, so validating
+    the 4 MB field:10 table allocates nothing the size of the table (the
+    kept transpose, which `is_symplectic` reads, is built first)."""
+    Q = spread.field_pqf(10)
+    Q.transposed()
+    tracemalloc.start()
+    try:
+        spread.validate_prequasifield(Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (1 << 20)
+
+
 def test_dumps_pqf_matches_entrywise_format():
     for Q in (spread.kantor_chain(5, [1], [1], [0]), spread.luneburg(3)):
         assert spread.dumps_pqf(Q) == dumps_pqf_naive(Q)
@@ -476,6 +491,22 @@ def _swap_in_upper_half(t, rng):
     t[[h + 1, h + 2], z] = t[[h + 2, h + 1], z]
 
 
+def _later_step_in_smaller_column(t, rng):
+    """Column z has rows n/2 + 1 and n/2 + 2 swapped, which only the last
+    doubling step sees; column z + 1 has rows 3 and 5 swapped, which the
+    step y = 2 already sees.  The witness is in column z all the same.
+    z is a multiple of 3, so the two columns share a block of three too."""
+    n = len(t)
+    z, h = 3 * int(rng.integers(1, (n - 2) // 3 + 1)), n // 2
+    t[[h + 1, h + 2], z] = t[[h + 2, h + 1], z]
+    t[[3, 5], z + 1] = t[[5, 3], z + 1]
+
+
+def _swap_in_last_column(t, rng):
+    a, b = (int(v) for v in rng.choice(np.arange(1, len(t)), 2, replace=False))
+    t[[a, b], -1] = t[[b, a], -1]
+
+
 def _repeat_in_column(t, rng):
     z, x = (int(v) for v in rng.integers(1, len(t) - 1, size=2))
     t[x, z] = t[x + 1, z]
@@ -550,6 +581,12 @@ BROKEN = {
     "nonzero column 0": lambda: _edited(spread.kantor_chain(3, [1], [1], [5]),
                                         _nonzero_column0, "nonzero column 0"),
     "dual of kantor:6:9": lambda: spread.dual_pqf(_kantor6(9)),
+    "later step in smaller column": lambda: _edited(
+        spread.field_pqf(5), _later_step_in_smaller_column,
+        "later step in smaller column"),
+    "swap in last column": lambda: _edited(
+        spread.kantor_chain(5, [1], [1], [5]), _swap_in_last_column,
+        "swap in last column"),
 }
 # pair tables without a symmetric F-matrix representation
 NOT_F_SYMMETRIC = {"pair frobenius": _pair_frobenius,
@@ -580,7 +617,7 @@ def test_validation_matches_all_triples_oracle(name):
 @pytest.mark.parametrize("name", [*BROKEN, "luneburg:3", "kantor:5:11",
                                   "x phi(z)"])
 def test_validation_in_small_row_blocks(name, rows, monkeypatch):
-    """The permutation checks sort blocks of one or three rows (and of
+    """The line checks run on blocks of one or three rows (and of
     columns, copied C-contiguous): the same report and witnesses."""
     Q = CARRIERS[name]()
     want = validate_naive(Q)
