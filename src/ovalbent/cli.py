@@ -334,7 +334,7 @@ def _valid_pqf(path: str) -> spread.Prequasifield:
 
 def cmd_spread_transpose(args) -> int:
     Q = _valid_pqf(args.pqf)
-    Qt = Q.transposed()        # kept by the validation's symplecticity check
+    Qt = Q.transposed()
     report = {"command": "spread transpose", "m": Q.m, "shape": Q.shape,
               "involution_ok": bool(np.array_equal(
                   spread.transpose_pqf(Qt).table, Q.table)),

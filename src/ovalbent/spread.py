@@ -9,9 +9,12 @@ The bilinear form B is tr(xy) on F, and the sum of the coordinate forms
 on F x F; its masks are one table per carrier (`b_mask_table`).  A
 GF(2)-linear map is a table, built from its basis images by
 `kernels.linear_map_table`, and one batched `adjoint` w.r.t. B serves
-the transpose x star z = R_z^*(x), the symplectic test (every R_z
-self-adjoint), the commutative <-> symplectic partner z . y = L_z^*(y)
-and the action of automorphisms on the dual side.
+the transpose x star z = R_z^*(x), the commutative <-> symplectic
+partner z . y = L_z^*(y) and the action of automorphisms on the dual
+side.  The Gram array [i, j, z] = B(e_i, e_j o z) of the basis rows
+(`Prequasifield.gram`) decides the rest: symplectic (symmetric in i, j: every R_z
+self-adjoint), perpendicular to a transpose, and the o-polynomial G
+read off its diagonal.
 """
 
 from __future__ import annotations
@@ -45,9 +48,10 @@ class Prequasifield:
     """Multiplication table plus the carrier's bilinear form machinery.
 
     The table is read-only, so structure derived from it and from the
-    carrier (the B-mask table and its inverse, the transpose) is computed
-    once per object and kept.  B is read off the 1-D mask table as
-    B(x, y) = parity(mask[x] & y), never from a (size, size) bit table.
+    carrier (the B-mask table and its inverse, the Gram array, the
+    transpose) is computed once per object and kept.  B is read off the
+    1-D mask table as B(x, y) = parity(mask[x] & y), never from a
+    (size, size) bit table.
     The constructor takes ownership of the table it is given: an int32
     C-contiguous array is kept as it is, not copied, and becomes
     read-only; any other array is copied to int32, which holds every
@@ -68,6 +72,7 @@ class Prequasifield:
         self.name = name or kind
         self._b_mask_table: np.ndarray | None = None
         self._b_mask_inverse: np.ndarray | None = None
+        self._gram: np.ndarray | None = None
         self._transposed: Prequasifield | None = None
 
     @classmethod
@@ -114,6 +119,14 @@ class Prequasifield:
             inv[self.b_mask_table()] = np.arange(self.size)
             self._b_mask_inverse = inv
         return self._b_mask_inverse
+
+    def gram(self) -> np.ndarray:
+        """[i, j, z] = B(e_i, e_j o z): the B bits of the basis rows, the
+        matrices of the right multiplications R_z in the standard basis."""
+        if self._gram is None:
+            self._gram = _form_bits(self.table[1 << np.arange(self.dim)], self)
+            self._gram.flags.writeable = False
+        return self._gram
 
     def transposed(self) -> "Prequasifield":
         """Q^t, computed once from this table by `transpose_pqf` and kept.
@@ -336,8 +349,22 @@ def validate_prequasifield(Q: Prequasifield) -> PqfReport:
 
 
 # ---------------------------------------------------------------------------
-# adjoints, transpose, dual, Knuth orbit
+# B bits of linear maps, adjoints, transpose, dual, Knuth orbit
 # ---------------------------------------------------------------------------
+
+def _form_bits(images: np.ndarray, Q: Prequasifield) -> np.ndarray:
+    """bits[i, ...] = B(e_i, images[...]) for the basis vectors e_i, as
+    uint8 of shape (dim, *images.shape)."""
+    images = np.asarray(images, dtype=np.int32)
+    basis_masks = Q.b_mask_table()[1 << np.arange(Q.dim)]
+    return np.bitwise_count(
+        basis_masks.reshape(-1, *(1,) * images.ndim) & images) & 1
+
+
+def _is_symmetric(gram: np.ndarray) -> bool:
+    """Every R_z self-adjoint: B(e_i, e_j o z) = B(e_j, e_i o z)."""
+    return bool(np.array_equal(gram, gram.transpose(1, 0, 2)))
+
 
 def adjoint(images: np.ndarray, Q: Prequasifield) -> np.ndarray:
     """Tables of the adjoints of k linear maps w.r.t. Q's bilinear form,
@@ -347,9 +374,7 @@ def adjoint(images: np.ndarray, Q: Prequasifield) -> np.ndarray:
     (dim, k)); entry [x, c] of the (size, k) result is adj_c(x).  Bit j of
     the B mask of adj(e_i) is B(e_i, map(e_j)), the mask inverse turns it
     into the vector, and the other x follow by linearity."""
-    images = np.asarray(images, dtype=np.int32)
-    basis_masks = Q.b_mask_table()[1 << np.arange(Q.dim)]
-    bits = np.bitwise_count(basis_masks[:, None, None] & images) & 1   # [i, j, c]
+    bits = _form_bits(images, Q)                                     # [i, j, c]
     masks = (bits.astype(np.int32) << np.arange(Q.dim, dtype=np.int32)[:, None]
              ).sum(axis=1, dtype=np.int32)
     return kernels.linear_map_table(Q.b_mask_inverse()[masks], Q.dim)
@@ -375,20 +400,20 @@ def dual_pqf(Q: Prequasifield) -> Prequasifield:
 def is_symplectic(Q: Prequasifield) -> bool:
     """B(x o z, y) = B(x, y o z) for all triples.
 
-    Decided exactly through self-adjointness of every right multiplication:
-    R_z^* and R_z agree on the basis, i.e. the basis rows of Q^t and Q
-    (equivalent, and identical to the literal triple check, which is
-    cross-asserted for small carriers)."""
+    Defined for tables that pass the axioms (the CLI ensures it through
+    `_valid_pqf`), where every R_z is linear: decided exactly through
+    self-adjointness of every R_z, a Gram array symmetric in (i, j)
+    (identical to the literal triple check, which is cross-asserted for
+    small carriers)."""
     literal_cap = 64          # size^3 bits for the literal triple check
-    basis = [1 << i for i in range(Q.dim)]
-    per_z = bool(np.array_equal(Q.transposed().table[basis], Q.table[basis]))
+    per_z = _is_symmetric(Q.gram())
     if Q.size <= literal_cap:
         bt = np.bitwise_count(Q.b_mask_table()[:, None]
                               & np.arange(Q.size, dtype=np.int32)) & 1
         # bt[x, y] = B(x, y); [x, y, z]: B(x o z, y) against B(x, y o z)
         literal = bool(np.array_equal(bt[Q.table].transpose(0, 2, 1),
                                       bt[:, Q.table]))
-        assert literal == per_z, "triple check and adjoint check must agree"
+        assert literal == per_z, "triple check and Gram check must agree"
     return per_z
 
 
@@ -480,84 +505,31 @@ def verify_spread(Q: Prequasifield):
 def spreads_perpendicular(Q: Prequasifield, Qt: Prequasifield) -> bool:
     """Member-wise orthogonality of Sigma(Q) and Sigma(Q^t) under
     <(x,y),(x',y')> = B(x,y') + B(y,x'): B(e_i, e_j o' z) = B(e_i o z, e_j)
-    for all basis vectors e_i, e_j and all z."""
-    basis = [1 << i for i in range(Q.dim)]
-    bm = Q.b_mask_table()
-    # both sides indexed [i, j, z]
-    lhs = np.bitwise_count(bm[basis][:, None, None] & Qt.table[basis]) & 1
-    rhs = (bm[Q.table[basis]][:, None, :]
-           >> np.arange(Q.dim, dtype=np.int32)[:, None]) & 1
-    return bool(np.array_equal(lhs, rhs))
+    for all basis vectors e_i, e_j and all z, i.e. the Gram array of Q^t
+    is that of Q with i and j swapped."""
+    return bool(np.array_equal(Qt.gram(), Q.gram().transpose(1, 0, 2)))
 
 
 # ---------------------------------------------------------------------------
-# orthonormal bases, matrix representations, diagonal square roots
+# diagonal square roots
 # ---------------------------------------------------------------------------
-
-def orthonormal_basis_field(F: BinaryField) -> list[int]:
-    """Basis of F over GF(2) with tr(b_i b_j) = delta_ij (self-dual basis;
-    exists for every m in characteristic 2).  Deterministic DFS."""
-    def bdot(x, y):
-        return (F.dot_mask(x) & y).bit_count() & 1
-
-    def rec(chosen: list[int], cands: list[int]):
-        if len(chosen) == F.deg:
-            return chosen
-        for i, v in enumerate(cands):
-            rest = [w for w in cands[i + 1:] if bdot(v, w) == 0]
-            got = rec(chosen + [v], rest)
-            if got:
-                return got
-        return None
-
-    cands = [v for v in range(1, F.size) if bdot(v, v) == 1]
-    basis = rec([], cands)
-    assert basis is not None, "self-dual bases exist over GF(2)"
-    return basis
-
-
-def orthonormal_basis(Q: Prequasifield) -> list[int]:
-    """Carrier basis orthonormal for B (per coordinate for pair shape)."""
-    base = orthonormal_basis_field(Q.field)
-    if Q.shape == "flat":
-        return base
-    return base + [b << Q.m for b in base]
-
 
 def sqrt_diag_g_table(Q: Prequasifield) -> np.ndarray:
-    """The o-polynomial G(z) = d(M_z) of a symplectic spread: square roots
-    of the diagonal of the right-multiplication matrices.
+    """The o-polynomial G of a symplectic spread, B(x, x o z) = B(G(z), x):
+    square roots of the diagonal of the right-multiplication matrices
+    (sqrt(z) for the field, (sqrt z1, sqrt z2) for Lueneburg).
 
-    Field: M_z = [z].  Pair: M_z is the F-matrix with rows the images of
-    (1, 0) and (0, 1), which must be F-linear and symmetric.  Other flat
-    carriers: M_z in an orthonormal basis b_i, diagonal B(b_i o z, b_i)."""
-    F = Q.field
-    t = Q.table
-    root = F.pow_table(1 << (F.deg - 1))
-    if Q.kind == "field":
-        return root
-    if Q.shape == "pair":
-        low = F.size - 1
-        rows = t[[1, 1 << Q.m]]                   # R_z(1, 0), R_z(0, 1)
-        lams = np.arange(F.size, dtype=np.int32)
-        linear = np.ones(Q.size, dtype=bool)      # R_z(lam e) = lam R_z(e)
-        for shift, row in zip((0, Q.m), rows):
-            got = t[lams << shift]
-            for part, want in ((got & low, row & low), (got >> Q.m, row >> Q.m)):
-                linear &= (part == F.mul_arr(lams[:, None], want)).all(axis=0)
-        ok = linear & ((rows[0] >> Q.m) == (rows[1] & low))
-        if not ok.all():
-            z = int(np.argmax(~ok))
-            raise ValueError("matrix must be symmetric" if linear[z]
-                             else "right multiplication is not F-linear")
-        return root[rows[0] & low] | (root[rows[1] >> Q.m] << Q.m)
-    if not is_symplectic(Q):
+    Defined for tables that pass the axioms (the CLI ensures it through
+    `_valid_pqf`).  When every R_z is self-adjoint, x -> B(x, x o z) is
+    linear, so G(z) is the vector whose B mask has bit i = B(e_i, e_i o z),
+    the diagonal of the Gram array."""
+    gram = Q.gram()
+    if not _is_symmetric(gram):
         raise ValueError("diagonal construction needs a symplectic spread")
-    bm = Q.b_mask_table()
-    out = np.zeros(Q.size, dtype=np.int32)
-    for b in orthonormal_basis(Q):
-        out ^= (np.bitwise_count(bm[t[b]] & b).astype(np.int32) & 1) * b
-    return out
+    diag = np.diagonal(gram, axis1=0, axis2=1)                      # [z, i]
+    masks = (diag.astype(np.int32) << np.arange(Q.dim, dtype=np.int32)
+             ).sum(axis=1, dtype=np.int32)
+    return Q.b_mask_inverse()[masks]
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +537,9 @@ def sqrt_diag_g_table(Q: Prequasifield) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def dumps_pqf(Q: Prequasifield) -> str:
+    # one row of Python ints at a time, never the whole table (16M at dim 12)
     lines = [f"q={Q.size} shape={Q.shape}"]
-    lines += [" ".join(map(str, row)) for row in Q.table.tolist()]
+    lines += [" ".join(map(str, row.tolist())) for row in Q.table]
     return "\n".join(lines) + "\n"
 
 
@@ -584,12 +557,23 @@ def loads_pqf(text: str) -> Prequasifield:
         raise ValueError("pair carriers have even GF(2) dimension")
     m = dim if shape == "flat" else dim // 2
     carrier_dim(m, shape)
-    rows = [list(map(int, ln.split())) for ln in lines[1:]]
-    if len(rows) != size or any(len(r) != size for r in rows):
+    if len(lines) != size + 1:
         raise ValueError("table must be q rows of q integers")
-    if min(map(min, rows)) < 0 or max(map(max, rows)) >= size:
-        raise ValueError(f"table entries must lie in [0, {size})")
-    return Prequasifield(m, shape, np.array(rows, dtype=np.int32), kind="table")
+    # parsed a row at a time into the table (int() on each entry, an
+    # OverflowError beyond int64), never as one list of Python ints
+    span = f"table entries must lie in [0, {size})"
+    table = np.empty((size, size), dtype=np.int32)
+    for x, ln in enumerate(lines[1:]):
+        try:
+            row = np.array(ln.split(), dtype=np.int64)
+        except OverflowError:
+            raise ValueError(span) from None
+        if row.shape != (size,):
+            raise ValueError("table must be q rows of q integers")
+        if row.min() < 0 or row.max() >= size:
+            raise ValueError(span)
+        table[x] = row
+    return Prequasifield(m, shape, table, kind="table")
 
 
 def save_pqf(Q: Prequasifield, path) -> None:

@@ -693,6 +693,32 @@ def f_matrix_rep(Q, z):
     return [list(r) for r in rows]
 
 
+def orthonormal_basis_field(F):
+    """Basis of F over GF(2) with tr(b_i b_j) = delta_ij (a self-dual
+    basis; one exists for every m in characteristic 2), by a deterministic
+    DFS over the scalar trace form."""
+    tr = trace_form(F)
+
+    def rec(chosen, cands):
+        if len(chosen) == F.deg:
+            return chosen
+        for i, v in enumerate(cands):
+            got = rec(chosen + [v], [w for w in cands[i + 1:] if tr(v, w) == 0])
+            if got:
+                return got
+        return None
+
+    basis = rec([], [v for v in range(1, F.size) if tr(v, v) == 1])
+    assert basis is not None, "self-dual bases exist over GF(2)"
+    return basis
+
+
+def orthonormal_basis(Q):
+    """Carrier basis orthonormal for B (per coordinate for pair shape)."""
+    base = orthonormal_basis_field(Q.field)
+    return base if Q.shape == "flat" else base + [b << Q.m for b in base]
+
+
 def matrix_rep_naive(Q, z, basis):
     """Bit matrix of R_z in the basis b: M[i][j] = B(b_i o z, b_j), one
     entry at a time."""
@@ -712,25 +738,25 @@ def symmetric_rep_naive(Q, basis):
 
 
 def sqrt_diag_naive(Q, basis):
-    """`sqrt_diag_g_table` one z at a time: sqrt(z) for the field, the
-    square roots of the F-matrix diagonal for pair carriers, and for other
-    flat carriers the sum of the b_i with B(b_i o z, b_i) = 1, after
-    checking that M_z[i][j] = B(b_i o z, b_j) is symmetric (symplectic)
-    in the orthonormal `basis`."""
-    F = Q.field
-    out = np.zeros(Q.size, dtype=np.int64)
-    if Q.kind == "field":
-        for z in range(Q.size):
-            (out[z],) = diagonal_sqrt(f_matrix_rep(Q, z), F)
-        return out
-    if Q.shape == "pair":
-        for z in range(Q.size):
-            out[z] = pack(Q, *diagonal_sqrt(f_matrix_rep(Q, z), F))
-        return out
-    mats = [matrix_rep_naive(Q, z, basis) for z in range(Q.size)]
-    if not all(_symmetric(mz) for mz in mats):
+    """`sqrt_diag_g_table` one z at a time.  Rejected unless every M_z is
+    symmetric in the orthonormal `basis` (`symmetric_rep_naive`); then
+    sqrt(z) for the field, the square roots of the F-matrix diagonal for
+    pair carriers whose right multiplications are F-linear, and for the
+    rest the sum of the b_i with B(b_i o z, b_i) = 1."""
+    if not symmetric_rep_naive(Q, basis):
         raise ValueError("diagonal construction needs a symplectic spread")
-    for z, mz in enumerate(mats):
+    F = Q.field
+    if Q.kind == "field" or Q.shape == "pair":
+        try:
+            diags = [diagonal_sqrt(f_matrix_rep(Q, z), F) for z in range(Q.size)]
+            return np.array([pack(Q, *d) if Q.shape == "pair" else d[0]
+                             for d in diags], dtype=np.int64)
+        except ValueError as e:
+            if "F-linear" not in str(e):
+                raise
+    out = np.zeros(Q.size, dtype=np.int64)
+    for z in range(Q.size):
+        mz = matrix_rep_naive(Q, z, basis)
         for i, bi in enumerate(basis):
             if mz[i][i]:
                 out[z] ^= bi

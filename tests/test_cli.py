@@ -8,6 +8,7 @@ import numpy as np
 
 from ovalbent import boolfn, cli, geometry, niho, gf, spread, spreadbent
 from oracles import b_form_masks, walsh_by_rows
+from test_spread import NOT_F_SYMMETRIC, _relabel_phi, _relabelled_luneburg
 
 
 def run_cli(argv, **kw):
@@ -271,6 +272,38 @@ def test_spread_bent_out_dir_artifacts(tmp_path):
     assert f == spreadbent.bent_bivariate(spec)
     d = boolfn.load_truth_table(tmp_path / "dual.txt")
     assert d == spreadbent.dual_product(spreadbent.line_oval_bivariate(spec), Q)
+
+
+def test_spread_bent_sqrt_on_a_pair_carrier_that_is_not_f_linear(tmp_path):
+    """luneburg:3 relabelled by a B-isometry phi that is not F-linear is
+    symplectic, so `--g sqrt` takes it: every verdict true, and the truth
+    table is that of G' = phi^-1 G phi, G(z) = (sqrt z1, sqrt z2)."""
+    Q = spread.luneburg(3)
+    path = tmp_path / "relabelled.pqf"
+    spread.save_pqf(_relabelled_luneburg(), path)
+    out = tmp_path / "out"
+    r = run_cli(["spread", "bent", "--pqf", str(path), "--g", "sqrt",
+                 "--out-dir", str(out)])
+    assert r.returncode == 0, r.stderr
+    rep = json.loads(r.stdout)["report"]
+    verdicts = ("bent", "criterion", "lineoval_ok", "verdicts_agree",
+                "dual_routes_agree")
+    assert all(rep[k] is True for k in verdicts), rep
+    F, phi = Q.field, _relabel_phi(Q)
+    G = np.array([F.sqrt(z & 7) | F.sqrt(z >> 3) << 3 for z in range(Q.size)])
+    spec = spreadbent.SpreadBentSpec(spread.load_pqf(path), phi[G[phi]])
+    assert boolfn.load_truth_table(out / "truth_table.txt") == \
+        spreadbent.bent_bivariate(spec)
+
+
+def test_spread_bent_sqrt_rejects_tables_that_are_not_symplectic(tmp_path, capsys):
+    """The pair tables without a symmetric F-matrix representation exit 2:
+    two fail the axioms, and the two that pass are not symplectic."""
+    for name, make in NOT_F_SYMMETRIC.items():
+        path = tmp_path / "t.pqf"
+        spread.save_pqf(make(), path)
+        _assert_input_error(["spread", "bent", "--pqf", str(path), "--g", "sqrt"],
+                            capsys)
 
 
 def test_spread_bent_mu_artifacts_hold_the_requested_function(tmp_path, capsys):

@@ -7,7 +7,8 @@ from ovalbent import kernels, spread
 from ovalbent.gf import BinaryField
 from oracles import (adjoint_naive, apply, carrier_form, diagonal_sqrt,
                      dumps_pqf_naive, f_matrix_rep, field_mul, kantor_mul,
-                     left_adjoint_naive, luneburg_mul, pack, perpendicular_naive,
+                     left_adjoint_naive, luneburg_mul, orthonormal_basis,
+                     orthonormal_basis_field, pack, perpendicular_naive,
                      pqf_mul, rank, right_mult_rows, scalar_table,
                      spread_cover_naive, sqrt_diag_naive, symmetric_rep_naive,
                      unpack, validate_naive)
@@ -198,7 +199,7 @@ def test_symplectic_iff_self_transpose():
     for Q, want in [(spread.field_pqf(3), True), (Ql, True), (Qs, False)]:
         self_t = bool(np.array_equal(spread.transpose_pqf(Q).table, Q.table))
         assert spread.is_symplectic(Q) == self_t == want
-        assert symmetric_rep_naive(Q, spread.orthonormal_basis(Q)) == want
+        assert symmetric_rep_naive(Q, orthonormal_basis(Q)) == want
 
 
 @pytest.mark.parametrize("name", ["field:3", "field:4", "luneburg:3", "kantor:3",
@@ -210,7 +211,7 @@ def test_is_symplectic_matches_scalar_matrices(name):
          "kantor:3": lambda: spread.kantor_chain(3, [1], [1], [5]),
          "kantor:5": lambda: spread.kantor_chain(5, [1], [1], [11]),
          "x^2 z": lambda: _rule_pqf("x^2 z")}[name]()
-    want = symmetric_rep_naive(Q, spread.orthonormal_basis(Q))
+    want = symmetric_rep_naive(Q, orthonormal_basis(Q))
     assert spread.is_symplectic(Q) == want
     assert want == (name != "x^2 z")
 
@@ -303,11 +304,10 @@ def test_constructor_takes_the_table_without_a_copy():
 
 
 def test_validation_holds_one_row_block_at_a_time():
-    """Both line checks work on one row block at a time, so validating
-    the 4 MB field:10 table allocates nothing the size of the table (the
-    kept transpose, which `is_symplectic` reads, is built first)."""
+    """Both line checks work on one row block at a time and the symplectic
+    test reads the basis rows only, so validating the 4 MB field:10 table
+    allocates nothing the size of the table, and no transpose."""
     Q = spread.field_pqf(10)
-    Q.transposed()
     tracemalloc.start()
     try:
         spread.validate_prequasifield(Q)
@@ -320,6 +320,29 @@ def test_validation_holds_one_row_block_at_a_time():
 def test_dumps_pqf_matches_entrywise_format():
     for Q in (spread.kantor_chain(5, [1], [1], [0]), spread.luneburg(3)):
         assert spread.dumps_pqf(Q) == dumps_pqf_naive(Q)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_table_file_text_is_written_and_read_a_row_at_a_time():
+    """The field:10 text (4.6 MB) is written from one row of Python ints
+    at a time (36 MiB peak through one `tolist` of the table), and the
+    field:9 text is parsed a row at a time into the int32 table (7.5 MiB
+    peak through one list of lists of Python ints; field:9, since tracing
+    the parse of 2^20 entries takes seconds)."""
+    Q10, Q9 = spread.field_pqf(10), spread.field_pqf(9)
+    text10, dumps_peak = _traced_peak(spread.dumps_pqf, Q10)
+    back9, loads_peak = _traced_peak(spread.loads_pqf, spread.dumps_pqf(Q9))
+    assert dumps_peak < 16 << 20
+    assert loads_peak < 4 << 20
+    assert np.array_equal(back9.table, Q9.table)
+    assert np.array_equal(spread.loads_pqf(text10).table, Q10.table)
 
 
 def test_field_fixed_by_both_constructions(field8):
@@ -346,6 +369,36 @@ def test_luneburg_construction():
         spread.luneburg(4)
 
 
+def test_sqrt_diag_of_a_relabelled_luneburg_carrier():
+    """x o' z = phi^-1(phi x o phi z) for a B-isometry phi that is not
+    F-linear: the table is symplectic but no F-matrix represents its
+    right multiplications, and its o-polynomial is phi^-1 G phi."""
+    Q, Qr = spread.luneburg(3), _relabelled_luneburg()
+    phi = _relabel_phi(Q)
+    assert np.array_equal(phi[phi], np.arange(Q.size))      # phi^-1 = phi
+    rep = spread.validate_prequasifield(Qr)
+    assert rep.axioms_ok and rep.is_symplectic
+    with pytest.raises(ValueError, match="not F-linear"):
+        f_matrix_rep(Qr, 1)
+    G = spread.sqrt_diag_g_table(Q)
+    assert np.array_equal(spread.sqrt_diag_g_table(Qr), phi[G[phi]])
+
+
+def test_symplectic_reads_every_column_not_the_basis_ones():
+    """`_basis_symmetric_field6`: the axioms hold and the Gram array is
+    symmetric at every basis z, but not at every z, so the table is not
+    symplectic and has no diagonal o-polynomial."""
+    Q = _basis_symmetric_field6()
+    gram = Q.gram()
+    sym = (gram == gram.transpose(1, 0, 2)).all(axis=(0, 1))
+    assert sym[1 << np.arange(Q.dim)].all() and not sym.all()
+    rep = spread.validate_prequasifield(Q)
+    assert rep.axioms_ok and not rep.is_symplectic
+    assert not symmetric_rep_naive(Q, orthonormal_basis(Q))
+    with pytest.raises(ValueError, match="needs a symplectic spread"):
+        spread.sqrt_diag_g_table(Q)
+
+
 def test_luneburg_spread_partition():
     Ql = spread.luneburg(3)
     ok, wit = spread.verify_spread(Ql)
@@ -361,13 +414,13 @@ def test_spread_partition_flat():
 def test_orthonormal_basis():
     for m in (2, 3, 4, 5, 6):
         F = BinaryField(m)
-        basis = spread.orthonormal_basis_field(F)
+        basis = orthonormal_basis_field(F)
         assert rank(basis) == m
         for i, bi in enumerate(basis):
             for j, bj in enumerate(basis):
                 assert F.trace(F.mul(bi, bj)) == (1 if i == j else 0)
     Ql = spread.luneburg(3)
-    basis, bform = spread.orthonormal_basis(Ql), carrier_form(Ql)
+    basis, bform = orthonormal_basis(Ql), carrier_form(Ql)
     for i, bi in enumerate(basis):
         for j, bj in enumerate(basis):
             assert bform(bi, bj) == (1 if i == j else 0)
@@ -387,7 +440,7 @@ def test_diagonal_sqrt():
 
 
 def test_generic_sqrt_diag_gives_line_oval():
-    # the orthonormal-basis diagonal works for any flat symplectic spread
+    # the Gram diagonal works for any symplectic spread
     from ovalbent import spreadbent
     Q = spread.kantor_chain(3, [1], [1], [3])
     G = spread.sqrt_diag_g_table(Q)
@@ -407,7 +460,12 @@ def test_pqf_file_format(tmp_path):
     assert back.m == 3 and back.shape == "pair"
     for bad in ("q=7 shape=flat\n", "", "q=2 shape=flat\n0 0\n0 2\n",
                 "q=2 shape=flat\n0 0\n-1 1\n",
-                "q=2 shape=flat\n0 0\n0 99999999999999999999\n"):
+                "q=2 shape=flat\n0 0\n0 99999999999999999999\n",
+                "q=2 shape=flat\n0 0\n0 9223372036854775808\n",
+                "q=4 shape=flat\n0 0 0 0\n0 1 x 3\n0 2 3 1\n0 3 1 2\n",
+                "q=4 shape=flat\n0 0 0 0\n0 1 4 3\n0 2 3 1\n0 3 1 2\n",
+                "q=4 shape=flat\n0 0 0 0\n0 1 2 3 0\n0 2 3 1\n0 3 1 2\n",
+                "q=4 shape=flat\n0 0 0 0\n0 1 2 3\n0 2 3 1\n"):
         with pytest.raises(ValueError):
             spread.loads_pqf(bad)
 
@@ -537,6 +595,43 @@ def _pair_frobenius():
     return spread.Prequasifield(3, "pair", Q.table[idx], kind="table")
 
 
+def _relabel_phi(Q):
+    """phi(x) = x + B(x, v) v with v = b + (b << m), b the first
+    orthonormal vector of F: the B-isometry of Q's pair carrier that swaps
+    the first orthonormal vector of each coordinate (an involution)."""
+    b = orthonormal_basis_field(Q.field)[0]
+    v, bform = b | b << Q.m, carrier_form(Q)
+    return np.array([x ^ bform(x, v) * v for x in range(Q.size)], dtype=np.int32)
+
+
+def _relabelled_luneburg():
+    """luneburg:3 relabelled by `_relabel_phi`, x o' z = phi^-1(phi x o phi z):
+    symplectic, since phi is an isometry, but not F-linear."""
+    Q = spread.luneburg(3)
+    phi = _relabel_phi(Q)
+    return spread.Prequasifield(3, "pair", phi[Q.table[phi][:, phi]],
+                                kind="table", name="relabelled luneburg:3")
+
+
+def _basis_symmetric_field6():
+    """x o z = A(pi(z) A^-1(x)) over GF(64), A(x) = 2 x^8 + x (GF(8)-linear
+    and invertible) and pi a relabelling that sends the basis labels 2^i to
+    six elements of GF(8)*.  R_z = A M_pi(z) A^-1 is self-adjoint iff A^T A
+    commutes with M_pi(z), as it does for pi(z) in GF(8): every basis
+    column is self-adjoint, yet the spread is not symplectic."""
+    F = BinaryField(6)
+    xs = np.arange(64)
+    A = F.mul_arr(np.full(64, 2), F.pow_table(8)) ^ xs
+    sub = [a for a in range(1, 64) if F.pow(a, 8) == a][:6]
+    basis = [1 << i for i in range(6)]
+    pi = np.zeros(64, dtype=np.int64)
+    pi[basis + [z for z in range(1, 64) if z not in basis]] = \
+        sub + [a for a in range(1, 64) if a not in sub]
+    t = A[F.mul_arr(np.argsort(A)[:, None], pi[None, :])]
+    return spread.Prequasifield(6, "flat", t, kind="table",
+                                name="basis-symmetric field:6")
+
+
 def _pair_output_frobenius():
     """Lueneburg at m = 3 with y2 squared last: F-linear in y1 only."""
     Q = spread.luneburg(3)
@@ -557,12 +652,14 @@ def _pair_asymmetric_then_nonlinear():
 SMALL = {**{f"field:{m}": (lambda m=m: spread.field_pqf(m))
             for m in range(2, 7)},
          "luneburg:3": lambda: spread.luneburg(3),
+         "relabelled luneburg:3": _relabelled_luneburg,
          **{f"kantor:3:{z}": (lambda z=z: spread.kantor_chain(3, [1], [1], [z]))
             for z in range(8)},
          **{f"kantor:5:{z}": (lambda z=z: spread.kantor_chain(5, [1], [1], [z]))
             for z in (0, 5, 11, 31)},
          **{f"kantor:6:{z}": (lambda z=z: _kantor6(z)) for z in (7, 9)},
          "x^2 z": lambda: _rule_pqf("x^2 z"),
+         "basis-symmetric field:6": _basis_symmetric_field6,
          "comm(kantor:3:0)": lambda: spread.commutative_from_symplectic(
              spread.kantor_chain(3, [1], [1], [0])),
          "x phi(z)": lambda: _x_phi_z()}
@@ -691,9 +788,10 @@ def _sqrt_diag_outcome(fn, *args):
                                   "luneburg:5", "kantor:7", "field:8"])
 def test_sqrt_diag_matches_per_z_oracle(name):
     Q = CARRIERS[name]()
-    want = _sqrt_diag_outcome(sqrt_diag_naive, Q, spread.orthonormal_basis(Q))
+    want = _sqrt_diag_outcome(sqrt_diag_naive, Q, orthonormal_basis(Q))
     assert _sqrt_diag_outcome(spread.sqrt_diag_g_table, Q) == want
-    rejected = ("x^2 z", "comm(kantor:3:0)", *NOT_F_SYMMETRIC)
+    rejected = ("x^2 z", "comm(kantor:3:0)", "basis-symmetric field:6",
+                *NOT_F_SYMMETRIC)
     assert isinstance(want, str) == (name in rejected), want
 
 
