@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Subcommands: niho, oval, dual, ea, spread (build/validate/transpose/
-knuth/bent).  Reports are JSON with sorted keys on stdout, so output
-bytes are deterministic for fixed inputs; timing goes to stderr.
+knuth/bent).  Reports are JSON with sorted keys on stdout (on stderr when
+a table goes to stdout), so output bytes are deterministic for fixed
+inputs; timing goes to stderr.  Table files and streams are written and
+read a row at a time (`spread.write_pqf`, `spread.read_pqf`).
 
 Exit codes: 0 all verdicts pass, 1 a verification failed (the report
 carries a witness), 2 usage or input errors (m outside 2..9 included,
-and carriers of GF(2) dimension above 12), 3 an internal error
+and carriers of GF(2) dimension outside 1..12), 3 an internal error
 (traceback on stderr).
 """
 
@@ -268,7 +270,7 @@ def _read_pqf(path: str) -> spread.Prequasifield:
     """A table file, '-' for stdin, or a kind spec like 'field:3',
     'luneburg:3', 'kantor:3:1:1:0' (m:chain:lambdas:zetas)."""
     if path == "-":
-        return spread.loads_pqf(sys.stdin.read())
+        return spread.read_pqf(sys.stdin)
     if ":" in path and not Path(path).exists():
         kind, *fields = path.split(":")
         if kind not in _KIND_FIELDS:
@@ -294,19 +296,24 @@ def _build_pqf(args) -> spread.Prequasifield:
     return _kind_pqf(args.kind, args.m, args.chain, args.lambdas, args.zetas)
 
 
+def _emit_table(Q: spread.Prequasifield, out: str | None, report: dict) -> None:
+    """The table to `out` (report to stdout), else to stdout (report to stderr)."""
+    if out:
+        spread.save_pqf(Q, out)
+        _emit(report)
+    else:
+        spread.write_pqf(Q, sys.stdout)
+        _emit(report, sys.stderr)
+
+
 def cmd_spread_build(args) -> int:
     Q = _build_pqf(args)
     rep = spread.validate_prequasifield(Q).as_dict()
     report = {"command": "spread build", "kind": args.kind, "m": Q.m,
               "shape": Q.shape, "size": Q.size, "validation": rep}
-    text = spread.dumps_pqf(Q)
     if args.out:
-        Path(args.out).write_text(text)
         report["artifacts"] = {"table": args.out}
-        _emit(report)
-    else:
-        sys.stdout.write(text)
-        _emit(report, sys.stderr)
+    _emit_table(Q, args.out, report)
     return 0 if rep["axioms_ok"] else 1
 
 
@@ -340,13 +347,7 @@ def cmd_spread_transpose(args) -> int:
                   spread.transpose_pqf(Qt).table, Q.table)),
               "perpendicular_ok": spread.spreads_perpendicular(Q, Qt),
               "symplectic_fixed_point": bool(np.array_equal(Qt.table, Q.table))}
-    text = spread.dumps_pqf(Qt)
-    if args.out:
-        Path(args.out).write_text(text)
-        _emit(report)
-    else:
-        sys.stdout.write(text)
-        _emit(report, sys.stderr)
+    _emit_table(Qt, args.out, report)
     return 0 if report["involution_ok"] and report["perpendicular_ok"] else 1
 
 

@@ -8,17 +8,18 @@ F x F packed as x1 + q*x2 ("pair" shape, used by the Lueneburg spread).
 The bilinear form B is tr(xy) on F, and the sum of the coordinate forms
 on F x F; its masks are one table per carrier (`b_mask_table`).  A
 GF(2)-linear map is a table, built from its basis images by
-`kernels.linear_map_table`, and one batched `adjoint` w.r.t. B serves
-the transpose x star z = R_z^*(x), the commutative <-> symplectic
-partner z . y = L_z^*(y) and the action of automorphisms on the dual
-side.  The Gram array [i, j, z] = B(e_i, e_j o z) of the basis rows
-(`Prequasifield.gram`) decides the rest: symplectic (symmetric in i, j: every R_z
-self-adjoint), perpendicular to a transpose, and the o-polynomial G
-read off its diagonal.
+`kernels.linear_map_table`; one batched `adjoint` w.r.t. B serves the
+commutative <-> symplectic partner z . y = L_z^*(y) and the action of
+automorphisms on the dual side.  The Gram array [i, j, z] = B(e_i, e_j o z)
+of the basis rows (`Prequasifield.gram`) holds the B bits of every R_z,
+so its adjoints give the transpose x star z = R_z^*(x), and it decides
+the rest: symplectic (symmetric in i, j: Q^t = Q), perpendicular to a
+transpose, and the o-polynomial G read off its diagonal.
 """
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field as dc_field
 from numbers import Integral
 
@@ -147,7 +148,7 @@ class Prequasifield:
 
 def field_pqf(m: int) -> Prequasifield:
     """GF(2^m) itself, x o z = xz."""
-    F = binary_field(m)
+    F = binary_field(carrier_dim(m, "flat"))    # the carrier cap comes first
     return Prequasifield.from_evaluator(m, "flat", F.mul_arr, kind="field")
 
 
@@ -163,7 +164,7 @@ def kantor_chain(m: int, subdegrees: list[int], lambdas: list[int],
     The result coordinatizes a symplectic spread: every right
     multiplication is self-adjoint since tr(a T_i(b)) = tr_i(T_i(a) T_i(b)).
     """
-    F = binary_field(m)
+    F = binary_field(carrier_dim(m, "flat"))    # the carrier cap comes first
     degs = [m] + list(subdegrees)
     for a, b in zip(degs, degs[1:]):
         if not isinstance(b, Integral) or not 1 <= b < a or a % b:
@@ -211,6 +212,7 @@ def _trace_onto_table(F: BinaryField, d: int) -> np.ndarray:
 
 def luneburg(m: int) -> Prequasifield:
     """The Lueneburg symplectic prequasifield on F x F, m = 2k+1 odd."""
+    carrier_dim(m, "pair")
     if m % 2 == 0 or m < 3:
         raise ValueError("the Lueneburg spread needs odd m >= 3")
     F = binary_field(m)
@@ -374,7 +376,11 @@ def adjoint(images: np.ndarray, Q: Prequasifield) -> np.ndarray:
     (dim, k)); entry [x, c] of the (size, k) result is adj_c(x).  Bit j of
     the B mask of adj(e_i) is B(e_i, map(e_j)), the mask inverse turns it
     into the vector, and the other x follow by linearity."""
-    bits = _form_bits(images, Q)                                     # [i, j, c]
+    return _adjoint_of_bits(_form_bits(images, Q), Q)
+
+
+def _adjoint_of_bits(bits: np.ndarray, Q: Prequasifield) -> np.ndarray:
+    """`adjoint` from the bits [i, j, c] = B(e_i, map_c(e_j))."""
     masks = (bits.astype(np.int32) << np.arange(Q.dim, dtype=np.int32)[:, None]
              ).sum(axis=1, dtype=np.int32)
     return kernels.linear_map_table(Q.b_mask_inverse()[masks], Q.dim)
@@ -383,10 +389,9 @@ def adjoint(images: np.ndarray, Q: Prequasifield) -> np.ndarray:
 def transpose_pqf(Q: Prequasifield) -> Prequasifield:
     """x star z = R_z^*(x); coordinatizes the orthogonal (dual) spread.
 
-    Always a fresh object computed from Q's table (`Q.transposed()` is the
-    kept copy): column z is the adjoint of R_z, whose basis images are the
-    basis rows of the table."""
-    table = adjoint(Q.table[1 << np.arange(Q.dim)], Q)
+    Always a fresh object (`Q.transposed()` is the kept copy): column z is
+    the adjoint of R_z, whose B bits are the kept Gram array of Q."""
+    table = _adjoint_of_bits(Q.gram(), Q)
     return Prequasifield(Q.m, Q.shape, table, kind="derived",
                          name=f"{Q.name}^t")
 
@@ -533,23 +538,25 @@ def sqrt_diag_g_table(Q: Prequasifield) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# table file format: header `q=<int> shape=<flat|pair>`, then q rows
+# table file format: header `q=<int> shape=<flat|pair>`, then q lines of q
+# ints; one writer and one reader over text handles, a row at a time
 # ---------------------------------------------------------------------------
 
-def dumps_pqf(Q: Prequasifield) -> str:
-    # one row of Python ints at a time, never the whole table (16M at dim 12)
-    lines = [f"q={Q.size} shape={Q.shape}"]
-    lines += [" ".join(map(str, row.tolist())) for row in Q.table]
-    return "\n".join(lines) + "\n"
+def write_pqf(Q: Prequasifield, fh) -> None:
+    fh.write(f"q={Q.size} shape={Q.shape}\n")
+    for row in Q.table:
+        fh.write(" ".join(map(str, row.tolist())) + "\n")
 
 
-def loads_pqf(text: str) -> Prequasifield:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    head = lines[0].split() if lines else []
+def read_pqf(lines) -> Prequasifield:
+    """Parse lines (of a file, stdin, a list) into the table, allocated once
+    the header passes; a (q+2)-th line fails on arrival.  Blank lines are
+    skipped, and lines end at LF, CR or CR LF in any newline mode."""
+    rows = (ln for chunk in lines for ln in chunk.split("\r") if ln.strip())
+    head = next(rows, "").split()
     if len(head) != 2 or not head[0].startswith("q=") or not head[1].startswith("shape="):
         raise ValueError("bad prequasifield header")
-    size = int(head[0][2:])
-    shape = head[1][6:]
+    size, shape = int(head[0][2:]), head[1][6:]
     dim = size.bit_length() - 1
     if size < 1 or 1 << dim != size:
         raise ValueError("carrier size must be a power of 2")
@@ -557,15 +564,11 @@ def loads_pqf(text: str) -> Prequasifield:
         raise ValueError("pair carriers have even GF(2) dimension")
     m = dim if shape == "flat" else dim // 2
     carrier_dim(m, shape)
-    if len(lines) != size + 1:
-        raise ValueError("table must be q rows of q integers")
-    # parsed a row at a time into the table (int() on each entry, an
-    # OverflowError beyond int64), never as one list of Python ints
     span = f"table entries must lie in [0, {size})"
     table = np.empty((size, size), dtype=np.int32)
-    for x, ln in enumerate(lines[1:]):
-        try:
-            row = np.array(ln.split(), dtype=np.int64)
+    for x in range(size):
+        try:                    # int() on each entry; a missing row is empty
+            row = np.array(next(rows, "").split(), dtype=np.int64)
         except OverflowError:
             raise ValueError(span) from None
         if row.shape != (size,):
@@ -573,14 +576,25 @@ def loads_pqf(text: str) -> Prequasifield:
         if row.min() < 0 or row.max() >= size:
             raise ValueError(span)
         table[x] = row
+    if next(rows, None) is not None:
+        raise ValueError("table must be q rows of q integers")
     return Prequasifield(m, shape, table, kind="table")
+
+
+def dumps_pqf(Q: Prequasifield) -> str:
+    write_pqf(Q, fh := io.StringIO())
+    return fh.getvalue()
+
+
+def loads_pqf(text: str) -> Prequasifield:
+    return read_pqf(io.StringIO(text))
 
 
 def save_pqf(Q: Prequasifield, path) -> None:
     with open(path, "w") as fh:
-        fh.write(dumps_pqf(Q))
+        write_pqf(Q, fh)
 
 
 def load_pqf(path) -> Prequasifield:
     with open(path) as fh:
-        return loads_pqf(fh.read())
+        return read_pqf(fh)

@@ -61,8 +61,8 @@ class BivariateLineOval:
 
 
 def star_table(Q: Prequasifield) -> np.ndarray:
-    """Multiplication table of the transpose prequasifield Q^t (kept on Q)."""
-    return Q.transposed().table
+    """Table of Q^t: Q's own if the Gram array is symmetric, else kept on Q."""
+    return Q.table if spread_mod._is_symmetric(Q.gram()) else Q.transposed().table
 
 
 def g_square_star(Q: Prequasifield) -> np.ndarray:

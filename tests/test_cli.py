@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from ovalbent import boolfn, cli, geometry, niho, gf, spread, spreadbent
 from oracles import b_form_masks, walsh_by_rows
@@ -432,6 +433,72 @@ def test_carrier_above_dimension_cap(monkeypatch, capsys):
         assert tracemalloc.get_traced_memory()[1] < 16 << 20
     finally:
         tracemalloc.stop()
+
+
+def test_carrier_size_message_names_the_carrier_cap(monkeypatch, capsys):
+    """Every kind at m = -1, 0, 13 and 19 is refused by the carrier cap
+    1..12, before any field is built (the field cap is 1..18)."""
+    monkeypatch.setattr(spread, "binary_field",
+                        lambda m: pytest.fail(f"GF(2^{m}) built"))
+    for m in ("-1", "0", "13", "19"):
+        for argv in (["spread", "validate", "--pqf", f"field:{m}"],
+                     ["spread", "validate", "--pqf", f"luneburg:{m}"],
+                     ["spread", "validate", "--pqf", f"kantor:{m}:1:1:0"],
+                     ["spread", "build", "--kind", "field", "--m", m],
+                     ["spread", "build", "--kind", "luneburg", "--m", m],
+                     ["spread", "build", "--kind", "kantor", "--m", m,
+                      "--chain", "1", "--lambdas", "1", "--zetas", "0"]):
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "outside 1..12" in err, (argv, err)
+
+
+def _pqf_layouts():
+    """The field:2 table in several line layouts: (text, accepted)."""
+    text = spread.dumps_pqf(spread.field_pqf(2))
+    head, *rows = text.splitlines()
+    return {
+        "crlf": (text.replace("\n", "\r\n"), True),
+        "cr": (text.replace("\n", "\r"), True),
+        "blank lines": ("\n \n" + head + "\n\n" + "\n\t\n".join(rows) + "\n\n", True),
+        "ff line ends": ("".join(ln + "\x0c\n" for ln in [head, *rows]), True),
+        "ff in the header": (text.replace(" ", "\x0c", 1), True),
+        "ff between rows": (head + "\n" + "\x0c".join(rows) + "\n", False),
+        "ff after the header": (head + "\x0c" + "\n".join(rows) + "\n", False),
+        "vt between rows": (head + "\n" + "\x0b".join(rows) + "\n", False)}
+
+
+def _table_or_none(read, source):
+    try:
+        return read(source).table.tolist()
+    except ValueError:
+        return None
+
+
+def test_string_file_and_stdin_read_the_same_lines(tmp_path, monkeypatch, capsys):
+    """loads_pqf, load_pqf and `--pqf -` agree on every layout: a line ends
+    at LF, CR or CR LF, and a form feed or vertical tab is whitespace
+    within a line."""
+    table = spread.field_pqf(2).table.tolist()
+    path = tmp_path / "t.pqf"
+    layouts = _pqf_layouts()
+    for name, (text, accepted) in layouts.items():
+        want = table if accepted else None
+        path.write_bytes(text.encode())
+        assert _table_or_none(spread.loads_pqf, text) == want, name
+        assert _table_or_none(spread.load_pqf, path) == want, name
+        # POSIX stdin ends its lines at LF only
+        with open(path, newline="\n") as fh:
+            monkeypatch.setattr(sys, "stdin", fh)
+            code = cli.main(["spread", "validate", "--pqf", "-"])
+        out = capsys.readouterr().out
+        assert code == (0 if accepted else 2), name
+        if accepted:
+            assert json.loads(out)["validation"]["axioms_ok"]
+    # the real stdin of a child process, with CR line ends
+    r = run_cli(["spread", "validate", "--pqf", "-"],
+                input=layouts["cr"][0])
+    assert r.returncode == 0, r.stderr
 
 
 def _oval_doc(tmp_path, points, infinite=()):

@@ -330,19 +330,60 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def test_table_file_text_is_written_and_read_a_row_at_a_time():
-    """The field:10 text (4.6 MB) is written from one row of Python ints
-    at a time (36 MiB peak through one `tolist` of the table), and the
-    field:9 text is parsed a row at a time into the int32 table (7.5 MiB
-    peak through one list of lists of Python ints; field:9, since tracing
-    the parse of 2^20 entries takes seconds)."""
+class _Sink:
+    """A text handle that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+def test_table_file_text_is_written_and_read_a_row_at_a_time(tmp_path):
+    """The field:10 table (4.6 MB of text) is written to a handle one row
+    of Python ints at a time (about 93 KiB peak), and the field:9 file is
+    parsed from its handle one line at a time into the 1 MiB int32 table
+    (about 55 KiB beyond it; field:9, since tracing the parse of 2^20
+    entries takes seconds): neither holds the text."""
     Q10, Q9 = spread.field_pqf(10), spread.field_pqf(9)
-    text10, dumps_peak = _traced_peak(spread.dumps_pqf, Q10)
-    back9, loads_peak = _traced_peak(spread.loads_pqf, spread.dumps_pqf(Q9))
-    assert dumps_peak < 16 << 20
-    assert loads_peak < 4 << 20
+    sink = _Sink()
+    _, write_peak = _traced_peak(spread.write_pqf, Q10, sink)
+    assert write_peak < 256 << 10
+    assert sink.chars == len(spread.dumps_pqf(Q10))
+    path = tmp_path / "f9.pqf"
+    spread.save_pqf(Q9, path)
+    assert path.read_text() == spread.dumps_pqf(Q9)
+    with open(path) as fh:
+        back9, read_peak = _traced_peak(spread.read_pqf, fh)
+    assert read_peak < Q9.table.nbytes + (256 << 10)
     assert np.array_equal(back9.table, Q9.table)
-    assert np.array_equal(spread.loads_pqf(text10).table, Q10.table)
+
+
+def test_read_pqf_rejects_a_long_input_without_reading_on():
+    """A line after the q-th row fails as it arrives: the reader never asks
+    for the line after it."""
+    text = spread.dumps_pqf(spread.field_pqf(3))
+
+    def lines():
+        yield from text.splitlines(keepends=True)
+        yield "0 1 2 3 4 5 6 7\n"                        # a (q+2)-th line
+        pytest.fail("read_pqf asked for a line past the (q+2)-th")
+
+    with pytest.raises(ValueError, match="q rows of q integers"):
+        spread.read_pqf(lines())
+
+
+def test_read_pqf_rejects_a_short_file_from_a_handle(tmp_path):
+    text = spread.dumps_pqf(spread.field_pqf(3))
+    lines = text.splitlines(keepends=True)
+    path = tmp_path / "short.pqf"
+    # the last row missing, the last three missing, the last row cut short
+    for short in ("".join(lines[:-1]), "".join(lines[:-3]), text[:-4]):
+        path.write_text(short)
+        with open(path) as fh, pytest.raises(ValueError,
+                                             match="q rows of q integers"):
+            spread.read_pqf(fh)
 
 
 def test_field_fixed_by_both_constructions(field8):

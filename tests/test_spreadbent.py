@@ -5,9 +5,11 @@ import pytest
 
 from ovalbent import boolfn, kernels, spread, spreadbent
 from ovalbent.gf import BinaryField
-from oracles import (b_form_masks, bent_criterion_naive, carrier_form,
-                     gl2_action_naive, line_oval_cover_naive, walsh_by_rows)
-from test_spread import SMALL
+from oracles import (adjoint_naive, b_form_masks, bent_criterion_naive,
+                     carrier_form, gl2_action_naive, line_oval_cover_naive,
+                     orthonormal_basis, right_mult_rows, symmetric_rep_naive,
+                     walsh_by_rows)
+from test_spread import NOT_F_SYMMETRIC, SMALL
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +67,21 @@ def test_vertical_line_pairing(field_spec):
     for z in range(Q.size):
         counts[field_spec.G[z] ^ st[0, z]] += 1
     assert np.all(counts == 1)
+
+
+@pytest.mark.parametrize("name", [*SMALL, *NOT_F_SYMMETRIC])
+def test_star_table_is_q_itself_exactly_when_symplectic(name):
+    """Q^t = Q iff every R_z is self-adjoint: a symplectic carrier reads
+    its own table, and any other one (the basis-symmetric field:6 among
+    them, symmetric at the basis z only) gets the brute-force transpose."""
+    Q = {**SMALL, **NOT_F_SYMMETRIC}[name]()
+    st = spreadbent.star_table(Q)
+    if symmetric_rep_naive(Q, orthonormal_basis(Q)):
+        assert st is Q.table
+    else:
+        assert st is not Q.table
+        want = adjoint_naive([right_mult_rows(Q, z) for z in range(Q.size)], Q)
+        assert np.array_equal(st, want)
 
 
 def _counting(monkeypatch, module, name, counts):
@@ -215,7 +232,7 @@ def test_line_oval_cover_counts_in_row_blocks():
     and the count arrays of one block, no count array over the plane."""
     Q = spread.luneburg(5)
     spec = spreadbent.SpreadBentSpec(Q, spread.sqrt_diag_g_table(Q))
-    spreadbent.star_table(Q)                     # the kept transpose table
+    spreadbent.star_table(Q)                     # the kept Gram array
     tracemalloc.start()
     try:
         oval = spreadbent.line_oval_bivariate(spec)
