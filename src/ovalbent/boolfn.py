@@ -2,9 +2,9 @@
 
 Walsh-Hadamard transform, bentness, duals, algebraic normal form and the
 EA-equivalence utilities.  The butterfly computes the transform against
-the plain dot product on index bits; callers working over a field pass a
-`masks` permutation (see gf.FieldParams.tr_mask_table) so that entry b of
-the spectrum is the sum against trace(b*x) instead.
+the plain dot product on index bits.  Over a field, entry masks[b], with
+masks the permutation of gf.FieldParams.tr_mask_table, is the sum against
+trace(b*x); the duals (`WalshSpectrum.dual`, `dual`) take it as `masks`.
 """
 
 from __future__ import annotations
@@ -156,9 +156,8 @@ class AnfPolynomial:
         return f"AnfPolynomial(k={self.k}, degree={self.degree()})"
 
 
-def walsh_transform(f: BooleanFunction, masks: np.ndarray | None = None) -> WalshSpectrum:
-    """Spectrum of f; entry b correlates against parity(b & x), or against
-    the re-indexed inner product masks[b] & x when masks is given.
+def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
+    """Spectrum of f; entry b correlates against parity(b & x).
 
     The butterfly runs in int32 for k <= 30, where |entry| <= 2^k is
     exact, and in int64 above."""
@@ -166,8 +165,6 @@ def walsh_transform(f: BooleanFunction, masks: np.ndarray | None = None) -> Wals
     w *= -2
     w += 1              # (-1)^f(x) in place: one 2^k temporary, not three
     kernels.walsh_inplace(w)
-    if masks is not None:
-        w = w[masks]
     return WalshSpectrum(f.k, w)
 
 

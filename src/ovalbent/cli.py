@@ -254,8 +254,9 @@ def cmd_ea(args) -> int:
 _KIND_FIELDS = {"field": 1, "luneburg": 1, "kantor": 4}
 
 
-def _kind_pqf(kind: str, m: int, chain: str = "", lambdas: str = "",
-              zetas: str = "") -> spread.Prequasifield:
+def _kind_pqf(kind: str, m: int, chain: str | None = None,
+              lambdas: str | None = None, zetas: str | None = None
+              ) -> spread.Prequasifield:
     """The prequasifield of a construction kind (a key of `_KIND_FIELDS`);
     chain, lambdas and zetas are comma lists, read by kantor only."""
     if kind == "field":
@@ -282,11 +283,19 @@ def _read_pqf(path: str) -> spread.Prequasifield:
     return spread.load_pqf(path)
 
 
-def _csv_ints(text: str) -> list[int]:
+def _csv_ints(text: str | None) -> list[int]:
     return [int(v) for v in text.split(",")] if text else []
 
 
+# the `spread build` flags beyond --kind and --out, and the kinds that read each
+_BUILD_FLAGS = {"m": ("field", "kantor", "luneburg"), "chain": ("kantor",),
+                "lambdas": ("kantor",), "zetas": ("kantor",), "table": ("table",)}
+
+
 def _build_pqf(args) -> spread.Prequasifield:
+    for flag, kinds in _BUILD_FLAGS.items():
+        if getattr(args, flag) is not None and args.kind not in kinds:
+            raise InputError(f"--kind {args.kind} does not read --{flag}")
     if args.kind == "table":
         if not args.table:
             raise InputError("--kind table needs --table FILE")
@@ -342,13 +351,13 @@ def _valid_pqf(path: str) -> spread.Prequasifield:
 def cmd_spread_transpose(args) -> int:
     Q = _valid_pqf(args.pqf)
     Qt = Q.transposed()
+    # a linear table is fixed by its basis rows: Q^tt = Q iff Q, Q^t are perpendicular
+    perp = spread.spreads_perpendicular(Q, Qt)
     report = {"command": "spread transpose", "m": Q.m, "shape": Q.shape,
-              "involution_ok": bool(np.array_equal(
-                  spread.transpose_pqf(Qt).table, Q.table)),
-              "perpendicular_ok": spread.spreads_perpendicular(Q, Qt),
+              "involution_ok": perp, "perpendicular_ok": perp,
               "symplectic_fixed_point": bool(np.array_equal(Qt.table, Q.table))}
     _emit_table(Qt, args.out, report)
-    return 0 if report["involution_ok"] and report["perpendicular_ok"] else 1
+    return 0 if perp else 1
 
 
 def cmd_spread_knuth(args) -> int:
@@ -474,9 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--kind", required=True,
                    choices=["field", "kantor", "luneburg", "table"])
     b.add_argument("--m", type=int)
-    b.add_argument("--chain", default="", help="comma list of subfield degrees")
-    b.add_argument("--lambdas", default="", help="comma list of F-indices")
-    b.add_argument("--zetas", default="", help="comma list of F-indices")
+    b.add_argument("--chain", help="comma list of subfield degrees")
+    b.add_argument("--lambdas", help="comma list of F-indices")
+    b.add_argument("--zetas", help="comma list of F-indices")
     b.add_argument("--table", default=None)
     b.add_argument("--out", default=None)
     b.set_defaults(cmd="spread_build")

@@ -9,8 +9,8 @@ The bilinear form B is tr(xy) on F, and the sum of the coordinate forms
 on F x F; its masks are one table per carrier (`b_mask_table`).  A
 GF(2)-linear map is a table, built from its basis images by
 `kernels.linear_map_table`; one batched `adjoint` w.r.t. B serves the
-commutative <-> symplectic partner z . y = L_z^*(y) and the action of
-automorphisms on the dual side.  The Gram array [i, j, z] = B(e_i, e_j o z)
+action of automorphisms on the dual side; the commutative <-> symplectic
+partner is the Knuth word dtd.  The Gram array [i, j, z] = B(e_i, e_j o z)
 of the basis rows (`Prequasifield.gram`) holds the B bits of every R_z,
 so its adjoints give the transpose x star z = R_z^*(x), and it decides
 the rest: symplectic (symmetric in i, j: Q^t = Q), perpendicular to a
@@ -396,10 +396,10 @@ def transpose_pqf(Q: Prequasifield) -> Prequasifield:
                          name=f"{Q.name}^t")
 
 
-def dual_pqf(Q: Prequasifield) -> Prequasifield:
+def dual_pqf(Q: Prequasifield, name: str | None = None) -> Prequasifield:
     """x * y = y o x."""
     return Prequasifield(Q.m, Q.shape, Q.table.T.copy(), kind="derived",
-                         name=f"{Q.name}^d")
+                         name=name or f"{Q.name}^d")
 
 
 def is_symplectic(Q: Prequasifield) -> bool:
@@ -424,61 +424,52 @@ def is_symplectic(Q: Prequasifield) -> bool:
 
 def knuth_orbit(Q: Prequasifield):
     """Closure of a presemifield under dual and transpose, deduplicated at
-    table level.  Returns (items, dtd_equals_tdt) with items a list of
-    (word, Prequasifield) in BFS order; isotopy is NOT decided."""
+    table level against its items: each candidate is built fresh and
+    dropped unless it is new.  Returns (items, dtd_equals_tdt) with items a
+    list of (word, Prequasifield) in BFS order; isotopy is NOT decided."""
     rep = validate_prequasifield(Q)
     if not rep.is_presemifield:
         raise ValueError("the Knuth orbit is defined for presemifields")
-    seen: dict[bytes, str] = {Q.table.tobytes(): ""}
     items = [("", Q)]
-    frontier = [("", Q)]
-    # (word, op) -> the word of the item with the table op(word)
-    step: dict[tuple[str, str], str] = {}
-    while frontier:
-        nxt = []
-        for word, cur in frontier:
-            for op, new in (("d", dual_pqf(cur)), ("t", cur.transposed())):
-                key = new.table.tobytes()
-                if key not in seen:
-                    seen[key] = word + op
-                    items.append((word + op, new))
-                    nxt.append((word + op, new))
-                step[word, op] = seen[key]
-        frontier = nxt
+    # (item index, op) -> the index of the item with the table op(item)
+    step: dict[tuple[int, str], int] = {}
+    for k, (word, cur) in enumerate(items):     # a BFS queue: items grows
+        for op, build in (("d", dual_pqf), ("t", transpose_pqf)):
+            new = build(cur)
+            j = next((i for i, (_, it) in enumerate(items)
+                      if np.array_equal(it.table, new.table)), len(items))
+            if j == len(items):
+                items.append((word + op, new))
+            step[k, op] = j
+            del new
 
     def lookup(word):
-        cur = ""
+        cur = 0
         for op in word:
             cur = step[cur, op]
         return cur
 
-    # items are distinct tables, so equal words mean equal tables
+    # each table is one item, so equal indices mean equal tables
     return items, lookup("dtd") == lookup("tdt")
 
 
 def commutative_from_symplectic(Q: Prequasifield) -> Prequasifield:
     """z * y = L_z^*(y) with L_z(x) = z o x; commutative when Q is a
-    symplectic presemifield."""
+    symplectic presemifield.  The Knuth word dtd: R_z of Q^d is L_z."""
     rep = validate_prequasifield(Q)
     if not (rep.is_presemifield and rep.is_symplectic):
         raise ValueError("construction needs a symplectic presemifield")
-    return _left_adjoint_pqf(Q, name=f"comm({Q.name})")
+    return dual_pqf(transpose_pqf(dual_pqf(Q)), f"comm({Q.name})")
 
 
 def symplectic_from_commutative(Q: Prequasifield) -> Prequasifield:
-    """z o y = L_z^*(y) with L_z(x) = z * x; symplectic when Q is a
-    commutative presemifield.  Mutually inverse with the previous map."""
+    """z o y = L_z^*(y) with L_z(x) = z * x, the Knuth word dtd again;
+    symplectic when Q is a commutative presemifield.  Mutually inverse
+    with the previous map."""
     rep = validate_prequasifield(Q)
     if not (rep.is_presemifield and rep.is_commutative):
         raise ValueError("construction needs a commutative presemifield")
-    return _left_adjoint_pqf(Q, name=f"symp({Q.name})")
-
-
-def _left_adjoint_pqf(Q: Prequasifield, name: str) -> Prequasifield:
-    """z . y = L_z^*(y) with L_z(x) = z o x: row z is the adjoint of L_z,
-    whose basis images are the basis columns of the table."""
-    table = adjoint(Q.table[:, 1 << np.arange(Q.dim)].T, Q).T
-    return Prequasifield(Q.m, Q.shape, table, kind="derived", name=name)
+    return dual_pqf(transpose_pqf(dual_pqf(Q)), f"symp({Q.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +578,7 @@ def dumps_pqf(Q: Prequasifield) -> str:
 
 
 def loads_pqf(text: str) -> Prequasifield:
-    return read_pqf(io.StringIO(text))
+    return read_pqf(text.split("\n"))     # read_pqf splits each line at CR
 
 
 def save_pqf(Q: Prequasifield, path) -> None:

@@ -59,8 +59,8 @@ def test_criterion_01_family_bentness():
     for family, m, kw in FAMILY_GRID:
         g, p = _g_and_params(family, m, kw)
         f = niho.bent_from_g(g, p)
-        w = boolfn.walsh_transform(f, p.tr_mask_table())
-        assert np.all(np.abs(w.values) == 1 << m), (family, m)
+        w = boolfn.walsh_transform(f).values[p.tr_mask_table()]
+        assert np.all(np.abs(w) == 1 << m), (family, m)
     _report(1, f"all {len(FAMILY_GRID)} family instances bent "
                "(|W| = 2^m exactly)")
 

@@ -24,9 +24,9 @@ def test_walsh_of_field_linear_function():
     masks = p.tr_mask_table()
     for a in (1, 13, 37):
         tab = [p.K.trace(p.K.mul(a, x)) for x in range(p.K.size)]
-        w = boolfn.walsh_transform(boolfn.BooleanFunction(6, tab), masks)
-        assert w.values[a] == 64
-        assert int(np.abs(w.values).sum()) == 64
+        w = boolfn.walsh_transform(boolfn.BooleanFunction(6, tab)).values[masks]
+        assert w[a] == 64
+        assert int(np.abs(w).sum()) == 64
 
 
 @settings(max_examples=30, deadline=None)
@@ -45,7 +45,7 @@ def test_walsh_masked_matches_naive_field_inner():
     p = gf.field_make(2)
     table = rng.integers(0, 2, size=16).tolist()
     f = boolfn.BooleanFunction(4, table)
-    got = boolfn.walsh_transform(f, p.tr_mask_table()).values
+    got = boolfn.walsh_transform(f).values[p.tr_mask_table()]
     want = naive_walsh(table, lambda b, x: p.K.trace(p.K.mul(b, x)))
     assert np.array_equal(got, want)
 

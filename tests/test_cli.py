@@ -364,6 +364,30 @@ def test_kantor_chain_degree_out_of_range(capsys):
         _assert_input_error(argv, capsys)
 
 
+@pytest.mark.parametrize("flags, unread", [
+    (["--kind", "field", "--m", "3", "--chain", "1"], "--chain"),
+    (["--kind", "field", "--m", "3", "--lambdas", ""], "--lambdas"),
+    (["--kind", "field", "--m", "3", "--table", "nonexist"], "--table"),
+    (["--kind", "luneburg", "--m", "3", "--zetas", "5"], "--zetas"),
+    (["--kind", "kantor", "--m", "3", "--chain", "1", "--lambdas", "1",
+      "--zetas", "0", "--table", "{pqf}"], "--table"),
+    (["--kind", "table", "--table", "kantor:3:1:1:0", "--chain", "2"], "--chain"),
+    (["--kind", "table", "--table", "{pqf}", "--m", "4"], "--m"),
+])
+def test_spread_build_rejects_flags_its_kind_does_not_read(flags, unread,
+                                                           tmp_path, capsys):
+    pqf = tmp_path / "f.pqf"
+    spread.save_pqf(spread.field_pqf(2), pqf)
+    assert cli.main(["spread", "build", *(f.format(pqf=pqf) for f in flags)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --kind {flags[1]} does not read {unread}")
+    # without the unread flag the same build passes
+    i = flags.index(unread)
+    assert cli.main(["spread", "build", *(f.format(pqf=pqf) for f in
+                                          flags[:i] + flags[i + 2:])]) == 0
+
+
 def test_pqf_kind_spec_field_count(capsys):
     # field and luneburg take m; kantor takes m:chain:lambdas:zetas
     for pqf in ("field:3:9", "luneburg:3:junk", "field:", "kantor:3:1:1",

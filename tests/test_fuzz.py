@@ -157,11 +157,12 @@ def spec_flags(draw):
 
 @st.composite
 def commands(draw):
-    """(argv, must_pass): must_pass marks inputs the library states valid."""
+    """(argv, expect): expect is the exit code of inputs the library states
+    valid (0) or a usage error (2), else None."""
     kind = draw(st.sampled_from(["niho", "dual", "ea", "verify", "convert",
                                  "build", "validate", "transpose", "knuth",
                                  "bent"]))
-    must_pass = False
+    expect = None
     if kind == "niho":
         argv = ["niho", *draw(spec_flags())]
         if draw(st.booleans()):
@@ -193,17 +194,27 @@ def commands(draw):
         # carrier tables are 4^m entries: seconds per build from m = 10 on
         build_kind = draw(st.sampled_from(["field", "kantor", "luneburg", "table"]))
         m = draw(st.sampled_from(range(-1, 10)))
-        omit_m = draw(rarely)
-        argv = ["spread", "build", "--kind", build_kind,
-                *([] if omit_m else ["--m", str(m)]),
-                "--table", draw(_file(pqf_texts))]
+        omit = draw(rarely)         # --m, or --table with --kind table
+        argv = ["spread", "build", "--kind", build_kind]
+        if not omit:
+            argv += (["--table", draw(_file(pqf_texts))] if build_kind == "table"
+                     else ["--m", str(m)])
+        csv = st.lists(st.integers(-1, 4), max_size=2).map(
+            lambda v: ",".join(map(str, v)))
         chain = build_kind == "kantor" and draw(st.booleans())
         if chain:
-            csv = st.lists(st.integers(-1, 4), max_size=2).map(
-                lambda v: ",".join(map(str, v)))
             argv += ["--chain", draw(csv), "--lambdas", draw(csv), "--zetas", draw(csv)]
-        must_pass = (build_kind in ("field", "kantor") and m >= 1
-                     and not omit_m and not chain)
+        expect = 0 if (build_kind in ("field", "kantor") and m >= 1
+                       and not omit and not chain) else None
+        # a flag its kind does not read is a usage error
+        unread = {"kantor": ["--table"],
+                  "table": ["--m", "--chain", "--lambdas", "--zetas"]}
+        if draw(rarely):
+            flag = draw(st.sampled_from(unread.get(
+                build_kind, ["--chain", "--lambdas", "--zetas", "--table"])))
+            argv += [flag, draw(_file(pqf_texts)) if flag == "--table"
+                     else str(m) if flag == "--m" else draw(csv)]
+            expect = 2
     else:
         pqf = draw(_mostly(st.sampled_from(carrier_names), _file(pqf_texts)))
         argv = ["spread", kind, "--pqf", pqf]
@@ -214,11 +225,12 @@ def commands(draw):
             mu = draw(st.integers(-2, 70))
             argv += ["--g", g, "--mu", str(mu)]
             # mu != 0 adds mu * z to G, which may break bentness
-            must_pass = (pqf in carrier_names and mu == 0
-                         and (g in ("sqrt", "sqrt-diag")
-                              or (g == "square-star" and pqf.startswith("field"))))
+            if (pqf in carrier_names and mu == 0
+                    and (g in ("sqrt", "sqrt-diag")
+                         or (g == "square-star" and pqf.startswith("field")))):
+                expect = 0
     extra = draw(junk)
-    return argv + extra, must_pass and not extra
+    return argv + extra, None if extra else expect
 
 
 def _materialize(argv, tmp):
@@ -253,31 +265,35 @@ def _first_json(text):
 
 @settings(max_examples=150, deadline=None)
 @given(commands())
-@example((["spread", "bent", "--pqf", "field:1", "--g", "sqrt", "--mu", "0"], True))
+@example((["spread", "bent", "--pqf", "field:1", "--g", "sqrt", "--mu", "0"], 0))
 @example((["spread", "bent", "--pqf", "field:1", "--g", "square-star", "--mu", "0"],
-          True))
+          0))
+@example((["spread", "build", "--kind", "kantor", "--m", "1"], 0))
 @example((["spread", "build", "--kind", "kantor", "--m", "1", "--table",
-           ("file", "")], True))
-@example((["spread", "build", "--kind", "kantor", "--m", "3", "--table",
-           ("file", ""), "--chain", "0", "--lambdas", "", "--zetas", ""], False))
+           ("file", "")], 2))
+@example((["spread", "build", "--kind", "table", "--table", ("file", ""),
+           "--m", "3"], 2))
+@example((["spread", "build", "--kind", "kantor", "--m", "3",
+           "--chain", "0", "--lambdas", "", "--zetas", ""], None))
 @example((["spread", "bent", "--pqf", "field:2", "--g",
-           ("table:", ("file", "0 1 2 99999999999999999999\n"))], False))
-@example((["spread", "build", "--kind", "luneburg"], False))
-@example((["spread", "build", "--kind", "field"], False))
+           ("table:", ("file", "0 1 2 99999999999999999999\n"))], None))
+@example((["spread", "build", "--kind", "luneburg"], None))
+@example((["spread", "build", "--kind", "field"], None))
 @example((["oval", "convert", "--m", "3", "--points-json",
            ("file", json.dumps({"kind": "oval", "m": 3, "points": [1, 2, 3],
-                                "infinite": [], "nucleus": None}))], False))
+                                "infinite": [], "nucleus": None}))], None))
 @example((["niho", "--spec-json",
            ("file", json.dumps({"family": "quadratic", "m": 4, "a_index": True}))],
-          False))
+          None))
 @example((["niho", "--family", "quadratic", "--m", "3", "--alpha2-index", "5"],
-          False))
+          None))
 def test_cli_exit_contract(command):
     """Exit 0, 1 or 2 only; exit 1 only with a false verdict in the report;
-    inputs the library states valid exit 0; a report's Niho spec names only
+    inputs the library states valid exit 0, and a `spread build` flag its
+    kind does not read exits 2; a report's Niho spec names only
     the fields its family reads; a conversion that exits 0 put out a whole
     (line) oval of q+1 or q+2 members."""
-    argv, must_pass = command
+    argv, expect = command
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         argv = _materialize(argv, tmp)
@@ -287,8 +303,8 @@ def test_cli_exit_contract(command):
         except SystemExit as e:          # argparse rejects its input this way
             code = e.code
     assert code in (0, 1, 2), (argv, err.getvalue()[-400:])
-    if must_pass:
-        assert code == 0, (argv, out.getvalue()[-400:], err.getvalue()[-400:])
+    if expect is not None:
+        assert code == expect, (argv, out.getvalue()[-400:], err.getvalue()[-400:])
     if code == 2:
         return
     # reports go to stdout, or to stderr when stdout carries a document

@@ -255,6 +255,34 @@ def test_knuth_orbit_requires_presemifield():
         spread.knuth_orbit(Qz)
 
 
+@pytest.mark.parametrize("name, make, words", [
+    ("kantor:5:1:1:11", lambda: spread.kantor_chain(5, [1], [1], [11]),
+     ["", "d", "dt"]),
+    ("kantor:3", lambda: spread.kantor_chain(3, [1], [1], [5]), ["", "d", "dt"]),
+    ("field:4", lambda: spread.field_pqf(4), [""]),
+    ("comm(kantor:5)", lambda: spread.commutative_from_symplectic(
+        spread.kantor_chain(5, [1], [1], [11])), ["", "t", "td"]),
+    ("kantor:5:3^d", lambda: spread.dual_pqf(spread.kantor_chain(5, [1], [1], [3])),
+     ["", "d", "t"]),
+])
+def test_knuth_orbit_words_are_pinned(name, make, words):
+    items, dtd_eq = spread.knuth_orbit(make())
+    assert [w for w, _ in items] == words and dtd_eq
+    tables = [pq.table for _, pq in items]
+    for i, t in enumerate(tables):          # the items are distinct tables
+        assert not any(np.array_equal(t, u) for u in tables[:i])
+
+
+def test_knuth_orbit_holds_its_items_and_two_tables():
+    """Each candidate is built fresh, compared with the items and dropped
+    unless it is new, and no item keeps a transpose: the kantor:9 orbit
+    (three 1 MiB tables) peaks at its two new items plus two tables."""
+    Q = spread.kantor_chain(9, [1], [1], [0])
+    (items, _), peak = _traced_peak(spread.knuth_orbit, Q)
+    assert [w for w, _ in items] == ["", "d", "dt"]
+    assert peak < (len(items) - 1 + 2) * Q.table.nbytes
+
+
 def test_commutative_symplectic_round_trip(xy2):
     F = BinaryField(3)
     C = spread.commutative_from_symplectic(xy2)
@@ -284,13 +312,16 @@ LEFT_ADJOINT_CASES = {
 
 @pytest.mark.parametrize("name", LEFT_ADJOINT_CASES)
 def test_left_adjoint_matches_per_z_loop(name):
-    # Q and its partner, the commutative one when Q is a symplectic
-    # presemifield
+    """Row z of the Knuth word dtd is L_z^*, and it is the partner: the
+    commutative one of a symplectic presemifield, and back."""
     Q = LEFT_ADJOINT_CASES[name]()
-    partner = spread._left_adjoint_pqf(Q, "partner")
-    assert np.array_equal(partner.table, left_adjoint_naive(Q))
-    assert np.array_equal(spread._left_adjoint_pqf(partner, "back").table,
-                          left_adjoint_naive(partner))
+    dtd = spread.dual_pqf(spread.transpose_pqf(spread.dual_pqf(Q)))
+    assert np.array_equal(dtd.table, left_adjoint_naive(Q))
+    partner = spread.commutative_from_symplectic(Q)
+    assert np.array_equal(partner.table, dtd.table)
+    back = spread.symplectic_from_commutative(partner)
+    assert np.array_equal(back.table, left_adjoint_naive(partner))
+    assert np.array_equal(back.table, Q.table)
 
 
 def test_constructor_takes_the_table_without_a_copy():
@@ -357,6 +388,16 @@ def test_table_file_text_is_written_and_read_a_row_at_a_time(tmp_path):
     with open(path) as fh:
         back9, read_peak = _traced_peak(spread.read_pqf, fh)
     assert read_peak < Q9.table.nbytes + (256 << 10)
+    assert np.array_equal(back9.table, Q9.table)
+
+
+def test_loads_pqf_holds_no_wide_copy_of_the_text():
+    """The field:9 text (0.95 MB, ASCII) is split into its lines and parsed
+    into the 1 MiB int32 table: about 2 MiB peak, with no 4-byte-per-
+    character copy of the text as a StringIO keeps."""
+    Q9 = spread.field_pqf(9)
+    back9, peak = _traced_peak(spread.loads_pqf, spread.dumps_pqf(Q9))
+    assert peak <= 2.5 * (1 << 20)
     assert np.array_equal(back9.table, Q9.table)
 
 
