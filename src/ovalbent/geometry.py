@@ -7,8 +7,10 @@ tagged by the circle index of u.
 
 Line incidence goes through `line_point_rows`.  T is F-linear with
 kernel F, so T(y) = mu holds exactly on the coset mu w + F for any w
-with T(w) = 1, and L(u, mu) = u^q (mu w + F): the q points of each line
-in closed form, all lines in one broadcast product.
+with T(w) = 1, and L(u, mu) = u^q (mu w + F).  The logs of the cosets
+are one table per field (`FieldParams.coset_log_table`), so the q
+points of each line are log u^q plus a table row, all lines read
+through one clipped gather.
 
 `verify_oval` is the brute-force collinearity oracle of the package:
 everything faster has to agree with it.
@@ -57,14 +59,18 @@ class Oval:
 def line_point_rows(lines: Iterable[AffineLineK], params: FieldParams) -> np.ndarray:
     """(L, q) array whose row j holds the q points of the j-th line.
 
-    L(u, mu) = u^q (mu w + F) with T(w) = 1; w = gamma / T(gamma), which
-    is defined because the generator gamma of K* is not in F.
+    L(u, mu) = u^q (mu w + F) with T(w) = 1, and row mu of
+    `FieldParams.coset_log_table` holds the logs of mu w + F.  So row j
+    is log u^q plus the table row of its mu, read through one clipped
+    gather of the doubled antilog table (the product rule of `gf`): the
+    point 0 of a line through 0 has the sentinel log and lands on the
+    zero tail.
     """
-    K, embed, gamma = params.K, params.embed, params.gamma
-    w = K.div(gamma, gamma ^ params.conjugate(gamma))
+    K = params.K
     us, mus = np.array(list(lines), dtype=np.int32).reshape(-1, 2).T
-    cosets = K.mul_arr(embed[mus], w)[:, None] ^ embed[None, :]
-    return K.mul_arr(params.conj_table()[us][:, None], cosets)
+    log_uq = K.log[params.conj_table()[us]]
+    return np.take(K.exp2, np.add(log_uq[:, None], params.coset_log_table()[mus],
+                                  dtype=np.intp), mode="clip")
 
 
 def line_points(line: AffineLineK, params: FieldParams) -> frozenset[int]:

@@ -348,6 +348,7 @@ class FieldParams:
         self._unit_class: np.ndarray | None = None
         self._polar_log: np.ndarray | None = None
         self._project_table: np.ndarray | None = None
+        self._coset_log: np.ndarray | None = None
         self._line_trace_basis: np.ndarray | None = None
 
     # -- conjugation / subfield ------------------------------------------
@@ -429,6 +430,22 @@ class FieldParams:
             t[self.embed] = np.arange(self.q)
             self._project_table = t
         return self._project_table
+
+    def coset_log_table(self) -> np.ndarray:
+        """Row mu, column i: the K-log of mu w + i (F-indices embedded),
+        read-only int32 of shape (q, q).
+
+        w = gamma / T(gamma) has T(w) = 1 (the generator gamma of K* is
+        not in F, so T(gamma) != 0).  T is F-linear with kernel F, so row
+        mu holds the logs of the q points of L(1, mu) = {x : T(x) = mu};
+        the point 0, in row 0, has the sentinel log."""
+        if self._coset_log is None:
+            K, embed = self.K, self.embed
+            w = K.div(self.gamma, self.gamma ^ self.conjugate(self.gamma))
+            t = K.log[K.mul_arr(embed, w)[:, None] ^ embed]
+            t.flags.writeable = False
+            self._coset_log = t
+        return self._coset_log
 
     # no library caller: kept for perfbench/setup_probe.py and tracing.TARGETS
     def line_trace_basis(self) -> np.ndarray:

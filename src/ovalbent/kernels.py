@@ -11,8 +11,10 @@ tables and index arithmetic are int32 (every index is below 2^24, and
 every log sum below 2^31), except the product sums log u + log v, which
 are intp, the index dtype of numpy's fast gather path.  The univariate
 incidence kernels use closed forms: the line cover counts the
-coset rows of `geometry.line_point_rows` and the product dual works ray
-by ray.  The Walsh and Moebius butterflies never run a numpy operation
+rows of `geometry.line_point_rows`, each the log of u^q plus a row of
+the per-field coset log table (`FieldParams.coset_log_table`) read
+through one clipped gather, and the product dual works ray by ray.
+The Walsh and Moebius butterflies never run a numpy operation
 over short rows: the stages of the low index bits, whose rows would be
 2 to 32 entries long, run on a transposed copy of each block of
 `BLOCK_ENTRIES` entries, where they are stages over rows of at least

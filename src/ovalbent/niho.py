@@ -271,6 +271,17 @@ def dual_budaghyan(spec: NihoSpec, params: FieldParams,
     a bijection whose unique root lies in F, so the expression as written
     does not determine the dual; the formula is therefore restricted to
     even r here.  Base 0 maps to 0.
+
+    Evaluated as a trace form: the base and its root rho depend only on
+    s = T(x), and Tr(x^q rho) = Tr(x rho^q), so the dual is
+    A[s] + parity(M[s] & x) with A[s] = Tr((e(1 + s) + e^(2^(n-r))) rho(s))
+    and M[s] the dot mask of rho(s)^q, two q-entry tables.  A vanishes:
+    (1 + s) rho = rho^(2^r), so Tr(e(1 + s) rho) = Tr(e^(2^(n-r)) rho)
+    (apply the Frobenius n - r times), which is why the form does not
+    depend on e; A is computed and asserted zero.  The pass over K is
+    one gather of the linear map x -> s, one of the masks, and a
+    popcount.  A ValueError rejects an e_index that is not a K-index
+    with e + e^q = 1.
     """
     rs = spec.resolve(params)
     if rs.family != "leander_r":
@@ -280,22 +291,27 @@ def dual_budaghyan(spec: NihoSpec, params: FieldParams,
     if rs.r % 2 != 0:
         raise ValueError("the closed dual form resolves the fractional power "
                          "only for even r; use the walsh or product route")
-    e = smallest_half_trace(params) if e_index is None else e_index
-    assert params.trace_rel(e) == 1
-
     K, F = params.K, params.F
-    conj = params.conj_table()
-    xs = np.arange(K.size, dtype=np.int32)
-    t = 1 ^ xs ^ conj          # 1 + x + x^q, always in the embedded subfield
-    root_f = F.pow_table(pow((1 << rs.r) - 1, -1, F.order))[
-        1 ^ params.trace_rel_arr(xs)]
-    # even r (hence m odd): multiply into the coset outside F by a
-    # primitive cube root of unity, which sits on the unit circle
+    e = smallest_half_trace(params) if e_index is None else e_index
+    if not 0 <= e < K.size or params.trace_rel(e) != 1:
+        raise ValueError(f"e_index {e} is not a K-index with e + e^q = 1")
+
+    # per s in F: the base 1 + s, and its root outside F, the root in F
+    # times a primitive cube root of unity (even r, hence m odd), which
+    # sits on the unit circle
+    base = 1 ^ np.arange(params.q, dtype=np.int32)
+    root_f = F.pow_table(pow((1 << rs.r) - 1, -1, F.order))[base]
     omega = int(params.S[(params.q + 1) // 3])
     assert K.pow(omega, 3) == 1 and omega != 1
     root = K.mul_arr(params.embed[root_f], omega)
-    arg = K.mul_arr(t, e) ^ K.pow(e, 1 << (params.n - rs.r)) ^ conj
-    table = K.trace_table()[K.mul_arr(arg, root)]
+    arg = K.mul_arr(params.embed[base], e) ^ K.pow(e, 1 << (params.n - rs.r))
+    assert not K.trace_table()[K.mul_arr(arg, root)].any(), \
+        "the terms in e cancel: A[s] = 0"
+    masks = K.dot_mask_table()[params.conj_table()[root]]
+    # T is GF(2)-linear: s over all of K is the table of a linear map
+    s = kernels.linear_map_table(params.trace_rel_arr(1 << np.arange(params.n)),
+                                 params.n)
+    table = np.bitwise_count(masks[s] & np.arange(K.size, dtype=np.int32)) & 1
     return boolfn.BooleanFunction(params.n, table)
 
 

@@ -213,6 +213,17 @@ def commands() -> list[list[str]]:
               ["--kind", "kantor", "--m", "9", "--chain", "1",
                "--lambdas", "1", "--zetas", "0"])]
     cmds.append(["spread", "bent", "--pqf", "field:10", "--g", "sqrt"])
+    # the m = 9 shapes of the univariate workload at the default a: the two
+    # bent niho families, the non-bent quadratic with its witness point,
+    # and the closed-form and Walsh duals, each checked by another route
+    sub9 = str(int(field_make(9).embed[2]))
+    cmds += [["niho", "--family", "binomial_3", "--m", "9"],
+             ["niho", "--family", "leander_r", "--m", "9", "--r", "2"],
+             ["niho", "--family", "quadratic", "--m", "9", "--a-index", sub9],
+             ["dual", "--family", "leander_r", "--m", "9", "--r", "2",
+              "--method", "budaghyan", "--cross-check", "walsh"],
+             ["dual", "--family", "binomial_3", "--m", "9",
+              "--method", "walsh", "--cross-check", "product"]]
     return cmds
 
 

@@ -472,6 +472,31 @@ def line_cover_naive(lines, params):
                      for x in range(params.K.size)], dtype=np.int64)
 
 
+def budaghyan_pointwise(r, e, params):
+    """The closed dual form of the Leander family at even r, point by point:
+
+        Tr((e t + e^(2^(n-r)) + x^q) rho),  t = 1 + x + x^q,
+
+    with rho the (2^r - 1)-th root of t outside F: the root in F times
+    the cube root of unity gamma^(ord/3), which is not in F for odd m
+    (rho = 0 at t = 0).  Scalar K arithmetic only."""
+    K = params.K
+    d = (1 << r) - 1
+    omega = K.pow(K.generator, K.order // 3)
+    e_pow = K.pow(e, 1 << (params.n - r))
+    roots = {}
+    table = np.zeros(K.size, dtype=np.uint8)
+    for x in range(K.size):
+        xq = params.conjugate(x)
+        t = 1 ^ x ^ xq
+        if t not in roots:
+            rho = 0 if t == 0 else K.mul(K.pow(t, pow(d, -1, params.q - 1)), omega)
+            assert K.pow(rho, d) == t and (t == 0 or not params.in_subfield(rho))
+            roots[t] = rho
+        table[x] = K.trace(K.mul(K.mul(e, t) ^ e_pow ^ xq, roots[t]))
+    return table
+
+
 def bivariate_fill_naive(Q, G):
     """f(x, y) = B(G(z), x) where x o z = y, found by search; f(0, y) = 0."""
     size = Q.size

@@ -6,8 +6,9 @@ import pytest
 from ovalbent import boolfn, geometry, gf, niho
 from oracles import (bent_from_oval_pointwise, collinear_triples_naive,
                      direction_tag_naive, family_members, fisher_schmidt_naive,
-                     line_contains, nucleus_witness_naive, oval_from_g_naive,
-                     rho_adelaide_naive, rho_subiaco_naive, tag_witness_naive)
+                     line_contains, line_cover_naive, nucleus_witness_naive,
+                     oval_from_g_naive, rho_adelaide_naive, rho_subiaco_naive,
+                     tag_witness_naive)
 
 
 def _g(family, m, **kw):
@@ -32,6 +33,49 @@ def test_line_points_closed_form():
             pts = geometry.line_points(ln, p)
             assert len(pts) == p.q
             assert all(line_contains(ln, x, p) for x in pts)
+
+
+def _points_by_definition(ln, p):
+    return [x for x in range(p.K.size) if line_contains(ln, x, p)]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_coset_log_table_holds_the_lines_through_the_trace(m):
+    """Row mu holds the logs of L(1, mu) = {x : T(x) = mu}; only the point
+    0 has the sentinel log.  Built once, read-only."""
+    p = gf.field_make(m)
+    t = p.coset_log_table()
+    assert t.shape == (p.q, p.q) and t.dtype == np.int32
+    assert p.coset_log_table() is t and not t.flags.writeable
+    with pytest.raises(ValueError):
+        t[0, 0] = 0
+    assert t[0, 0] == p.K.log[0] and int((t >= p.K.order).sum()) == 1
+    pts = np.take(p.K.exp2, t, mode="clip")
+    for mu in range(p.q):
+        assert sorted(pts[mu].tolist()) == _points_by_definition(
+            geometry.AffineLineK(1, mu), p)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_line_point_rows_match_the_definition(m):
+    """Random lines plus lines through 0, a repeated line and parallel
+    lines (one u, several mu): each row is its line, and the rows count
+    the cover of `line_cover_naive`."""
+    p = gf.field_make(m)
+    rng = np.random.default_rng(50 + m)
+    js = rng.integers(0, p.q + 1, size=p.q)
+    mus = rng.integers(0, p.q, size=p.q)
+    u = int(p.S[js[0]])
+    lines = [geometry.AffineLineK(int(p.S[j]), int(mu)) for j, mu in zip(js, mus)]
+    lines += [geometry.AffineLineK(u, 0), geometry.AffineLineK(u, 0),
+              geometry.AffineLineK(int(p.S[-1]), 0)]
+    lines += [geometry.AffineLineK(u, mu) for mu in range(1, min(p.q, 4))]
+    rows = geometry.line_point_rows(lines, p)
+    assert rows.shape == (len(lines), p.q)
+    for ln, row in zip(lines, rows):
+        assert sorted(row.tolist()) == _points_by_definition(ln, p), ln
+    assert np.array_equal(geometry.line_cover_counts(lines, p),
+                          line_cover_naive(lines, p))
 
 
 def test_dual_lines_to_oval_puts_lines_through_0_at_infinity():

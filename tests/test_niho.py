@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from ovalbent import boolfn, geometry, gf, niho
-from oracles import (family_members, g_of_spec_naive, line_cover_naive,
-                     niho_fill_naive, trace_poly_table, trace_rel_naive)
+from oracles import (budaghyan_pointwise, family_members, g_of_spec_naive,
+                     line_cover_naive, niho_fill_naive, trace_poly_table,
+                     trace_rel_naive)
 
 ALL_SPECS = [
     niho.NihoSpec("quadratic", 2),
@@ -281,6 +282,8 @@ def test_budaghyan_equals_other_routes():
 
 
 def test_budaghyan_independent_of_e():
+    """Every e with T(e) = 1 gives the same dual, and it is the literal
+    formula evaluated point by point with that e."""
     spec = niho.NihoSpec("leander_r", 3, r=2)
     p = gf.field_make(3)
     ref = niho.dual_budaghyan(spec, p)
@@ -288,6 +291,31 @@ def test_budaghyan_independent_of_e():
     assert len(es) == p.q
     for e in es:
         assert niho.dual_budaghyan(spec, p, e_index=e) == ref
+        assert np.array_equal(ref.table, budaghyan_pointwise(2, e, p)), e
+
+
+@pytest.mark.parametrize("m", [3, 5, 7])
+def test_budaghyan_is_the_pointwise_closed_form(m):
+    """The trace-form evaluation against the literal formula, at every
+    even r and for the default a and three random normalized ones."""
+    p = gf.field_make(m)
+    halves = np.flatnonzero(p.trace_rel_arr(np.arange(p.K.size)) == 1)
+    picks = np.random.default_rng(m).choice(halves, 3, replace=False).tolist()
+    e = niho.smallest_half_trace(p)
+    for r in range(2, m, 2):
+        want = budaghyan_pointwise(r, e, p)
+        for a in [None] + picks:
+            spec = niho.NihoSpec("leander_r", m, a_index=a, r=r)
+            assert np.array_equal(niho.dual_budaghyan(spec, p).table, want), (r, a)
+
+
+def test_budaghyan_rejects_e_without_half_trace():
+    spec = niho.NihoSpec("leander_r", 3, r=2)
+    p = gf.field_make(3)
+    off = next(e for e in range(1, p.K.size) if p.trace_rel(e) != 1)
+    for e in (0, -1, off, p.K.size, p.K.size + 3):
+        with pytest.raises(ValueError, match="e_index"):
+            niho.dual_budaghyan(spec, p, e_index=e)
 
 
 def test_budaghyan_rejects_odd_r():
