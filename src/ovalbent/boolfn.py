@@ -47,7 +47,7 @@ class BooleanFunction:
     def _own(cls, k: int, bits: np.ndarray) -> "BooleanFunction":
         """Wrap a uint8 bit table that this library has just made and
         holds no other reference to, without the copy and the range check
-        of the constructor (the Walsh-sign duals)."""
+        of the constructor (the Walsh-sign and bivariate chi-swap duals)."""
         assert bits.dtype == np.uint8 and bits.shape == (1 << k,)
         bits.flags.writeable = False
         f = object.__new__(cls)

@@ -152,28 +152,23 @@ def cmd_oval(args) -> int:
         m, oval = geometry.oval_from_json(Path(args.points_json).read_text())
         if m != args.m:
             raise InputError("conversion needs points over the same field")
-        # a point at infinity with circle index j is the dual of L(S[j], 0)
-        lines = geometry.dual_points_to_lines(sorted(oval.points), params) + [
-            geometry.AffineLineK(int(params.S[j]), 0) for j in sorted(oval.infinite)]
+        lines = geometry.dual_oval_to_lines(oval, params)
         ok, witness = geometry.verify_no_three_concurrent(lines, params)
         print(geometry.line_oval_to_json(lines, params))
-        report = {"command": "oval convert", "direction": "points_to_lines",
-                  "verdicts": {"line_oval": ok},
-                  "witnesses": {"concurrency": _witness_json(witness)}}
-        _emit(report, sys.stderr)
-        return 0 if ok else 1
-    if args.lines_json:
+        direction, verdict, wkey = "points_to_lines", "line_oval", "concurrency"
+    elif args.lines_json:
         lines = geometry.line_oval_from_json(Path(args.lines_json).read_text(),
                                              params)
         oval = geometry.dual_lines_to_oval(lines, params)
         ok, witness = geometry.verify_oval(oval.points, params, oval.infinite)
         print(geometry.oval_to_json(oval, params))
-        report = {"command": "oval convert", "direction": "lines_to_points",
-                  "verdicts": {"oval": ok},
-                  "witnesses": {"collinear_triple": _witness_json(witness)}}
-        _emit(report, sys.stderr)
-        return 0 if ok else 1
-    raise InputError("convert needs --points-json or --lines-json")
+        direction, verdict, wkey = "lines_to_points", "oval", "collinear_triple"
+    else:
+        raise InputError("convert needs --points-json or --lines-json")
+    _emit({"command": "oval convert", "direction": direction,
+           "verdicts": {verdict: ok}, "witnesses": {wkey: _witness_json(witness)}},
+          sys.stderr)
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------

@@ -102,8 +102,7 @@ def verify_no_three_concurrent(lines: Iterable[AffineLineK], params: FieldParams
     lines = list(lines)
     if len(set(lines)) != len(lines):
         raise ValueError("lines must be distinct")
-    if len(lines) not in (params.q + 1, params.q + 2):
-        raise ValueError(f"expected q+1 or q+2 lines, got {len(lines)}")
+    _check_count(len(lines), params, "lines")
     counts = line_cover_counts(lines, params)
     bad = np.nonzero(counts >= 3)[0]
     if bad.size:
@@ -141,9 +140,7 @@ def verify_oval(points: Iterable[int], params: FieldParams,
     inf = sorted(infinite)
     if len(set(pts)) != len(pts) or len(set(inf)) != len(inf):
         raise ValueError("points must be distinct")
-    total = len(pts) + len(inf)
-    if total not in (params.q + 1, params.q + 2):
-        raise ValueError(f"expected q+1 or q+2 points, got {total}")
+    _check_count(len(pts) + len(inf), params, "points")
 
     arr = np.array(pts, dtype=np.int32)
     i, j, k = kernels.collinear_scan(arr, params.conj_table(),
@@ -206,14 +203,28 @@ def dual_lines_to_points(lines: Iterable[AffineLineK], params: FieldParams) -> l
     return params.K.mul_arr(us, params.embed[params.F.pow_table(-1)[mus]]).tolist()
 
 
+def _check_count(n: int, params: FieldParams, what: str) -> None:
+    """An oval or a line oval has q+1 or q+2 members."""
+    if n not in (params.q + 1, params.q + 2):
+        raise ValueError(f"expected q+1 or q+2 {what}, got {n}")
+
+
+def dual_oval_to_lines(oval: Oval, params: FieldParams) -> list[AffineLineK]:
+    """The dual lines of q+1 or q+2 points: L(u, 1/lam) for lam * u, and
+    L(S[j], 0) for the point at infinity j; inverse of `dual_lines_to_oval`."""
+    _check_count(len(oval.points) + len(oval.infinite), params, "points")
+    return dual_points_to_lines(sorted(oval.points), params) + [
+        AffineLineK(int(params.S[j]), 0) for j in sorted(oval.infinite)]
+
+
 def dual_lines_to_oval(lines: Iterable[AffineLineK], params: FieldParams) -> Oval:
-    """The dual points of distinct lines: u / mu for L(u, mu) with mu != 0,
-    and for a line L(u, 0) through 0 the point at infinity with the
-    circle index of u.  Inverse of `dual_points_to_lines` extended by
-    tag j -> L(S[j], 0)."""
+    """The dual points of q+1 or q+2 distinct lines: u / mu for L(u, mu)
+    with mu != 0, and for a line L(u, 0) through 0 the point at infinity
+    with the circle index of u.  Inverse of `dual_oval_to_lines`."""
     lines = list(lines)
     if len(set(lines)) != len(lines):
         raise ValueError("lines must be distinct")
+    _check_count(len(lines), params, "lines")
     points = dual_lines_to_points([ln for ln in lines if ln.mu], params)
     infinite = [int(params.unit_class_table()[ln.u]) for ln in lines if not ln.mu]
     return Oval(frozenset(points), frozenset(infinite))

@@ -257,20 +257,19 @@ def dual_product_formula(oval: geometry.LineOval,
     return boolfn.BooleanFunction(params.n, out)
 
 
-def dual_budaghyan(spec: NihoSpec, params: FieldParams,
-                   e_index: int | None = None) -> boolfn.BooleanFunction:
+def dual_budaghyan(spec: NihoSpec, params: FieldParams) -> boolfn.BooleanFunction:
     """Closed dual form of the Leander family (normalized a + a^q = 1):
 
         Tr((e(1 + x + x^q) + e^(2^(n-r)) + x^q)(1 + x + x^q)^(1/(2^r - 1)))
 
-    for any e with e + e^q = 1.  The base 1 + x + x^q lies in F; for even
-    r the (2^r - 1)-th power map on K* is 3-to-1 and the root intended by
-    the formula is either of the two roots OUTSIDE F (they give the same
-    function; the root inside F makes the expression constant on the
-    cosets x + F and cannot equal the dual).  For odd r the power map is
-    a bijection whose unique root lies in F, so the expression as written
-    does not determine the dual; the formula is therefore restricted to
-    even r here.  Base 0 maps to 0.
+    for any e with e + e^q = 1, on which it does not depend (below).  The
+    base 1 + x + x^q lies in F; for even r the (2^r - 1)-th power map on
+    K* is 3-to-1 and the root intended by the formula is either of the
+    two roots OUTSIDE F (they give the same function; the root inside F
+    makes the expression constant on the cosets x + F and cannot equal
+    the dual).  For odd r the power map is a bijection whose unique root
+    lies in F, so the expression as written does not determine the dual;
+    the formula is therefore restricted to even r here.  Base 0 maps to 0.
 
     Evaluated as a trace form: the base and its root rho depend only on
     s = T(x), and Tr(x^q rho) = Tr(x rho^q), so the dual is
@@ -280,8 +279,7 @@ def dual_budaghyan(spec: NihoSpec, params: FieldParams,
     (apply the Frobenius n - r times), which is why the form does not
     depend on e; A is computed and asserted zero.  The pass over K is
     one gather of the linear map x -> s, one of the masks, and a
-    popcount.  A ValueError rejects an e_index that is not a K-index
-    with e + e^q = 1.
+    popcount.
     """
     rs = spec.resolve(params)
     if rs.family != "leander_r":
@@ -292,9 +290,7 @@ def dual_budaghyan(spec: NihoSpec, params: FieldParams,
         raise ValueError("the closed dual form resolves the fractional power "
                          "only for even r; use the walsh or product route")
     K, F = params.K, params.F
-    e = smallest_half_trace(params) if e_index is None else e_index
-    if not 0 <= e < K.size or params.trace_rel(e) != 1:
-        raise ValueError(f"e_index {e} is not a K-index with e + e^q = 1")
+    e = smallest_half_trace(params)
 
     # per s in F: the base 1 + s, and its root outside F, the root in F
     # times a primitive cube root of unity (even r, hence m odd), which

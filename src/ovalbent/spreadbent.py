@@ -13,8 +13,9 @@ oval is the bentness guard: `line_oval_bivariate` raises unless the cover
 property holds, and the `BivariateLineOval` it returns exists only for a
 bent function.  The dual is computed along three independent routes,
 each from the object it needs: Walsh signs of the truth table, the
-product formula over the line oval's offsets, and the coordinate swap of
-its covered set; they agree bit-exactly.
+product formula over the line oval's offsets, and the complement of its
+covered set E read flat, since E is the [x, y] table in which its cover
+is counted, and that is the coordinate swap; they agree bit-exactly.
 
 Every B bit is read off the 1-D B-mask table of the carrier, so the form
 needs no size^2 table: the fill counts B(G(z), x) per row block, and the
@@ -51,10 +52,9 @@ class SpreadBentSpec:
 @dataclass(frozen=True)
 class BivariateLineOval:
     """The line {x = c} plus size lines {y = offsets[z] + x * z} in A(Q^t)."""
-    size: int
     c: int
     offsets: np.ndarray
-    e_table: np.ndarray  # uint8 over packed points x + size*y
+    e_table: np.ndarray  # read-only uint8 (size, size) [x, y]: 1 on E(O)
 
     def e_size(self) -> int:
         return int(self.e_table.sum())
@@ -132,26 +132,28 @@ def _materialize_line_oval(Q: Prequasifield, c: int,
     """Cover counts per block of x rows (`kernels.row_counts`): the point
     (x, y) lies on the line {y = offsets[z] + x * z} for each z with
     offsets[z] + x * z = y, and on the vertical line iff x = c.  Only the
-    uint8 covered set is written, packed x + size*y; the witness of a
-    failure is the smallest x, then the smallest y, whose point lies on
-    neither 0 nor 2 lines, so the count stops at the first bad block."""
+    uint8 covered set is written, each block into its rows of [x, y]; the
+    witness of a failure is the smallest x, then the smallest y, whose
+    point lies on neither 0 nor 2 lines, so the count stops at the first
+    bad block."""
     size = Q.size
     st = star_table(Q)                            # [x, z] = x * z
-    e_table = np.empty(size * size, dtype=np.uint8)
-    e_cols = e_table.reshape(size, size)          # [y, x]
+    e_table = np.empty((size, size), dtype=np.uint8)
     for x0, counts in kernels.row_counts(
             size, lambda x0, b: offsets ^ st[x0:x0 + b]):   # [x, y]
         b = counts.shape[0]
         if x0 <= c < x0 + b:
             counts[c - x0] += 1                   # the vertical line x = c
-        bad = (counts != 0) & (counts != 2)
+        covered = counts != 0
+        bad = covered & (counts != 2)
         if bad.any():
             i, y = divmod(int(np.argmax(bad)), size)
             raise ValueError(f"not a line oval: point ({x0 + i}, {y}) "
                              f"lies on {int(counts[i, y])} lines")
-        e_cols[:, x0:x0 + b] = (counts != 0).T
+        e_table[x0:x0 + b] = covered
     assert int(e_table.sum()) == (size * size) // 2 + size // 2
-    return BivariateLineOval(size, c, offsets, e_table)
+    e_table.flags.writeable = False
+    return BivariateLineOval(c, offsets, e_table)
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +202,10 @@ def dual_product(oval: BivariateLineOval,
 
 
 def dual_chi_swap(oval: BivariateLineOval) -> boolfn.BooleanFunction:
-    """1 + chi_E(y, x): complement of the covered set, coordinates swapped."""
-    size = oval.size
-    t = oval.e_table.reshape(size, size)
-    return boolfn.BooleanFunction(2 * (size.bit_length() - 1), (1 ^ t.T).ravel())
+    """1 + chi_E(y, x): the complement of E read flat, since the dual's
+    packed index a + size*b is row b, column a of the [x, y] table."""
+    k = 2 * (oval.e_table.shape[0].bit_length() - 1)
+    return boolfn.BooleanFunction._own(k, 1 ^ oval.e_table.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +253,8 @@ def is_automorphism(Q: Prequasifield, phi: np.ndarray) -> bool:
 def action_aut(spec: SpreadBentSpec, phi: np.ndarray):
     """The collineation (x,y) -> (phi(x), phi(y)) for phi in Aut(Q).
 
-    Returns (transformed function, transformed covered set) where the
-    covered set is E(O) mapped through (phi^*)^(-1) per coordinate."""
+    Returns (transformed function, transformed [x, y] covered set) where
+    the covered set is E(O) mapped through (phi^*)^(-1) per coordinate."""
     spec = normalize_mu(spec)
     Q = spec.Q
     if not is_automorphism(Q, phi):
@@ -263,11 +265,8 @@ def action_aut(spec: SpreadBentSpec, phi: np.ndarray):
     f_phi = boolfn.BooleanFunction(f.k, f.table[idx.ravel()])
 
     phi_star = spread_mod.adjoint(phi[1 << np.arange(Q.dim), None], Q)[:, 0]
-    inv_star = np.argsort(phi_star)
-    e = line_oval_bivariate(spec).e_table.reshape(Q.size, Q.size)
-    e_phi = np.zeros_like(e)
-    e_phi[np.ix_(inv_star, inv_star)] = e
-    return f_phi, e_phi.ravel()
+    e = line_oval_bivariate(spec).e_table    # E'(x, y) = E(phi^*(x), phi^*(y))
+    return f_phi, e[np.ix_(phi_star, phi_star)]
 
 
 def action_gl2(spec: SpreadBentSpec, mat: tuple[int, int, int, int],
@@ -276,8 +275,8 @@ def action_gl2(spec: SpreadBentSpec, mat: tuple[int, int, int, int],
     [[alpha, beta], [gamma, delta]] acting on row vectors (x, y); needs a
     Desarguesian (field) spread.
 
-    Returns (f o psi^(-1), E') where the covered set of the dual's line
-    oval transforms through psi composed with the scalar 1/det, i.e.
+    Returns (f o psi^(-1), E') where the [x, y] covered set of the dual's
+    line oval transforms through psi composed with the scalar 1/det, i.e.
     E' = sigma^frob(E) . M / det: decomposing psi into a unimodular part,
     a scalar lambda*I (whose induced action on the dual side is division
     by lambda) and the field automorphism handles a general determinant.
@@ -295,25 +294,22 @@ def action_gl2(spec: SpreadBentSpec, mat: tuple[int, int, int, int],
     size = Q.size
     sigma = F.pow_table(1 << (frob % F.deg))
 
-    def plane_map(a: int, b: int, c: int, d: int) -> np.ndarray:
-        """Packed image of x + size*y under (x, y) -> (x', y') [[a, b], [c, d]]
-        with x' = sigma^frob(x), y' = sigma^frob(y)."""
-        nx = F.mul_arr(sigma, a)[None, :] ^ F.mul_arr(sigma, c)[:, None]
-        ny = F.mul_arr(sigma, b)[None, :] ^ F.mul_arr(sigma, d)[:, None]
-        return (nx + size * ny).ravel()
-
-    perm = plane_map(*mat)                                  # the plane map psi
-    perm_e = plane_map(*(F.mul(v, inv_det) for v in mat))   # psi scaled by 1/det
+    def plane_map(a: int, b: int, c: int, d: int):
+        """(x', y') = (x, y) [[a, b], [c, d]] over the [x, y] plane, where
+        x = sigma^frob(row index) and y = sigma^frob(column index)."""
+        x, y = sigma[:, None], sigma[None, :]
+        return F.mul_arr(x, a) ^ F.mul_arr(y, c), F.mul_arr(x, b) ^ F.mul_arr(y, d)
 
     f = bent_bivariate(spec)
-    f_psi_table = np.zeros_like(f.table)
-    f_psi_table[perm] = f.table          # f'(psi(p)) = f(p)
-    f_psi = boolfn.BooleanFunction(f.k, f_psi_table)
+    nx, ny = plane_map(*mat)                                  # the plane map psi
+    f_psi = np.zeros((size, size), dtype=np.uint8)            # [y', x']
+    f_psi[ny, nx] = f.table.reshape(size, size).T             # f'(psi(p)) = f(p)
 
     e = line_oval_bivariate(spec).e_table
+    nx, ny = plane_map(*(F.mul(v, inv_det) for v in mat))    # psi scaled by 1/det
     e_psi = np.zeros_like(e)
-    e_psi[perm_e] = e
-    return f_psi, e_psi
+    e_psi[nx, ny] = e
+    return boolfn.BooleanFunction(f.k, f_psi.ravel()), e_psi
 
 
 # ---------------------------------------------------------------------------

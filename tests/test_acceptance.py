@@ -164,15 +164,15 @@ def test_criterion_06_random_shifts():
     for name, spec in _bivariate_cases()[:2] + _bivariate_cases()[3:]:
         Q = spec.Q
         size = Q.size
-        e0 = spreadbent.line_oval_bivariate(spec).e_table.reshape(size, size)
+        e0 = spreadbent.line_oval_bivariate(spec).e_table       # [x, y]
         xs = np.arange(size)
         for _ in range(20):
             u, v = int(rng.integers(size)), int(rng.integers(size))
             f_uv, oval_uv = spreadbent.action_linear_shift(spec, u, v)
             d = spreadbent.dual_walsh(f_uv, Q)
             shifted = np.zeros_like(e0)
-            shifted[np.ix_(xs ^ u, xs ^ v)] = e0
-            want = (1 ^ shifted.T).ravel()
+            shifted[np.ix_(xs ^ v, xs ^ u)] = e0
+            want = (1 ^ shifted).ravel()
             assert np.array_equal(d.table, want), (name, u, v)
     _report(6, "20 seeded shifts per field: shifted duals equal the "
                "translated complement characteristics exactly")
@@ -214,7 +214,7 @@ def test_criterion_08_examples_reproduction():
     bform = carrier_form(Ql)
     quadric = np.array([1 ^ bform(x, y) for y in range(64) for x in range(64)],
                        dtype=np.uint8)
-    assert np.array_equal(oval.e_table, quadric)
+    assert np.array_equal(oval.e_table.T.ravel(), quadric)
     f_l = spreadbent.bent_bivariate(spec_l)
     assert boolfn.degree(f_l) == 2
     assert boolfn.quadratic_rank(f_l) == 12

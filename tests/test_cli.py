@@ -699,6 +699,36 @@ def test_oval_convert_needs_an_oval_worth_of_points(tmp_path, capsys):
     assert len(json.loads(capsys.readouterr().out)["lines"]) == p.q + 1
 
 
+def test_oval_convert_names_lines_in_a_lines_file(tmp_path, capsys):
+    """A line-oval file with too few or too many lines exits 2 and counts
+    lines, not points."""
+    path = tmp_path / "lines.json"
+    for lines in ([[0, 1], [1, 1]], [[j, 1] for j in range(9)] + [[0, 2], [1, 2]]):
+        path.write_text(json.dumps({"kind": "line_oval", "m": 3, "lines": lines}))
+        assert cli.main(["oval", "convert", "--m", "3", "--lines-json",
+                         str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == \
+            f"error: expected q+1 or q+2 lines, got {len(lines)}\n", captured.err
+        assert captured.out == ""
+
+
+def test_oval_convert_names_points_in_a_points_file(tmp_path, capsys):
+    """An oval file whose affine points and points at infinity are too few
+    or too many exits 2 and counts points, not lines."""
+    p = gf.field_make(3)
+    circle = [int(u) for u in p.S]
+    for points, infinite in ((circle[:2], ()), (circle[:1], (0, 1)),
+                             (circle, (0, 1))):
+        assert cli.main(["oval", "convert", "--m", "3", "--points-json",
+                         _oval_doc(tmp_path, points, infinite)]) == 2
+        captured = capsys.readouterr()
+        total = len(points) + len(infinite)
+        assert captured.err == \
+            f"error: expected q+1 or q+2 points, got {total}\n", captured.err
+        assert captured.out == ""
+
+
 def test_one_bit_carriers_are_bent(capsys):
     # on k = 2 variables the bent functions are xy and its affine shifts
     for pqf in ("field:1", "kantor:1:::"):

@@ -162,7 +162,7 @@ def _assert_cover_matches(make, Q, c, offsets):
         oval = make()
         assert oval.c == c and np.array_equal(oval.offsets, offsets)
         assert oval.e_table.dtype == np.uint8
-        assert np.array_equal(oval.e_table, (counts > 0).astype(np.uint8))
+        assert np.array_equal(oval.e_table.T.ravel(), (counts > 0).astype(np.uint8))
     else:
         x, y, n = witness
         with pytest.raises(ValueError) as err:
@@ -241,6 +241,54 @@ def test_line_oval_cover_counts_in_row_blocks():
         tracemalloc.stop()
     assert peak < 4 << 20, peak
     assert oval.e_size() == Q.size * Q.size // 2 + Q.size // 2
+
+
+@pytest.mark.parametrize("name", ["field:3", "x^2 z", "luneburg:3"])
+def test_covered_set_is_the_xy_count_table(name):
+    """E is the read-only uint8 (size, size) table [x, y] (the per-line
+    oracle packs x + size*y, its transpose read flat), and the chi-swap
+    dual is its complement read flat, equal to the Walsh dual: at c = 0
+    and on shifted ovals (c = v, u != v), on the field, on x^2 z (not
+    symplectic, so its star table is the kept transpose) and on
+    luneburg:3.  At least one E per carrier is not symmetric under
+    (x, y) -> (y, x), so a transposed E fails."""
+    Q = SMALL[name]()
+    spec = spreadbent.SpreadBentSpec(Q, np.asarray(_cover_gs(Q)[0], dtype=np.int64))
+    st = spreadbent.star_table(Q)
+    cases = [(0, spec.G, spreadbent.line_oval_bivariate(spec),
+              spreadbent.bent_bivariate(spec))]
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        u, v = rng.choice(Q.size, size=2, replace=False).tolist()
+        f_uv, oval_uv = spreadbent.action_linear_shift(spec, u, v)
+        cases.append((v, spec.G ^ u ^ st[v], oval_uv, f_uv))
+    for c, offsets, oval, f in cases:
+        e = oval.e_table
+        assert e.shape == (Q.size, Q.size) and e.dtype == np.uint8
+        assert not e.flags.writeable
+        counts, witness = line_oval_cover_naive(Q, c, offsets)
+        assert witness is None
+        assert np.array_equal(e.T.ravel(), (counts > 0).astype(np.uint8))
+        dual = spreadbent.dual_chi_swap(oval)
+        assert np.array_equal(dual.table, 1 ^ e.ravel())
+        assert dual == spreadbent.dual_walsh(f, Q)
+    assert any(not np.array_equal(o.e_table, o.e_table.T) for _, _, o, _ in cases)
+
+
+def test_chi_swap_dual_allocates_one_table():
+    """At luneburg:5 (2^20 points) the chi-swap dual allocates only its
+    1 MiB complement of E: no transposed copy."""
+    Q = spread.luneburg(5)
+    oval = spreadbent.line_oval_bivariate(
+        spreadbent.SpreadBentSpec(Q, spread.sqrt_diag_g_table(Q)))
+    tracemalloc.start()
+    try:
+        dual = spreadbent.dual_chi_swap(oval)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (1 << 20), peak
+    assert dual.table.shape == (Q.size * Q.size,)
 
 
 def test_g_identity_not_bent():
@@ -328,7 +376,7 @@ def test_luneburg_covered_set_is_quadric(luneburg_spec):
     bform = carrier_form(Q)
     want = np.array([1 ^ bform(x, y) for y in range(Q.size) for x in range(Q.size)],
                     dtype=np.uint8)
-    assert np.array_equal(oval.e_table, want)
+    assert np.array_equal(oval.e_table.T.ravel(), want)
 
 
 def test_luneburg_ea_equivalent_to_desarguesian(luneburg_spec):
@@ -373,10 +421,9 @@ def test_shift_action(luneburg_spec):
         f_uv, oval_uv = spreadbent.action_linear_shift(luneburg_spec, u, v)
         assert boolfn.is_bent(f_uv)
         assert spreadbent.dual_walsh(f_uv, Q) == spreadbent.dual_chi_swap(oval_uv)
-        et = oval0.e_table.reshape(size, size)
-        shifted = np.zeros_like(et)
-        shifted[np.ix_(xs ^ u, xs ^ v)] = et
-        assert np.array_equal(oval_uv.e_table.reshape(size, size), shifted)
+        shifted = np.zeros_like(oval0.e_table)             # E + (v, u)
+        shifted[np.ix_(xs ^ v, xs ^ u)] = oval0.e_table
+        assert np.array_equal(oval_uv.e_table, shifted)
     f00, oval00 = spreadbent.action_linear_shift(luneburg_spec, 0, 0)
     assert f00 == spreadbent.bent_bivariate(luneburg_spec)
     assert np.array_equal(oval00.e_table, oval0.e_table)
@@ -417,16 +464,27 @@ def test_rho_action_and_g0_normalization(field_spec):
     assert spreadbent.analyze(g0)[0]["bent"]
 
 
+def _asymmetric_e_spec(spec, u):
+    """spec with G + u: its line oval is translated by (0, u), so for the
+    u used here its E is not symmetric under (x, y) -> (y, x), and a
+    transposed E fails the dual identities."""
+    shifted = spreadbent.SpreadBentSpec(spec.Q, spec.G ^ u)
+    e = spreadbent.line_oval_bivariate(shifted).e_table
+    assert not np.array_equal(e, e.T)
+    return shifted
+
+
 def test_aut_action_frobenius(field_spec):
     Q = field_spec.Q
     F = Q.field
     phi = np.array([F.sqr(x) for x in range(8)], dtype=np.int64)
     assert spreadbent.is_automorphism(Q, phi)
-    f_phi, e_phi = spreadbent.action_aut(field_spec, phi)
-    assert boolfn.is_bent(f_phi)
-    d = spreadbent.dual_walsh(f_phi, Q)
-    swap = (1 ^ e_phi.reshape(8, 8).T).ravel()
-    assert np.array_equal(d.table, swap)
+    for spec in (field_spec, _asymmetric_e_spec(field_spec, 5)):
+        f_phi, e_phi = spreadbent.action_aut(spec, phi)
+        assert boolfn.is_bent(f_phi)
+        assert e_phi.shape == (8, 8)
+        d = spreadbent.dual_walsh(f_phi, Q)
+        assert np.array_equal(d.table, 1 ^ e_phi.ravel())
     # identity map is a fixed point
     ident = np.arange(8, dtype=np.int64)
     f_id, e_id = spreadbent.action_aut(field_spec, ident)
@@ -440,16 +498,18 @@ def test_gl2_action(field_spec):
     F = Q.field
     rng = np.random.default_rng(11)
     done = 0
+    specs = (field_spec, _asymmetric_e_spec(field_spec, 3))
     while done < 12:
         M = tuple(int(v) for v in rng.integers(0, 8, size=4))
         if F.mul(M[0], M[3]) ^ F.mul(M[1], M[2]) == 0:
             continue
         frob = int(rng.integers(3))
-        f_psi, e_psi = spreadbent.action_gl2(field_spec, M, frob=frob)
-        assert boolfn.is_bent(f_psi)
-        d = spreadbent.dual_walsh(f_psi, Q)
-        swap = (1 ^ e_psi.reshape(8, 8).T).ravel()
-        assert np.array_equal(d.table, swap), (M, frob)
+        for spec in specs:
+            f_psi, e_psi = spreadbent.action_gl2(spec, M, frob=frob)
+            assert boolfn.is_bent(f_psi)
+            assert e_psi.shape == (8, 8)
+            d = spreadbent.dual_walsh(f_psi, Q)
+            assert np.array_equal(d.table, 1 ^ e_psi.ravel()), (M, frob)
         done += 1
     # identity fixes everything
     f_id, e_id = spreadbent.action_gl2(field_spec, (1, 0, 0, 1))
@@ -467,18 +527,19 @@ def test_gl2_action(field_spec):
 def test_gl2_action_matches_scalar_plane_map(m):
     Q = spread.field_pqf(m)
     F = Q.field
-    spec = spreadbent.SpreadBentSpec(Q, spread.sqrt_diag_g_table(Q))
-    f = spreadbent.bent_bivariate(spec).table
-    e = spreadbent.line_oval_bivariate(spec).e_table
     rng = np.random.default_rng(m)
     mats = [(1, 0, 0, 1), (0, 1, 1, 0), (2, 0, 0, 3)]
     while len(mats) < 6:
         M = tuple(int(v) for v in rng.integers(0, Q.size, size=4))
         if F.mul(M[0], M[3]) != F.mul(M[1], M[2]):
             mats.append(M)
-    for M in mats:
-        for frob in (0, 1, m - 1, 2 * m + 1):
-            f_psi, e_psi = spreadbent.action_gl2(spec, M, frob=frob)
-            want_f, want_e = gl2_action_naive(F, f, e, M, frob)
-            assert np.array_equal(f_psi.table, want_f), (M, frob)
-            assert np.array_equal(e_psi, want_e), (M, frob)
+    base = spreadbent.SpreadBentSpec(Q, spread.sqrt_diag_g_table(Q))
+    for spec in (base, _asymmetric_e_spec(base, 1)):
+        f = spreadbent.bent_bivariate(spec).table
+        e = spreadbent.line_oval_bivariate(spec).e_table.T.ravel()   # x + size*y
+        for M in mats:
+            for frob in (0, 1, m - 1, 2 * m + 1):
+                f_psi, e_psi = spreadbent.action_gl2(spec, M, frob=frob)
+                want_f, want_e = gl2_action_naive(F, f, e, M, frob)
+                assert np.array_equal(f_psi.table, want_f), (M, frob)
+                assert np.array_equal(e_psi.T.ravel(), want_e), (M, frob)
