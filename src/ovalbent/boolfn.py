@@ -29,31 +29,23 @@ def _rank(rows: list[int]) -> int:
 
 
 class BooleanFunction:
-    """Truth table of a k-bit Boolean function; immutable after creation."""
+    """Truth table of a k-bit Boolean function; immutable after creation.
+    The constructor takes ownership of a uint8 array (kept, not copied,
+    and made read-only) and copies any other input to uint8, which must
+    not change a value; the bit check of a uint8 table is one reduction,
+    the largest entry, with no temporary."""
 
     __slots__ = ("k", "table")
 
     def __init__(self, k: int, table):
-        t = np.asarray(table, dtype=np.uint8).copy()
+        t = np.asarray(table, dtype=np.uint8)
         if t.shape != (1 << k,):
             raise ValueError(f"truth table must have exactly 2^{k} entries")
-        if np.any(t > 1):
+        if t.max() > 1 or (t is not table and not np.array_equal(t, table)):
             raise ValueError("truth table entries must be bits")
         t.flags.writeable = False
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "table", t)
-
-    @classmethod
-    def _own(cls, k: int, bits: np.ndarray) -> "BooleanFunction":
-        """Wrap a uint8 bit table that this library has just made and
-        holds no other reference to, without the copy and the range check
-        of the constructor (the Walsh-sign and bivariate chi-swap duals)."""
-        assert bits.dtype == np.uint8 and bits.shape == (1 << k,)
-        bits.flags.writeable = False
-        f = object.__new__(cls)
-        object.__setattr__(f, "k", k)
-        object.__setattr__(f, "table", bits)
-        return f
 
     def __setattr__(self, name, value):
         raise AttributeError("BooleanFunction is immutable")
@@ -120,7 +112,7 @@ class WalshSpectrum:
         if not self.is_bent():
             raise ValueError("dual is only defined for bent functions")
         signs = (self.values < 0).view(np.uint8)
-        return BooleanFunction._own(self.k, signs if masks is None else signs[masks])
+        return BooleanFunction(self.k, signs if masks is None else signs[masks])
 
     def histogram(self) -> dict[int, int]:
         vals, counts = np.unique(self.values, return_counts=True)

@@ -38,7 +38,10 @@ class AffineLineK(NamedTuple):
 class LineOval:
     """q+1 mutually non-parallel lines covering each point 0 or 2 times."""
     lines: tuple[AffineLineK, ...]
-    e_table: np.ndarray  # read-only uint8 over K: 1 on the covered set E(O)
+    e_table: np.ndarray  # uint8 over K: 1 on the covered set E(O); owned
+
+    def __post_init__(self):
+        self.e_table.flags.writeable = False
 
     def e_size(self) -> int:
         return int(self.e_table.sum())
@@ -380,26 +383,45 @@ def _check_range(values: Iterable[int], hi: int, what: str) -> None:
             raise ValueError(f"{what} {v} out of range [0, {hi})")
 
 
-def _json_document(text: str, kind: str, *lists: str) -> dict:
-    """A JSON object of the given kind whose named keys hold lists."""
+def _check_distinct(values: Iterable, what: str) -> None:
+    seen = set()
+    for v in values:
+        if v in seen:
+            raise ValueError(f"{what} {v} appears twice")
+        seen.add(v)
+
+
+def _json_document(text: str, kind: str, lists: tuple[str, ...],
+                   optional: tuple[str, ...] = ()) -> tuple[dict, int]:
+    """(d, m) for a JSON object of the given kind with an integer m, lists
+    under the keys `lists`, and no key outside these and `optional`."""
     d = json.loads(text)
     if not isinstance(d, dict) or d.get("kind") != kind:
         raise ValueError(f"not a JSON object of kind {kind!r}")
+    extra = sorted(set(d) - {"kind", "m", *lists, *optional})
+    if extra:
+        raise ValueError(f"unknown keys in the {kind} document: {extra}")
+    m = d.get("m")
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise ValueError(f"m must be an integer, not {m!r}")
     for key in lists:
         if not isinstance(d.get(key), list):
             raise ValueError(f"{key!r} must be a list")
-    return d
+    return d, m
 
 
 def oval_from_json(text: str) -> tuple[int, Oval]:
-    """(m, oval); points must be K-indices and infinite tags circle indices."""
-    d = _json_document(text, "oval", "points", "infinite")
-    m, nucleus = d.get("m"), d.get("nucleus")
-    if not isinstance(m, Integral) or m not in M_RANGE:
-        raise ValueError(f"m {m!r} out of the supported range")
+    """(m, oval); points must be distinct K-indices and infinite tags
+    distinct circle indices."""
+    d, m = _json_document(text, "oval", ("points", "infinite"), ("nucleus",))
+    if m not in M_RANGE:
+        raise ValueError(f"m {m} out of the supported range")
+    nucleus = d.get("nucleus")
     _check_range(d["points"], 1 << (2 * m), "point")
     _check_range(d["infinite"], (1 << m) + 1, "infinite tag")
     _check_range([] if nucleus is None else [nucleus], 1 << (2 * m), "nucleus")
+    _check_distinct(d["points"], "point")
+    _check_distinct(d["infinite"], "infinite tag")
     return m, Oval(frozenset(d["points"]), frozenset(d["infinite"]), nucleus)
 
 
@@ -412,12 +434,14 @@ def line_oval_to_json(lines: Iterable[AffineLineK], params: FieldParams) -> str:
 
 
 def line_oval_from_json(text: str, params: FieldParams) -> list[AffineLineK]:
-    d = _json_document(text, "line_oval", "lines")
-    if d.get("m") != params.m:
+    """Distinct lines [circle index, mu] over the field of `params`."""
+    d, m = _json_document(text, "line_oval", ("lines",))
+    if m != params.m:
         raise ValueError("field size mismatch")
     lines = d["lines"]
     if not all(isinstance(ln, list) and len(ln) == 2 for ln in lines):
         raise ValueError("each line must be a pair [circle index, mu]")
     _check_range((j for j, _ in lines), params.q + 1, "line circle index")
     _check_range((mu for _, mu in lines), params.q, "line mu")
+    _check_distinct((tuple(ln) for ln in lines), "line")
     return [AffineLineK(int(params.S[j]), mu) for j, mu in lines]

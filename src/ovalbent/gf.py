@@ -6,6 +6,10 @@ object carries the modulus and the log/exp tables; FieldParams ties the
 pair (F, K) together with the subfield embedding, the unit circle and the
 polar decomposition.
 
+Every table these objects hold is read-only, since `binary_field` and
+`field_make` share them across the process; the tables a command may not
+need are kept tables (`kept`), built on their first call.
+
 Every field has its tables, so the table cap is the input domain: degrees
 1.._TABLE_BITS for BinaryField, and m in M_RANGE (2..9) for FieldParams.
 
@@ -35,6 +39,24 @@ _TABLE_BITS = 18
 
 # supported m for the pair (F, K) = (GF(2^m), GF(2^2m)): K must fit the cap
 M_RANGE = range(2, _TABLE_BITS // 2 + 1)
+
+
+def kept(build):
+    """A kept table: the first call builds it, marks it read-only (if an
+    array) and stores it on the object as `_<name>`; later calls return
+    it.  The object holds it, so it lives exactly as long as the object."""
+    key = "_" + build.__name__
+
+    @functools.wraps(build)
+    def get(self):
+        try:
+            return self.__dict__[key]
+        except KeyError:
+            value = self.__dict__[key] = build(self)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            return value
+    return get
 
 
 # ---------------------------------------------------------------------------
@@ -122,16 +144,14 @@ def smallest_irreducible(deg: int) -> int:
 class BinaryField:
     """GF(2^deg) on int bit-masks, with log/exp tables."""
 
-    def __init__(self, deg: int, poly: int | None = None):
+    def __init__(self, deg: int):
         if not isinstance(deg, Integral) or not 1 <= deg <= _TABLE_BITS:
             raise ValueError(f"degree {deg!r} out of the supported range "
                              f"1..{_TABLE_BITS}")
         self.deg = deg
         self.size = 1 << deg
         self.order = self.size - 1
-        self.poly = smallest_irreducible(deg) if poly is None else poly
-        if self.poly.bit_length() - 1 != deg or not is_irreducible(self.poly):
-            raise ValueError(f"{self.poly:#b} is not irreducible of degree {deg}")
+        self.poly = smallest_irreducible(deg)
         self.generator = self._find_generator()
         self._build_tables()
         # absolute trace as a parity mask: trace(a) = parity(a & trace_mask)
@@ -140,8 +160,6 @@ class BinaryField:
         self._dot_mask_images = [
             sum(self.trace(self._raw_mul(1 << i, 1 << j)) << j for j in range(deg))
             for i in range(deg)]
-        self._dot_mask_table: np.ndarray | None = None
-        self._trace_table: np.ndarray | None = None
 
     # -- construction helpers -------------------------------------------
 
@@ -196,7 +214,7 @@ class BinaryField:
         exp2[self.order:-1] = exp
         exp2[-1] = 0
         log[0] = 2 * self.order
-        exp2.flags.writeable = False     # shared through binary_field
+        exp2.flags.writeable = False
         log.flags.writeable = False
         self.exp2, self.log = exp2, log
         self.exp = exp2[:self.order]
@@ -282,18 +300,15 @@ class BinaryField:
         t[0] = 1 if e == 0 else 0
         return t
 
+    @kept
     def dot_mask_table(self) -> np.ndarray:
-        if self._dot_mask_table is None:
-            self._dot_mask_table = kernels.linear_map_table(
-                self._dot_mask_images, self.deg)
-        return self._dot_mask_table
+        return kernels.linear_map_table(self._dot_mask_images, self.deg)
 
+    @kept
     def trace_table(self) -> np.ndarray:
-        if self._trace_table is None:
-            self._trace_table = kernels.linear_map_table(
-                [self.trace(1 << i) for i in range(self.deg)],
-                self.deg, dtype=np.uint8)
-        return self._trace_table
+        return kernels.linear_map_table(
+            [self.trace(1 << i) for i in range(self.deg)], self.deg,
+            dtype=np.uint8)
 
     def __repr__(self) -> str:
         return f"BinaryField(deg={self.deg}, poly={self.poly:#x})"
@@ -322,10 +337,6 @@ class FieldParams:
         self.K = binary_field(2 * m)
         self.gamma = self.K.generator
 
-        # conjugation x -> x^q is GF(2)-linear
-        self._conj_table = kernels.linear_map_table(
-            [self.K.pow(1 << i, self.q) for i in range(self.n)], self.n)
-
         # embedded subfield F' = {0} u {gamma^(j(q+1))} and the embedding table
         sub = np.sort(np.append(self.K.exp[::self.q + 1], 0))
         assert np.all(np.diff(sub) > 0), "subfield elements must be distinct"
@@ -338,36 +349,35 @@ class FieldParams:
             [self.K.pow(int(roots[0]), i) for i in range(self.m)], self.m)
         assert np.array_equal(np.sort(self.embed), sub), \
             "embedding image must equal the gamma-power subfield"
+        self.embed.flags.writeable = False
 
         # unit circle, ordered as gamma^(j(q-1)), j = 0..q
         s = self.K.exp[(self.q - 1) * np.arange(self.q + 1) % self.K.order]
         assert np.all(np.diff(np.sort(s)) > 0)
         assert np.all(self.K.log[s] % (self.q - 1) == 0)   # s^(q+1) = 1
+        s.flags.writeable = False
         self.S = s
-
-        self._unit_class: np.ndarray | None = None
-        self._polar_log: np.ndarray | None = None
-        self._project_table: np.ndarray | None = None
-        self._coset_log: np.ndarray | None = None
-        self._line_trace_basis: np.ndarray | None = None
 
     # -- conjugation / subfield ------------------------------------------
 
     def conjugate(self, x: int) -> int:
-        return int(self._conj_table[x])
+        return int(self.conj_table()[x])
 
     def in_subfield(self, x: int) -> bool:
         return self.conjugate(x) == x
 
+    @kept
     def conj_table(self) -> np.ndarray:
-        return self._conj_table
+        """x -> x^q over K: conjugation is GF(2)-linear."""
+        return kernels.linear_map_table(
+            [self.K.pow(1 << i, self.q) for i in range(self.n)], self.n)
 
     # -- traces and norm ---------------------------------------------------
 
     def trace_rel_arr(self, xs) -> np.ndarray:
         """F-indices of T(x) = x + x^q over an array of K-indices."""
         xs = np.asarray(xs)
-        return self.project_table()[xs ^ self._conj_table[xs]]
+        return self.project_table()[xs ^ self.conj_table()[xs]]
 
     def trace_rel(self, x: int) -> int:
         """T(x) as an F-index, for one K-index x."""
@@ -397,67 +407,59 @@ class FieldParams:
         j = self.unit_class_table()[xs]
         return self.project_table()[self.K.mul_arr(xs, self.S[-j])], j
 
+    @kept
     def unit_class_table(self) -> np.ndarray:
         """Per nonzero K-index, the S-index of its polar unit part (-1 at 0)."""
-        if self._unit_class is None:
-            # gamma^e = gamma^((q+1)a) gamma^((q-1)j), so e = (q-1) j mod q+1;
-            # e is reduced first, since e (q-1)^-1 can pass 2^31 from m = 11
-            q1 = self.q + 1
-            ucls = self.K.log % q1
-            ucls *= pow(self.q - 1, -1, q1)
-            ucls %= q1
-            ucls[0] = -1
-            self._unit_class = ucls
-        return self._unit_class
+        # gamma^e = gamma^((q+1)a) gamma^((q-1)j), so e = (q-1) j mod q+1;
+        # e is reduced first, since e (q-1)^-1 can pass 2^31 from m = 11
+        q1 = self.q + 1
+        ucls = self.K.log % q1
+        ucls *= pow(self.q - 1, -1, q1)
+        ucls %= q1
+        ucls[0] = -1
+        return ucls
 
+    @kept
     def polar_log_table(self) -> np.ndarray:
         """Per nonzero K-index x = lam * S[j], log_F(lam) as int16 (0 at 0).
 
         With `unit_class_table()` this is the whole polar decomposition as
         two gathers: lam = F.exp[table[x]], u = S[unit class of x]."""
-        if self._polar_log is None:
-            lam, _ = self.polar(np.arange(1, self.K.size, dtype=np.int32))
-            t = np.zeros(self.K.size, dtype=np.int16)
-            t[1:] = self.F.log[lam]
-            t.flags.writeable = False
-            self._polar_log = t
-        return self._polar_log
+        lam, _ = self.polar(np.arange(1, self.K.size, dtype=np.int32))
+        t = np.zeros(self.K.size, dtype=np.int16)
+        t[1:] = self.F.log[lam]
+        return t
 
+    @kept
     def project_table(self) -> np.ndarray:
         """K-index -> F-index for the embedded subfield, -1 elsewhere."""
-        if self._project_table is None:
-            t = np.full(self.K.size, -1, dtype=np.int32)
-            t[self.embed] = np.arange(self.q)
-            self._project_table = t
-        return self._project_table
+        t = np.full(self.K.size, -1, dtype=np.int32)
+        t[self.embed] = np.arange(self.q)
+        return t
 
+    @kept
     def coset_log_table(self) -> np.ndarray:
         """Row mu, column i: the K-log of mu w + i (F-indices embedded),
-        read-only int32 of shape (q, q).
+        int32 of shape (q, q).
 
         w = gamma / T(gamma) has T(w) = 1 (the generator gamma of K* is
         not in F, so T(gamma) != 0).  T is F-linear with kernel F, so row
         mu holds the logs of the q points of L(1, mu) = {x : T(x) = mu};
         the point 0, in row 0, has the sentinel log."""
-        if self._coset_log is None:
-            K, embed = self.K, self.embed
-            w = K.div(self.gamma, self.gamma ^ self.conjugate(self.gamma))
-            t = K.log[K.mul_arr(embed, w)[:, None] ^ embed]
-            t.flags.writeable = False
-            self._coset_log = t
-        return self._coset_log
+        K, embed = self.K, self.embed
+        w = K.div(self.gamma, self.gamma ^ self.conjugate(self.gamma))
+        return K.log[K.mul_arr(embed, w)[:, None] ^ embed]
 
-    # no library caller: kept for perfbench/setup_probe.py and tracing.TARGETS
+    # no library caller: perfbench/setup_probe.py and tracing.TARGETS call it
+    @kept
     def line_trace_basis(self) -> np.ndarray:
         """Row j, column i: F-index of T(u_j * e_i), for u_j on the circle.
 
         T(u x) is GF(2)-linear in x, so these rows reconstruct the full
         incidence function of every line L(u_j, .) by subset XOR.
         """
-        if self._line_trace_basis is None:
-            self._line_trace_basis = self.trace_rel_arr(
-                self.K.mul_arr(self.S[:, None], 1 << np.arange(self.n)))
-        return self._line_trace_basis
+        return self.trace_rel_arr(
+            self.K.mul_arr(self.S[:, None], 1 << np.arange(self.n)))
 
     # -- Walsh-transform re-indexing -----------------------------------------
 

@@ -36,12 +36,14 @@ FAMILIES = ("quadratic", "binomial_3", "binomial_1_6", "leander_r")
 
 @dataclass(frozen=True)
 class UnitCircleMap:
-    """g : S -> F, stored as F-indices aligned with the circle ordering."""
+    """g : S -> F, stored as F-indices aligned with the circle ordering.
+    The map takes ownership of `values`: kept, not copied, and read-only."""
     m: int
     values: np.ndarray
 
     def __post_init__(self):
         assert self.values.shape == ((1 << self.m) + 1,)
+        self.values.flags.writeable = False
 
     def __eq__(self, other):
         if not isinstance(other, UnitCircleMap):
@@ -120,6 +122,9 @@ class NihoSpec:
         d = json.loads(text)
         if not isinstance(d, dict):
             raise ValueError("a spec must be a JSON object")
+        extra = sorted(set(d) - {"family", "m", "a_index", "alpha2_index", "r"})
+        if extra:
+            raise ValueError(f"unknown keys in a spec: {extra}")
         if not isinstance(d.get("family"), str):
             raise ValueError("a spec needs a string 'family'")
         if not _is_int(d.get("m")):
@@ -148,27 +153,6 @@ def smallest_half_trace(params: FieldParams) -> int:
     if not half.any():
         raise AssertionError("T is surjective onto F")
     return int(np.argmax(half))
-
-
-def exponents(spec: NihoSpec, params: FieldParams) -> list[tuple[int, int]]:
-    """(coefficient K-index, exponent) pairs of the defining trace polynomial."""
-    rs = spec.resolve(params)
-    q, n1 = params.q, params.K.order
-    d1 = ((q - 1) * ((q + 2) // 2) + 1) % n1
-    if rs.family == "quadratic":
-        return [(rs.a, d1)]
-    if rs.family == "binomial_3":
-        return [(rs.a, d1), (rs.alpha2, ((q - 1) * 3 + 1) % n1)]
-    if rs.family == "binomial_1_6":
-        s = pow(6, -1, q + 1)
-        return [(rs.a, d1), (rs.alpha2, ((q - 1) * s + 1) % n1)]
-    # leander: Tr(a^2 x^(q+1) + (a+a^q) sum_i x^(d_i)), 2^r d_i = (q-1)i + 2^r
-    terms = [(params.K.sqr(rs.a), q + 1)]
-    ta = int(params.embed[params.trace_rel(rs.a)])
-    inv2r = pow(1 << rs.r, -1, n1)
-    for i in range(1, (1 << (rs.r - 1))):
-        terms.append((ta, ((q - 1) * i + (1 << rs.r)) * inv2r % n1))
-    return terms
 
 
 def g_of_spec(spec: NihoSpec, params: FieldParams) -> UnitCircleMap:
@@ -228,9 +212,7 @@ def line_oval_from_g(g: UnitCircleMap, params: FieldParams) -> geometry.LineOval
     if not ok:
         raise ValueError(f"g is not bent: point {witness} lies on "
                          f"{int(counts[witness])} of the lines")
-    e_table = (counts > 0).view(np.uint8)
-    e_table.flags.writeable = False
-    oval = geometry.LineOval(tuple(lines), e_table)
+    oval = geometry.LineOval(tuple(lines), (counts > 0).view(np.uint8))
     assert oval.e_size() == params.q * (params.q + 1) // 2
     return oval
 

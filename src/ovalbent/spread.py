@@ -26,7 +26,7 @@ from numbers import Integral
 import numpy as np
 
 from . import kernels
-from .gf import BinaryField, binary_field
+from .gf import BinaryField, binary_field, kept
 
 # GF(2) dimension cap of the carrier: the (size, size) int32 table takes
 # 64 MB at dim 12, and `spread bent` holds several size^2 arrays besides;
@@ -48,15 +48,14 @@ def carrier_dim(m: int, shape: str) -> int:
 class Prequasifield:
     """Multiplication table plus the carrier's bilinear form machinery.
 
-    The table is read-only, so structure derived from it and from the
-    carrier (the B-mask table and its inverse, the Gram array, the
-    transpose) is computed once per object and kept.  B is read off the
-    1-D mask table as B(x, y) = parity(mask[x] & y), never from a
-    (size, size) bit table.
     The constructor takes ownership of the table it is given: an int32
     C-contiguous array is kept as it is, not copied, and becomes
     read-only; any other array is copied to int32, which holds every
-    carrier element (below 2^12)."""
+    carrier element (below 2^12).  What is derived from the table and the
+    carrier (the B-mask table and its inverse, the Gram array, the
+    transpose) is a kept table (`gf.kept`): computed on first call, held
+    by this object and read-only.  B is read off the 1-D mask table as
+    B(x, y) = parity(mask[x] & y), never from a (size, size) bit table."""
 
     def __init__(self, m: int, shape: str, table: np.ndarray,
                  kind: str = "table", name: str | None = None):
@@ -71,10 +70,6 @@ class Prequasifield:
         self.table.flags.writeable = False
         self.kind = kind
         self.name = name or kind
-        self._b_mask_table: np.ndarray | None = None
-        self._b_mask_inverse: np.ndarray | None = None
-        self._gram: np.ndarray | None = None
-        self._transposed: Prequasifield | None = None
 
     @classmethod
     def from_evaluator(cls, m: int, shape: str, mul_block, kind: str,
@@ -102,40 +97,35 @@ class Prequasifield:
         """Mask with B(a, x) = parity(mask & x) for all x (linear in a)."""
         return int(self.b_mask_table()[a])
 
+    @kept
     def b_mask_table(self) -> np.ndarray:
         """B masks of the whole carrier: the trace form's masks on F, and
         on F x F those of each coordinate, side by side."""
-        if self._b_mask_table is None:
-            dm = self.field.dot_mask_table()
-            if self.shape == "pair":
-                dm = (dm[None, :] | (dm[:, None] << self.m)).ravel()
-            self._b_mask_table = dm
-        return self._b_mask_table
+        dm = self.field.dot_mask_table()
+        if self.shape == "pair":
+            dm = (dm[None, :] | (dm[:, None] << self.m)).ravel()
+        return dm
 
+    @kept
     def b_mask_inverse(self) -> np.ndarray:
         """The vector with a given B mask: B is nondegenerate, so the mask
         table is a permutation of the carrier and this is its inverse."""
-        if self._b_mask_inverse is None:
-            inv = np.empty(self.size, dtype=np.int32)
-            inv[self.b_mask_table()] = np.arange(self.size)
-            self._b_mask_inverse = inv
-        return self._b_mask_inverse
+        inv = np.empty(self.size, dtype=np.int32)
+        inv[self.b_mask_table()] = np.arange(self.size)
+        return inv
 
+    @kept
     def gram(self) -> np.ndarray:
         """[i, j, z] = B(e_i, e_j o z): the B bits of the basis rows, the
         matrices of the right multiplications R_z in the standard basis."""
-        if self._gram is None:
-            self._gram = _form_bits(self.table[1 << np.arange(self.dim)], self)
-            self._gram.flags.writeable = False
-        return self._gram
+        return _form_bits(self.table[1 << np.arange(self.dim)], self)
 
+    @kept
     def transposed(self) -> "Prequasifield":
         """Q^t, computed once from this table by `transpose_pqf` and kept.
         Its own transpose is computed from its table in turn, never taken
         to be this object."""
-        if self._transposed is None:
-            self._transposed = transpose_pqf(self)
-        return self._transposed
+        return transpose_pqf(self)
 
     def __repr__(self) -> str:
         return (f"Prequasifield({self.name}, m={self.m}, shape={self.shape}, "

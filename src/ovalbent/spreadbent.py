@@ -35,6 +35,8 @@ from .spread import Prequasifield
 
 @dataclass(frozen=True)
 class SpreadBentSpec:
+    """f(0, y) = B(mu, y) and f(x, x o z) = B(G(z), x).  The spec owns G:
+    kept, not copied, and read-only, so line ovals share it uncopied."""
     Q: Prequasifield
     G: np.ndarray
     mu: int = 0
@@ -47,14 +49,20 @@ class SpreadBentSpec:
             raise ValueError(f"mu must be a carrier element in [0, {size})")
         if self.G.min() < 0 or self.G.max() >= size:
             raise ValueError(f"G values must be carrier elements in [0, {size})")
+        self.G.flags.writeable = False
 
 
 @dataclass(frozen=True)
 class BivariateLineOval:
-    """The line {x = c} plus size lines {y = offsets[z] + x * z} in A(Q^t)."""
+    """The line {x = c} plus size lines {y = offsets[z] + x * z} in A(Q^t).
+    Both arrays are owned: kept, not copied, and read-only."""
     c: int
     offsets: np.ndarray
-    e_table: np.ndarray  # read-only uint8 (size, size) [x, y]: 1 on E(O)
+    e_table: np.ndarray  # uint8 (size, size) [x, y]: 1 on E(O)
+
+    def __post_init__(self):
+        self.offsets.flags.writeable = False
+        self.e_table.flags.writeable = False
 
     def e_size(self) -> int:
         return int(self.e_table.sum())
@@ -69,7 +77,7 @@ def g_square_star(Q: Prequasifield) -> np.ndarray:
     """G(z) = z * z in the transpose multiplication (the o-polynomial of
     the commutative-transpose construction)."""
     st = star_table(Q)
-    return st[np.arange(Q.size), np.arange(Q.size)].copy()
+    return st[np.arange(Q.size), np.arange(Q.size)]
 
 
 def normalize_mu(spec: SpreadBentSpec) -> SpreadBentSpec:
@@ -124,7 +132,7 @@ def line_oval_bivariate(spec: SpreadBentSpec) -> BivariateLineOval:
     witness point unless it covers every point 0 or 2 times, that is
     unless the spec is bent."""
     spec = normalize_mu(spec)
-    return _materialize_line_oval(spec.Q, 0, spec.G.copy())
+    return _materialize_line_oval(spec.Q, 0, spec.G)
 
 
 def _materialize_line_oval(Q: Prequasifield, c: int,
@@ -152,7 +160,6 @@ def _materialize_line_oval(Q: Prequasifield, c: int,
                              f"lies on {int(counts[i, y])} lines")
         e_table[x0:x0 + b] = covered
     assert int(e_table.sum()) == (size * size) // 2 + size // 2
-    e_table.flags.writeable = False
     return BivariateLineOval(c, offsets, e_table)
 
 
@@ -179,7 +186,7 @@ def _b_form_dual(plain: boolfn.BooleanFunction,
     B-mask permutation along each axis of the (b, a) plane."""
     bm = Q.b_mask_table()
     signs = plain.table.reshape(Q.size, Q.size)          # [b, a]
-    return boolfn.BooleanFunction._own(
+    return boolfn.BooleanFunction(
         plain.k, np.take(np.take(signs, bm, axis=0), bm, axis=1).ravel())
 
 
@@ -205,7 +212,7 @@ def dual_chi_swap(oval: BivariateLineOval) -> boolfn.BooleanFunction:
     """1 + chi_E(y, x): the complement of E read flat, since the dual's
     packed index a + size*b is row b, column a of the [x, y] table."""
     k = 2 * (oval.e_table.shape[0].bit_length() - 1)
-    return boolfn.BooleanFunction._own(k, 1 ^ oval.e_table.ravel())
+    return boolfn.BooleanFunction(k, 1 ^ oval.e_table.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +235,7 @@ def action_rho(spec: SpreadBentSpec, c: int) -> SpreadBentSpec:
     """The collineation (x, y) -> (x, y + x o c) replaces G(z) by G(z + c)."""
     spec = normalize_mu(spec)
     zs = np.arange(spec.Q.size)
-    return SpreadBentSpec(spec.Q, spec.G[zs ^ c].copy(), 0)
+    return SpreadBentSpec(spec.Q, spec.G[zs ^ c], 0)
 
 
 def normalize_g0(spec: SpreadBentSpec) -> SpreadBentSpec:

@@ -21,7 +21,10 @@ Rewrite the corpus, from the repository root:
     PYTHONPATH=src python tests/golden/regen.py
 
 A change that moves a digest or an exit code names the command and the
-reason in CHANGES.md.
+reason in CHANGES.md.  `test_golden.test_corpus_matches_its_generator`
+checks, without running a command, that `cli.json` lists exactly the
+commands and inputs that `plan()` generates, so an edit here needs a
+regeneration.
 """
 
 from __future__ import annotations
@@ -260,16 +263,23 @@ def replay(corpus: dict, tmp: Path) -> list[dict]:
     return [run(entry["argv"], tmp) for entry in corpus["commands"]]
 
 
-def main() -> int:
+def plan() -> tuple[dict[str, str], list[list[str]]]:
+    """(input files, argv list) of the corpus as the generators give them
+    today; runs no command."""
     inputs = _inputs()
     grid = commands()
     with tempfile.TemporaryDirectory() as d:
         bench, bench_inputs = workload_commands(
             Path(d), {tuple(argv) for argv in grid})
     inputs.update(bench_inputs)
+    return inputs, grid + bench
+
+
+def main() -> int:
+    inputs, argvs = plan()
     with tempfile.TemporaryDirectory() as d:
         entries = replay({"inputs": inputs,
-                          "commands": [{"argv": argv} for argv in grid + bench]},
+                          "commands": [{"argv": argv} for argv in argvs]},
                          Path(d))
     # one command per line, so that a changed digest is a one-line diff
     CORPUS.write_text(

@@ -12,3 +12,13 @@ def test_golden_corpus(tmp_path):
     moved = [" ".join(want["argv"]) for want, have in zip(corpus["commands"], got)
              if want != have]
     assert not moved, f"{len(moved)} commands changed, first: {moved[:5]}"
+
+
+def test_corpus_matches_its_generator():
+    """The corpus lists exactly the commands and input files that
+    `regen.py` generates, in order, so an edit to the generator without a
+    regeneration fails here.  No command runs."""
+    corpus = json.loads(regen.CORPUS.read_text())
+    inputs, argvs = regen.plan()
+    assert [entry["argv"] for entry in corpus["commands"]] == argvs
+    assert corpus["inputs"] == inputs

@@ -193,6 +193,28 @@ def trace_poly_table(params, terms):
     return out
 
 
+def exponents(spec, params):
+    """(coefficient K-index, exponent) pairs of the defining trace
+    polynomial of a family member, for `trace_poly_table`."""
+    rs = spec.resolve(params)
+    K, q, n1 = params.K, params.q, params.K.order
+    d1 = ((q - 1) * ((q + 2) // 2) + 1) % n1
+    if rs.family == "quadratic":
+        return [(rs.a, d1)]
+    if rs.family == "binomial_3":
+        return [(rs.a, d1), (rs.alpha2, ((q - 1) * 3 + 1) % n1)]
+    if rs.family == "binomial_1_6":
+        s = pow(6, -1, q + 1)
+        return [(rs.a, d1), (rs.alpha2, ((q - 1) * s + 1) % n1)]
+    # leander: Tr(a^2 x^(q+1) + (a+a^q) sum_i x^(d_i)), 2^r d_i = (q-1)i + 2^r
+    terms = [(K.mul(rs.a, rs.a), q + 1)]
+    ta = rs.a ^ K.pow(rs.a, q)
+    inv2r = pow(1 << rs.r, -1, n1)
+    for i in range(1, (1 << (rs.r - 1))):
+        terms.append((ta, ((q - 1) * i + (1 << rs.r)) * inv2r % n1))
+    return terms
+
+
 def apply(rows, x):
     """Row-vector action x -> x * rows of an int-mask matrix (bit j of row
     i = entry [i][j]): the XOR of rows[i] over the set bits i of x."""
@@ -431,6 +453,43 @@ def family_members(m):
     if rs:
         specs.append(niho.NihoSpec("leander_r", m, r=rs[0]))
     return specs
+
+
+def desarguesian_maps_naive(params, embed):
+    """(phi, psi, w): the F-linear bijections F x F -> K of the
+    Desarguesian spread, as tables over packed pairs x + q*y, for the
+    smallest w with T(w) = w + w^q = 1 and an embedding `embed` of F
+    (F-index -> K-index), by scalar products in K.
+
+    phi(x, y) = x w + y maps the spread members {(x, x z)} and {(0, y)}
+    onto the rays F (w + z) and F.  psi(a, b) = a + b + w b is the one
+    element c of K with Tr_K(c phi(x, y)) = tr(a x) + tr(b y): with
+    T(1) = 0 and T(w) = T(w^2) = 1, T(c (x w + y)) = a x + b y."""
+    K, q = params.K, params.q
+    w = next(x for x in range(K.size) if x ^ K.pow(x, q) == 1)
+    phi = np.zeros(K.size, dtype=np.int64)
+    psi = np.zeros(K.size, dtype=np.int64)
+    for x in range(q):
+        for y in range(q):
+            phi[x + q * y] = K.mul(int(embed[x]), w) ^ int(embed[y])
+            psi[x + q * y] = K.mul(int(embed[y]), w) ^ int(embed[x ^ y])
+    return phi, psi, w
+
+
+def spread_linear_naive(h, F):
+    """(G, mu) of a function h on F x F (packed x + q*y), read off the
+    basis rows: tr(G(z) e_i) = h(e_i, e_i z) and tr(mu e_i) = h(0, e_i),
+    each value found by search over F."""
+    q = F.size
+    basis = [1 << i for i in range(F.deg)]
+
+    def solve(bits):
+        return next(v for v in range(q)
+                    if [F.trace(F.mul(v, e)) for e in basis] == bits)
+
+    G = np.array([solve([int(h[e + q * F.mul(e, z)]) for e in basis])
+                  for z in range(q)], dtype=np.int32)
+    return G, solve([int(h[q * e]) for e in basis])
 
 
 def nucleus_witness_naive(points, params):

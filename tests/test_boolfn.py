@@ -139,8 +139,9 @@ def test_dual_involution_and_rejects_non_bent():
 
 def test_spectrum_keeps_its_verdict_and_duals_are_read_only():
     """A spectrum is read-only and decides bentness once; its sign duals,
-    plain and B-form, are read-only tables of their own.  The public
-    constructor still copies its input and rejects non-bits."""
+    plain and B-form, are read-only tables of their own.  The constructor
+    takes ownership of a uint8 table (kept and made read-only), copies
+    any other input and rejects non-bits."""
     from ovalbent import spread, spreadbent
     f = _tr_xy(3)
     s = boolfn.walsh_transform(f)
@@ -154,10 +155,17 @@ def test_spectrum_keeps_its_verdict_and_duals_are_read_only():
     assert b_form == f
     bits = np.zeros(4, dtype=np.uint8)
     g = boolfn.BooleanFunction(2, bits)
-    bits[0] = 1
-    assert g.table[0] == 0
-    with pytest.raises(ValueError):
-        boolfn.BooleanFunction(2, [2, 0, 0, 0])
+    assert g.table is bits and not bits.flags.writeable
+    for other in (np.zeros(4, dtype=np.int32), np.zeros(4, dtype=bool)):
+        h = boolfn.BooleanFunction(2, other)
+        assert not np.shares_memory(h.table, other) and other.flags.writeable
+        assert h.table.dtype == np.uint8 and not h.table.flags.writeable
+    # a cast to uint8 once wrapped 256 to 0 and -255 to 1, and cut 0.5 to 0
+    for bad in ([2, 0, 0, 0], np.array([0, 0, 0, 255], dtype=np.uint8),
+                np.array([256, 0, 0, 1]), np.array([-255, 0, 0, 0]),
+                [0.5, 0, 0, 1]):
+        with pytest.raises(ValueError):
+            boolfn.BooleanFunction(2, bad)
     not_bent = boolfn.walsh_transform(boolfn.BooleanFunction(2, [0, 0, 0, 0]))
     assert not not_bent.is_bent() and not_bent._bent is False
     with pytest.raises(ValueError):

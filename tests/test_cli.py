@@ -675,6 +675,72 @@ def test_line_oval_json_malformed(tmp_path, capsys):
                              str(path)], capsys)
 
 
+def _named_input_error(argv, capsys, message):
+    """argv exits 2 with exactly `message` as its error line."""
+    _assert_input_error(argv, capsys)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_oval_json_rejects_repeats_and_unknown_keys(tmp_path, capsys):
+    """A repeated point or infinite tag, or a key the reader does not
+    know, exits 2; each was once merged or ignored and verified (exit 0,
+    with `points: 9` for ten listed points)."""
+    circle = [int(u) for u in gf.field_make(3).S]
+    assert cli.main(["oval", "verify", "--m", "3", "--json",
+                     _oval_doc(tmp_path, circle)]) == 0
+    capsys.readouterr()
+    for points, infinite, message in (
+            (circle + circle[4:5], (), f"point {circle[4]} appears twice"),
+            (circle[:1], (0, 0), "infinite tag 0 appears twice")):
+        _named_input_error(["oval", "verify", "--m", "3", "--json",
+                            _oval_doc(tmp_path, points, infinite)], capsys,
+                           message)
+    path = tmp_path / "extra.json"
+    doc = {"kind": "oval", "m": 3, "points": circle, "infinite": [],
+           "nucleus": None, "note": 1}
+    path.write_text(json.dumps(doc))
+    _named_input_error(["oval", "verify", "--m", "3", "--json", str(path)],
+                       capsys, "unknown keys in the oval document: ['note']")
+    del doc["note"]
+    path.write_text(json.dumps(dict(doc, m=3.0)))
+    _named_input_error(["oval", "verify", "--m", "3", "--json", str(path)],
+                       capsys, "m must be an integer, not 3.0")
+
+
+def test_line_oval_json_rejects_non_integer_m_repeats_and_unknown_keys(
+        tmp_path, capsys):
+    """`"m": 3.0`, a key the reader does not know and a repeated line each
+    exit 2; the first two were once converted with exit 0."""
+    d = tmp_path / "b3"
+    assert cli.main(["niho", "--family", "binomial_3", "--m", "3",
+                     "--out-dir", str(d)]) == 0
+    capsys.readouterr()
+    doc = json.loads((d / "line_oval.json").read_text())
+    path = tmp_path / "lines.json"
+    argv = ["oval", "convert", "--m", "3", "--lines-json", str(path)]
+    line = doc["lines"][3]
+    for bad, message in (
+            (dict(doc, m=3.0), "m must be an integer, not 3.0"),
+            (dict(doc, m=True), "m must be an integer, not True"),
+            (dict(doc, note="x"), "unknown keys in the line_oval document: ['note']"),
+            (dict(doc, lines=doc["lines"] + [line]),
+             f"line {tuple(line)} appears twice")):
+        path.write_text(json.dumps(bad))
+        _named_input_error(argv, capsys, message)
+    path.write_text(json.dumps(doc))
+    assert cli.main(argv) == 0
+
+
+def test_spec_json_rejects_unknown_keys(tmp_path, capsys):
+    """A misspelled key once ran the default member with exit 0."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"family": "quadratic", "m": 4, "a_idx": 5}))
+    for cmd in (["niho"], ["dual", "--method", "walsh"], ["ea"]):
+        _named_input_error([*cmd, "--spec-json", str(path)], capsys,
+                           "unknown keys in a spec: ['a_idx']")
+
+
 def test_truth_table_malformed(tmp_path, capsys):
     path = tmp_path / "t.txt"
     for text in ("k=2\nffff\n",        # 16 bits for a 4-bit table

@@ -376,23 +376,38 @@ def test_product_rule_boundaries(deg):
 
 def test_index_tables_are_int32():
     """One dtype for every index table, field and carrier alike: int32
-    (every index is below 2^24), with today's read-only flags kept."""
+    (every index is below 2^24).  Every table a field or a carrier holds
+    is read-only, the eager ones and the kept ones alike, and a kept
+    table is built once: every call returns the same array."""
     p = gf.field_make(9)
+    getters = {"conj": p.conj_table, "unit class": p.unit_class_table,
+               "project": p.project_table, "coset log": p.coset_log_table,
+               "line trace basis": p.line_trace_basis,
+               "tr mask": p.tr_mask_table, "dot mask": p.K.dot_mask_table,
+               "polar log": p.polar_log_table, "K trace": p.K.trace_table,
+               "F trace": p.F.trace_table}
     tables = {"K.exp": p.K.exp, "K.exp2": p.K.exp2, "K.log": p.K.log,
-              "conj": p.conj_table(),
-              "unit class": p.unit_class_table(), "project": p.project_table(),
-              "dot mask": p.K.dot_mask_table()}
-    read_only = [p.K.exp, p.K.exp2, p.K.log]
+              "embed": p.embed, "S": p.S}
+    int32 = set(tables) | {"conj", "unit class", "project", "coset log",
+                           "line trace basis", "tr mask", "dot mask"}
     for Q in (spread.field_pqf(3), spread.luneburg(3)):
         F = Q.field
+        assert Q.transposed() is Q.transposed()
+        getters.update({f"{Q.kind} {name}": get for name, get in (
+            ("dot mask", F.dot_mask_table), ("B masks", Q.b_mask_table),
+            ("B mask inverse", Q.b_mask_inverse), ("gram", Q.gram))})
         tables.update({f"{Q.kind} {name}": t for name, t in (
-            ("F.exp", F.exp), ("F.log", F.log), ("dot mask", F.dot_mask_table()),
-            ("table", Q.table), ("transpose", Q.transposed().table),
-            ("B masks", Q.b_mask_table()), ("B mask inverse", Q.b_mask_inverse()))})
-        read_only += [F.exp, F.log, Q.table, Q.transposed().table]
+            ("F.exp", F.exp), ("F.log", F.log), ("table", Q.table),
+            ("transpose", Q.transposed().table))})
+        int32 |= {f"{Q.kind} {name}" for name in (
+            "F.exp", "F.log", "dot mask", "table", "transpose", "B masks",
+            "B mask inverse")}
+    for name, get in getters.items():
+        tables[name] = get()
+        assert get() is tables[name], name
     for name, t in tables.items():
-        assert t.dtype == np.int32, name
-    assert not any(t.flags.writeable for t in read_only)
+        assert not t.flags.writeable, name
+        assert (t.dtype == np.int32) == (name in int32), name
 
 
 def _field_pair_matches(m):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from ovalbent import boolfn, geometry, gf, niho
-from oracles import (budaghyan_pointwise, family_members, g_of_spec_naive,
-                     line_cover_naive, niho_fill_naive, trace_poly_table,
-                     trace_rel_naive)
+from oracles import (budaghyan_pointwise, exponents, family_members,
+                     g_of_spec_naive, line_cover_naive, niho_fill_naive,
+                     trace_poly_table, trace_rel_naive)
 
 ALL_SPECS = [
     niho.NihoSpec("quadratic", 2),
@@ -135,7 +135,7 @@ def test_shift_by_linear_matches_scalar_trace():
 def test_truth_table_matches_trace_polynomial(spec):
     g, p = _g(spec)
     f = niho.bent_from_g(g, p)
-    want = trace_poly_table(p, niho.exponents(spec, p))
+    want = trace_poly_table(p, exponents(spec, p))
     assert np.array_equal(f.table, want)
 
 
@@ -357,7 +357,7 @@ def test_general_binomial_coefficients():
     spec = niho.NihoSpec("binomial_3", 3, a_index=a, alpha2_index=alpha2)
     g = niho.g_of_spec(spec, p)
     f = niho.bent_from_g(g, p)
-    assert np.array_equal(f.table, trace_poly_table(p, niho.exponents(spec, p)))
+    assert np.array_equal(f.table, trace_poly_table(p, exponents(spec, p)))
     assert boolfn.is_bent(f)
     assert niho.dual_walsh(f, p) == \
         niho.dual_product_formula(niho.line_oval_from_g(g, p), p)
