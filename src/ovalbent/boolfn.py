@@ -1,8 +1,8 @@
 """Boolean functions as truth tables over 2^k points.
 
 Walsh-Hadamard transform, bentness, duals, algebraic normal form and the
-EA-equivalence utilities.  The butterfly computes the transform against
-the plain dot product on index bits.  Over a field, entry masks[b], with
+EA-equivalence utilities.  The transform (`kernels.walsh_inplace`) is
+taken against the plain dot product on index bits.  Over a field, entry masks[b], with
 masks the permutation of gf.FieldParams.tr_mask_table, is the sum against
 trace(b*x); the duals (`WalshSpectrum.dual`, `dual`) take it as `masks`.
 """
@@ -151,8 +151,9 @@ class AnfPolynomial:
 def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
     """Spectrum of f; entry b correlates against parity(b & x).
 
-    The butterfly runs in int32 for k <= 30, where |entry| <= 2^k is
-    exact, and in int64 above."""
+    The signs (-1)^f(x) are int32 for k <= 30, where |entry| <= 2^k
+    fits, and int64 above; `kernels.walsh_inplace` transforms them in
+    place, exactly."""
     w = f.table.astype(np.int32 if f.k <= 30 else np.int64)
     w *= -2
     w += 1              # (-1)^f(x) in place: one 2^k temporary, not three

@@ -391,11 +391,23 @@ def _check_distinct(values: Iterable, what: str) -> None:
         seen.add(v)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    _check_distinct((key for key, _ in pairs), "key")
+    return dict(pairs)
+
+
+def loads_json(text: str):
+    """The JSON reader of every input document: `json.loads`, except that
+    an object repeating a key is a ValueError (a dict would silently keep
+    the last value)."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
+
+
 def _json_document(text: str, kind: str, lists: tuple[str, ...],
                    optional: tuple[str, ...] = ()) -> tuple[dict, int]:
     """(d, m) for a JSON object of the given kind with an integer m, lists
     under the keys `lists`, and no key outside these and `optional`."""
-    d = json.loads(text)
+    d = loads_json(text)
     if not isinstance(d, dict) or d.get("kind") != kind:
         raise ValueError(f"not a JSON object of kind {kind!r}")
     extra = sorted(set(d) - {"kind", "m", *lists, *optional})

@@ -14,20 +14,29 @@ incidence kernels use closed forms: the line cover counts the
 rows of `geometry.line_point_rows`, each the log of u^q plus a row of
 the per-field coset log table (`FieldParams.coset_log_table`) read
 through one clipped gather, and the product dual works ray by ray.
-The Walsh and Moebius butterflies never run a numpy operation
-over short rows: the stages of the low index bits, whose rows would be
-2 to 32 entries long, run on a transposed copy of each block of
-`BLOCK_ENTRIES` entries, where they are stages over rows of at least
-2^(k/2) entries (1024 from k = 16 on), and the other stages run in
-place.  Every per-row value histogram of a square table is counted by
-`row_counts`, one bincount per block of rows (`row_blocks`): the spread
-cover, the spread-bent criterion and the line-oval cover, so none of
-them holds a count array over the whole plane.  Per-kernel time and
-work on real workloads come from
+The Walsh transform is one float matrix product per 6-bit digit of
+the index bits, since the Walsh matrix is the Kronecker product of one
+Hadamard matrix per digit: blocks of `BLOCK_ENTRIES` entries are cast to
+float32 and transformed along their low bits, then column chunks of the
+same size along the high bits.  Every value stays an integer of
+magnitude at most 2^24, so the products are exact under any BLAS
+(float64 above k = 24).  The Moebius transform stays a uint8 XOR
+butterfly (blocked subset-sum products with a mod-2 reduction per digit
+took 2.08 ms against its 0.86 ms at k = 18 in a prototype): the stages
+of its low index bits, whose rows would be 2 to 32 entries long, run on
+a transposed copy of each block, where they are stages over rows of at
+least 2^(k/2) entries (1024 from k = 16 on), and the other stages run
+in place.  Every per-row value histogram of a square table is counted
+by `row_counts`, one bincount per block of rows (`row_blocks`): the
+spread cover, the spread-bent criterion and the line-oval cover, so
+none of them holds a count array over the whole plane.  Per-kernel time
+and work on real workloads come from
 `python3 perfbench/run.py --workload W --trace 1`.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -59,69 +68,83 @@ def row_counts(size: int, rows):
         yield x0, np.bincount(local.ravel(), minlength=b * size).reshape(b, size)
 
 
-def _low_bits_transposed(w: np.ndarray, stages) -> int:
-    """Run the butterfly stages of the low c index bits of w block by block
-    on a transposed copy, where they are stages over long rows; returns
-    C = 2^c, the row length of the first stage left to run in place.
-
-    Index bit i < c of a block of B = min(BLOCK_ENTRIES, n) entries viewed
-    as (R, C) is bit i of the column; in the (C, R) transpose it is the
-    stage h = R * 2^i.  c is min(6, k // 2) rounded down to even: c <= k/2
-    keeps R >= C, and an even c leaves the Walsh stages of the block all
-    radix 4.  Besides the stages' own temporaries, the only memory is one
-    block-sized buffer."""
-    n = w.shape[0]
-    cols = 1 << (min(6, (n.bit_length() - 1) // 2) & ~1)
-    if cols == 1:
-        return 1
-    block = min(BLOCK_ENTRIES, n)
-    rows = block // cols
-    buf = np.empty((cols, rows), dtype=w.dtype)
-    flat = buf.reshape(-1)
-    for b0 in range(0, n, block):
-        v = w[b0:b0 + block].reshape(rows, cols)
-        buf[...] = v.T
-        stages(flat, rows)
-        v[...] = buf.T
-    return cols
+# bits per digit of the Walsh transform: one (64, 64) Hadamard matrix product
+# per digit
+DIGIT_BITS = 6
 
 
-def _walsh_stages(w: np.ndarray, h: int) -> None:
-    """Walsh stages h, 2h, .., n/2 of w in place: radix-4 passes over the
-    quarter blocks a0..a3, then one radix-2 stage if an odd count is left."""
-    n = w.shape[0]
-    t = np.empty(n // 4, dtype=w.dtype)     # one temporary quarter, reused
-    while 4 * h <= n:
-        v = w.reshape(-1, 4, h)
-        a0, a1, a2, a3 = v[:, 0], v[:, 1], v[:, 2], v[:, 3]
-        d = t.reshape(-1, h)
-        np.subtract(a0, a1, out=d)          # d  = a0 - a1
-        a0 += a1                            # a0 = a0 + a1
-        np.subtract(a2, a3, out=a1)         # a1 = a2 - a3
-        a2 += a3                            # a2 = a2 + a3
-        np.subtract(d, a1, out=a3)          # a0 - a1 - a2 + a3
-        np.add(d, a1, out=a1)               # a0 - a1 + a2 - a3
-        np.subtract(a0, a2, out=d)          # a0 + a1 - a2 - a3
-        a0 += a2                            # a0 + a1 + a2 + a3
-        a2[...] = d
-        h *= 4
-    if h < n:
-        a, b = w.reshape(2, h)
-        np.subtract(a, b, out=b)      # b <- a - b
-        a *= 2
-        a -= b                        # a <- 2a - (a - b) = a + b, no temporary
+@functools.lru_cache(maxsize=None)
+def _hadamard(bits: int, dtype) -> np.ndarray:
+    """The read-only (2^bits, 2^bits) Sylvester-Hadamard matrix,
+    H[i, j] = (-1)^parity(i & j), as floats of the given dtype."""
+    i = np.arange(1 << bits)
+    h = 1.0 - 2 * (np.bitwise_count(i[:, None] & i) & 1)
+    h = h.astype(dtype)
+    h.flags.writeable = False
+    return h
+
+
+def _hadamard_digits(x: np.ndarray, y: np.ndarray, bits: int,
+                     inner: int) -> np.ndarray:
+    """Walsh transform along index bits s0 .. s0 + bits - 1 of the flat
+    float buffer x, inner = 2^s0, as one matrix product per digit of at
+    most DIGIT_BITS bits: with x viewed as (A, 2^d, 2^s) for a digit of
+    d bits at bit s, the digit is H_{2^d} applied along the middle axis
+    (for s = 0, x @ H on the rows of the (A, 2^d) view).  The products
+    alternate between x and y, which have one size; returns the one
+    holding the result."""
+    s = inner.bit_length() - 1
+    top = s + bits
+    while s < top:
+        d = min(DIGIT_BITS, top - s)
+        h = _hadamard(d, x.dtype)
+        if s == 0:
+            np.matmul(x.reshape(-1, 1 << d), h, out=y.reshape(-1, 1 << d))
+        else:
+            shape = (-1, 1 << d, 1 << s)
+            np.matmul(h, x.reshape(shape), out=y.reshape(shape))
+        x, y = y, x
+        s += d
+    return x
 
 
 def walsh_inplace(w: np.ndarray) -> None:
-    """In-place Walsh-Hadamard butterfly on a length-2^k signed vector.
+    """In-place Walsh-Hadamard transform of a length-2^k int32 or int64
+    vector of signs +-1 (the table (-1)^f), as float matrix products.
 
-    The low index bits run on transposed blocks (`_low_bits_transposed`),
-    the rest in place, in radix-4 passes plus one radix-2 stage at odd k.
-    The stages commute, and every intermediate,
-    including the 2a of a radix-2 stage, is bounded by the final
-    |entry| <= n, so any signed dtype that holds n is exact.
+    The Walsh matrix on 2^k points is the Kronecker product of one
+    Hadamard matrix per digit of the index bits, so each digit is one
+    matrix product (`_hadamard_digits`).  Each block of B = min(n,
+    BLOCK_ENTRIES) consecutive entries is cast into a block-sized float
+    buffer, its low log2(B) bits are transformed there and it is written
+    back; then the remaining high bits run the same way over column
+    chunks of B entries of the (n / B, B) view.  No float copy of the
+    whole vector is made.
+
+    Exactness does not depend on the BLAS: after b transformed bits every
+    entry is a sum of 2^b signs, and every partial sum inside a product is
+    a sum of at most 2^k of them, so all are integers of magnitude at most
+    2^k.  float32 holds every integer up to 2^24 exactly, so for k <= 24
+    the result is exact under any summation order, with or without FMA.
+    Above k = 24 the buffers are float64, exact up to 2^53.
     """
-    _walsh_stages(w, _low_bits_transposed(w, _walsh_stages))
+    n = w.shape[0]
+    k = n.bit_length() - 1
+    block = min(n, BLOCK_ENTRIES)
+    rows = n // block
+    x = np.empty(max(block, rows), dtype=np.float32 if k <= 24 else np.float64)
+    y = np.empty_like(x)
+    lo = block.bit_length() - 1
+    for b0 in range(0, n, block):
+        x[:block] = w[b0:b0 + block]
+        w[b0:b0 + block] = _hadamard_digits(x[:block], y[:block], lo, 1)
+    if rows > 1:
+        cols = x.shape[0] // rows
+        v = w.reshape(rows, -1)
+        for c0 in range(0, v.shape[1], cols):
+            x.reshape(rows, cols)[...] = v[:, c0:c0 + cols]
+            high = _hadamard_digits(x, y, k - lo, cols)
+            v[:, c0:c0 + cols] = high.reshape(rows, cols)
 
 
 def _mobius_stages(t: np.ndarray, h: int) -> None:
@@ -134,10 +157,35 @@ def _mobius_stages(t: np.ndarray, h: int) -> None:
         h *= 2
 
 
+def _low_bits_transposed(t: np.ndarray) -> int:
+    """Run the Moebius stages of the low c index bits of t block by block
+    on a transposed copy, where they are stages over long rows; returns
+    C = 2^c, the row length of the first stage left to run in place.
+
+    Index bit i < c of a block of B = min(BLOCK_ENTRIES, n) entries viewed
+    as (R, C) is bit i of the column; in the (C, R) transpose it is the
+    stage h = R * 2^i.  c = min(6, k // 2) keeps R >= C.  Besides the
+    stages' own temporaries, the only memory is one block-sized buffer."""
+    n = t.shape[0]
+    cols = 1 << min(6, (n.bit_length() - 1) // 2)
+    if cols == 1:
+        return 1
+    block = min(BLOCK_ENTRIES, n)
+    rows = block // cols
+    buf = np.empty((cols, rows), dtype=t.dtype)
+    flat = buf.reshape(-1)
+    for b0 in range(0, n, block):
+        v = t[b0:b0 + block].reshape(rows, cols)
+        buf[...] = v.T
+        _mobius_stages(flat, rows)
+        v[...] = buf.T
+    return cols
+
+
 def mobius_inplace(t: np.ndarray) -> None:
     """In-place Moebius (XOR) butterfly on a length-2^k uint8 vector: the
     low index bits on transposed blocks, the rest in place."""
-    _mobius_stages(t, _low_bits_transposed(t, _mobius_stages))
+    _mobius_stages(t, _low_bits_transposed(t))
 
 
 # no library caller since `niho.bent_from_g` became one gather; kept for

@@ -119,7 +119,7 @@ class NihoSpec:
 
     @staticmethod
     def from_json(text: str) -> "NihoSpec":
-        d = json.loads(text)
+        d = geometry.loads_json(text)
         if not isinstance(d, dict):
             raise ValueError("a spec must be a JSON object")
         extra = sorted(set(d) - {"family", "m", "a_index", "alpha2_index", "r"})

@@ -337,8 +337,10 @@ def analyze(spec: SpreadBentSpec):
     f = bent_bivariate(spec0)
     spectrum = boolfn.walsh_transform(f)
     bent = spectrum.is_bent()
-    dual = _b_form_dual(spectrum.dual(), Q) if bent else None
-    del spectrum        # 4 MB at 2^20 points, done with after the Walsh dual
+    plain = spectrum.dual() if bent else None
+    del spectrum        # 4 MB at 2^20 points: freed before the B-form dual
+    dual = _b_form_dual(plain, Q) if bent else None
+    del plain
     crit, witness = bent_criterion(spec0)
     oval = None
     if crit:

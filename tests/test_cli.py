@@ -741,6 +741,28 @@ def test_spec_json_rejects_unknown_keys(tmp_path, capsys):
                            "unknown keys in a spec: ['a_idx']")
 
 
+def test_json_readers_reject_repeated_keys(tmp_path, capsys):
+    """A repeated key exits 2: a spec with `"m": 4, "m": 5` once ran m = 5,
+    and an oval document whose second point list was an oval once
+    verified with exit 0, though its first list is not one."""
+    path = tmp_path / "spec.json"
+    path.write_text('{"family": "quadratic", "m": 4, "m": 5}')
+    for cmd in (["niho"], ["dual", "--method", "walsh"], ["ea"]):
+        _named_input_error([*cmd, "--spec-json", str(path)], capsys,
+                           "key m appears twice")
+    circle = [int(u) for u in gf.field_make(3).S]
+    doc = _oval_doc(tmp_path, circle[1:])
+    assert cli.main(["oval", "verify", "--m", "3", "--json", doc]) == 2
+    capsys.readouterr()
+    path = tmp_path / "oval.json"
+    path.write_text(path.read_text()[:-1]
+                    + ', "points": %s}' % json.dumps(circle))
+    _named_input_error(["oval", "verify", "--m", "3", "--json", doc], capsys,
+                       "key points appears twice")
+    with pytest.raises(ValueError, match="key m appears twice"):
+        geometry.loads_json('[{"m": 1, "m": 1}]')      # nested objects too
+
+
 def test_truth_table_malformed(tmp_path, capsys):
     path = tmp_path / "t.txt"
     for text in ("k=2\nffff\n",        # 16 bits for a 4-bit table

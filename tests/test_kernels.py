@@ -48,17 +48,71 @@ def test_walsh_inplace(k):
     assert np.array_equal(w, naive_walsh(table, dot_parity))
 
 
-@pytest.mark.parametrize("k", range(13))
+@pytest.mark.parametrize("k", range(15))
 def test_walsh_inplace_int32_and_int64(k):
-    """Radix-4 passes plus the radix-2 tail at odd k, in both dtypes."""
+    """Every remainder k mod 6 of the digit products, and k < 6 (one
+    digit), in both dtypes, against the defining sum and the butterfly."""
     table = np.random.default_rng(100 + k).integers(0, 2, size=1 << k,
                                                     dtype=np.uint8)
     want = naive_walsh(table, dot_parity) if k <= 8 else walsh_by_rows(table)
+    butterfly = 1 - 2 * table.astype(np.int64)
+    walsh_radix4_rows(butterfly)
+    assert np.array_equal(butterfly, want)
     for dtype in (np.int32, np.int64):
         w = 1 - 2 * table.astype(dtype)
         kernels.walsh_inplace(w)
         assert w.dtype == dtype
         assert np.array_equal(w, want), dtype
+
+
+def _parity(x):
+    return (np.bitwise_count(x) & 1).astype(np.int32)
+
+
+@pytest.mark.parametrize("k", [20, 22, 24])
+def test_walsh_inplace_extreme_spectra(k):
+    """Closed-form spectra that reach the extreme values, up to the top of
+    the float32 range (k = 24): the constants (W = +-2^k at 0), a single
+    point a (W(b) = 2^k [b = 0] - 2 (-1)^(a.b)) and the inner-product bent
+    function x_lo . x_hi (W(b) = 2^(k/2) (-1)^(b_lo . b_hi)).  The expected
+    values are built a chunk of indices at a time."""
+    n, h = 1 << k, k // 2
+    a = (n - 1) // 3                            # the bits 0101..01
+    idx = np.arange(n, dtype=np.int32)
+    cases = [
+        (np.zeros(n, dtype=np.uint8), lambda b: n * (b == 0)),
+        (np.ones(n, dtype=np.uint8), lambda b: -n * (b == 0)),
+        ((idx == a).view(np.uint8),
+         lambda b: n * (b == 0) - 2 * (1 - 2 * _parity(b & a))),
+        (np.bitwise_count(idx & (idx >> h)) & 1,
+         lambda b: (1 << h) * (1 - 2 * _parity(b & (b >> h)))),
+    ]
+    del idx
+    for table, spectrum in cases:
+        w = 1 - 2 * table.astype(np.int32)
+        kernels.walsh_inplace(w)
+        for b0 in range(0, n, 1 << 20):
+            b = np.arange(b0, b0 + (1 << 20), dtype=np.int32)
+            assert np.array_equal(w[b0:b0 + (1 << 20)], spectrum(b)), b0
+
+
+@pytest.mark.parametrize("k", range(15))
+def test_hadamard_digits_in_float64(k):
+    """The digit products in float64, the branch of k > 24, at small k:
+    all k bits at once, and split into low bits s and high bits k - s (the
+    column-chunk call, inner = 2^s)."""
+    table = np.random.default_rng(300 + k).integers(0, 2, size=1 << k,
+                                                    dtype=np.uint8)
+    want = 1 - 2 * table.astype(np.int64)
+    walsh_radix4_rows(want)
+    signs = 1.0 - 2 * table
+    for s in sorted({0, k // 2, k}):
+        x, y = signs.copy(), np.empty_like(signs)
+        low = kernels._hadamard_digits(x, y, s, 1)
+        other = y if low is x else x
+        got = kernels._hadamard_digits(low, other, k - s, 1 << s)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want), s
 
 
 @pytest.mark.parametrize("k", [1, 4, 8])
@@ -71,9 +125,9 @@ def test_mobius_inplace(k):
 
 @pytest.mark.parametrize("k", [*range(18), 20])
 def test_butterflies_match_row_references(k):
-    """Block transpose against the stage-by-stage butterflies: no block
-    below k = 4, c = 2 and 4 low bits below k = 12 and 6 above, odd k, one
-    block below k = 17 and several above."""
+    """Both transforms against the stage-by-stage butterflies: one block
+    below k = 17 and several above; for Moebius, no transposed block below
+    k = 4, c = 2 to 5 low bits below k = 12 and 6 above."""
     table = np.random.default_rng(200 + k).integers(0, 2, size=1 << k,
                                                     dtype=np.uint8)
     for dtype in (np.int32, np.int64):
@@ -90,9 +144,9 @@ def test_butterflies_match_row_references(k):
 
 
 def test_walsh_inplace_holds_no_full_size_copy():
-    """At k = 20 the butterfly holds its quarter-size temporary and one
-    transposed block, nothing of the size of the input.  The slack covers
-    numpy's ufunc iteration buffers (about 100 KB on strided operands)."""
+    """At k = 20 the transform holds its two float32 block buffers (2 *
+    256 KiB), nothing of the size of the input: far below the bound of a
+    quarter-size temporary, one block and 256 KiB of slack."""
     w = np.ones(1 << 20, dtype=np.int32)
     tracemalloc.start()
     try:

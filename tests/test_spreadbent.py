@@ -291,6 +291,25 @@ def test_chi_swap_dual_allocates_one_table():
     assert dual.table.shape == (Q.size * Q.size,)
 
 
+def test_analyze_frees_the_spectrum_before_the_b_form_dual():
+    """At luneburg:5 (2^20 points) the peak of `analyze` is the Walsh
+    stage: f, its 4 MiB int32 spectrum and the transform's block buffers.
+    With the spectrum still bound while the B-form dual gathered its two
+    1 MiB tables, the peak was 8 MiB."""
+    Q = spread.luneburg(5)
+    spec = spreadbent.SpreadBentSpec(Q, spread.sqrt_diag_g_table(Q))
+    spreadbent.analyze(spec)                 # the carrier's kept tables
+    tracemalloc.start()
+    try:
+        out, _, dual = spreadbent.analyze(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out["bent"] and out["dual_routes_agree"]
+    assert peak <= 7 * (1 << 20), peak
+    assert dual.table.shape == (Q.size * Q.size,)
+
+
 def test_g_identity_not_bent():
     Q = spread.field_pqf(3)
     bad = spreadbent.SpreadBentSpec(Q, np.arange(8, dtype=np.int64))
