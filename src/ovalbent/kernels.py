@@ -14,9 +14,10 @@ incidence kernels use closed forms: the line cover counts the
 rows of `geometry.line_point_rows`, each the log of u^q plus a row of
 the per-field coset log table (`FieldParams.coset_log_table`) read
 through one clipped gather, and the product dual works ray by ray.
-The Walsh transform is one float matrix product per 6-bit digit of
-the index bits, since the Walsh matrix is the Kronecker product of one
-Hadamard matrix per digit: blocks of `BLOCK_ENTRIES` entries are cast to
+The Walsh transform is one float matrix product per digit of at most
+5 index bits (the bits split evenly over the fewest digits), since the
+Walsh matrix is the Kronecker product of one Hadamard matrix per
+digit: blocks of `BLOCK_ENTRIES` entries are cast to
 float32 and transformed along their low bits, then column chunks of the
 same size along the high bits.  Every value stays an integer of
 magnitude at most 2^24, so the products are exact under any BLAS
@@ -68,9 +69,9 @@ def row_counts(size: int, rows):
         yield x0, np.bincount(local.ravel(), minlength=b * size).reshape(b, size)
 
 
-# bits per digit of the Walsh transform: one (64, 64) Hadamard matrix product
-# per digit
-DIGIT_BITS = 6
+# most bits per digit of the Walsh transform: one Hadamard matrix product of
+# at most (32, 32) per digit, the bits split evenly over the fewest digits
+DIGIT_BITS = 5
 
 
 @functools.lru_cache(maxsize=None)
@@ -87,16 +88,17 @@ def _hadamard(bits: int, dtype) -> np.ndarray:
 def _hadamard_digits(x: np.ndarray, y: np.ndarray, bits: int,
                      inner: int) -> np.ndarray:
     """Walsh transform along index bits s0 .. s0 + bits - 1 of the flat
-    float buffer x, inner = 2^s0, as one matrix product per digit of at
-    most DIGIT_BITS bits: with x viewed as (A, 2^d, 2^s) for a digit of
-    d bits at bit s, the digit is H_{2^d} applied along the middle axis
-    (for s = 0, x @ H on the rows of the (A, 2^d) view).  The products
-    alternate between x and y, which have one size; returns the one
-    holding the result."""
+    float buffer x, inner = 2^s0, as one matrix product per digit: the
+    bits are split evenly over the fewest digits of at most DIGIT_BITS
+    bits (16 bits as 4 + 4 + 4 + 4).  With x viewed as (A, 2^d, 2^s) for
+    a digit of d bits at bit s, the digit is H_{2^d} applied along the
+    middle axis (for s = 0, x @ H on the rows of the (A, 2^d) view).  The
+    products alternate between x and y, which have one size; returns the
+    one holding the result."""
     s = inner.bit_length() - 1
-    top = s + bits
-    while s < top:
-        d = min(DIGIT_BITS, top - s)
+    n = -(-bits // DIGIT_BITS)
+    for i in range(n):
+        d = (bits + i) // n                     # the n digits sum to bits
         h = _hadamard(d, x.dtype)
         if s == 0:
             np.matmul(x.reshape(-1, 1 << d), h, out=y.reshape(-1, 1 << d))
@@ -240,8 +242,10 @@ def univariate_product_dual(s, g_embedded, conj, log_k, exp_k, ord_k,
 
 
 def line_cover_counts(rows, nbits) -> np.ndarray:
-    """Counts, per point of K, of the lines whose points fill each row."""
-    return np.bincount(rows.ravel(), minlength=1 << nbits)
+    """Counts, per point of K, of the lines whose points fill each row.
+    The int32 rows are cast to intp, the dtype bincount counts in, before
+    the call rather than inside it."""
+    return np.bincount(rows.ravel().astype(np.intp), minlength=1 << nbits)
 
 
 def bivariate_table_fill(mul_table, gvals, bmask, out) -> None:

@@ -81,7 +81,10 @@ class Prequasifield:
         the (b, size) array of the products x o z (any array that
         broadcasts to it).  It must evaluate the rule at every (x, z):
         rows built by XOR from the basis rows would make the right
-        distributivity check of `validate_prequasifield` vacuous.  A
+        distributivity check of `validate_prequasifield` vacuous.  Rows
+        gathered from product-row tables comply: a table [a, z] = a c(z)
+        over a field coordinate a, computed for every z, read at the
+        coordinates of x (as in `luneburg`), is the rule at each entry.  A
         block holds about `kernels.BLOCK_ENTRIES` entries, so the
         evaluator's temporaries stay small at every carrier size."""
         size = 1 << carrier_dim(m, shape)
@@ -201,7 +204,14 @@ def _trace_onto_table(F: BinaryField, d: int) -> np.ndarray:
 
 
 def luneburg(m: int) -> Prequasifield:
-    """The Lueneburg symplectic prequasifield on F x F, m = 2k+1 odd."""
+    """The Lueneburg symplectic prequasifield on F x F, m = 2k+1 odd:
+
+      (x1, x2) o (z1, z2) = (x1 z1 + x2 w, x1 w + x2 z2),
+      w = sigma^(-1)(z1) + z2 sigma^(-1)(z2).
+
+    Its three product-row tables [a, z] = a z1, a z2 and a w over a in F
+    (shape (q, q^2), one `F.mul_arr` each) are gathered at x1 and x2 and
+    XORed, so each entry is still the rule at its (x, z)."""
     carrier_dim(m, "pair")
     if m % 2 == 0 or m < 3:
         raise ValueError("the Lueneburg spread needs odd m >= 3")
@@ -210,13 +220,19 @@ def luneburg(m: int) -> Prequasifield:
     # sigma(a) = a^(2^(k+1)), so sigma^(-1)(a) = a^(2^k)
     sig_inv = F.pow_table(1 << k)
     qmask = F.size - 1
+    z = np.arange(F.size * F.size, dtype=np.int32)
+    z1, z2 = z & qmask, z >> m
+    w = sig_inv[z1] ^ F.mul_arr(z2, sig_inv[z2])
+    a = np.arange(F.size, dtype=np.int32)[:, None]
+    # int16 holds every product (below 2^m) and the packed y1 | y2 << m
+    # (below 2^12, the carrier cap), so the row gathers move half the bytes
+    by_z1, by_z2, by_w = (F.mul_arr(a, c).astype(np.int16)
+                          for c in (z1, z2, w))
 
     def mul_block(xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-        x1, x2 = xs & qmask, xs >> m
-        z1, z2 = zs & qmask, zs >> m
-        w = sig_inv[z1] ^ F.mul_arr(z2, sig_inv[z2])
-        y1 = F.mul_arr(x1, z1) ^ F.mul_arr(x2, w)
-        y2 = F.mul_arr(x1, w) ^ F.mul_arr(x2, z2)
+        x1, x2 = xs[:, 0] & qmask, xs[:, 0] >> m
+        y1 = by_z1[x1] ^ by_w[x2]
+        y2 = by_w[x1] ^ by_z2[x2]
         return y1 | (y2 << m)
 
     return Prequasifield.from_evaluator(m, "pair", mul_block, kind="luneburg")
@@ -250,50 +266,93 @@ class PqfReport:
         }
 
 
-def _line_check(rows: np.ndarray) -> tuple[tuple | None, int | None]:
-    """(nonlinear, non_perm) over the rows r of `rows`, one block
-    (`kernels.row_blocks`) at a time, each on one C-contiguous copy (a
-    block of t.T is copied in its own layout first, then transposed: at
-    dim 10 to 12 twice as fast as one copy striding a table row per entry).
-    nonlinear is (i, h, x): the smallest row i that is not GF(2)-linear,
-    then the smallest h = 2^j, then the smallest x < h with
-    r[x + h] != r[x] ^ r[h].  The doubling steps lin[x + h] = lin[x] ^ r[h]
-    from lin[0] = 0 rebuild r from its basis values, so r is linear iff
-    r == lin, and r agrees with lin below its first mismatch p, which gives
-    that witness: h the top bit of p (h = 1 at p = 0, where r[0] != 0).
-    non_perm is the smallest row i >= 1 that is not a permutation of the
-    carrier.  Either is None if there is no such row."""
-    size = rows.shape[1]
-    ref = np.arange(size, dtype=np.int32)
-    nonlinear = non_perm = None
-    for i0, ids in kernels.row_blocks(rows.shape[0]):
-        block = np.ascontiguousarray(rows[i0:i0 + ids.shape[0]].copy(order="K"))
-        if nonlinear is None:
-            lin = np.zeros_like(block)
-            for j in range(size.bit_length() - 1):
-                h = 1 << j
-                np.bitwise_xor(lin[:, :h], block[:, h:h + 1], out=lin[:, h:2 * h])
-            bad = block != lin
+def _line_check(t: np.ndarray, axis: int) -> tuple[int | None, int | None]:
+    """(nonlinear, non_perm) over the lines of the table t along `axis`:
+    axis 0 gives the columns r = t[:, z], the right multiplications R_z,
+    and axis 1 the rows r = t[x], the left sections.  Either axis is
+    checked in one walk down the rows of t in blocks
+    (`kernels.row_blocks`), with no transposed copy.
+
+    r is GF(2)-linear iff r[0] = 0 and r[p] = r[p - h] ^ r[h] at every
+    p >= 1, h the top bit of p: a block of rows p is checked against the
+    rows p - h and h for every column at once, and each row of a block is
+    checked along itself.  A linear r is a bijection iff its kernel is
+    trivial and its basis values (hence all values) lie in the carrier,
+    that is iff r[1:] has no zero.  Only the lines not shown linear are
+    sorted, a block of them at a time.
+
+    nonlinear is the smallest line that is not linear (its witness is
+    `_doubling_witness`), non_perm the smallest line i >= 1 that is not a
+    permutation of the carrier.  Either is None if there is no such
+    line."""
+    size = t.shape[0]
+    failing = np.zeros(size, dtype=bool)        # not shown linear
+    # a basis value beyond the carrier, or a zero beyond entry 0
+    singular = (t.take(1 << np.arange(size.bit_length() - 1), axis=axis)
+                & -size).any(axis=axis)
+    for x0, xs in kernels.row_blocks(size):
+        x1 = x0 + xs.shape[0]
+        block = t[x0:x1]
+        if axis == 0:       # positions x0 .. x1 - 1 of every column
+            v, span, p0, end = t, slice(None), x0, x1
+        else:               # every position of the rows x0 .. x1 - 1
+            v, span, p0, end = block.T, slice(x0, x1), 0, size
+        # want[p] = r[p - h] ^ r[h], h the top bit of p, and want[0] = 0
+        want = np.zeros_like(block)
+        wv = want if axis == 0 else want.T
+        p = max(p0, 1)
+        while p < end:
+            h = 1 << (p.bit_length() - 1)
+            e = min(2 * h, end)
+            np.bitwise_xor(v[p - h:e - h], v[h], out=wv[p - p0:e - p0])
+            p = e
+        fail, sing = failing[span], singular[span]
+        fail |= (want != block).any(axis=axis)
+        sing |= (v[max(p0, 1):end] == 0).any(axis=0)
+
+    singular[0] = False                         # line 0 is the zero map
+    singular &= ~failing
+    non_perm = int(np.argmax(singular)) if singular.any() else size
+    nonlinear = None
+    if failing.any():
+        nonlinear = int(np.argmax(failing))
+        todo = np.flatnonzero(failing[1:non_perm]) + 1
+        ref = np.expand_dims(np.arange(size, dtype=np.int32), 1 - axis)
+        step = max(1, kernels.BLOCK_ENTRIES // size)
+        for k in range(0, todo.size, step):
+            ids = todo[k:k + step]
+            lines = t.take(ids, axis=1 - axis)
+            lines.sort(axis=axis)
+            bad = (lines != ref).any(axis=axis)
             if bad.any():
-                i, p = divmod(int(np.argmax(bad)), size)
-                h = 1 << max(p.bit_length() - 1, 0)
-                nonlinear = (i0 + i, h, p % h)
-        if non_perm is None:
-            block.sort(axis=1)
-            bad_rows = (block != ref).any(axis=1)
-            bad_rows[0] &= i0 > 0                   # row 0 is the zero map
-            if bad_rows.any():
-                non_perm = i0 + int(np.argmax(bad_rows))
-        if nonlinear is not None and non_perm is not None:
-            break
-    return nonlinear, non_perm
+                non_perm = int(ids[np.argmax(bad)])
+                break
+    return nonlinear, non_perm if non_perm < size else None
+
+
+def _doubling_witness(r: np.ndarray) -> tuple[int, int]:
+    """(x, h) for a line r that is not linear: the smallest h = 2^j, then
+    the smallest x < h with r[x + h] != r[x] ^ r[h], from a 1-D rebuild.
+    The doubling steps lin[x + h] = lin[x] ^ r[h] from lin[0] = 0 give a
+    line that r agrees with below its first mismatch p, and h is the top
+    bit of p (h = 1 at p = 0, where r[0] != 0)."""
+    lin = np.zeros_like(r)
+    h = 1
+    while h < r.shape[0]:
+        np.bitwise_xor(lin[:h], r[h], out=lin[h:2 * h])
+        h *= 2
+    p = int(np.argmax(r != lin))
+    h = 1 << max(p.bit_length() - 1, 0)
+    return p % h, h
 
 
 def validate_prequasifield(Q: Prequasifield) -> PqfReport:
     """Axioms (1)-(4) plus the quasifield/presemifield/commutative flags,
     each decided exactly over the whole carrier in O(size^2); linearity
-    and bijectivity by one `_line_check` per axis (t.T: right, t: left),
-    which allocates nothing the size of the table.
+    and bijectivity by one `_line_check` per axis (axis 0, the columns:
+    the right multiplications; axis 1, the rows: the left sections), each
+    a walk down the rows of t that allocates nothing the size of the
+    table.
 
     Witnesses: the smallest x with x o 0 != 0, the smallest z with
     0 o z != 0, the smallest z >= 1 whose right multiplication and the
@@ -308,14 +367,15 @@ def validate_prequasifield(Q: Prequasifield) -> PqfReport:
         failures["right_zero"] = (int(np.argmax(t[:, 0] != 0)),)
     if t[0, :].any():
         failures["zero_times"] = (int(np.argmax(t[0, :] != 0)),)
-    nonlinear, z = _line_check(t.T)
+    nonlinear, z = _line_check(t, 0)
     if z is not None:
         failures["right_mult_not_bijective"] = (z,)
-    left_nonlinear, x = _line_check(t)
+    left_nonlinear, x = _line_check(t, 1)
     if x is not None:
         failures["left_section_not_bijective"] = (x,)
-    if nonlinear is not None:
-        failures["right_distributive"] = nonlinear[::-1]     # (x, y, z)
+    if nonlinear is not None:                               # (x, y, z)
+        failures["right_distributive"] = (
+            *_doubling_witness(t[:, nonlinear]), nonlinear)
     left_ok = left_nonlinear is None
 
     axioms_ok = not failures

@@ -652,6 +652,28 @@ def _repeat_in_column(t, rng):
     t[x, z] = t[x + 1, z]
 
 
+def _singular_column(t, rng):
+    """Column z cut to x o z with bit 0 cleared: R_z stays linear, but
+    the x with x o z = 1 is in its kernel."""
+    t[:, int(rng.integers(1, len(t)))] &= -2
+
+
+def _singular_row(t, rng):
+    """Row x cut the same way: a linear left section with a kernel, whose
+    edit leaves some columns nonlinear and not bijective."""
+    t[int(rng.integers(1, len(t))), :] &= -2
+
+
+def _nonlinear_permutation_column(t, rng):
+    """Column z with the values 3 and 5 swapped (a permutation, but not
+    linear), then a later column cut by `_singular_column`: the sort of
+    column z passes, and the witnesses are z and the later column."""
+    z = int(rng.integers(1, len(t) - 1))
+    col = t[:, z].copy()
+    t[col == 3, z], t[col == 5, z] = 5, 3
+    t[:, int(rng.integers(z + 1, len(t)))] &= -2
+
+
 def _nonzero_row0(t, rng):
     t[0, int(rng.integers(1, len(t)))] = int(rng.integers(1, len(t)))
 
@@ -766,6 +788,14 @@ BROKEN = {
     "swap in last column": lambda: _edited(
         spread.kantor_chain(5, [1], [1], [5]), _swap_in_last_column,
         "swap in last column"),
+    "singular column": lambda: _edited(
+        spread.kantor_chain(5, [1], [1], [11]), _singular_column,
+        "singular column"),
+    "singular row": lambda: _edited(spread.field_pqf(5), _singular_row,
+                                    "singular row"),
+    "nonlinear permutation column": lambda: _edited(
+        spread.luneburg(3), _nonlinear_permutation_column,
+        "nonlinear permutation column"),
 }
 # pair tables without a symmetric F-matrix representation
 NOT_F_SYMMETRIC = {"pair frobenius": _pair_frobenius,
@@ -796,14 +826,45 @@ def test_validation_matches_all_triples_oracle(name):
 @pytest.mark.parametrize("name", [*BROKEN, "luneburg:3", "kantor:5:11",
                                   "x phi(z)"])
 def test_validation_in_small_row_blocks(name, rows, monkeypatch):
-    """The line checks run on blocks of one or three rows (and of
-    columns, copied C-contiguous): the same report and witnesses."""
+    """The line checks walk down blocks of one or three rows, so a block
+    of rows p may straddle a doubling step h or hold p without p - h, and
+    the lines not shown linear are sorted one or three at a time: the
+    same report and witnesses."""
     Q = CARRIERS[name]()
     want = validate_naive(Q)
     monkeypatch.setattr(kernels, "BLOCK_ENTRIES", rows * Q.size)
     got = spread.validate_prequasifield(Q).as_dict()
     assert got.pop("exhaustive") is True
     assert got == want
+
+
+def test_linear_lines_are_decided_by_their_kernel():
+    """The singular edits keep their lines linear, so their witnesses come
+    from the zeros beyond entry 0; the permuted column is not linear, is
+    sorted and passes, so the later singular column is the witness."""
+    col, row, perm = (spread.validate_prequasifield(CARRIERS[name]()).failures
+                      for name in ("singular column", "singular row",
+                                   "nonlinear permutation column"))
+    assert "right_distributive" not in col
+    edited = (CARRIERS["singular row"]().table
+              != spread.field_pqf(5).table).any(axis=1)
+    assert row["left_section_not_bijective"] == tuple(np.flatnonzero(edited))
+    z = perm["right_distributive"][2]
+    assert perm["right_mult_not_bijective"][0] > z
+
+
+def test_linear_column_beyond_the_carrier_is_not_bijective():
+    """A table handed to the constructor may hold values beyond the
+    carrier.  Over GF(8), x -> 5x ^ 8 (x & 1) is linear with a trivial
+    kernel, so it has no zero beyond x = 0, but it leaves the carrier."""
+    t = spread.field_pqf(3).table.copy()
+    t[:, 5] ^= (np.arange(8) & 1) << 3
+    Q = spread.Prequasifield(3, "flat", t, kind="table", name="beyond")
+    got = spread.validate_prequasifield(Q).as_dict()
+    assert got.pop("exhaustive") is True
+    assert got == validate_naive(Q)
+    assert got["failures"]["right_mult_not_bijective"] == [5]
+    assert "right_distributive" not in got["failures"]
 
 
 def test_commutative_needs_left_distributivity():
