@@ -73,7 +73,7 @@ def _spec_from_args(args) -> niho.NihoSpec:
 def cmd_niho(args) -> int:
     spec = _spec_from_args(args)
     params = field_make(spec.m)
-    spec.resolve(params)
+    rs = spec.resolve(params)
     g = niho.g_of_spec(spec, params)
 
     f = niho.bent_from_g(g, params)
@@ -90,7 +90,7 @@ def cmd_niho(args) -> int:
         dw = niho.dual_walsh(f, params)
         dp = niho.dual_product_formula(oval, params)
         verdicts["dual_walsh_eq_product"] = dw == dp
-        if spec.family == "leander_r" and spec.r is not None and spec.r % 2 == 0:
+        if niho.closed_dual_obstacle(rs, params) is None:
             db = niho.dual_budaghyan(spec, params)
             verdicts["dual_walsh_eq_budaghyan"] = dw == db
         counts["degree"] = boolfn.degree(f)
@@ -350,7 +350,7 @@ def cmd_spread_transpose(args) -> int:
     perp = spread.spreads_perpendicular(Q, Qt)
     report = {"command": "spread transpose", "m": Q.m, "shape": Q.shape,
               "involution_ok": perp, "perpendicular_ok": perp,
-              "symplectic_fixed_point": bool(np.array_equal(Qt.table, Q.table))}
+              "symplectic_fixed_point": spread.is_symplectic(Q)}
     _emit_table(Qt, args.out, report)
     return 0 if perp else 1
 
@@ -369,7 +369,7 @@ def cmd_spread_knuth(args) -> int:
               "orbit_size": len(items), "dtd_equals_tdt": dtd_eq,
               "artifacts": artifacts}
     _emit(report)
-    return 0 if len(items) <= 6 else 1
+    return 0 if dtd_eq and len(items) <= 6 else 1
 
 
 def _g_table_from_flag(flag: str, Q: spread.Prequasifield) -> np.ndarray:

@@ -8,8 +8,9 @@ position (the product rule of `gf`): the product sums log u + log v of
 `univariate_product_dual` and the quotient sums log d1 + ord - log d2
 of `collinear_scan` stay below 2 ord and index it with no modulo.  Index
 tables and index arithmetic are int32 (every index is below 2^24, and
-every log sum below 2^31), except the product sums log u + log v, which
-are intp, the index dtype of numpy's fast gather path.  The univariate
+every log sum below 2^31), except the product sums log u + log v and
+the packed points of the two bivariate scatters, which are intp, the
+index dtype of numpy's fast gather and scatter paths.  The univariate
 incidence kernels use closed forms: the line cover counts the
 rows of `geometry.line_point_rows`, each the log of u^q plus a row of
 the per-field coset log table (`FieldParams.coset_log_table`) read
@@ -252,22 +253,25 @@ def bivariate_table_fill(mul_table, gvals, bmask, out) -> None:
     """Truth table of f(x, x o z) = B(G(z), x) = parity(bmask[G(z)] & x);
     f(0, y) = 0.  The bits of each row block are counted from the 1-D
     B-mask table.  Packed indices x + size*y stay below 2^24
-    (size <= 2^12)."""
+    (size <= 2^12) and are formed as intp, the fast path of a scatter."""
     size = mul_table.shape[0]
     gmasks = bmask[gvals]
     for x0, xs in row_blocks(size):
         rows = mul_table[x0:x0 + xs.shape[0]]
-        out[xs + size * rows] = np.bitwise_count(gmasks & xs) & 1
+        out[np.add(xs, size * rows, dtype=np.intp)] = \
+            np.bitwise_count(gmasks & xs) & 1
     out[0::size] = 0
 
 
 def bivariate_product_dual(star_table, gvals, out) -> None:
     """Dual via the product formula: 0 iff y = 0 or x = G(z) + y*z.
-    Packed indices x + size*y stay below 2^24 (size <= 2^12)."""
+    Packed indices x + size*y stay below 2^24 (size <= 2^12) and are
+    formed as intp, the fast path of a scatter."""
     size = star_table.shape[0]
     out[:] = 1
     for y0, ys in row_blocks(size):
-        out[(gvals ^ star_table[y0:y0 + ys.shape[0]]) + size * ys] = 0
+        out[np.add(gvals ^ star_table[y0:y0 + ys.shape[0]], size * ys,
+                   dtype=np.intp)] = 0
     out[0:size] = 0
 
 

@@ -239,6 +239,19 @@ def dual_product_formula(oval: geometry.LineOval,
     return boolfn.BooleanFunction(params.n, out)
 
 
+def closed_dual_obstacle(rs: ResolvedSpec, params: FieldParams) -> str | None:
+    """Why `dual_budaghyan` does not apply to the resolved spec, or None
+    when it does: a Leander member with a + a^q = 1 and even r."""
+    if rs.family != "leander_r":
+        return "the closed dual form is for the leander_r family"
+    if params.trace_rel(rs.a) != 1:
+        return "closed dual form needs the normalization a + a^q = 1"
+    if rs.r % 2 != 0:
+        return ("the closed dual form resolves the fractional power only "
+                "for even r; use the walsh or product route")
+    return None
+
+
 def dual_budaghyan(spec: NihoSpec, params: FieldParams) -> boolfn.BooleanFunction:
     """Closed dual form of the Leander family (normalized a + a^q = 1):
 
@@ -264,13 +277,9 @@ def dual_budaghyan(spec: NihoSpec, params: FieldParams) -> boolfn.BooleanFunctio
     popcount.
     """
     rs = spec.resolve(params)
-    if rs.family != "leander_r":
-        raise ValueError("the closed dual form is for the leander_r family")
-    if params.trace_rel(rs.a) != 1:
-        raise ValueError("closed dual form needs the normalization a + a^q = 1")
-    if rs.r % 2 != 0:
-        raise ValueError("the closed dual form resolves the fractional power "
-                         "only for even r; use the walsh or product route")
+    obstacle = closed_dual_obstacle(rs, params)
+    if obstacle is not None:
+        raise ValueError(obstacle)
     K, F = params.K, params.F
     e = smallest_half_trace(params)
 
@@ -306,25 +315,3 @@ def save_g_table(g: UnitCircleMap, path) -> None:
         fh.write("u_index,g_index\n")
         for j, v in enumerate(g.values):
             fh.write(f"{j},{int(v)}\n")
-
-
-def load_g_table(path, params: FieldParams) -> UnitCircleMap:
-    vals = np.zeros(params.q + 1, dtype=np.int32)
-    seen = np.zeros(params.q + 1, dtype=bool)
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "u_index,g_index":
-            raise ValueError("bad g-table header")
-        for line in fh:
-            j_s, v_s = line.strip().split(",")
-            j, v = int(j_s), int(v_s)
-            if not (0 <= j <= params.q and 0 <= v < params.q):
-                raise ValueError(f"g-table row {j},{v} out of range: u_index "
-                                 f"in [0, {params.q}], g_index in [0, {params.q})")
-            if seen[j]:
-                raise ValueError(f"u_index {j} appears twice")
-            vals[j] = v
-            seen[j] = True
-    if not seen.all():
-        raise ValueError("g-table must cover the whole circle")
-    return UnitCircleMap(params.m, vals)

@@ -413,11 +413,6 @@ def _form_bits(images: np.ndarray, Q: Prequasifield) -> np.ndarray:
         basis_masks.reshape(-1, *(1,) * images.ndim) & images) & 1
 
 
-def _is_symmetric(gram: np.ndarray) -> bool:
-    """Every R_z self-adjoint: B(e_i, e_j o z) = B(e_j, e_i o z)."""
-    return bool(np.array_equal(gram, gram.transpose(1, 0, 2)))
-
-
 def adjoint(images: np.ndarray, Q: Prequasifield) -> np.ndarray:
     """Tables of the adjoints of k linear maps w.r.t. Q's bilinear form,
     B(adj(x), y) = B(x, map(y)) for all x, y.
@@ -429,11 +424,18 @@ def adjoint(images: np.ndarray, Q: Prequasifield) -> np.ndarray:
     return _adjoint_of_bits(_form_bits(images, Q), Q)
 
 
+def _vector_of_bits(bits: np.ndarray, Q: Prequasifield) -> np.ndarray:
+    """The vectors whose B masks have bit j = bits[..., j]: the bits
+    packed into masks, then the mask inverse."""
+    masks = (bits.astype(np.int32) << np.arange(Q.dim, dtype=np.int32)
+             ).sum(axis=-1, dtype=np.int32)
+    return Q.b_mask_inverse()[masks]
+
+
 def _adjoint_of_bits(bits: np.ndarray, Q: Prequasifield) -> np.ndarray:
     """`adjoint` from the bits [i, j, c] = B(e_i, map_c(e_j))."""
-    masks = (bits.astype(np.int32) << np.arange(Q.dim, dtype=np.int32)[:, None]
-             ).sum(axis=1, dtype=np.int32)
-    return kernels.linear_map_table(Q.b_mask_inverse()[masks], Q.dim)
+    return kernels.linear_map_table(
+        _vector_of_bits(bits.transpose(0, 2, 1), Q), Q.dim)
 
 
 def transpose_pqf(Q: Prequasifield) -> Prequasifield:
@@ -453,23 +455,17 @@ def dual_pqf(Q: Prequasifield, name: str | None = None) -> Prequasifield:
 
 
 def is_symplectic(Q: Prequasifield) -> bool:
-    """B(x o z, y) = B(x, y o z) for all triples.
+    """B(x o z, y) = B(x, y o z) for all triples: every R_z self-adjoint,
+    that is the kept Gram array B(e_i, e_j o z) symmetric in (i, j).  The
+    one decision of the flag; `star_table`, `sqrt_diag_g_table` and
+    `spread transpose` read it.
 
     Defined for tables that pass the axioms (the CLI ensures it through
-    `_valid_pqf`), where every R_z is linear: decided exactly through
-    self-adjointness of every R_z, a Gram array symmetric in (i, j)
-    (identical to the literal triple check, which is cross-asserted for
-    small carriers)."""
-    literal_cap = 64          # size^3 bits for the literal triple check
-    per_z = _is_symmetric(Q.gram())
-    if Q.size <= literal_cap:
-        bt = np.bitwise_count(Q.b_mask_table()[:, None]
-                              & np.arange(Q.size, dtype=np.int32)) & 1
-        # bt[x, y] = B(x, y); [x, y, z]: B(x o z, y) against B(x, y o z)
-        literal = bool(np.array_equal(bt[Q.table].transpose(0, 2, 1),
-                                      bt[:, Q.table]))
-        assert literal == per_z, "triple check and Gram check must agree"
-    return per_z
+    `_valid_pqf`): every R_z is linear, so its basis rows fix it and the
+    Gram test is exact.  There it also decides Q^t = Q, since column z of
+    Q^t is the adjoint of R_z."""
+    gram = Q.gram()
+    return bool(np.array_equal(gram, gram.transpose(1, 0, 2)))
 
 
 def knuth_orbit(Q: Prequasifield):
@@ -566,16 +562,12 @@ def sqrt_diag_g_table(Q: Prequasifield) -> np.ndarray:
     (sqrt(z) for the field, (sqrt z1, sqrt z2) for Lueneburg).
 
     Defined for tables that pass the axioms (the CLI ensures it through
-    `_valid_pqf`).  When every R_z is self-adjoint, x -> B(x, x o z) is
-    linear, so G(z) is the vector whose B mask has bit i = B(e_i, e_i o z),
-    the diagonal of the Gram array."""
-    gram = Q.gram()
-    if not _is_symmetric(gram):
+    `_valid_pqf`), and raises unless `is_symplectic`.  When every R_z is
+    self-adjoint, x -> B(x, x o z) is linear, so G(z) is the vector whose
+    B mask has bit i = B(e_i, e_i o z), the diagonal of the Gram array."""
+    if not is_symplectic(Q):
         raise ValueError("diagonal construction needs a symplectic spread")
-    diag = np.diagonal(gram, axis1=0, axis2=1)                      # [z, i]
-    masks = (diag.astype(np.int32) << np.arange(Q.dim, dtype=np.int32)
-             ).sum(axis=1, dtype=np.int32)
-    return Q.b_mask_inverse()[masks]
+    return _vector_of_bits(np.diagonal(Q.gram(), axis1=0, axis2=1), Q)  # [z, i]
 
 
 # ---------------------------------------------------------------------------

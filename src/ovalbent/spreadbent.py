@@ -69,8 +69,10 @@ class BivariateLineOval:
 
 
 def star_table(Q: Prequasifield) -> np.ndarray:
-    """Table of Q^t: Q's own if the Gram array is symmetric, else kept on Q."""
-    return Q.table if spread_mod._is_symmetric(Q.gram()) else Q.transposed().table
+    """Table of Q^t: Q's own when Q is symplectic (`spread.is_symplectic`:
+    then Q^t = Q, and no transpose is built), else the transpose kept on
+    Q."""
+    return Q.table if spread_mod.is_symplectic(Q) else Q.transposed().table
 
 
 def g_square_star(Q: Prequasifield) -> np.ndarray:
@@ -101,8 +103,9 @@ def bent_bivariate(spec: SpreadBentSpec) -> boolfn.BooleanFunction:
 
 
 def _is_permutation(values: np.ndarray, size: int) -> bool:
-    """values is a permutation of 0..size-1 (sort-and-compare: np.unique
-    imports numpy.ma, 12 ms of every fresh process)."""
+    """values is a permutation of 0..size-1, by sort-and-compare (a plain
+    `np.unique(values)` imports numpy.ma on numpy 2.4, about 15 ms of a
+    fresh process)."""
     return bool(np.array_equal(np.sort(values), np.arange(size)))
 
 

@@ -443,6 +443,21 @@ def g_of_spec_naive(rs, params):
     return vals
 
 
+def load_g_table(path, params):
+    """The circle map of a `g_table.csv` artifact (`niho.save_g_table`):
+    the header, then the row `u_index,g_index` of each circle point in
+    circle order."""
+    from ovalbent import niho
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    assert lines[0] == "u_index,g_index"
+    rows = [[int(v) for v in ln.split(",")] for ln in lines[1:]]
+    assert [j for j, _ in rows] == list(range(params.q + 1))
+    assert all(0 <= v < params.q for _, v in rows)
+    return niho.UnitCircleMap(params.m,
+                              np.array([v for _, v in rows], dtype=np.int32))
+
+
 def family_members(m):
     """A default member of every family that is defined at m."""
     from ovalbent import niho

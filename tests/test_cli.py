@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from ovalbent import boolfn, cli, geometry, niho, gf, spread, spreadbent
-from oracles import b_form_masks, walsh_by_rows
-from test_spread import NOT_F_SYMMETRIC, _relabel_phi, _relabelled_luneburg
+from oracles import b_form_masks, load_g_table, walsh_by_rows
+from test_spread import (NOT_F_SYMMETRIC, _relabel_phi, _relabelled_luneburg,
+                         _rule_pqf)
 
 
 def run_cli(argv, **kw):
@@ -28,7 +29,7 @@ def test_niho_binomial3_m3(tmp_path):
     # artifacts reload to the same objects
     f = boolfn.load_truth_table(tmp_path / "truth_table.txt")
     p = gf.field_make(3)
-    g = niho.load_g_table(tmp_path / "g_table.csv", p)
+    g = load_g_table(tmp_path / "g_table.csv", p)
     assert f == niho.bent_from_g(g, p)
     d = boolfn.load_truth_table(tmp_path / "dual.txt")
     assert d == niho.dual_walsh(niho.bent_from_g(g, p), p)
@@ -100,7 +101,7 @@ def test_oval_convert_round_trips_niho_line_ovals(tmp_path, capsys):
                          "--lines-json", str(d / "line_oval.json")]) == 0
         points_text = capsys.readouterr().out
         p = gf.field_make(m)
-        want = geometry.oval_from_g(niho.load_g_table(d / "g_table.csv", p), p)
+        want = geometry.oval_from_g(load_g_table(d / "g_table.csv", p), p)
         got_m, got = geometry.oval_from_json(points_text)
         assert got_m == m and got.infinite
         assert (got.points, got.infinite) == (want.points, want.infinite)
@@ -118,6 +119,39 @@ def test_dual_cross_check_all_methods():
         assert r.returncode == 0, (method, check, r.stderr)
         verdicts = json.loads(r.stdout)["verdicts"]
         assert all(verdicts.values())
+
+
+def test_niho_leander_with_unnormalized_a_skips_the_closed_dual(capsys):
+    """The closed dual form needs a + a^q = 1 besides even r: a Leander
+    member with another a is bent and reported on the Walsh and product
+    routes, and the default, normalized a keeps the closed-form verdict."""
+    for m, a in ((7, "5"), (5, "3")):
+        assert cli.main(["niho", "--family", "leander_r", "--m", str(m),
+                         "--r", "2", "--a-index", a]) == 0
+        verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+        assert verdicts == {"bent": True, "line_oval": True,
+                            "dual_walsh_eq_product": True}
+    assert cli.main(["niho", "--family", "leander_r", "--m", "5",
+                     "--r", "2"]) == 0
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert verdicts == {"bent": True, "line_oval": True,
+                        "dual_walsh_eq_product": True,
+                        "dual_walsh_eq_budaghyan": True}
+
+
+def test_dual_budaghyan_outside_its_domain_is_bad_input(capsys):
+    for argv, msg in [
+            (["--family", "quadratic", "--m", "3"],
+             "the closed dual form is for the leander_r family"),
+            (["--family", "leander_r", "--m", "5", "--r", "2", "--a-index", "3"],
+             "closed dual form needs the normalization a + a^q = 1"),
+            (["--family", "leander_r", "--m", "4", "--r", "3"],
+             "the closed dual form resolves the fractional power only for "
+             "even r; use the walsh or product route")]:
+        assert cli.main(["dual", *argv, "--method", "budaghyan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {msg}"]
+        assert captured.out == ""
 
 
 def test_ea_report():
@@ -200,6 +234,25 @@ def test_spread_transpose_roundtrip(tmp_path):
     assert rep["symplectic_fixed_point"] and rep["involution_ok"]
 
 
+def test_spread_transpose_reports_the_symplectic_fixed_point(tmp_path, capsys):
+    """symplectic_fixed_point is false for a valid table that is not
+    symplectic and true for field:3 and luneburg:3, and it says whether
+    the transpose written is the table itself."""
+    path = tmp_path / "x2z.pqf"
+    with open(path, "w") as fh:
+        spread.write_pqf(_rule_pqf("x^2 z"), fh)
+    out = tmp_path / "t.pqf"
+    for pqf, want in ((str(path), False), ("field:3", True),
+                      ("luneburg:3", True)):
+        assert cli.main(["spread", "transpose", "--pqf", pqf,
+                         "--out", str(out)]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["symplectic_fixed_point"] is want, pqf
+        assert rep["involution_ok"] and rep["perpendicular_ok"]
+        Q = cli._read_pqf(pqf)
+        assert np.array_equal(spread.load_pqf(out).table, Q.table) is want
+
+
 def test_validation_is_exhaustive_and_seed_has_no_effect():
     # carrier size 128: the axioms are still checked on all triples
     build = run_cli(["spread", "build", "--kind", "kantor", "--m", "7",
@@ -218,8 +271,19 @@ def test_validation_is_exhaustive_and_seed_has_no_effect():
     assert json.loads(v1.stdout)["validation"]["exhaustive"] is True
 
 
+def test_spread_knuth_exit_code_follows_dtd_equals_tdt(monkeypatch, capsys):
+    """A false dtd_equals_tdt, the report's verdict, exits 1 even when the
+    orbit has at most six items."""
+    knuth_orbit = spread.knuth_orbit
+    monkeypatch.setattr(spread, "knuth_orbit",
+                        lambda Q: (knuth_orbit(Q)[0], False))
+    assert cli.main(["spread", "knuth", "--pqf", "kantor:3:1:1:0"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["dtd_equals_tdt"] is False and rep["orbit_size"] <= 6
+
+
 def test_spread_commands_leave_numpy_ma_unimported(tmp_path):
-    # np.unique imports numpy.ma, 12 ms of every fresh process
+    # a plain np.unique imports numpy.ma, about 15 ms of a fresh process
     for argv in (["spread", "bent", "--pqf", "luneburg:3", "--g", "sqrt"],
                  ["spread", "validate", "--pqf", "kantor:3:1:1:0"],
                  ["spread", "knuth", "--pqf", "kantor:3:1:1:0"],

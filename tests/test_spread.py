@@ -817,9 +817,22 @@ def test_validation_matches_all_triples_oracle(name):
     assert got.pop("exhaustive") is True
     assert got == validate_naive(Q)
     assert got["axioms_ok"] == (name in SMALL or name.endswith("frobenius"))
+    if got["axioms_ok"]:                  # the domain of is_symplectic
+        assert spread.is_symplectic(Q) == got["is_symplectic"]
     if "right_distributive" in got["failures"]:
         x, y, z = got["failures"]["right_distributive"]
         assert pqf_mul(Q, x ^ y, z) != pqf_mul(Q, x, z) ^ pqf_mul(Q, y, z)
+
+
+@pytest.mark.parametrize("name", ["x^2 z", "kantor:3:0"])
+def test_is_symplectic_matches_all_triples_oracle_on_knuth_orbits(name):
+    """Each orbit holds symplectic and non-symplectic items, and the Gram
+    decision agrees with B(x o z, y) = B(x, y o z) over all triples on
+    every one."""
+    items, _ = spread.knuth_orbit(CARRIERS[name]())
+    flags = [spread.is_symplectic(Q) for _, Q in items]
+    assert flags == [validate_naive(Q)["is_symplectic"] for _, Q in items]
+    assert True in flags and False in flags
 
 
 @pytest.mark.parametrize("rows", [1, 3])
