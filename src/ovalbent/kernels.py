@@ -4,17 +4,18 @@ Each kernel has one numpy implementation.  All field multiplications
 inside kernels go through log/exp tables, so kernels only ever see plain
 numpy arrays and ints.  The kernels that do their own log arithmetic
 take the doubled antilog table `BinaryField.exp2` in their `exp_k`
-position (the product rule of `gf`): the product sums log u + log v of
-`univariate_product_dual` and the quotient sums log d1 + ord - log d2
-of `collinear_scan` stay below 2 ord and index it with no modulo.  Index
-tables and index arithmetic are int32 (every index is below 2^24, and
-every log sum below 2^31), except the product sums log u + log v and
-the packed points of the two bivariate scatters, which are intp, the
-index dtype of numpy's fast gather and scatter paths.  The univariate
-incidence kernels use closed forms: the line cover counts the
-rows of `geometry.line_point_rows`, each the log of u^q plus a row of
-the per-field coset log table (`FieldParams.coset_log_table`) read
-through one clipped gather, and the product dual works ray by ray.
+position (the product rule of `gf`): the quotient sums log d1 + ord -
+log d2 of `collinear_scan` stay below 2 ord and index it with no
+modulo.  Index tables and index arithmetic are int32 (every index is
+below 2^24, and every log sum below 2^31), except the log sums of
+`univariate_product_dual` and the packed points of the two bivariate
+scatters, which are intp, the index dtype of numpy's fast gather and
+scatter paths.  The univariate incidence kernels use closed forms: the
+line cover counts the rows of `geometry.line_point_rows`, each the log
+of u^q plus a row of the per-field coset log table
+(`FieldParams.coset_log_table`) read through one clipped gather, and
+the product dual is one outer sum of a log per line and a log per
+circle index, scattered into a table over the logs of K.
 The Walsh transform is one float matrix product per digit of at most
 5 index bits (the bits split evenly over the fewest digits), since the
 Walsh matrix is the Kronecker product of one Hadamard matrix per
@@ -39,6 +40,7 @@ and work on real workloads come from
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -213,33 +215,46 @@ def univariate_product_dual(s, g_embedded, conj, log_k, exp_k, ord_k,
                             out) -> None:
     """Dual via the product formula: 0 iff some T(u x) + g(u) vanishes.
 
-    For x = lam v (lam in F*, v on the circle) the factor at u is
-    lam T(uv) + g(u), and T(uv) = 0 only for uv = 1.  So each pair with
-    uv != 1 and g(u) != 0 zeroes the one point g(u) / T(uv) v, and each u
-    with g(u) = 0 zeroes x = 0 and the whole ray through 1/u.  The pairs
-    run in blocks of u rows (`row_blocks`).  exp_k is the doubled antilog
-    table (`BinaryField.exp2`): the sums log u + log v and the ray sums
-    are below 2 ord_k and index it directly.
+    Every u must lie on the unit circle, u = S[a] with log u = (q-1) a
+    (a ValueError otherwise); the lines may come in any order.  For
+    x = lam v with lam in F*, v = S[b] and w = a + b mod q+1, uv = S[w]
+    and the factor at u is lam T(S[w]) + g(u), where T(S[w]) = 0 only
+    for w = 0.  Since (q-1)(q+1) = ord_k, the zero lam = g(u) / T(S[w])
+    of a line with g(u) != 0 is the point of log
+
+        log x = R[u] + C[w] mod ord_k,
+        R[u] = log g(u) - log u,   C[w] = (q-1) w - log T(S[w]),
+
+    one term per line and one per circle index w = 1..q.  So the zeros
+    are one outer sum: with both terms reduced to [0, ord_k), each block
+    of lines (`row_blocks`) scatters its intp sums into a uint8 table
+    over the logs [0, 2 ord_k), whose upper half is then folded onto the
+    lower.  Each u with g(u) = 0 zeroes x = 0 and the ray through 1/u,
+    the logs of residue -log u mod q+1.  The table is read over K once
+    through log_k, whose sentinel log 0 = 2 ord_k indexes the entry of
+    x = 0, the last.  exp_k is an antilog table of K read below ord_k.
     """
-    log_s = log_k[s]
-    log_g = log_k[g_embedded]
-    out[:] = 1
-    for u0, us in row_blocks(s.shape[0]):
-        u = slice(u0, u0 + us.shape[0])
-        uv = exp_k[np.add(log_s[u, None], log_s, dtype=np.intp)]    # [u, v] = u v
-        t = uv ^ conj[uv]                                    # T(uv)
-        hit = (t != 0) & (g_embedded[u, None] != 0)
-        # log g - log T + log v lies in (-ord_k, 2 ord_k), so it keeps its
-        # modulo; the sentinel log 0 of a zero g or T only reaches the
-        # entries that `hit` drops
-        log_pts = log_g[u, None] - log_k[t] + log_s
-        out[exp_k[log_pts[hit] % ord_k]] = 0
-    zero_u = g_embedded == 0
-    if zero_u.any():
-        out[0] = 0
-        rays = log_k[conj[s[zero_u]]][:, None] + np.arange(
-            0, ord_k, s.shape[0], dtype=np.int32)
-        out[exp_k[rays]] = 0
+    q = math.isqrt(ord_k + 1)
+    log_u = log_k[s]
+    if (log_u % (q - 1)).any() or not s.all():
+        raise ValueError("every u of the product dual must lie on the unit circle")
+    circle = (q - 1) * np.arange(1, q + 1, dtype=np.intp)  # log S[w], w = 1..q
+    sw = exp_k[circle]
+    c = (circle - log_k[sw ^ conj[sw]]) % ord_k
+    on = g_embedded != 0
+    r = ((log_k[g_embedded] - log_u) % ord_k)[on]
+    table = np.ones(2 * ord_k + 1, dtype=np.uint8)
+    for u0, us in row_blocks(s.shape[0]):      # r holds at most s.shape[0] lines
+        table[r[u0:u0 + us.shape[0], None] + c] = 0
+    table[:ord_k] &= table[ord_k:2 * ord_k]
+    if not on.all():
+        table[2 * ord_k] = 0
+        table[:ord_k].reshape(q - 1, q + 1)[:, -log_u[~on] % (q + 1)] = 0
+    # in blocks, since take casts its int32 index to intp; clip: every log
+    # is a valid index, and out is written unbuffered
+    for x0 in range(0, out.shape[0], BLOCK_ENTRIES):
+        x = slice(x0, x0 + BLOCK_ENTRIES)
+        np.take(table, log_k[x], out=out[x], mode="clip")
 
 
 def line_cover_counts(rows, nbits) -> np.ndarray:

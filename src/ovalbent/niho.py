@@ -6,8 +6,8 @@ truth tables, the associated line ovals, and the dual function along
 three independent routes: Walsh signs, the circle product formula, and
 (for the Leander family) the closed trace form.  The line oval comes
 from the coset form of each line L(u, g(u)) (`geometry.line_point_rows`);
-the product route works ray by ray on x = lam v instead, so the two stay
-independent computations of the same zero set.
+the product route is an outer sum of logs over the pairs (u, g(u))
+instead, so the two stay independent computations of the same zero set.
 
 The truth table is one gather over K through the polar log table
 (`FieldParams.polar_log_table`).  A command builds it once and hands it
@@ -227,9 +227,14 @@ def dual_product_formula(oval: geometry.LineOval,
                          params: FieldParams) -> boolfn.BooleanFunction:
     """Dual as prod_u (T(x u) + g(u))^(q-1) over the lines L(u, g(u)) of
     the line oval, the power taken as the zero indicator: the value at x
-    is 0 iff some factor vanishes.  `line_oval_from_g` returns an oval
-    only for a bent g, so the oval is this route's bentness guard; the
-    formula reads its pairs (u, g(u)) and never the covered set."""
+    is 0 iff some factor vanishes.  The zeros are one outer sum of logs
+    (`kernels.univariate_product_dual`): log x = R[u] + C[w] mod ord_K
+    for x = lam v, uv = S[w], with R[u] = log g(u) - log u per line and
+    C[w] = (q-1) w - log T(S[w]) per circle index w != 0, plus x = 0 and
+    the ray through 1/u for each zero of g.  `line_oval_from_g` returns
+    an oval only for a bent g, so the oval is this route's bentness
+    guard; the formula still reads only its pairs (u, g(u)), never the
+    covered set or the line rows of `geometry.line_point_rows`."""
     us = np.array([ln.u for ln in oval.lines], dtype=np.int32)
     ge = params.embed[np.array([ln.mu for ln in oval.lines], dtype=np.int32)]
     out = np.zeros(params.K.size, dtype=np.uint8)

@@ -581,15 +581,33 @@ def write_pqf(Q: Prequasifield, fh) -> None:
         fh.write(" ".join(map(str, row.tolist())) + "\n")
 
 
+def _plain(text: str) -> bool:
+    """text, a q= value or a stripped table line that int() has read, is
+    plain: ASCII digits and spaces only.  Besides digits, int() reads a
+    sign and underscores in an ASCII entry, and str.split() splits at
+    ASCII whitespace other than the space.  One substring test per such
+    character, written out: a generator over them costs three times as
+    much, and a per-entry check as much as the parse."""
+    return text.isascii() and not (
+        "+" in text or "-" in text or "_" in text or "\t" in text
+        or "\n" in text or "\x0b" in text or "\x0c" in text or "\x1c" in text
+        or "\x1d" in text or "\x1e" in text or "\x1f" in text)
+
+
 def read_pqf(lines) -> Prequasifield:
     """Parse lines (of a file, stdin, a list) into the table, allocated once
     the header passes; a (q+2)-th line fails on arrival.  Blank lines are
-    skipped, and lines end at LF, CR or CR LF in any newline mode."""
+    skipped, and lines end at LF, CR or CR LF in any newline mode.  The
+    q= value and each table line, stripped, must be plain (`_plain`):
+    no sign, underscore, tab or non-ASCII digit, all of which int() or
+    str.split() would take."""
     rows = (ln for chunk in lines for ln in chunk.split("\r") if ln.strip())
     head = next(rows, "").split()
     if len(head) != 2 or not head[0].startswith("q=") or not head[1].startswith("shape="):
         raise ValueError("bad prequasifield header")
     size, shape = int(head[0][2:]), head[1][6:]
+    if not _plain(head[0][2:]):
+        raise ValueError("the q= value must be plain decimal digits")
     dim = size.bit_length() - 1
     if size < 1 or 1 << dim != size:
         raise ValueError("carrier size must be a power of 2")
@@ -600,14 +618,18 @@ def read_pqf(lines) -> Prequasifield:
     span = f"table entries must lie in [0, {size})"
     table = np.empty((size, size), dtype=np.int32)
     for x in range(size):
-        try:                    # int() on each entry; a missing row is empty
-            row = np.array(next(rows, "").split(), dtype=np.int64)
+        line = next(rows, "")   # a missing row is empty
+        try:                    # int() on each entry
+            row = np.array(line.split(), dtype=np.int64)
         except OverflowError:
             raise ValueError(span) from None
         if row.shape != (size,):
             raise ValueError("table must be q rows of q integers")
         if row.min() < 0 or row.max() >= size:
             raise ValueError(span)
+        if not _plain(line.strip()):
+            raise ValueError("table entries must be plain decimal digits "
+                             "separated by spaces")
         table[x] = row
     if next(rows, None) is not None:
         raise ValueError("table must be q rows of q integers")

@@ -565,8 +565,8 @@ def _table_or_none(read, source):
 
 def test_string_file_and_stdin_read_the_same_lines(tmp_path, monkeypatch, capsys):
     """loads_pqf, load_pqf and `--pqf -` agree on every layout: a line ends
-    at LF, CR or CR LF, and a form feed or vertical tab is whitespace
-    within a line."""
+    at LF, CR or CR LF, and a form feed or vertical tab does not end a
+    line (at the ends of a line it is stripped)."""
     table = spread.field_pqf(2).table.tolist()
     path = tmp_path / "t.pqf"
     layouts = _pqf_layouts()
@@ -587,6 +587,26 @@ def test_string_file_and_stdin_read_the_same_lines(tmp_path, monkeypatch, capsys
     r = run_cli(["spread", "validate", "--pqf", "-"],
                 input=layouts["cr"][0])
     assert r.returncode == 0, r.stderr
+
+
+def test_spread_validate_takes_plain_digits_only(tmp_path, capsys):
+    """A table file whose entries or q= value int() reads but which are
+    not plain ASCII digits (a sign, an underscore, an Arabic-Indic
+    digit) is bad input for every command that reads a file."""
+    text = spread.dumps_pqf(spread.field_pqf(2))
+    path = tmp_path / "t.pqf"
+    for bad in (text.replace("0 1 2 3", "0 1 2 0_3"),
+                text.replace("0 1 2 3", "0 1 2 +3"),
+                text.replace("0 1 2 3", "0 1 2 \u0663"),
+                text.replace("q=4", "q=+4")):
+        path.write_text(bad, encoding="utf-8")
+        for argv in (["spread", "validate", "--pqf", str(path)],
+                     ["spread", "build", "--kind", "table", "--table", str(path)],
+                     ["spread", "bent", "--pqf", str(path), "--g", "sqrt"]):
+            _assert_input_error(argv, capsys)
+    path.write_text(text.replace("0 1 2 3", "00 1  2 3"), encoding="utf-8")
+    assert cli.main(["spread", "validate", "--pqf", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["validation"]["axioms_ok"]
 
 
 def _oval_doc(tmp_path, points, infinite=()):

@@ -200,6 +200,65 @@ def test_univariate_product_dual_in_blocks_of_u_rows(monkeypatch, m):
             assert np.array_equal(out, want), rows
 
 
+def _product_dual_maps(m):
+    """Bent maps of every family that resolves at m, the first one
+    translated to vanish at S[1] (bent, with a zero of g), and seeded
+    maps (mostly not bent): one with zeros, one with none, and the
+    all-zero map, whose lines all pass through 0."""
+    p = gf.field_make(m)
+    specs = [niho.NihoSpec(f, m) for f in niho.FAMILIES if f != "leander_r"]
+    specs += [niho.NihoSpec("leander_r", m, r=r) for r in range(2, m)
+              if np.gcd(r, m) == 1]
+    bent = []
+    for spec in specs:
+        try:
+            bent.append(niho.g_of_spec(spec, p).values)
+        except ValueError:                      # binomial_1_6 at odd m
+            pass
+    u1 = int(p.S[1])
+    c = p.F.div(int(bent[0][1]), p.trace_rel(u1))         # T(c u1) = g(u1)
+    shifted = niho.shift_by_linear(niho.UnitCircleMap(m, bent[0].copy()),
+                                   int(p.embed[c]), p).values
+    assert shifted[1] == 0
+    rng = np.random.default_rng(30 + m)
+    zeros = rng.integers(1, p.q, size=p.q + 1)
+    zeros[rng.choice(p.q + 1, size=3, replace=False)] = 0
+    return p, bent + [shifted], [zeros, rng.integers(1, p.q, size=p.q + 1),
+                                 np.zeros(p.q + 1, dtype=np.int64)]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_univariate_product_dual_is_the_uncovered_set(m):
+    """The kernel's zeros are the points that no line L(u, g(u)) covers,
+    for the lines in circle order and in a seeded shuffled order."""
+    p, bent, other = _product_dual_maps(m)
+    rng = np.random.default_rng(m)
+    for i, gvals in enumerate(bent + other):
+        lines = [AffineLineK(int(u), int(g)) for u, g in zip(p.S, gvals)]
+        cover = line_cover_naive(lines, p)
+        assert set(np.unique(cover)) <= {0, 2} or i >= len(bent)
+        want = (cover == 0).astype(np.uint8)
+        for order in (np.arange(p.q + 1), rng.permutation(p.q + 1)):
+            out = np.full(p.K.size, 7, dtype=np.uint8)
+            kernels.univariate_product_dual(
+                p.S[order], p.embed[gvals[order]], p.conj_table(), p.K.log,
+                p.K.exp2, p.K.order, out)
+            assert np.array_equal(out, want), (i, order[:4])
+
+
+def test_univariate_product_dual_rejects_lines_off_the_circle():
+    p = gf.field_make(3)
+    g = niho.g_of_spec(niho.NihoSpec("quadratic", 3), p).values
+    for off in (p.gamma, 0, int(p.embed[2])):   # log 1, no log, in F - {1}
+        s = p.S.copy()
+        s[4] = off
+        out = np.full(p.K.size, 7, dtype=np.uint8)
+        with pytest.raises(ValueError, match="unit circle"):
+            kernels.univariate_product_dual(s, p.embed[g], p.conj_table(),
+                                            p.K.log, p.K.exp2, p.K.order, out)
+        assert (out == 7).all()
+
+
 def test_line_cover_counts_repeated_directions():
     for m in (2, 3, 4, 5):
         p = gf.field_make(m)

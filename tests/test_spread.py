@@ -552,6 +552,36 @@ def test_pqf_file_format(tmp_path):
             spread.loads_pqf(bad)
 
 
+def test_pqf_reader_takes_plain_digits_only():
+    """Table lines and the q= value hold ASCII digits and spaces only;
+    whitespace at the ends of a line is stripped.  int() reads every
+    rejected entry as a number."""
+    table = spread.field_pqf(2).table
+    text = spread.dumps_pqf(spread.field_pqf(2))
+    row = "0 1 2 3"
+    assert row in text
+    layouts = {"leading zeros": (text.replace(row, "00 01 002 3"), True),
+               "runs of spaces": (text.replace(row, "0  1 2   3 "), True),
+               "ff line ends": (text.replace("\n", "\x0c\n"), True),
+               "q= leading zero": (text.replace("q=4", "q=04"), True),
+               "underscore": (text.replace(row, "0 1 2 0_3"), False),
+               "plus sign": (text.replace(row, "0 +1 2 3"), False),
+               "minus zero": (text.replace(row, "-0 1 2 3"), False),
+               "arabic-indic digit": (text.replace(row, "0 1 2 \u0663"), False),
+               "fullwidth digit": (text.replace(row, "0 1 2 \uff13"), False),
+               "tab": (text.replace(row, "0 1 2\t3"), False),
+               "unit separator": (text.replace(row, "0 1\x1f2 3"), False),
+               "q= plus sign": (text.replace("q=4", "q=+4"), False),
+               "q= underscore": (text.replace("q=4", "q=0_4"), False),
+               "q= arabic-indic digit": (text.replace("q=4", "q=\u0664"), False)}
+    for name, (layout, accepted) in layouts.items():
+        if accepted:
+            assert np.array_equal(spread.loads_pqf(layout).table, table), name
+        else:
+            with pytest.raises(ValueError, match="plain decimal digits"):
+                spread.loads_pqf(layout)
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_field_table_matches_scalar_oracle(m):
     Q = spread.field_pqf(m)
