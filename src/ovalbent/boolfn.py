@@ -162,16 +162,12 @@ def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
 
 
 def is_bent(f: BooleanFunction) -> bool:
-    if f.k % 2 != 0:
-        raise ValueError("bentness is defined for an even number of variables")
     return walsh_transform(f).is_bent()
 
 
 def dual(f: BooleanFunction, masks: np.ndarray | None = None) -> BooleanFunction:
     """Dual bent function read off the Walsh-transform signs (see
     `WalshSpectrum.dual` for masks)."""
-    if f.k % 2 != 0:
-        raise ValueError("bentness is defined for an even number of variables")
     return walsh_transform(f).dual(masks)
 
 
@@ -219,7 +215,10 @@ def dumps_truth_table(f: BooleanFunction) -> str:
 
 def loads_truth_table(text: str) -> BooleanFunction:
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if len(lines) != 2 or lines[0][:2] != "k=" or not lines[0][2:].isdecimal():
+    # ASCII digits after k=, and one word of hex: bytes.fromhex skips
+    # whitespace, and rejects any other character that is not a hex digit
+    if len(lines) != 2 or lines[0][:2] != "k=" or not lines[0][2:].isdecimal() \
+            or not lines[0].isascii() or len(lines[1].split()) != 1:
         raise ValueError("expected a `k=<int>` header line (k >= 0) and one hex line")
     k = int(lines[0][2:])
     raw = np.frombuffer(bytes.fromhex(lines[1]), dtype=np.uint8)

@@ -193,9 +193,7 @@ def cmd_dual(args) -> int:
             return niho.dual_product_formula(oval, params)
         if method == "budaghyan":
             return niho.dual_budaghyan(spec, params)
-        if method == "chi-swap":
-            return boolfn.BooleanFunction(params.n, 1 ^ oval.e_table)
-        raise InputError(f"unknown method {method}")
+        return boolfn.BooleanFunction(params.n, 1 ^ oval.e_table)   # chi-swap
 
     d1 = dual_by(args.method)
     verdicts = {}
@@ -245,15 +243,17 @@ def cmd_ea(args) -> int:
 # spread
 # ---------------------------------------------------------------------------
 
-# fields of each `--pqf` kind spec after the kind: m, or m:chain:lambdas:zetas
-_KIND_FIELDS = {"field": 1, "luneburg": 1, "kantor": 4}
+# the fields each construction kind reads: after the kind in a `--pqf` kind
+# spec (field:m, kantor:m:chain:lambdas:zetas), and as `spread build` flags
+_KIND_FIELDS = {"field": ("m",), "kantor": ("m", "chain", "lambdas", "zetas"),
+                "luneburg": ("m",), "table": ("table",)}
 
 
 def _kind_pqf(kind: str, m: int, chain: str | None = None,
               lambdas: str | None = None, zetas: str | None = None
               ) -> spread.Prequasifield:
-    """The prequasifield of a construction kind (a key of `_KIND_FIELDS`);
-    chain, lambdas and zetas are comma lists, read by kantor only."""
+    """The prequasifield of a construction kind other than table; chain,
+    lambdas and zetas are comma lists, read by kantor only."""
     if kind == "field":
         return spread.field_pqf(m)
     if kind == "luneburg":
@@ -269,10 +269,10 @@ def _read_pqf(path: str) -> spread.Prequasifield:
         return spread.read_pqf(sys.stdin)
     if ":" in path and not Path(path).exists():
         kind, *fields = path.split(":")
-        if kind not in _KIND_FIELDS:
+        if kind not in _KIND_FIELDS or kind == "table":
             raise InputError(f"unknown prequasifield kind {kind!r}")
-        if len(fields) != _KIND_FIELDS[kind]:
-            raise InputError(f"a {kind} kind spec has {_KIND_FIELDS[kind]} "
+        if len(fields) != len(_KIND_FIELDS[kind]):
+            raise InputError(f"a {kind} kind spec has {len(_KIND_FIELDS[kind])} "
                              f"field(s) after the kind, got {len(fields)}")
         return _kind_pqf(kind, int(fields[0]), *fields[1:])
     return spread.load_pqf(path)
@@ -282,14 +282,9 @@ def _csv_ints(text: str | None) -> list[int]:
     return [int(v) for v in text.split(",")] if text else []
 
 
-# the `spread build` flags beyond --kind and --out, and the kinds that read each
-_BUILD_FLAGS = {"m": ("field", "kantor", "luneburg"), "chain": ("kantor",),
-                "lambdas": ("kantor",), "zetas": ("kantor",), "table": ("table",)}
-
-
 def _build_pqf(args) -> spread.Prequasifield:
-    for flag, kinds in _BUILD_FLAGS.items():
-        if getattr(args, flag) is not None and args.kind not in kinds:
+    for flag in ("m", "chain", "lambdas", "zetas", "table"):
+        if getattr(args, flag) is not None and flag not in _KIND_FIELDS[args.kind]:
             raise InputError(f"--kind {args.kind} does not read --{flag}")
     if args.kind == "table":
         if not args.table:
@@ -378,13 +373,16 @@ def _g_table_from_flag(flag: str, Q: spread.Prequasifield) -> np.ndarray:
     if flag in ("sqrt", "sqrt-diag"):
         return spread.sqrt_diag_g_table(Q)
     if flag.startswith("table:"):
-        path = flag[len("table:"):]
-        vals = [int(v) for v in Path(path).read_text().split()]
+        text = Path(flag[len("table:"):]).read_text()
+        vals = [int(v) for v in text.split()]
         if len(vals) != Q.size:
             raise InputError("G table must list one value per carrier element")
         # checked as Python ints, before any value can overflow or wrap
         if not all(0 <= v < Q.size for v in vals):
             raise InputError(f"G values must be carrier elements in [0, {Q.size})")
+        # the digit rule of table files, on each line (values may span lines)
+        if not all(spread._plain(line.strip()) for line in text.split("\n")):
+            raise InputError("G values must be plain decimal digits and spaces")
         return np.array(vals, dtype=np.int32)
     raise InputError(f"unknown --g flag {flag!r}")
 
@@ -475,8 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     ssub = p.add_subparsers(dest="spread_command", required=True)
 
     b = ssub.add_parser("build", help="construct a prequasifield table")
-    b.add_argument("--kind", required=True,
-                   choices=["field", "kantor", "luneburg", "table"])
+    b.add_argument("--kind", required=True, choices=list(_KIND_FIELDS))
     b.add_argument("--m", type=int)
     b.add_argument("--chain", help="comma list of subfield degrees")
     b.add_argument("--lambdas", help="comma list of F-indices")

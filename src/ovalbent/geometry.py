@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -376,10 +375,15 @@ def oval_to_json(oval: Oval, params: FieldParams) -> str:
     }, sort_keys=True)
 
 
+def _is_json(v, types) -> bool:
+    """v is a JSON value of `types`; true and false are not integers."""
+    return isinstance(v, types) and not isinstance(v, bool)
+
+
 def _check_range(values: Iterable[int], hi: int, what: str) -> None:
-    """Reject any value that is not an integer in [0, hi); JSON true is not."""
+    """Reject any value that is not an integer in [0, hi)."""
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, Integral) or not 0 <= v < hi:
+        if not _is_json(v, int) or not 0 <= v < hi:
             raise ValueError(f"{what} {v} out of range [0, {hi})")
 
 
@@ -403,29 +407,38 @@ def loads_json(text: str):
     return json.loads(text, object_pairs_hook=_unique_keys)
 
 
-def _json_document(text: str, kind: str, lists: tuple[str, ...],
-                   optional: tuple[str, ...] = ()) -> tuple[dict, int]:
-    """(d, m) for a JSON object of the given kind with an integer m, lists
-    under the keys `lists`, and no key outside these and `optional`."""
+def _json_document(text: str, name: str, fields: dict,
+                   kind: str | None = None) -> dict:
+    """The JSON object in `text`, called `name` in the errors, of the given
+    kind when `kind` is set and with no key outside `fields`.  Each field
+    maps to None (any value) or to (types, message): its value, None when
+    absent, must be of `types`, or ValueError(message) is raised with
+    {key} and {value} filled in."""
     d = loads_json(text)
-    if not isinstance(d, dict) or d.get("kind") != kind:
-        raise ValueError(f"not a JSON object of kind {kind!r}")
-    extra = sorted(set(d) - {"kind", "m", *lists, *optional})
+    if not isinstance(d, dict) or (kind and d.get("kind") != kind):
+        raise ValueError(f"not a JSON object of kind {kind!r}" if kind
+                         else f"{name} must be a JSON object")
+    extra = sorted(set(d) - set(fields))
     if extra:
-        raise ValueError(f"unknown keys in the {kind} document: {extra}")
-    m = d.get("m")
-    if isinstance(m, bool) or not isinstance(m, int):
-        raise ValueError(f"m must be an integer, not {m!r}")
-    for key in lists:
-        if not isinstance(d.get(key), list):
-            raise ValueError(f"{key!r} must be a list")
-    return d, m
+        raise ValueError(f"unknown keys in {name}: {extra}")
+    for key, rule in fields.items():
+        if rule is not None and not _is_json(d.get(key), rule[0]):
+            raise ValueError(rule[1].format(key=key, value=d.get(key)))
+    return d
+
+
+# the typed fields of the oval and line-oval documents
+_M_FIELD = (int, "m must be an integer, not {value!r}")
+_LIST_FIELD = (list, "{key!r} must be a list")
 
 
 def oval_from_json(text: str) -> tuple[int, Oval]:
     """(m, oval); points must be distinct K-indices and infinite tags
     distinct circle indices."""
-    d, m = _json_document(text, "oval", ("points", "infinite"), ("nucleus",))
+    d = _json_document(text, "the oval document",
+                       {"kind": None, "m": _M_FIELD, "points": _LIST_FIELD,
+                        "infinite": _LIST_FIELD, "nucleus": None}, "oval")
+    m = d["m"]
     if m not in M_RANGE:
         raise ValueError(f"m {m} out of the supported range")
     nucleus = d.get("nucleus")
@@ -447,8 +460,10 @@ def line_oval_to_json(lines: Iterable[AffineLineK], params: FieldParams) -> str:
 
 def line_oval_from_json(text: str, params: FieldParams) -> list[AffineLineK]:
     """Distinct lines [circle index, mu] over the field of `params`."""
-    d, m = _json_document(text, "line_oval", ("lines",))
-    if m != params.m:
+    d = _json_document(text, "the line_oval document",
+                       {"kind": None, "m": _M_FIELD, "lines": _LIST_FIELD},
+                       "line_oval")
+    if d["m"] != params.m:
         raise ValueError("field size mismatch")
     lines = d["lines"]
     if not all(isinstance(ln, list) and len(ln) == 2 for ln in lines):

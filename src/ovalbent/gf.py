@@ -229,10 +229,6 @@ class BinaryField:
 
     # -- scalar operations ----------------------------------------------
 
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        return a ^ b
-
     # the scalar operations do their log arithmetic on Python ints: an
     # int32 table entry times a Python int stays int32 and can wrap.  `mul`
     # follows the product rule, the clip written as a min.

@@ -51,11 +51,6 @@ class UnitCircleMap:
         return self.m == other.m and bool(np.array_equal(self.values, other.values))
 
 
-def _is_int(v) -> bool:
-    """A JSON integer: true and false are bools, which Python counts as ints."""
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 @dataclass(frozen=True)
 class NihoSpec:
     """A member of one of the four constructions.
@@ -119,21 +114,15 @@ class NihoSpec:
 
     @staticmethod
     def from_json(text: str) -> "NihoSpec":
-        d = geometry.loads_json(text)
-        if not isinstance(d, dict):
-            raise ValueError("a spec must be a JSON object")
-        extra = sorted(set(d) - {"family", "m", "a_index", "alpha2_index", "r"})
-        if extra:
-            raise ValueError(f"unknown keys in a spec: {extra}")
-        if not isinstance(d.get("family"), str):
-            raise ValueError("a spec needs a string 'family'")
-        if not _is_int(d.get("m")):
-            raise ValueError("a spec needs an integer 'm'")
-        for key in ("a_index", "alpha2_index", "r"):
-            if d.get(key) is not None and not _is_int(d[key]):
-                raise ValueError(f"spec field {key!r} must be an integer")
-        return NihoSpec(d["family"], d["m"], d.get("a_index"),
-                        d.get("alpha2_index"), d.get("r"))
+        return NihoSpec(**geometry._json_document(text, "a spec", _SPEC_FIELDS))
+
+
+# the keys of a spec document with their JSON types; a_index, alpha2_index
+# and r may be null or absent
+_SPEC_FIELDS = {"family": (str, "a spec needs a string 'family'"),
+                "m": (int, "a spec needs an integer 'm'"),
+                **dict.fromkeys(("a_index", "alpha2_index", "r"), (
+                    (int, type(None)), "spec field {key!r} must be an integer"))}
 
 
 @dataclass(frozen=True)

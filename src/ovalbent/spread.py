@@ -96,14 +96,11 @@ class Prequasifield:
 
     # -- the bilinear form ---------------------------------------------------
 
-    def b_mask(self, a: int) -> int:
-        """Mask with B(a, x) = parity(mask & x) for all x (linear in a)."""
-        return int(self.b_mask_table()[a])
-
     @kept
     def b_mask_table(self) -> np.ndarray:
-        """B masks of the whole carrier: the trace form's masks on F, and
-        on F x F those of each coordinate, side by side."""
+        """B masks of the whole carrier, B(a, x) = parity(mask[a] & x): the
+        trace form's masks on F, and on F x F those of each coordinate,
+        side by side."""
         dm = self.field.dot_mask_table()
         if self.shape == "pair":
             dm = (dm[None, :] | (dm[:, None] << self.m)).ravel()

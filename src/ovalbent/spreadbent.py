@@ -9,9 +9,9 @@ so packed indices are int32 like the carrier tables.
 Bentness is equivalent to: G bijective and z -> G(z) + b*z 2-to-1 for
 every b != 0 (star = transpose multiplication), and to the 0-or-2 cover
 property of the line oval {x=0} u {y = G(z) + x*z} in A(Q^t).  The line
-oval is the bentness guard: `line_oval_bivariate` raises unless the cover
-property holds, and the `BivariateLineOval` it returns exists only for a
-bent function.  The dual is computed along three independent routes,
+oval is the bentness guard: `line_oval_bivariate` raises `NotALineOval`
+unless the cover property holds, and the `BivariateLineOval` it returns
+exists only for a bent function.  The dual is computed along three independent routes,
 each from the object it needs: Walsh signs of the truth table, the
 product formula over the line oval's offsets, and the complement of its
 covered set E read flat, since E is the [x, y] table in which its cover
@@ -130,8 +130,12 @@ def bent_criterion(spec: SpreadBentSpec):
     return True, None
 
 
+class NotALineOval(ValueError):
+    """The verdict that the lines of a spec do not form a line oval."""
+
+
 def line_oval_bivariate(spec: SpreadBentSpec) -> BivariateLineOval:
-    """The line oval of the mu-normalized spec; raises ValueError with a
+    """The line oval of the mu-normalized spec; raises NotALineOval with a
     witness point unless it covers every point 0 or 2 times, that is
     unless the spec is bent."""
     spec = normalize_mu(spec)
@@ -159,8 +163,8 @@ def _materialize_line_oval(Q: Prequasifield, c: int,
         bad = covered & (counts != 2)
         if bad.any():
             i, y = divmod(int(np.argmax(bad)), size)
-            raise ValueError(f"not a line oval: point ({x0 + i}, {y}) "
-                             f"lies on {int(counts[i, y])} lines")
+            raise NotALineOval(f"not a line oval: point ({x0 + i}, {y}) "
+                               f"lies on {int(counts[i, y])} lines")
         e_table[x0:x0 + b] = covered
     assert int(e_table.sum()) == (size * size) // 2 + size // 2
     return BivariateLineOval(c, offsets, e_table)
@@ -227,7 +231,8 @@ def action_linear_shift(spec: SpreadBentSpec, u: int, v: int):
     spec = normalize_mu(spec)
     Q = spec.Q
     f = bent_bivariate(spec)
-    mask = Q.b_mask(u) | (Q.b_mask(v) << Q.dim)
+    bm = Q.b_mask_table()
+    mask = int(bm[u]) | (int(bm[v]) << Q.dim)
     f_uv = boolfn.add_affine(f, mask)
     st = star_table(Q)
     oval_uv = _materialize_line_oval(Q, v, spec.G ^ u ^ st[v, :])
@@ -349,7 +354,7 @@ def analyze(spec: SpreadBentSpec):
     if crit:
         try:
             oval = line_oval_bivariate(spec0)
-        except ValueError:
+        except NotALineOval:
             pass
     out = {
         "bent": bent,

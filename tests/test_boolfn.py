@@ -286,7 +286,10 @@ def test_truth_table_payload_is_exact():
     assert boolfn.loads_truth_table("k=2\n0f\n").table.tolist() == [1] * 4
     for text in ("k=2\nffff\n", "k=2\n1f\n", "k=3\n4d00\n", "k=4\n4d\n",
                  "k=-1\nff\n", "k=+3\n4d\n", "k=3.0\n4d\n",
-                 "k=99999999999999999999\n00\n"):
+                 "k=99999999999999999999\n00\n",
+                 # a non-ASCII digit in k, whitespace inside the hex
+                 "k=\u0663\n4d\n", "k=\uff13\n4d\n", "k=4\nff ff\n",
+                 "k=4\nf f\n", "k=4\nff\tff\n"):
         with pytest.raises(ValueError):
             boolfn.loads_truth_table(text)
 

@@ -453,9 +453,10 @@ def test_spread_build_rejects_flags_its_kind_does_not_read(flags, unread,
 
 
 def test_pqf_kind_spec_field_count(capsys):
-    # field and luneburg take m; kantor takes m:chain:lambdas:zetas
+    # field and luneburg take m; kantor takes m:chain:lambdas:zetas; table
+    # is a `spread build` kind only
     for pqf in ("field:3:9", "luneburg:3:junk", "field:", "kantor:3:1:1",
-                "kantor:3:1:1:0:0", "nope:3"):
+                "kantor:3:1:1:0:0", "nope:3", "table:3"):
         _assert_input_error(["spread", "validate", "--pqf", pqf], capsys)
 
 
@@ -485,6 +486,29 @@ def test_spread_bent_g_table_length(tmp_path, capsys):
     gt.write_text(" ".join(map(str, range(7))))
     _assert_input_error(["spread", "bent", "--pqf", "field:3",
                          "--g", f"table:{gt}"], capsys)
+
+
+def test_spread_bent_g_table_takes_plain_digits_only(tmp_path, capsys):
+    """A G file whose values int() reads but which are not plain ASCII
+    digits and spaces (a sign, an underscore, an Arabic-Indic or
+    fullwidth digit, a tab between values) exits 2 under the digit rule
+    of table files; each once ran with exit 0.  Values may span lines."""
+    words = list(map(str, spread.sqrt_diag_g_table(spread.field_pqf(3)).tolist()))
+    assert words[:2] == ["0", "1"]
+    gt = tmp_path / "g.txt"
+    argv = ["spread", "bent", "--pqf", "field:3", "--g", f"table:{gt}"]
+    rest = " ".join(words[2:])
+    for bad in ("0 0_1 " + rest, "0 +1 " + rest, "-0 1 " + rest,
+                "0 \u0661 " + rest, "0 \uff11 " + rest, "\t".join(words)):
+        gt.write_text(bad + "\n", encoding="utf-8")
+        _named_input_error(argv, capsys,
+                           "G values must be plain decimal digits and spaces")
+    for good in (" ".join(words[:4]) + "\n" + " ".join(words[4:]) + "\n",
+                 " ".join(words[:4]) + "\r\n" + " ".join(words[4:]) + "\r\n",
+                 "\n".join(words) + "\n\n"):
+        gt.write_bytes(good.encode())
+        assert cli.main(argv) == 0, good
+        assert json.loads(capsys.readouterr().out)["report"]["bent"]
 
 
 def test_niho_coefficient_index_out_of_range(capsys):
@@ -854,8 +878,9 @@ def test_truth_table_malformed(tmp_path, capsys):
                  "k=3\n4d00\n",        # one byte too many
                  "k=4\n4d\n",          # one byte too few
                  "k=-1\nff\n", "k=x\nff\n", "k=\nff\n",
-                 "k=99999999999999999999\n00\n", "k=3\nzz\n"):
-        path.write_text(text)
+                 "k=99999999999999999999\n00\n", "k=3\nzz\n",
+                 "k=\u0663\n4d\n", "k=4\nff ff\n"):     # once exit 0
+        path.write_text(text, encoding="utf-8")
         _assert_input_error(["ea", "--table", str(path)], capsys)
 
 

@@ -277,6 +277,8 @@ def _first_json(text):
            "--chain", "0", "--lambdas", "", "--zetas", ""], None))
 @example((["spread", "bent", "--pqf", "field:2", "--g",
            ("table:", ("file", "0 1 2 99999999999999999999\n"))], None))
+@example((["spread", "bent", "--pqf", "field:2", "--g",
+           ("table:", ("file", "0 +1 3 2\n"))], 2))
 @example((["spread", "build", "--kind", "luneburg"], None))
 @example((["spread", "build", "--kind", "field"], None))
 @example((["oval", "convert", "--m", "3", "--points-json",

@@ -123,6 +123,25 @@ def test_analyze_keeps_truth_table_and_walsh_dual(luneburg_spec):
         spreadbent.SpreadBentSpec(Q, luneburg_spec.G, 3)))
 
 
+def test_analyze_catches_only_the_line_oval_verdict(luneburg_spec, monkeypatch):
+    """After the criterion has passed, a `NotALineOval` from the line-oval
+    build is a failed verdict (exit 1), but any other ValueError, such as
+    a numpy shape fault, is a fault and propagates: it was once reported
+    as `lineoval_ok: false`."""
+    def raising(exc):
+        def build(*args):
+            raise exc("operands could not be broadcast together")
+        return build
+
+    monkeypatch.setattr(spreadbent, "_materialize_line_oval", raising(ValueError))
+    with pytest.raises(ValueError, match="broadcast"):
+        spreadbent.analyze(luneburg_spec)
+    monkeypatch.setattr(spreadbent, "_materialize_line_oval",
+                        raising(spreadbent.NotALineOval))
+    out, _, _ = spreadbent.analyze(luneburg_spec)
+    assert out["criterion"] and not out["lineoval_ok"] and not out["verdicts_agree"]
+
+
 def test_criterion_witness_matches_per_b_oracle(monkeypatch):
     """Block-wise criterion against the per-b loop, with blocks of one
     row (b = 0 alone, so witnesses come from later blocks), of three rows
