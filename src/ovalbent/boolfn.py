@@ -31,17 +31,23 @@ def _rank(rows: list[int]) -> int:
 class BooleanFunction:
     """Truth table of a k-bit Boolean function; immutable after creation.
     The constructor takes ownership of a uint8 array (kept, not copied,
-    and made read-only) and copies any other input to uint8, which must
-    not change a value; the bit check of a uint8 table is one reduction,
-    the largest entry, with no temporary."""
+    and made read-only) and copies any other input to uint8 once every
+    entry is checked to be 0 or 1, so the cast never wraps or cuts a
+    value; the bit check of a uint8 table is one reduction, the largest
+    entry, with no temporary."""
 
     __slots__ = ("k", "table")
 
     def __init__(self, k: int, table):
-        t = np.asarray(table, dtype=np.uint8)
+        t = np.asarray(table)
         if t.shape != (1 << k,):
             raise ValueError(f"truth table must have exactly 2^{k} entries")
-        if t.max() > 1 or (t is not table and not np.array_equal(t, table)):
+        if t.dtype == np.uint8:
+            bad = t.max() > 1
+        else:                   # read on the values, not on their cast
+            bad = ((t != 0) & (t != 1)).any()
+            t = t.astype(np.uint8)
+        if bad:
             raise ValueError("truth table entries must be bits")
         t.flags.writeable = False
         object.__setattr__(self, "k", k)

@@ -274,12 +274,12 @@ def _read_pqf(path: str) -> spread.Prequasifield:
         if len(fields) != len(_KIND_FIELDS[kind]):
             raise InputError(f"a {kind} kind spec has {len(_KIND_FIELDS[kind])} "
                              f"field(s) after the kind, got {len(fields)}")
-        return _kind_pqf(kind, int(fields[0]), *fields[1:])
+        return _kind_pqf(kind, spread.plain_int(fields[0]), *fields[1:])
     return spread.load_pqf(path)
 
 
 def _csv_ints(text: str | None) -> list[int]:
-    return [int(v) for v in text.split(",")] if text else []
+    return [spread.plain_int(v) for v in text.split(",")] if text else []
 
 
 def _build_pqf(args) -> spread.Prequasifield:
@@ -419,10 +419,10 @@ def cmd_spread_bent(args) -> int:
 
 def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", choices=niho.FAMILIES)
-    p.add_argument("--m", type=int)
-    p.add_argument("--a-index", type=int, default=None)
-    p.add_argument("--alpha2-index", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
+    p.add_argument("--m", type=spread.plain_int)
+    p.add_argument("--a-index", type=spread.plain_int, default=None)
+    p.add_argument("--alpha2-index", type=spread.plain_int, default=None)
+    p.add_argument("--r", type=spread.plain_int, default=None)
     p.add_argument("--spec-json", default=None,
                    help="JSON file {family, m, a_index?, alpha2_index?, r?} "
                         "instead of flags")
@@ -436,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ovalbent",
         description="bent functions linear on spreads, their duals, and the "
                     "associated ovals and line ovals")
-    ap.add_argument("--seed", type=int, default=0,
+    ap.add_argument("--seed", type=spread.plain_int, default=0,
                     help="has no effect (every check is exhaustive); kept "
                          "so that existing scripts keep working")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -448,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oval", help="verify or convert ovals and line ovals")
     p.add_argument("action", choices=["verify", "convert"])
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=spread.plain_int, required=True)
     p.add_argument("--catalog", choices=geometry.CATALOG_NAMES, default=None)
     p.add_argument("--json", default=None)
     p.add_argument("--points-json", default=None)
@@ -474,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = ssub.add_parser("build", help="construct a prequasifield table")
     b.add_argument("--kind", required=True, choices=list(_KIND_FIELDS))
-    b.add_argument("--m", type=int)
+    b.add_argument("--m", type=spread.plain_int)
     b.add_argument("--chain", help="comma list of subfield degrees")
     b.add_argument("--lambdas", help="comma list of F-indices")
     b.add_argument("--zetas", help="comma list of F-indices")
@@ -500,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--pqf", default="-", help="table file, or - for stdin")
     s.add_argument("--g", required=True,
                    help="square-star | sqrt | sqrt-diag | table:FILE")
-    s.add_argument("--mu", type=int, default=0)
+    s.add_argument("--mu", type=spread.plain_int, default=0)
     s.add_argument("--out-dir", default=None)
     s.set_defaults(cmd="spread_bent")
 

@@ -102,9 +102,7 @@ def verify_no_three_concurrent(lines: Iterable[AffineLineK], params: FieldParams
     """Projective line-oval check: no three lines share a point, where
     three mutually parallel lines share their point at infinity."""
     lines = list(lines)
-    if len(set(lines)) != len(lines):
-        raise ValueError("lines must be distinct")
-    _check_count(len(lines), params, "lines")
+    _check_members(params, "lines", lines)
     counts = line_cover_counts(lines, params)
     bad = np.nonzero(counts >= 3)[0]
     if bad.size:
@@ -140,9 +138,7 @@ def verify_oval(points: Iterable[int], params: FieldParams,
     """
     pts = sorted(points)
     inf = sorted(infinite)
-    if len(set(pts)) != len(pts) or len(set(inf)) != len(inf):
-        raise ValueError("points must be distinct")
-    _check_count(len(pts) + len(inf), params, "points")
+    _check_members(params, "points", pts, inf)
 
     arr = np.array(pts, dtype=np.int32)
     i, j, k = kernels.collinear_scan(arr, params.conj_table(),
@@ -211,6 +207,15 @@ def _check_count(n: int, params: FieldParams, what: str) -> None:
         raise ValueError(f"expected q+1 or q+2 {what}, got {n}")
 
 
+def _check_members(params: FieldParams, what: str, *groups: list) -> None:
+    """The members of an oval or a line oval are distinct within each
+    group (the lines; the affine points and the infinite tags), and
+    there are q+1 or q+2 of them in all (`_check_count`)."""
+    if any(len(set(g)) != len(g) for g in groups):
+        raise ValueError(f"{what} must be distinct")
+    _check_count(sum(map(len, groups)), params, what)
+
+
 def dual_oval_to_lines(oval: Oval, params: FieldParams) -> list[AffineLineK]:
     """The dual lines of q+1 or q+2 points: L(u, 1/lam) for lam * u, and
     L(S[j], 0) for the point at infinity j; inverse of `dual_lines_to_oval`."""
@@ -224,9 +229,7 @@ def dual_lines_to_oval(lines: Iterable[AffineLineK], params: FieldParams) -> Ova
     with mu != 0, and for a line L(u, 0) through 0 the point at infinity
     with the circle index of u.  Inverse of `dual_oval_to_lines`."""
     lines = list(lines)
-    if len(set(lines)) != len(lines):
-        raise ValueError("lines must be distinct")
-    _check_count(len(lines), params, "lines")
+    _check_members(params, "lines", lines)
     points = dual_lines_to_points([ln for ln in lines if ln.mu], params)
     infinite = [int(params.unit_class_table()[ln.u]) for ln in lines if not ln.mu]
     return Oval(frozenset(points), frozenset(infinite))

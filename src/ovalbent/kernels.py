@@ -10,9 +10,12 @@ modulo.  Index tables and index arithmetic are int32 (every index is
 below 2^24, and every log sum below 2^31), except the log sums of
 `univariate_product_dual` and the packed points of the two bivariate
 scatters, which are intp, the index dtype of numpy's fast gather and
-scatter paths.  The univariate incidence kernels use closed forms: the
-line cover counts the rows of `geometry.line_point_rows`, each the log
-of u^q plus a row of the per-field coset log table
+scatter paths.  The carrier tables of `spread` are int16 (every entry is
+below 2^12), so the bivariate kernels form each packed point in intp
+before a table value is multiplied or added: size * entry wraps in
+int16 from size 2^8 on.  The univariate incidence kernels use closed
+forms: the line cover counts the rows of `geometry.line_point_rows`,
+each the log of u^q plus a row of the per-field coset log table
 (`FieldParams.coset_log_table`) read through one clipped gather, and
 the product dual is one outer sum of a log per line and a log per
 circle index, scattered into a table over the logs of K.
@@ -46,7 +49,7 @@ import numpy as np
 
 # entries per block of rows in whole-array table code: large enough that
 # the per-block Python cost vanishes, small enough that the temporaries of
-# a dim-12 carrier stay far below its 64 MB int32 table
+# a dim-12 carrier stay far below its 32 MB int16 table
 BLOCK_ENTRIES = 1 << 16
 
 
@@ -266,16 +269,29 @@ def line_cover_counts(rows, nbits) -> np.ndarray:
 
 def bivariate_table_fill(mul_table, gvals, bmask, out) -> None:
     """Truth table of f(x, x o z) = B(G(z), x) = parity(bmask[G(z)] & x);
-    f(0, y) = 0.  The bits of each row block are counted from the 1-D
-    B-mask table.  Packed indices x + size*y stay below 2^24
-    (size <= 2^12) and are formed as intp, the fast path of a scatter."""
+    f(0, y) = 0.  Every entry of out, the [y, x] plane packed as
+    x + size*y, is written: a point that no (x, z) reaches is 0.
+
+    The bits of each row block x0..x0+b-1 are counted from the 1-D B-mask
+    table and scattered along their own rows into one reused (b, size)
+    buffer [x, y], at the local indices i*size + (x0+i) o z: the table
+    values are added to the intp offsets i*size in intp, never
+    multiplied (size * entry wraps in int16).  The buffer's transpose is
+    then copied into columns x0..x0+b of the plane, so no scatter
+    strides a whole row of the plane per entry."""
     size = mul_table.shape[0]
     gmasks = bmask[gvals]
+    plane = out.reshape(size, size)
+    rows = min(size, max(1, BLOCK_ENTRIES // size))
+    buf = np.empty((rows, size), dtype=np.uint8)
+    local = np.arange(0, rows * size, size, dtype=np.intp)[:, None]
     for x0, xs in row_blocks(size):
-        rows = mul_table[x0:x0 + xs.shape[0]]
-        out[np.add(xs, size * rows, dtype=np.intp)] = \
-            np.bitwise_count(gmasks & xs) & 1
-    out[0::size] = 0
+        b = xs.shape[0]
+        block = buf[:b]
+        block.fill(0)
+        at = np.add(mul_table[x0:x0 + b], local[:b], dtype=np.intp)
+        block.reshape(-1)[at] = np.bitwise_count(gmasks & xs) & 1
+        plane[:, x0:x0 + b] = block.T
 
 
 def bivariate_product_dual(star_table, gvals, out) -> None:

@@ -28,9 +28,10 @@ import numpy as np
 from . import kernels
 from .gf import BinaryField, binary_field, kept
 
-# GF(2) dimension cap of the carrier: the (size, size) int32 table takes
-# 64 MB at dim 12, and `spread bent` holds several size^2 arrays besides;
-# packed points x + size*y stay below 2^24
+# GF(2) dimension cap of the carrier: every entry is below 2^12, so the
+# (size, size) table is int16 and takes 32 MB at dim 12, and `spread bent`
+# holds several size^2 arrays besides; packed points x + size*y stay below
+# 2^24, formed in intp since size * entry wraps in int16
 MAX_CARRIER_DIM = 12
 
 
@@ -48,11 +49,13 @@ def carrier_dim(m: int, shape: str) -> int:
 class Prequasifield:
     """Multiplication table plus the carrier's bilinear form machinery.
 
-    The constructor takes ownership of the table it is given: an int32
+    The constructor takes ownership of the table it is given: an int16
     C-contiguous array is kept as it is, not copied, and becomes
-    read-only; any other array is copied to int32, which holds every
-    carrier element (below 2^12).  What is derived from the table and the
-    carrier (the B-mask table and its inverse, the Gram array, the
+    read-only.  int16 holds every carrier element (below 2^12); any other
+    array is copied to int16 once every entry is checked to lie in the
+    carrier, so the cast never wraps a value.  Index arithmetic on the
+    entries is done in intp (`kernels`).  What is derived from the table
+    and the carrier (the B-mask table and its inverse, the Gram array, the
     transpose) is a kept table (`gf.kept`): computed on first call, held
     by this object and read-only.  B is read off the 1-D mask table as
     B(x, y) = parity(mask[x] & y), never from a (size, size) bit table."""
@@ -66,7 +69,10 @@ class Prequasifield:
         self.size = 1 << self.dim
         if table.shape != (self.size, self.size):
             raise ValueError("multiplication table has the wrong shape")
-        self.table = np.ascontiguousarray(table, dtype=np.int32)
+        if table.dtype != np.int16 and (
+                table.min() < 0 or table.max() >= self.size):
+            raise ValueError(f"table entries must lie in [0, {self.size})")
+        self.table = np.ascontiguousarray(table, dtype=np.int16)
         self.table.flags.writeable = False
         self.kind = kind
         self.name = name or kind
@@ -79,9 +85,10 @@ class Prequasifield:
         mul_block(xs, zs) gets a column xs of shape (b, 1) holding
         consecutive x and the row zs of the whole carrier, and returns
         the (b, size) array of the products x o z (any array that
-        broadcasts to it).  It must evaluate the rule at every (x, z):
-        rows built by XOR from the basis rows would make the right
-        distributivity check of `validate_prequasifield` vacuous.  Rows
+        broadcasts to it), carrier elements, which the int16 table holds.
+        It must evaluate the rule at every (x, z): rows built by XOR from
+        the basis rows would make the right distributivity check of
+        `validate_prequasifield` vacuous.  Rows
         gathered from product-row tables comply: a table [a, z] = a c(z)
         over a field coordinate a, computed for every z, read at the
         coordinates of x (as in `luneburg`), is the rule at each entry.  A
@@ -89,7 +96,7 @@ class Prequasifield:
         evaluator's temporaries stay small at every carrier size."""
         size = 1 << carrier_dim(m, shape)
         zs = np.arange(size, dtype=np.int32)
-        table = np.empty((size, size), dtype=np.int32)
+        table = np.empty((size, size), dtype=np.int16)
         for x0, xs in kernels.row_blocks(size):
             table[x0:x0 + xs.shape[0]] = mul_block(xs, zs)
         return cls(m, shape, table, kind, name)
@@ -429,18 +436,22 @@ def _vector_of_bits(bits: np.ndarray, Q: Prequasifield) -> np.ndarray:
     return Q.b_mask_inverse()[masks]
 
 
-def _adjoint_of_bits(bits: np.ndarray, Q: Prequasifield) -> np.ndarray:
-    """`adjoint` from the bits [i, j, c] = B(e_i, map_c(e_j))."""
+def _adjoint_of_bits(bits: np.ndarray, Q: Prequasifield,
+                     dtype=np.int32) -> np.ndarray:
+    """`adjoint` from the bits [i, j, c] = B(e_i, map_c(e_j)), as tables
+    of the given dtype."""
     return kernels.linear_map_table(
-        _vector_of_bits(bits.transpose(0, 2, 1), Q), Q.dim)
+        _vector_of_bits(bits.transpose(0, 2, 1), Q), Q.dim, dtype)
 
 
 def transpose_pqf(Q: Prequasifield) -> Prequasifield:
     """x star z = R_z^*(x); coordinatizes the orthogonal (dual) spread.
 
     Always a fresh object (`Q.transposed()` is the kept copy): column z is
-    the adjoint of R_z, whose B bits are the kept Gram array of Q."""
-    table = _adjoint_of_bits(Q.gram(), Q)
+    the adjoint of R_z, whose B bits are the kept Gram array of Q.  The
+    table is built in the carrier's int16, so the constructor keeps it
+    uncopied."""
+    table = _adjoint_of_bits(Q.gram(), Q, np.int16)
     return Prequasifield(Q.m, Q.shape, table, kind="derived",
                          name=f"{Q.name}^t")
 
@@ -591,6 +602,19 @@ def _plain(text: str) -> bool:
         or "\x1d" in text or "\x1e" in text or "\x1f" in text)
 
 
+def plain_int(text: str) -> int:
+    """The integer of a plain decimal text: ASCII digits, after at most
+    one ASCII minus sign, so that a domain check still names a negative
+    value.  int() also reads a plus sign, underscores, whitespace at the
+    ends and non-ASCII digits; like the table files (`_plain`), the
+    integers the CLI reads from flags and kind specs take none of them."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not a plain integer: ASCII digits "
+                         f"with at most a leading minus sign")
+    return int(text)
+
+
 def read_pqf(lines) -> Prequasifield:
     """Parse lines (of a file, stdin, a list) into the table, allocated once
     the header passes; a (q+2)-th line fails on arrival.  Blank lines are
@@ -613,7 +637,7 @@ def read_pqf(lines) -> Prequasifield:
     m = dim if shape == "flat" else dim // 2
     carrier_dim(m, shape)
     span = f"table entries must lie in [0, {size})"
-    table = np.empty((size, size), dtype=np.int32)
+    table = np.empty((size, size), dtype=np.int16)
     for x in range(size):
         line = next(rows, "")   # a missing row is empty
         try:                    # int() on each entry

@@ -3,8 +3,9 @@
 A function on V x V (V the carrier of a prequasifield Q) that is linear
 on every spread member is determined by a map G : V -> V and mu in V:
 f(0, y) = B(mu, y) and f(x, x o z) = B(G(z), x).  Truth tables pack the
-point (x, y) as x + size*y, below 2^24 for carriers of dimension <= 12,
-so packed indices are int32 like the carrier tables.
+point (x, y) as x + size*y, below 2^24 for carriers of dimension <= 12.
+The carrier tables are int16, in which size * entry wraps, so the
+kernels form every packed index as intp before a table value enters it.
 
 Bentness is equivalent to: G bijective and z -> G(z) + b*z 2-to-1 for
 every b != 0 (star = transpose multiplication), and to the 0-or-2 cover

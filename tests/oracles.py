@@ -572,15 +572,18 @@ def budaghyan_pointwise(r, e, params):
 
 
 def bivariate_fill_naive(Q, G):
-    """f(x, y) = B(G(z), x) where x o z = y, found by search; f(0, y) = 0."""
+    """f(x, y) = B(G(z), x) where x o z = y, the smallest such z, read
+    off a dict of row x (Python ints); f(0, y) = 0.  B(a, x) is the
+    parity of mask[a] & x, each mask bit by bit from `carrier_form`."""
     size = Q.size
     bform = carrier_form(Q)
+    mask = [sum(bform(a, 1 << i) << i for i in range(Q.dim)) for a in range(size)]
     out = np.zeros(size * size, dtype=np.uint8)
     for x in range(1, size):
         row = [int(v) for v in Q.table[x]]
+        z_of = {y: z for z, y in reversed(list(enumerate(row)))}
         for y in range(size):
-            z = row.index(y)
-            out[x + size * y] = bform(int(G[z]), x)
+            out[x + size * y] = bin(mask[int(G[z_of[y]])] & x).count("1") & 1
     return out
 
 
@@ -622,13 +625,14 @@ def line_oval_cover_naive(Q, c, offsets):
 
 
 def bivariate_product_dual_naive(star, G):
-    """0 iff y = 0 or x = G(z) + y*z for some z, one point at a time."""
+    """0 iff y = 0 or x = G(z) + y*z for some z, one point at a time
+    against the set of the values G(z) + y*z of row y (Python ints)."""
     size = len(G)
     out = np.ones(size * size, dtype=np.uint8)
     for y in range(size):
+        hit = {int(G[z]) ^ int(star[y][z]) for z in range(size)}
         for x in range(size):
-            if y == 0 or any(x == int(G[z]) ^ int(star[y][z])
-                             for z in range(size)):
+            if y == 0 or x in hit:
                 out[x + size * y] = 0
     return out
 

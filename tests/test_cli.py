@@ -511,6 +511,38 @@ def test_spread_bent_g_table_takes_plain_digits_only(tmp_path, capsys):
         assert json.loads(capsys.readouterr().out)["report"]["bent"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["niho", "--family", "quadratic", "--m", "\u0663"],          # Arabic-Indic 3
+    ["niho", "--family", "quadratic", "--m", "+3"],
+    ["niho", "--family", "quadratic", "--m", "4", "--a-index", "1_0"],
+    ["niho", "--family", "binomial_3", "--m", "4", "--alpha2-index", " 1"],
+    ["dual", "--family", "leander_r", "--m", "5", "--r", "+2",
+     "--method", "walsh"],
+    ["oval", "verify", "--catalog", "fisher_schmidt", "--m", "4 "],
+    ["spread", "build", "--kind", "field", "--m", "\uff13"],     # fullwidth 3
+    ["spread", "validate", "--pqf", "field:\u0663"],
+    ["spread", "validate", "--pqf", "kantor:3:+1:1:0"],
+    ["spread", "build", "--kind", "kantor", "--m", "5", "--chain", "1",
+     "--lambdas", " 1", "--zetas", "11"],
+    ["spread", "build", "--kind", "kantor", "--m", "5", "--chain", "1",
+     "--lambdas", "1", "--zetas", "1_1"],
+    ["spread", "bent", "--pqf", "luneburg:3", "--g", "sqrt", "--mu", "\u0663"],
+    ["--seed", "+1", "spread", "validate", "--pqf", "field:2"],
+], ids=lambda argv: " ".join(argv).encode("unicode_escape").decode())
+def test_integer_flags_and_specs_take_plain_digits_only(argv, capsys):
+    """Every integer of a flag or a kind spec follows the digit rule of
+    the table files (`spread.plain_int`): int() reads each of these
+    values, and each exits 2 with a message that names the rule; argparse
+    rejects a flag by SystemExit."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "plain" in captured.err and "Traceback" not in captured.err
+
+
 def test_niho_coefficient_index_out_of_range(capsys):
     k4 = 1 << 8                 # |K| at m = 4
     for a in ("-1", str(k4), str(2 * k4)):

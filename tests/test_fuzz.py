@@ -289,6 +289,11 @@ def _first_json(text):
           None))
 @example((["niho", "--family", "quadratic", "--m", "3", "--alpha2-index", "5"],
           None))
+@example((["niho", "--family", "quadratic", "--m", "+3"], 2))
+@example((["spread", "validate", "--pqf", "field:\u0663"], 2))
+@example((["spread", "build", "--kind", "kantor", "--m", "5", "--chain", "1",
+           "--lambdas", "1", "--zetas", "1_1"], 2))
+@example((["spread", "bent", "--pqf", "field:3", "--g", "sqrt", "--mu", " 1"], 2))
 def test_cli_exit_contract(command):
     """Exit 0, 1 or 2 only; exit 1 only with a false verdict in the report;
     inputs the library states valid exit 0, and a `spread build` flag its

@@ -375,10 +375,13 @@ def test_product_rule_boundaries(deg):
 
 
 def test_index_tables_are_int32():
-    """One dtype for every index table, field and carrier alike: int32
-    (every index is below 2^24).  Every table a field or a carrier holds
-    is read-only, the eager ones and the kept ones alike, and a kept
-    table is built once: every call returns the same array."""
+    """One dtype for the field index tables, int32 (every index is below
+    2^24; the polar log table is int16), and one for the carrier tables,
+    int16 (every entry is below 2^12): a carrier's table and its
+    transpose are int16, and its B masks and their inverse int32.  Every
+    table a field or a carrier holds is read-only, the eager ones and the
+    kept ones alike, and a kept table is built once: every call returns
+    the same array."""
     p = gf.field_make(9)
     getters = {"conj": p.conj_table, "unit class": p.unit_class_table,
                "project": p.project_table, "coset log": p.coset_log_table,
@@ -390,6 +393,7 @@ def test_index_tables_are_int32():
               "embed": p.embed, "S": p.S}
     int32 = set(tables) | {"conj", "unit class", "project", "coset log",
                            "line trace basis", "tr mask", "dot mask"}
+    int16 = {"polar log"}
     for Q in (spread.field_pqf(3), spread.luneburg(3)):
         F = Q.field
         assert Q.transposed() is Q.transposed()
@@ -400,14 +404,15 @@ def test_index_tables_are_int32():
             ("F.exp", F.exp), ("F.log", F.log), ("table", Q.table),
             ("transpose", Q.transposed().table))})
         int32 |= {f"{Q.kind} {name}" for name in (
-            "F.exp", "F.log", "dot mask", "table", "transpose", "B masks",
-            "B mask inverse")}
+            "F.exp", "F.log", "dot mask", "B masks", "B mask inverse")}
+        int16 |= {f"{Q.kind} table", f"{Q.kind} transpose"}
     for name, get in getters.items():
         tables[name] = get()
         assert get() is tables[name], name
     for name, t in tables.items():
         assert not t.flags.writeable, name
         assert (t.dtype == np.int32) == (name in int32), name
+        assert (t.dtype == np.int16) == (name in int16), name
 
 
 def _field_pair_matches(m):

@@ -334,6 +334,26 @@ def test_constructor_takes_the_table_without_a_copy():
     assert peak < 6 << 20
 
 
+def test_constructor_checks_the_range_before_the_int16_cast():
+    """An int16 table is kept uncopied and read-only; a table of any
+    other dtype is copied to int16 only once every entry lies in the
+    carrier: 2^15 + 3 (which the cast would wrap to -32765), -1 and 8
+    are refused in a table over the 8 elements of GF(8)."""
+    Q = spread.field_pqf(3)
+    t = Q.table.copy()
+    assert t.dtype == np.int16
+    assert spread.Prequasifield(3, "flat", t).table is t
+    assert not t.flags.writeable
+    wide = Q.table.astype(np.int32)
+    kept = spread.Prequasifield(3, "flat", wide).table
+    assert kept.dtype == np.int16 and np.array_equal(kept, Q.table)
+    for bad in ((1 << 15) + 3, -1, 8):
+        t = Q.table.astype(np.int32)
+        t[2, 5] = bad
+        with pytest.raises(ValueError, match=r"must lie in \[0, 8\)"):
+            spread.Prequasifield(3, "flat", t)
+
+
 def test_validation_holds_one_row_block_at_a_time():
     """Both line checks work on one row block at a time and the symplectic
     test reads the basis rows only, so validating the 4 MB field:10 table

@@ -1,3 +1,5 @@
+import functools
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,9 +8,10 @@ import pytest
 from ovalbent import boolfn, kernels, spread, spreadbent
 from ovalbent.gf import BinaryField
 from oracles import (adjoint_naive, b_form_masks, bent_criterion_naive,
+                     bivariate_fill_naive, bivariate_product_dual_naive,
                      carrier_form, gl2_action_naive, line_oval_cover_naive,
-                     orthonormal_basis, right_mult_rows, symmetric_rep_naive,
-                     walsh_by_rows)
+                     orthonormal_basis, right_mult_rows, spread_cover_naive,
+                     symmetric_rep_naive, walsh_by_rows)
 from test_spread import NOT_F_SYMMETRIC, SMALL
 
 
@@ -244,6 +247,68 @@ def test_walsh_dual_matches_mask_oracle(name):
         else:
             with pytest.raises(ValueError):
                 spreadbent.dual_walsh(g, Q)
+
+
+# carriers whose size * entry passes 2^15 (sizes 256, 512 and 1024): an
+# index formed from their int16 entries outside intp would wrap
+WRAP_CARRIERS = {"field:8": lambda: spread.field_pqf(8),
+                 "kantor:9": lambda: spread.kantor_chain(9, [1], [1], [0]),
+                 "luneburg:5": lambda: spread.luneburg(5)}
+
+
+@functools.cache
+def _wrap_case(name):
+    """(Q, G, a non-bent G, a table that is no spread, references): G is
+    the bent sqrt G as int16, like the table, and the non-bent G swaps
+    two of its values.  The references are the scalar oracles'."""
+    Q = WRAP_CARRIERS[name]()
+    G = spread.sqrt_diag_g_table(Q).astype(np.int16)
+    bad_G = G.copy()
+    bad_G[[1, 2]] = bad_G[[2, 1]]
+    t = Q.table.copy()
+    t[3, 5] = t[3, 6]
+    bad_Q = spread.Prequasifield(Q.m, Q.shape, t)
+    st = spreadbent.star_table(Q)
+    refs = {"fill": bivariate_fill_naive(Q, G),
+            "dual": bivariate_product_dual_naive(st, G),
+            "criterion": bent_criterion_naive(G, st),
+            "cover": line_oval_cover_naive(Q, 0, G)[0],
+            "bad criterion": bent_criterion_naive(bad_G, st),
+            "bad cover": line_oval_cover_naive(Q, 0, bad_G)[1],
+            "spread": spread_cover_naive(Q),
+            "bad spread": spread_cover_naive(bad_Q)}
+    return Q, G, bad_G, bad_Q, refs
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 5, None])
+@pytest.mark.parametrize("name", list(WRAP_CARRIERS))
+def test_int16_tables_past_the_int16_products(name, rows_per_block, monkeypatch):
+    """The fill, the product dual, the criterion, the line-oval cover and
+    the spread cover of int16 tables and G against the scalar oracles, at
+    carriers where size * entry passes 2^15: in blocks of one row, of five
+    rows (a ragged last block) and of the default size, with their
+    witnesses on a non-bent G and on a table that is no spread."""
+    Q, G, bad_G, bad_Q, refs = _wrap_case(name)
+    assert Q.table.dtype == G.dtype == np.int16
+    if rows_per_block:
+        monkeypatch.setattr(kernels, "BLOCK_ENTRIES", rows_per_block * Q.size)
+    spec = spreadbent.SpreadBentSpec(Q, G)
+    assert np.array_equal(spreadbent.bent_bivariate(spec).table, refs["fill"])
+    assert spreadbent.bent_criterion(spec) == refs["criterion"] == (True, None)
+    oval = spreadbent.line_oval_bivariate(spec)
+    counts = refs["cover"].reshape(Q.size, Q.size)          # [y, x]
+    assert np.array_equal(oval.e_table, (counts != 0).T)
+    assert np.array_equal(spreadbent.dual_product(oval, Q).table, refs["dual"])
+    bad = spreadbent.SpreadBentSpec(Q, bad_G)
+    assert spreadbent.bent_criterion(bad) == refs["bad criterion"]
+    assert refs["bad criterion"][0] is False
+    x, y, c = refs["bad cover"]
+    with pytest.raises(spreadbent.NotALineOval,
+                       match=re.escape(f"point ({x}, {y}) lies on {c} lines")):
+        spreadbent.line_oval_bivariate(bad)
+    assert spread.verify_spread(Q) == refs["spread"] == (True, None)
+    assert spread.verify_spread(bad_Q) == refs["bad spread"]
+    assert refs["bad spread"][0] is False
 
 
 def test_line_oval_cover_counts_in_row_blocks():
