@@ -82,12 +82,11 @@ class BooleanFunction:
 class WalshSpectrum:
     """Integer spectrum; Parseval is checked at construction.
 
-    `values` is int32 for k <= 30 (every entry is a sum of 2^k terms +-1,
-    so |entry| <= 2^k fits) and int64 above; Parseval's sum of squares is
-    accumulated in int64 either way.  The check raises AssertionError
-    itself, not through `assert`, so that `python -O` keeps it: the
-    bentness verdict rests on it.  The values are read-only, so that
-    verdict is decided once per spectrum and kept."""
+    `values` is int32 (every entry is a sum of 2^k terms +-1, so |entry|
+    <= 2^k <= 2^24 fits); Parseval's sum of squares is accumulated in
+    int64.  The check raises AssertionError itself, not through `assert`,
+    so that `python -O` keeps it: the bentness verdict rests on it.  The
+    values are read-only, so that verdict is decided once and kept."""
 
     __slots__ = ("k", "values", "_bent")
 
@@ -157,10 +156,10 @@ class AnfPolynomial:
 def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
     """Spectrum of f; entry b correlates against parity(b & x).
 
-    The signs (-1)^f(x) are int32 for k <= 30, where |entry| <= 2^k
-    fits, and int64 above; `kernels.walsh_inplace` transforms them in
-    place, exactly."""
-    w = f.table.astype(np.int32 if f.k <= 30 else np.int64)
+    The signs (-1)^f(x) are int32, where |entry| <= 2^k fits;
+    `kernels.walsh_inplace` transforms them in place, exactly, for k <=
+    `kernels.MAX_K` and raises above."""
+    w = f.table.astype(np.int32)
     w *= -2
     w += 1              # (-1)^f(x) in place: one 2^k temporary, not three
     kernels.walsh_inplace(w)
@@ -227,10 +226,12 @@ def loads_truth_table(text: str) -> BooleanFunction:
             or not lines[0].isascii() or len(lines[1].split()) != 1:
         raise ValueError("expected a `k=<int>` header line (k >= 0) and one hex line")
     k = int(lines[0][2:])
+    if k > kernels.MAX_K:
+        raise ValueError(f"k={k} is above the truth-table cap k <= {kernels.MAX_K}")
     raw = np.frombuffer(bytes.fromhex(lines[1]), dtype=np.uint8)
     bits = np.unpackbits(raw, bitorder="little")
-    # exactly the 2^k bits, 0-padded to one byte; k is bounded before 2**k
-    if k >= bits.size.bit_length() or bits.size != max(8, 2**k) or bits[2**k:].any():
+    # exactly the 2^k bits, 0-padded to one byte
+    if bits.size != max(8, 1 << k) or bits[1 << k:].any():
         raise ValueError(f"k={k} needs exactly (2^k + 7) // 8 bytes of hex, "
                          "with the bits past 2^k zero")
     return BooleanFunction(k, bits[: 1 << k])

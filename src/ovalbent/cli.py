@@ -374,16 +374,10 @@ def _g_table_from_flag(flag: str, Q: spread.Prequasifield) -> np.ndarray:
         return spread.sqrt_diag_g_table(Q)
     if flag.startswith("table:"):
         text = Path(flag[len("table:"):]).read_text()
-        vals = [int(v) for v in text.split()]
-        if len(vals) != Q.size:
-            raise InputError("G table must list one value per carrier element")
-        # checked as Python ints, before any value can overflow or wrap
-        if not all(0 <= v < Q.size for v in vals):
-            raise InputError(f"G values must be carrier elements in [0, {Q.size})")
-        # the digit rule of table files, on each line (values may span lines)
-        if not all(spread._plain(line.strip()) for line in text.split("\n")):
-            raise InputError("G values must be plain decimal digits and spaces")
-        return np.array(vals, dtype=np.int32)
+        # the digit rule per stripped line; SpreadBentSpec checks count and range
+        return spread.plain_ints(
+            " ".join(line.strip() for line in text.split("\n")),
+            "G values must be plain decimal digits and spaces")
     raise InputError(f"unknown --g flag {flag!r}")
 
 

@@ -22,11 +22,11 @@ circle index, scattered into a table over the logs of K.
 The Walsh transform is one float matrix product per digit of at most
 5 index bits (the bits split evenly over the fewest digits), since the
 Walsh matrix is the Kronecker product of one Hadamard matrix per
-digit: blocks of `BLOCK_ENTRIES` entries are cast to
-float32 and transformed along their low bits, then column chunks of the
-same size along the high bits.  Every value stays an integer of
-magnitude at most 2^24, so the products are exact under any BLAS
-(float64 above k = 24).  The Moebius transform stays a uint8 XOR
+digit: blocks of `BLOCK_ENTRIES` entries are cast to float32 and
+transformed along their low bits, then column chunks of the same size
+along the high bits.  Every value stays an integer of magnitude at most
+2^24, so the products are exact under any BLAS; above k = MAX_K = 24
+the transform raises.  The Moebius transform stays a uint8 XOR
 butterfly (blocked subset-sum products with a mod-2 reduction per digit
 took 2.08 ms against its 0.86 ms at k = 18 in a prototype): the stages
 of its low index bits, whose rows would be 2 to 32 entries long, run on
@@ -78,6 +78,7 @@ def row_counts(size: int, rows):
 # most bits per digit of the Walsh transform: one Hadamard matrix product of
 # at most (32, 32) per digit, the bits split evenly over the fewest digits
 DIGIT_BITS = 5
+MAX_K = 24      # largest Walsh k: float32 is exact to 2^24, the dim-12 plane
 
 
 @functools.lru_cache(maxsize=None)
@@ -134,13 +135,15 @@ def walsh_inplace(w: np.ndarray) -> None:
     a sum of at most 2^k of them, so all are integers of magnitude at most
     2^k.  float32 holds every integer up to 2^24 exactly, so for k <= 24
     the result is exact under any summation order, with or without FMA.
-    Above k = 24 the buffers are float64, exact up to 2^53.
+    Above k = MAX_K = 24 it raises ValueError.
     """
     n = w.shape[0]
     k = n.bit_length() - 1
+    if k > MAX_K:
+        raise ValueError(f"the Walsh transform is exact up to k = {MAX_K}, not {k}")
     block = min(n, BLOCK_ENTRIES)
     rows = n // block
-    x = np.empty(max(block, rows), dtype=np.float32 if k <= 24 else np.float64)
+    x = np.empty(max(block, rows), dtype=np.float32)
     y = np.empty_like(x)
     lo = block.bit_length() - 1
     for b0 in range(0, n, block):

@@ -584,22 +584,28 @@ def sqrt_diag_g_table(Q: Prequasifield) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def write_pqf(Q: Prequasifield, fh) -> None:
+    words = np.array([str(v) for v in range(Q.size)], dtype=object)
     fh.write(f"q={Q.size} shape={Q.shape}\n")
     for row in Q.table:
-        fh.write(" ".join(map(str, row.tolist())) + "\n")
+        fh.write(" ".join(words[row].tolist()) + "\n")
 
 
 def _plain(text: str) -> bool:
-    """text, a q= value or a stripped table line that int() has read, is
-    plain: ASCII digits and spaces only.  Besides digits, int() reads a
-    sign and underscores in an ASCII entry, and str.split() splits at
-    ASCII whitespace other than the space.  One substring test per such
-    character, written out: a generator over them costs three times as
-    much, and a per-entry check as much as the parse."""
-    return text.isascii() and not (
-        "+" in text or "-" in text or "_" in text or "\t" in text
-        or "\n" in text or "\x0b" in text or "\x0c" in text or "\x1c" in text
-        or "\x1d" in text or "\x1e" in text or "\x1f" in text)
+    """The digit rule of table lines: ASCII digits and spaces only, so no
+    sign, letter, point, comma, other whitespace or non-ASCII digit
+    reaches a parser.  One C pass deletes the digits and spaces and must
+    leave nothing."""
+    return text.isascii() and not text.encode().translate(None, b"0123456789 ")
+
+
+def plain_ints(text: str, message: str) -> np.ndarray:
+    """The int64 entries of text, space-separated plain decimal digits
+    (`_plain`), parsed in one C pass; ValueError(message) for any other
+    text.  An entry past the int64 range reads as the int64 maximum,
+    which the range check of every caller rejects."""
+    if not _plain(text):
+        raise ValueError(message)
+    return np.fromstring(text, dtype=np.int64, sep=" ")
 
 
 def plain_int(text: str) -> int:
@@ -619,16 +625,15 @@ def read_pqf(lines) -> Prequasifield:
     """Parse lines (of a file, stdin, a list) into the table, allocated once
     the header passes; a (q+2)-th line fails on arrival.  Blank lines are
     skipped, and lines end at LF, CR or CR LF in any newline mode.  The
-    q= value and each table line, stripped, must be plain (`_plain`):
-    no sign, underscore, tab or non-ASCII digit, all of which int() or
-    str.split() would take."""
+    q= value and each table line, stripped, are read by `plain_ints`:
+    ASCII digits and spaces only, checked before the C parse."""
     rows = (ln for chunk in lines for ln in chunk.split("\r") if ln.strip())
     head = next(rows, "").split()
-    if len(head) != 2 or not head[0].startswith("q=") or not head[1].startswith("shape="):
+    if len(head) != 2 or not head[0].startswith("q=") or head[0] == "q=" \
+            or not head[1].startswith("shape="):
         raise ValueError("bad prequasifield header")
-    size, shape = int(head[0][2:]), head[1][6:]
-    if not _plain(head[0][2:]):
-        raise ValueError("the q= value must be plain decimal digits")
+    q = plain_ints(head[0][2:], "the q= value must be plain decimal digits")
+    size, shape = int(q[0]), head[1][6:]
     dim = size.bit_length() - 1
     if size < 1 or 1 << dim != size:
         raise ValueError("carrier size must be a power of 2")
@@ -636,21 +641,15 @@ def read_pqf(lines) -> Prequasifield:
         raise ValueError("pair carriers have even GF(2) dimension")
     m = dim if shape == "flat" else dim // 2
     carrier_dim(m, shape)
-    span = f"table entries must lie in [0, {size})"
     table = np.empty((size, size), dtype=np.int16)
     for x in range(size):
-        line = next(rows, "")   # a missing row is empty
-        try:                    # int() on each entry
-            row = np.array(line.split(), dtype=np.int64)
-        except OverflowError:
-            raise ValueError(span) from None
+        row = plain_ints(next(rows, "").strip(),    # a missing row is empty
+                         "table entries must be plain decimal digits "
+                         "separated by spaces")
         if row.shape != (size,):
             raise ValueError("table must be q rows of q integers")
-        if row.min() < 0 or row.max() >= size:
-            raise ValueError(span)
-        if not _plain(line.strip()):
-            raise ValueError("table entries must be plain decimal digits "
-                             "separated by spaces")
+        if row.max() >= size:
+            raise ValueError(f"table entries must lie in [0, {size})")
         table[x] = row
     if next(rows, None) is not None:
         raise ValueError("table must be q rows of q integers")

@@ -469,7 +469,8 @@ def test_spread_bent_g_value_out_of_range(tmp_path, capsys):
 
 
 def test_spread_bent_g_value_beyond_int32_and_int64(tmp_path, capsys):
-    """Checked as Python ints: no overflow, and no wrap into the carrier."""
+    """An entry past int64 reads as the int64 maximum, so the range check
+    rejects it: no overflow, and no wrap into the carrier."""
     for bad in ((1 << 31) + 3, (1 << 64) + 3):
         gt = tmp_path / "g.txt"
         gt.write_text(" ".join(map(str, [bad] + list(range(1, 8)))))
@@ -492,14 +493,17 @@ def test_spread_bent_g_table_takes_plain_digits_only(tmp_path, capsys):
     """A G file whose values int() reads but which are not plain ASCII
     digits and spaces (a sign, an underscore, an Arabic-Indic or
     fullwidth digit, a tab between values) exits 2 under the digit rule
-    of table files; each once ran with exit 0.  Values may span lines."""
+    of table files; each once ran with exit 0.  So do a letter, a point,
+    an exponent, a hex prefix and a comma, with the same message.  Values
+    may span lines."""
     words = list(map(str, spread.sqrt_diag_g_table(spread.field_pqf(3)).tolist()))
     assert words[:2] == ["0", "1"]
     gt = tmp_path / "g.txt"
     argv = ["spread", "bent", "--pqf", "field:3", "--g", f"table:{gt}"]
     rest = " ".join(words[2:])
     for bad in ("0 0_1 " + rest, "0 +1 " + rest, "-0 1 " + rest,
-                "0 \u0661 " + rest, "0 \uff11 " + rest, "\t".join(words)):
+                "0 \u0661 " + rest, "0 \uff11 " + rest, "\t".join(words),
+                *(f"0 {w} " + rest for w in ("3x", "1.5", "1e3", "0x1f", "1,2"))):
         gt.write_text(bad + "\n", encoding="utf-8")
         _named_input_error(argv, capsys,
                            "G values must be plain decimal digits and spaces")
@@ -783,6 +787,15 @@ def test_unreadable_input_path(tmp_path, capsys):
     for argv in (["oval", "verify", "--m", "3", "--json", str(tmp_path)],
                  ["ea", "--table", str(tmp_path)]):
         _assert_input_error(argv, capsys)
+
+
+def test_ea_table_stops_at_k_24(tmp_path, capsys):
+    """A valid truth-table file with k = 25, one bit past the largest
+    table any command writes, is bad input, named from its header."""
+    path = tmp_path / "t25.txt"
+    path.write_text("k=25\n" + "00" * (1 << 22) + "\n")
+    _named_input_error(["ea", "--table", str(path)], capsys,
+                       "k=25 is above the truth-table cap k <= 24")
 
 
 def test_oval_json_malformed(tmp_path, capsys):

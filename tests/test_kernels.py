@@ -98,9 +98,9 @@ def test_walsh_inplace_extreme_spectra(k):
 
 @pytest.mark.parametrize("k", range(15))
 def test_hadamard_digits_in_float64(k):
-    """The digit products in float64, the branch of k > 24, at small k:
-    all k bits at once, and split into low bits s and high bits k - s (the
-    column-chunk call, inner = 2^s)."""
+    """The digit products take the float dtype of their buffers: here
+    float64, at small k, all k bits at once, and split into low bits s
+    and high bits k - s (the column-chunk call, inner = 2^s)."""
     table = np.random.default_rng(300 + k).integers(0, 2, size=1 << k,
                                                     dtype=np.uint8)
     want = 1 - 2 * table.astype(np.int64)
@@ -113,6 +113,16 @@ def test_hadamard_digits_in_float64(k):
         got = kernels._hadamard_digits(low, other, k - s, 1 << s)
         assert got.dtype == np.float64
         assert np.array_equal(got, want), s
+
+
+def test_walsh_inplace_stops_at_k_24():
+    """Above k = 24 float32 is no longer exact, and the transform raises
+    before it writes: a writable 2^25-entry view of one int32, with no
+    2^25-entry buffer behind it."""
+    w = np.lib.stride_tricks.as_strided(np.ones(1, dtype=np.int32),
+                                        shape=(1 << 25,), strides=(0,))
+    with pytest.raises(ValueError, match="exact up to k = 24"):
+        kernels.walsh_inplace(w)
 
 
 @pytest.mark.parametrize("k", [1, 4, 8])

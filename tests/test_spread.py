@@ -574,8 +574,10 @@ def test_pqf_file_format(tmp_path):
 
 def test_pqf_reader_takes_plain_digits_only():
     """Table lines and the q= value hold ASCII digits and spaces only;
-    whitespace at the ends of a line is stripped.  int() reads every
-    rejected entry as a number."""
+    whitespace at the ends of a line is stripped.  int() reads each
+    rejected entry of the named layouts as a number; the five added
+    after them (a letter, a point, an exponent, a hex prefix, a comma)
+    int() rejects with its own message.  The digit rule meets all first."""
     table = spread.field_pqf(2).table
     text = spread.dumps_pqf(spread.field_pqf(2))
     row = "0 1 2 3"
@@ -594,6 +596,9 @@ def test_pqf_reader_takes_plain_digits_only():
                "q= plus sign": (text.replace("q=4", "q=+4"), False),
                "q= underscore": (text.replace("q=4", "q=0_4"), False),
                "q= arabic-indic digit": (text.replace("q=4", "q=\u0664"), False)}
+    for word in ("3x", "1.5", "1e3", "0x1f", "1,2"):
+        layouts[f"entry {word}"] = (text.replace(row, f"0 1 2 {word}"), False)
+        layouts[f"q= {word}"] = (text.replace("q=4", f"q={word}"), False)
     for name, (layout, accepted) in layouts.items():
         if accepted:
             assert np.array_equal(spread.loads_pqf(layout).table, table), name
