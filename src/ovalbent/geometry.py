@@ -33,6 +33,16 @@ class AffineLineK(NamedTuple):
     mu: int  # F-index; the line is {x : T(u x) = mu}
 
 
+class NotALineOval(ValueError):
+    """The verdict that a set of lines is no line oval, in either setting:
+    `point` (an element of K, or (x, y) on V x V) lies on `count` of the
+    lines, neither 0 nor 2."""
+
+    def __init__(self, message: str, point=None, count: int | None = None):
+        super().__init__(message)
+        self.point, self.count = point, count
+
+
 @dataclass(frozen=True)
 class LineOval:
     """q+1 mutually non-parallel lines covering each point 0 or 2 times."""
@@ -83,19 +93,6 @@ def line_points(line: AffineLineK, params: FieldParams) -> frozenset[int]:
 def line_cover_counts(lines: Iterable[AffineLineK], params: FieldParams) -> np.ndarray:
     """For every point of K, how many of the given lines pass through it."""
     return kernels.line_cover_counts(line_point_rows(lines, params), params.n)
-
-
-def verify_line_oval(lines: Iterable[AffineLineK], params: FieldParams):
-    """Strong line-oval check: every point of K on 0 or 2 of the lines.
-
-    This is the form whose projective closure has the line at infinity as
-    nucleus.  Returns (ok, witness_point_or_None, counts).
-    """
-    counts = line_cover_counts(lines, params)
-    bad = np.nonzero((counts != 0) & (counts != 2))[0]
-    if bad.size:
-        return False, int(bad[0]), counts
-    return True, None, counts
 
 
 def verify_no_three_concurrent(lines: Iterable[AffineLineK], params: FieldParams):

@@ -12,7 +12,8 @@ instead, so the two stay independent computations of the same zero set.
 The truth table is one gather over K through the polar log table
 (`FieldParams.polar_log_table`).  A command builds it once and hands it
 to the Walsh route, and builds the line oval once: the product route
-takes that `LineOval`, which exists only for a bent g.
+takes that `LineOval`, which exists only for a bent g; on any other g
+the build raises `geometry.NotALineOval`, the verdict with its witness.
 
 Maps on the circle are index arithmetic: u^e over the circle is one
 gather (`FieldParams.circle_pow`), T of a whole array is another
@@ -194,13 +195,15 @@ def line_oval_from_g(g: UnitCircleMap, params: FieldParams) -> geometry.LineOval
     """The line oval {L(u, g(u))} with its covered set E(O) as a table.
 
     The one bentness guard for circle maps: by the line-oval law g is
-    bent iff these lines cover every point 0 or 2 times, and a ValueError
-    with a witness point is raised otherwise."""
+    bent iff these lines cover every point 0 or 2 times, and otherwise
+    `geometry.NotALineOval` names the smallest point covered another
+    number of times and that number: the line-oval verdict of `niho`."""
     lines = lines_of_g(g, params)
-    ok, witness, counts = geometry.verify_line_oval(lines, params)
-    if not ok:
-        raise ValueError(f"g is not bent: point {witness} lies on "
-                         f"{int(counts[witness])} of the lines")
+    counts = geometry.line_cover_counts(lines, params)
+    x = int(np.argmax((counts != 0) & (counts != 2)))
+    if (n := int(counts[x])) not in (0, 2):
+        raise geometry.NotALineOval(f"g is not bent: point {x} lies on {n} "
+                                    f"of the lines", x, n)
     oval = geometry.LineOval(tuple(lines), (counts > 0).view(np.uint8))
     assert oval.e_size() == params.q * (params.q + 1) // 2
     return oval

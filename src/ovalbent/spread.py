@@ -633,6 +633,9 @@ def read_pqf(lines) -> Prequasifield:
             or not head[1].startswith("shape="):
         raise ValueError("bad prequasifield header")
     q = plain_ints(head[0][2:], "the q= value must be plain decimal digits")
+    if len(head[0][2:].lstrip("0")) > 18:    # 19 digits: q may have saturated
+        raise ValueError(f"the q= value is past every carrier size: carriers "
+                         f"have GF(2) dimension 1..{MAX_CARRIER_DIM}")
     size, shape = int(q[0]), head[1][6:]
     dim = size.bit_length() - 1
     if size < 1 or 1 << dim != size:

@@ -11,12 +11,14 @@ Bentness is equivalent to: G bijective and z -> G(z) + b*z 2-to-1 for
 every b != 0 (star = transpose multiplication), and to the 0-or-2 cover
 property of the line oval {x=0} u {y = G(z) + x*z} in A(Q^t).  The line
 oval is the bentness guard: `line_oval_bivariate` raises `NotALineOval`
-unless the cover property holds, and the `BivariateLineOval` it returns
-exists only for a bent function.  The dual is computed along three independent routes,
-each from the object it needs: Walsh signs of the truth table, the
-product formula over the line oval's offsets, and the complement of its
-covered set E read flat, since E is the [x, y] table in which its cover
-is counted, and that is the coordinate swap; they agree bit-exactly.
+(`geometry.NotALineOval`, the line-oval verdict of both settings) with
+the point (x, y) and its count unless the cover property holds, and the
+`BivariateLineOval` it returns exists only for a bent function.  The
+dual is computed along three independent routes, each from the object
+it needs: Walsh signs of the truth table, the product formula over the
+line oval's offsets, and the complement of its covered set E read flat,
+since E is the [x, y] table in which its cover is counted, and that is
+the coordinate swap; they agree bit-exactly.
 
 Every B bit is read off the 1-D B-mask table of the carrier, so the form
 needs no size^2 table: the fill counts B(G(z), x) per row block, and the
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import boolfn, kernels, spread as spread_mod
+from .geometry import NotALineOval
 from .spread import Prequasifield
 
 
@@ -131,10 +134,6 @@ def bent_criterion(spec: SpreadBentSpec):
     return True, None
 
 
-class NotALineOval(ValueError):
-    """The verdict that the lines of a spec do not form a line oval."""
-
-
 def line_oval_bivariate(spec: SpreadBentSpec) -> BivariateLineOval:
     """The line oval of the mu-normalized spec; raises NotALineOval with a
     witness point unless it covers every point 0 or 2 times, that is
@@ -164,8 +163,9 @@ def _materialize_line_oval(Q: Prequasifield, c: int,
         bad = covered & (counts != 2)
         if bad.any():
             i, y = divmod(int(np.argmax(bad)), size)
+            n = int(counts[i, y])
             raise NotALineOval(f"not a line oval: point ({x0 + i}, {y}) "
-                               f"lies on {int(counts[i, y])} lines")
+                               f"lies on {n} lines", (x0 + i, y), n)
         e_table[x0:x0 + b] = covered
     assert int(e_table.sum()) == (size * size) // 2 + size // 2
     return BivariateLineOval(c, offsets, e_table)
@@ -340,7 +340,8 @@ def analyze(spec: SpreadBentSpec):
     One truth table, one Walsh spectrum and one criterion run: the
     bentness verdict and the Walsh-sign dual read the same spectrum.  The
     line oval is built only when the criterion holds, and the product and
-    chi-swap routes read it."""
+    chi-swap routes read it; if its cover fails there, the verdicts
+    disagree and `lineoval_witness` names the point."""
     spec0 = normalize_mu(spec)
     Q = spec0.Q
     f = bent_bivariate(spec0)
@@ -351,12 +352,12 @@ def analyze(spec: SpreadBentSpec):
     dual = _b_form_dual(plain, Q) if bent else None
     del plain
     crit, witness = bent_criterion(spec0)
-    oval = None
+    oval = lineoval_witness = None
     if crit:
         try:
             oval = line_oval_bivariate(spec0)
-        except NotALineOval:
-            pass
+        except NotALineOval as e:       # the verdicts disagree
+            lineoval_witness = e.point
     out = {
         "bent": bent,
         "criterion": crit,
@@ -364,6 +365,8 @@ def analyze(spec: SpreadBentSpec):
         "lineoval_ok": oval is not None,
         "verdicts_agree": bent == crit == (oval is not None),
     }
+    if lineoval_witness is not None:
+        out["lineoval_witness"] = lineoval_witness
     if bent:
         out["dual_routes_agree"] = oval is not None and bool(
             dual == dual_product(oval, Q) and dual == dual_chi_swap(oval))

@@ -780,7 +780,38 @@ def test_one_fill_cover_and_transform_per_command(monkeypatch, capsys):
     assert cli.main(["dual", *spec, "--method", "walsh",
                      "--cross-check", "product"]) == 0
     assert calls == {"bent_from_g": 1, "line_cover_counts": 1, "walsh_transform": 1}
+    calls.clear()
+    # a g that is not bent: the same one cover gives the verdict and witness
+    assert cli.main(["niho", "--family", "quadratic", "--m", "4",
+                     "--a-index", "92"]) == 1
+    assert calls == {"bent_from_g": 1, "line_cover_counts": 1, "walsh_transform": 1}
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["niho", "--family", "quadratic", "--m", "4"],
+    ["dual", "--family", "quadratic", "--m", "4", "--method", "walsh",
+     "--cross-check", "product"]])
+def test_cover_against_the_walsh_verdict_is_a_verdict(argv, monkeypatch, capsys):
+    """A line-oval cover that contradicts a bent Walsh spectrum is a
+    library fault: a failed verdict with its witness (exit 1), not bad
+    input.  One more line through the point 6, which lies on 2 lines,
+    makes the cover fail there."""
+    cover = geometry.line_cover_counts
+
+    def one_more_line(lines, params):
+        counts = cover(lines, params)
+        counts[6] += 1
+        return counts
+
+    monkeypatch.setattr(geometry, "line_cover_counts", one_more_line)
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert rep["verdicts"] == {"bent": True, "line_oval": False}
+    assert rep["witnesses"] == {"line_oval_point": 6}
+    assert rep["counts"] == {"witness_cover": 3}
+    assert "error:" not in err
 
 
 def test_unreadable_input_path(tmp_path, capsys):

@@ -194,8 +194,7 @@ def test_dual_points_to_lines_of_circle():
     p = gf.field_make(3)
     lines = geometry.dual_points_to_lines([int(u) for u in p.S], p)
     assert all(ln.mu == 1 for ln in lines)
-    ok, _, counts = geometry.verify_line_oval(lines, p)
-    assert ok
+    assert set(geometry.line_cover_counts(lines, p).tolist()) <= {0, 2}
     ok2, _ = geometry.verify_no_three_concurrent(lines, p)
     assert ok2
     with pytest.raises(ValueError):

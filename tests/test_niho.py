@@ -201,6 +201,24 @@ def test_one_bentness_guard():
             assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_not_a_line_oval_carries_the_oracle_witness(m):
+    """The guard's point and count are the smallest point the per-line
+    oracle counts other than 0 or 2 times, and how often, on seeded
+    non-bent circle maps."""
+    p = gf.field_make(m)
+    rng = np.random.default_rng(m)
+    for _ in range(4):
+        g = niho.UnitCircleMap(m, rng.integers(0, p.q, size=p.q + 1))
+        assert not boolfn.is_bent(niho.bent_from_g(g, p))
+        cover = line_cover_naive(niho.lines_of_g(g, p), p)
+        x = int(np.flatnonzero((cover != 0) & (cover != 2))[0])
+        with pytest.raises(geometry.NotALineOval) as err:
+            niho.line_oval_from_g(g, p)
+        assert (err.value.point, err.value.count) == (x, int(cover[x]))
+        assert str(err.value) == f"g is not bent: point {x} lies on {cover[x]} of the lines"
+
+
 def test_restriction_linearity():
     # lam -> f(lam u) is GF(2)-linear on each ray
     for spec in (niho.NihoSpec("binomial_3", 3), niho.NihoSpec("binomial_3", 4)):

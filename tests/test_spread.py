@@ -605,6 +605,16 @@ def test_pqf_reader_takes_plain_digits_only():
         else:
             with pytest.raises(ValueError, match="plain decimal digits"):
                 spread.loads_pqf(layout)
+    # q= values of 19 or more digits, past int64 here, would saturate in
+    # the parse: rejected by their digit count, with the carrier range
+    for q in ("9223372036854775808", "18446744073709551616"):
+        with pytest.raises(ValueError, match=r"past every carrier size: "
+                                             r"carriers have GF\(2\) dimension 1\.\.12"):
+            spread.loads_pqf(text.replace("q=4", f"q={q}"))
+    with pytest.raises(ValueError, match=r"^carrier dimension 13 is outside 1\.\.12$"):
+        spread.loads_pqf(text.replace("q=4", "q=8192"))
+    assert np.array_equal(spread.loads_pqf(
+        text.replace("q=4", "q=" + "0" * 20 + "4")).table, table)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])

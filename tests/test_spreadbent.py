@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ovalbent import boolfn, kernels, spread, spreadbent
+from ovalbent import boolfn, geometry, kernels, spread, spreadbent
 from ovalbent.gf import BinaryField
 from oracles import (adjoint_naive, b_form_masks, bent_criterion_naive,
                      bivariate_fill_naive, bivariate_product_dual_naive,
@@ -131,9 +131,9 @@ def test_analyze_catches_only_the_line_oval_verdict(luneburg_spec, monkeypatch):
     build is a failed verdict (exit 1), but any other ValueError, such as
     a numpy shape fault, is a fault and propagates: it was once reported
     as `lineoval_ok: false`."""
-    def raising(exc):
+    def raising(exc, *fields):
         def build(*args):
-            raise exc("operands could not be broadcast together")
+            raise exc("operands could not be broadcast together", *fields)
         return build
 
     monkeypatch.setattr(spreadbent, "_materialize_line_oval", raising(ValueError))
@@ -143,6 +143,13 @@ def test_analyze_catches_only_the_line_oval_verdict(luneburg_spec, monkeypatch):
                         raising(spreadbent.NotALineOval))
     out, _, _ = spreadbent.analyze(luneburg_spec)
     assert out["criterion"] and not out["lineoval_ok"] and not out["verdicts_agree"]
+    # with a witness, the report names its point
+    monkeypatch.setattr(spreadbent, "_materialize_line_oval",
+                        raising(spreadbent.NotALineOval, (5, 3), 1))
+    out, _, _ = spreadbent.analyze(luneburg_spec)
+    assert not out["verdicts_agree"] and out["lineoval_witness"] == (5, 3)
+    monkeypatch.undo()
+    assert "lineoval_witness" not in spreadbent.analyze(luneburg_spec)[0]
 
 
 def test_criterion_witness_matches_per_b_oracle(monkeypatch):
@@ -210,6 +217,21 @@ def test_line_oval_cover_matches_per_line_oracle(name, monkeypatch):
             _assert_cover_matches(
                 lambda: spreadbent.action_linear_shift(spec, u, v)[1],
                 Q, v, spec.G ^ u ^ st[v])
+
+
+@pytest.mark.parametrize("name", ["field:4", "luneburg:3"])
+def test_not_a_line_oval_carries_the_oracle_witness(name):
+    """`NotALineOval` is the verdict of both settings, and its point and
+    count are the per-line oracle's witness, on the non-bent G of
+    `_cover_gs`."""
+    assert spreadbent.NotALineOval is geometry.NotALineOval
+    Q = SMALL[name]()
+    for G in _cover_gs(Q)[1:]:
+        spec = spreadbent.SpreadBentSpec(Q, np.asarray(G, dtype=np.int64))
+        x, y, n = line_oval_cover_naive(Q, 0, spec.G)[1]
+        with pytest.raises(geometry.NotALineOval) as err:
+            spreadbent.line_oval_bivariate(spec)
+        assert (err.value.point, err.value.count) == ((x, y), n)
 
 
 @pytest.mark.parametrize("name", sorted(SMALL))
