@@ -13,8 +13,12 @@ import numpy as np
 
 from . import kernels
 
-# 1 + weight(col) for col < 2^6, the weights `AnfPolynomial.degree` adds
-_ONE_PLUS_WEIGHT = np.bitwise_count(np.arange(64, dtype=np.uint8)) + np.uint8(1)
+# the weights of 0..255 as int16, and per byte value b of packed ANF
+# coefficients, 1 + the largest weight of a bit position 0..7 set in b;
+# -64 for b = 0, so that no weight added to it makes it positive
+_WEIGHT = np.bitwise_count(np.arange(256, dtype=np.uint8)).astype(np.int16)
+_BYTE_TOP = np.where((np.arange(256)[:, None] >> np.arange(8)) & 1,
+                     1 + _WEIGHT[:8], -64).max(axis=1).astype(np.int16)
 
 
 def _rank(rows: list[int]) -> int:
@@ -120,6 +124,13 @@ class WalshSpectrum:
         return BooleanFunction(self.k, signs if masks is None else signs[masks])
 
     def histogram(self) -> dict[int, int]:
+        """{value: count} in increasing order.  A bent spectrum takes only
+        -2^(k/2) and 2^(k/2), so one count of its negative entries gives
+        both, with no sort."""
+        if self.k % 2 == 0 and self.is_bent():
+            half, neg = 1 << (self.k // 2), int(np.count_nonzero(self.values < 0))
+            counts = {-half: neg, half: self.values.shape[0] - neg}
+            return {v: c for v, c in counts.items() if c}
         vals, counts = np.unique(self.values, return_counts=True)
         return {int(v): int(c) for v, c in zip(vals, counts)}
 
@@ -128,26 +139,38 @@ class WalshSpectrum:
 
 
 class AnfPolynomial:
-    """Coefficients over the monomial basis (Moebius transform of the table)."""
+    """Coefficients over the monomial basis (Moebius transform of the
+    table), packed as `packed_words` packs a table: bit s of the uint64
+    words is the coefficient of the monomial of the index bits of s, and
+    the bits past 2^k are zero."""
 
-    __slots__ = ("k", "coeffs")
+    __slots__ = ("k", "words")
 
-    def __init__(self, k: int, coeffs: np.ndarray):
+    def __init__(self, k: int, words: np.ndarray):
         self.k = k
-        self.coeffs = coeffs
+        self.words = words
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The 2^k coefficients as uint8 bits."""
+        return np.unpackbits(self.words.view(np.uint8), count=1 << self.k,
+                             bitorder="little")
 
     def degree(self) -> int:
-        """Largest weight of a monomial with coefficient 1, in one pass.
+        """Largest weight of a monomial with coefficient 1, read per byte.
 
-        With the coefficient bits viewed as (R, C), C = 2^min(6, k),
-        monomial row*C + col has weight weight(row) + weight(col): each
-        row's coefficients times 1 + weight(col) give, at their max, 1 +
-        the heaviest monomial of the row outside its row bits (0 for
-        none)."""
-        cols = 1 << min(6, self.k)
-        best = (self.coeffs.reshape(-1, cols) * _ONE_PLUS_WEIGHT[:cols]).max(axis=1)
-        rows = np.bitwise_count(np.arange(best.shape[0], dtype=np.uint32))
-        return max(int(np.max(best + rows, where=best != 0, initial=0)) - 1, 0)
+        Byte j of the words holds the monomials 8j + i, i < 8, of weight
+        weight(j) + weight(i), so its heaviest is `_BYTE_TOP[byte]` - 1 +
+        weight(j), and a zero byte reads negative.  With the bytes viewed
+        as (R, C), C = min(256, bytes), weight(j) = weight(row) +
+        weight(col): one gather, one add of the column weights and one max
+        along the rows, then one add of the row weights."""
+        by = self.words.view(np.uint8)
+        cols = min(by.shape[0], 256)
+        best = (_BYTE_TOP[by].reshape(-1, cols) + _WEIGHT[:cols]).max(axis=1)
+        if best.shape[0] > 1:
+            best += np.bitwise_count(np.arange(best.shape[0], dtype=np.uint16))
+        return max(int(best.max()) - 1, 0)
 
     def __repr__(self) -> str:
         return f"AnfPolynomial(k={self.k}, degree={self.degree()})"
@@ -166,6 +189,14 @@ def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
     return WalshSpectrum(f.k, w)
 
 
+def first_difference(a: BooleanFunction, b: BooleanFunction) -> int | None:
+    """The smallest point where a and b differ, None if they are equal."""
+    if a.k != b.k:
+        raise ValueError("mismatched input sizes")
+    diff = a.table != b.table
+    return int(np.argmax(diff)) if diff.any() else None
+
+
 def is_bent(f: BooleanFunction) -> bool:
     return walsh_transform(f).is_bent()
 
@@ -176,10 +207,23 @@ def dual(f: BooleanFunction, masks: np.ndarray | None = None) -> BooleanFunction
     return walsh_transform(f).dual(masks)
 
 
+def packed_words(bits: np.ndarray) -> np.ndarray:
+    """The 0/1 entries of bits packed little-endian into fresh uint64
+    words: entry s at bit s % 64 of word s // 64, zero-padded to whole
+    words."""
+    packed = np.packbits(bits, bitorder="little")
+    if packed.shape[0] % 8:
+        packed = np.concatenate([packed, np.zeros(-packed.shape[0] % 8, np.uint8)])
+    return packed.view("<u8")
+
+
 def anf(f: BooleanFunction) -> AnfPolynomial:
-    c = f.table.copy()
-    kernels.mobius_inplace(c)
-    return AnfPolynomial(f.k, c)
+    """ANF of f: the Moebius transform of its packed truth table."""
+    words = packed_words(f.table)
+    kernels.mobius_inplace(words)
+    if f.k < 6:             # one word: its bits past 2^k are not coefficients
+        words &= (1 << (1 << f.k)) - 1
+    return AnfPolynomial(f.k, words)
 
 
 def degree(f: BooleanFunction) -> int:

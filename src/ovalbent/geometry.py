@@ -53,7 +53,7 @@ class LineOval:
         self.e_table.flags.writeable = False
 
     def e_size(self) -> int:
-        return int(self.e_table.sum())
+        return int(np.count_nonzero(self.e_table))
 
 
 @dataclass(frozen=True)

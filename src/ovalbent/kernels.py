@@ -26,16 +26,19 @@ digit: blocks of `BLOCK_ENTRIES` entries are cast to float32 and
 transformed along their low bits, then column chunks of the same size
 along the high bits.  Every value stays an integer of magnitude at most
 2^24, so the products are exact under any BLAS; above k = MAX_K = 24
-the transform raises.  The Moebius transform stays a uint8 XOR
-butterfly (blocked subset-sum products with a mod-2 reduction per digit
-took 2.08 ms against its 0.86 ms at k = 18 in a prototype): the stages
-of its low index bits, whose rows would be 2 to 32 entries long, run on
-a transposed copy of each block, where they are stages over rows of at
-least 2^(k/2) entries (1024 from k = 16 on), and the other stages run
-in place.  Every per-row value histogram of a square table is counted
-by `row_counts`, one bincount per block of rows (`row_blocks`): the
-spread cover, the spread-bent criterion and the line-oval cover, so
-none of them holds a count array over the whole plane.  Per-kernel time
+the transform raises.  The Moebius transform works on the truth table
+packed little-endian into uint64 words, 64 entries per word: its six
+low stages are one mask-and-shift each inside every word, and its other
+k - 6 stages XOR the lower half of each run of words into the upper
+half, so every stage is one pass over 2^k / 64 words (0.74 ms against
+the 3.2 ms of the uint8 butterfly at k = 20, whose reference is
+`oracles.mobius_rows`).  Every per-row value histogram of a square
+table is counted by `row_counts`, one bincount per block of rows
+(`row_blocks`): the spread cover, the spread-bent criterion and the
+line-oval cover, so none of them holds a count array over the whole
+plane.  Each block is packed into one reused intp buffer by one XOR
+with a precomputed offset term, exact because every carrier size is a
+power of two.  Per-kernel time
 and work on real workloads come from
 `python3 perfbench/run.py --workload W --trace 1`.
 """
@@ -62,17 +65,30 @@ def row_blocks(size: int):
         yield x0, np.arange(x0, min(x0 + rows, size), dtype=np.int32)[:, None]
 
 
-def row_counts(size: int, rows):
-    """(x0, counts) per block of `row_blocks(size)`: counts[i, v] is the
-    number of entries v (0 <= v < size) in row i of the (b, n) block
-    rows(x0, b).  The block is packed at local index i*size + v and
-    counted by one bincount, so no count array outlives its block.  The
-    block is packed straight into intp, the dtype bincount casts its
-    input to, which skips an int32 temporary."""
+def row_counts(table: np.ndarray, offsets):
+    """(x0, counts) per block of `row_blocks(size)` of the (size, n) table
+    with values in [0, size): counts[i, v] is the number of v among the
+    entries offsets ^ table[x0 + i] (offsets: an array of n values in
+    [0, size), or 0).  Each block is packed into one reused intp buffer
+    by one XOR, table[x0:x0+b] ^ (offsets ^ size*i), the second term
+    computed once: size is a power of two, so size*i has no bit below
+    size and the XOR is the local index i*size + v.  Any other size
+    raises ValueError.  One bincount counts the block, so no count array
+    outlives its block."""
+    size = table.shape[0]
+    if size & (size - 1):
+        raise ValueError(f"row_counts needs a power-of-two size, not {size}")
+    rows = min(size, max(1, BLOCK_ENTRIES // size))
+    local = np.empty((rows, table.shape[1]), dtype=np.intp)
+    np.bitwise_xor(offsets, np.arange(0, rows * size, size, dtype=np.intp)[:, None],
+                   out=local)
+    # one block (rows == size) is packed over the offset term itself, so
+    # that it faults in no second block of fresh pages
+    buf = local if rows == size else np.empty_like(local)
     for x0, xs in row_blocks(size):
         b = xs.shape[0]
-        local = np.add(rows(x0, b), size * (xs - x0), dtype=np.intp)
-        yield x0, np.bincount(local.ravel(), minlength=b * size).reshape(b, size)
+        packed = np.bitwise_xor(table[x0:x0 + b], local[:b], out=buf[:b])
+        yield x0, np.bincount(packed.ravel(), minlength=b * size).reshape(b, size)
 
 
 # most bits per digit of the Walsh transform: one Hadamard matrix product of
@@ -158,45 +174,42 @@ def walsh_inplace(w: np.ndarray) -> None:
             v[:, c0:c0 + cols] = high.reshape(rows, cols)
 
 
-def _mobius_stages(t: np.ndarray, h: int) -> None:
-    """Moebius stages h, 2h, .., n/2 of t in place: the upper half of each
-    2h row gets the XOR of its lower half."""
-    n = t.shape[0]
+# (h, mask) of the six Moebius stages inside a 64-bit word: bit s of the
+# mask is set iff s & h == 0, the lower half of each 2h run of bits
+_WORD_STAGES = ((1, 0x5555555555555555), (2, 0x3333333333333333),
+                (4, 0x0F0F0F0F0F0F0F0F), (8, 0x00FF00FF00FF00FF),
+                (16, 0x0000FFFF0000FFFF), (32, 0x00000000FFFFFFFF))
+
+
+def _word_stages(x):
+    """The six in-word Moebius stages on a uint64 array in place, or on
+    a Python int (returned): each bit s with s & h != 0 gets the XOR of
+    bit s - h, one mask-and-shift per stage.  The masked bits sit in the
+    lower half of each 2h run, so the shift never leaves the word."""
+    for h, low in _WORD_STAGES:
+        x ^= (x & low) << h
+    return x
+
+
+def mobius_inplace(t: np.ndarray) -> None:
+    """In-place Moebius (XOR) transform of the bits packed little-endian
+    into the uint64 words t (bit s of word j is entry 64j + s,
+    `boolfn.packed_words`): the six stages inside each word by
+    mask-and-shift, then the stages across words, h = 1, 2, .. words,
+    as XORs of the lower half of each 2h run of words into its upper
+    half.  One word runs its stages on a Python int, with no numpy call
+    per stage.  A table of k < 6 variables is one word with its bits past
+    2^k zero; its low 2^k bits come out right, and the rest are copies
+    for the caller to clear."""
+    if t.shape[0] == 1:
+        t[0] = _word_stages(int(t[0]))
+        return
+    _word_stages(t)
+    n, h = t.shape[0], 1
     while h < n:
         v = t.reshape(-1, 2 * h)
         v[:, h:] ^= v[:, :h]
         h *= 2
-
-
-def _low_bits_transposed(t: np.ndarray) -> int:
-    """Run the Moebius stages of the low c index bits of t block by block
-    on a transposed copy, where they are stages over long rows; returns
-    C = 2^c, the row length of the first stage left to run in place.
-
-    Index bit i < c of a block of B = min(BLOCK_ENTRIES, n) entries viewed
-    as (R, C) is bit i of the column; in the (C, R) transpose it is the
-    stage h = R * 2^i.  c = min(6, k // 2) keeps R >= C.  Besides the
-    stages' own temporaries, the only memory is one block-sized buffer."""
-    n = t.shape[0]
-    cols = 1 << min(6, (n.bit_length() - 1) // 2)
-    if cols == 1:
-        return 1
-    block = min(BLOCK_ENTRIES, n)
-    rows = block // cols
-    buf = np.empty((cols, rows), dtype=t.dtype)
-    flat = buf.reshape(-1)
-    for b0 in range(0, n, block):
-        v = t[b0:b0 + block].reshape(rows, cols)
-        buf[...] = v.T
-        _mobius_stages(flat, rows)
-        v[...] = buf.T
-    return cols
-
-
-def mobius_inplace(t: np.ndarray) -> None:
-    """In-place Moebius (XOR) butterfly on a length-2^k uint8 vector: the
-    low index bits on transposed blocks, the rest in place."""
-    _mobius_stages(t, _low_bits_transposed(t))
 
 
 # no library caller since `niho.bent_from_g` became one gather; kept for

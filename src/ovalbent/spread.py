@@ -270,6 +270,18 @@ class PqfReport:
         }
 
 
+def _doubling_steps(v: np.ndarray, wv: np.ndarray, p0: int, lo: int,
+                    hi: int) -> None:
+    """wv[p - p0] = v[p - h] ^ v[h] for max(lo, 1) <= p < hi, h the top bit
+    of p: one XOR per doubling step."""
+    p = max(lo, 1)
+    while p < hi:
+        h = 1 << (p.bit_length() - 1)
+        e = min(2 * h, hi)
+        np.bitwise_xor(v[p - h:e - h], v[h], out=wv[p - p0:e - p0])
+        p = e
+
+
 def _line_check(t: np.ndarray, axis: int) -> tuple[int | None, int | None]:
     """(nonlinear, non_perm) over the lines of the table t along `axis`:
     axis 0 gives the columns r = t[:, z], the right multiplications R_z,
@@ -283,7 +295,10 @@ def _line_check(t: np.ndarray, axis: int) -> tuple[int | None, int | None]:
     checked along itself.  A linear r is a bijection iff its kernel is
     trivial and its basis values (hence all values) lie in the carrier,
     that is iff r[1:] has no zero.  Only the lines not shown linear are
-    sorted, a block of them at a time.
+    sorted, a block of them at a time.  On axis 1 each block of rows
+    checks the top doubling step (p >= size / 2) first and skips its
+    other steps once every row in it has failed; the zeros that make a
+    line singular are looked for in every block.
 
     nonlinear is the smallest line that is not linear (its witness is
     `_doubling_witness`), non_perm the smallest line i >= 1 that is not a
@@ -301,18 +316,23 @@ def _line_check(t: np.ndarray, axis: int) -> tuple[int | None, int | None]:
             v, span, p0, end = t, slice(None), x0, x1
         else:               # every position of the rows x0 .. x1 - 1
             v, span, p0, end = block.T, slice(x0, x1), 0, size
+        fail, sing = failing[span], singular[span]
+        sing |= (v[max(p0, 1):end] == 0).any(axis=0)
         # want[p] = r[p - h] ^ r[h], h the top bit of p, and want[0] = 0
         want = np.zeros_like(block)
         wv = want if axis == 0 else want.T
-        p = max(p0, 1)
-        while p < end:
-            h = 1 << (p.bit_length() - 1)
-            e = min(2 * h, end)
-            np.bitwise_xor(v[p - h:e - h], v[h], out=wv[p - p0:e - p0])
-            p = e
-        fail, sing = failing[span], singular[span]
-        fail |= (want != block).any(axis=axis)
-        sing |= (v[max(p0, 1):end] == 0).any(axis=0)
+        if axis == 0:
+            _doubling_steps(v, wv, p0, p0, end)
+            fail |= (want != block).any(axis=0)
+        else:
+            # the top doubling step first: a block whose rows all fail it
+            # needs no other step
+            top = size // 2
+            _doubling_steps(v, wv, 0, top, size)
+            fail |= (want[:, top:] != block[:, top:]).any(axis=1)
+            if not fail.all():
+                _doubling_steps(v, wv, 0, 0, top)
+                fail |= (want[:, :top] != block[:, :top]).any(axis=1)
 
     singular[0] = False                         # line 0 is the zero map
     singular &= ~failing
@@ -539,8 +559,7 @@ def verify_spread(Q: Prequasifield):
     the cover is counted per block of rows (`kernels.row_counts`)."""
     size = Q.size
     witness = None
-    for x0, cover in kernels.row_counts(
-            size, lambda x0, b: Q.table[x0:x0 + b]):
+    for x0, cover in kernels.row_counts(Q.table, 0):
         if x0 == 0:
             cover[0] += 1                       # the vertical member
             cover[0, 0] = 1                     # (0, 0) is no point

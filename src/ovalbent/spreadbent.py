@@ -69,7 +69,7 @@ class BivariateLineOval:
         self.e_table.flags.writeable = False
 
     def e_size(self) -> int:
-        return int(self.e_table.sum())
+        return int(np.count_nonzero(self.e_table))
 
 
 def star_table(Q: Prequasifield) -> np.ndarray:
@@ -123,8 +123,7 @@ def bent_criterion(spec: SpreadBentSpec):
     if not _is_permutation(spec.G, Q.size):
         return False, ("G_not_bijective",)
     st = star_table(Q)
-    for b0, counts in kernels.row_counts(
-            Q.size, lambda b0, b: spec.G ^ st[b0:b0 + b]):    # [b, z]
+    for b0, counts in kernels.row_counts(st, spec.G):      # [b, z]
         bad = (counts != 0) & (counts != 2)
         if b0 == 0:
             bad[0] = False                                # b = 0 is exempt
@@ -154,8 +153,7 @@ def _materialize_line_oval(Q: Prequasifield, c: int,
     size = Q.size
     st = star_table(Q)                            # [x, z] = x * z
     e_table = np.empty((size, size), dtype=np.uint8)
-    for x0, counts in kernels.row_counts(
-            size, lambda x0, b: offsets ^ st[x0:x0 + b]):   # [x, y]
+    for x0, counts in kernels.row_counts(st, offsets):    # [x, y]
         b = counts.shape[0]
         if x0 <= c < x0 + b:
             counts[c - x0] += 1                   # the vertical line x = c
@@ -167,7 +165,7 @@ def _materialize_line_oval(Q: Prequasifield, c: int,
             raise NotALineOval(f"not a line oval: point ({x0 + i}, {y}) "
                                f"lies on {n} lines", (x0 + i, y), n)
         e_table[x0:x0 + b] = covered
-    assert int(e_table.sum()) == (size * size) // 2 + size // 2
+    assert np.count_nonzero(e_table) == (size * size) // 2 + size // 2
     return BivariateLineOval(c, offsets, e_table)
 
 
@@ -341,7 +339,9 @@ def analyze(spec: SpreadBentSpec):
     bentness verdict and the Walsh-sign dual read the same spectrum.  The
     line oval is built only when the criterion holds, and the product and
     chi-swap routes read it; if its cover fails there, the verdicts
-    disagree and `lineoval_witness` names the point."""
+    disagree and `lineoval_witness` names the point.  If a route's dual
+    differs from the Walsh-sign dual, `dual_routes_witness` names the
+    first such route and the smallest packed point where they differ."""
     spec0 = normalize_mu(spec)
     Q = spec0.Q
     f = bent_bivariate(spec0)
@@ -368,8 +368,16 @@ def analyze(spec: SpreadBentSpec):
     if lineoval_witness is not None:
         out["lineoval_witness"] = lineoval_witness
     if bent:
-        out["dual_routes_agree"] = oval is not None and bool(
-            dual == dual_product(oval, Q) and dual == dual_chi_swap(oval))
+        if oval is not None:
+            # each route is built only if the ones before it agree
+            for route, build in (("product", lambda: dual_product(oval, Q)),
+                                 ("chi_swap", lambda: dual_chi_swap(oval))):
+                p = boolfn.first_difference(dual, build())
+                if p is not None:
+                    out["dual_routes_witness"] = (route, p)
+                    break
+        out["dual_routes_agree"] = oval is not None and \
+            "dual_routes_witness" not in out
         if oval is not None:
             out["e_size"] = oval.e_size()
         out["degree"] = boolfn.degree(f)

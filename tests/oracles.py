@@ -684,6 +684,22 @@ def unpack(Q, x):
     return x & (Q.field.size - 1), x >> Q.m
 
 
+def line_check_naive(table, axis):
+    """(nonlinear, non_perm) of `spread._line_check` by scalar loops: the
+    smallest line along `axis` (0: columns, 1: rows) with r[a ^ b] !=
+    r[a] ^ r[b] for some a, b, and the smallest line i >= 1 that is not a
+    permutation of the carrier; None where there is none."""
+    t = [[int(v) for v in row] for row in table]
+    n = len(t)
+    lines = [[t[x][i] for x in range(n)] for i in range(n)] if axis == 0 else t
+    full = set(range(n))
+    nonlinear = next((i for i, r in enumerate(lines)
+                      if any(r[a ^ b] != r[a] ^ r[b]
+                             for a in range(n) for b in range(n))), None)
+    non_perm = next((i for i in range(1, n) if set(lines[i]) != full), None)
+    return nonlinear, non_perm
+
+
 def validate_naive(Q):
     """`validate_prequasifield(Q).as_dict()` without `exhaustive`, with
     every axiom and flag checked over all triples.

@@ -110,6 +110,38 @@ def _tr_xy(m):
         2 * m, [F.trace(F.mul(x, y)) for y in range(q) for x in range(q)])
 
 
+def _maiorana_mcfarland(m, rng):
+    """x . pi(y) + h(y) on 2m bits (x the low m bits): bent for every
+    permutation pi and every h."""
+    x, y = np.arange(1 << m), rng.permutation(1 << m)
+    dot = np.bitwise_count(x[None, :] & y[:, None]) & 1       # [y, x]
+    h = rng.integers(0, 2, size=(1 << m, 1))
+    return boolfn.BooleanFunction(2 * m, (dot ^ h).ravel())
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_histogram_matches_unique(k):
+    """The bent histogram from one count of negative entries against
+    `np.unique` of the spectrum: Maiorana-McFarland functions at even k
+    and tr(xy) from k = 4, seeded random tables (not bent) at every k,
+    and the
+    constant function, whose spectrum takes 0 and 2^k."""
+    rng = np.random.default_rng(500 + k)
+    fns = [boolfn.BooleanFunction(k, rng.integers(0, 2, size=1 << k)),
+           boolfn.BooleanFunction(k, np.ones(1 << k, dtype=np.uint8))]
+    if k % 2 == 0:
+        fns.append(_maiorana_mcfarland(k // 2, rng))
+        assert boolfn.is_bent(fns[-1])
+    if k % 2 == 0 and k >= 4:
+        fns.append(_tr_xy(k // 2))
+    for f in fns:
+        spectrum = boolfn.walsh_transform(f)
+        vals, counts = np.unique(spectrum.values, return_counts=True)
+        want = {int(v): int(c) for v, c in zip(vals, counts)}
+        got = spectrum.histogram()
+        assert got == want and list(got) == sorted(want)
+
+
 def test_is_bent_tr_xy():
     assert boolfn.is_bent(_tr_xy(3))
 
@@ -181,9 +213,10 @@ def test_anf_degree_examples():
 
 @pytest.mark.parametrize("k", range(17))
 def test_anf_degree_matches_popcount_scan(k):
-    """The one-pass row/column degree against the popcount of every
-    nonzero coefficient index: sparse and dense random polynomials, the
-    zero polynomial and the single top monomial."""
+    """The per-byte row/column degree of the packed coefficients against
+    the popcount of every nonzero coefficient index: sparse and dense
+    random polynomials, the zero polynomial and the single top
+    monomial."""
     n = 1 << k
     rng = np.random.default_rng(300 + k)
     top = np.zeros(n, dtype=np.uint8)
@@ -193,7 +226,8 @@ def test_anf_degree_matches_popcount_scan(k):
     for density in (1 / n, 4 / n, 0.5 / k if k else 1.0):
         cases.append((rng.random(n) < density).astype(np.uint8))
     for coeffs in cases:
-        assert boolfn.AnfPolynomial(k, coeffs).degree() == \
+        words = boolfn.packed_words(coeffs)
+        assert boolfn.AnfPolynomial(k, words).degree() == \
             anf_degree_naive(coeffs)
 
 

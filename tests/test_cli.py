@@ -814,6 +814,34 @@ def test_cover_against_the_walsh_verdict_is_a_verdict(argv, monkeypatch, capsys)
     assert "error:" not in err
 
 
+@pytest.mark.parametrize("route", ["product", "chi_swap"])
+def test_dual_routes_witness_names_the_first_difference(route, monkeypatch,
+                                                         capsys):
+    """A route whose dual differs from the Walsh-sign dual is a failed
+    verdict (exit 1) whose report names the route and the smallest packed
+    point where they differ: the entry at the point 37 of luneburg:3
+    flipped, and for chi-swap also the entry at 50, so that the smaller
+    is named."""
+    argv = ["spread", "bent", "--pqf", "luneburg:3", "--g", "sqrt"]
+    assert cli.main(argv) == 0
+    assert "dual_routes_witness" not in json.loads(capsys.readouterr()[0])["report"]
+    build = getattr(spreadbent, f"dual_{route}")
+    points = [37] if route == "product" else [37, 50]
+
+    def flipped(*args):
+        f = build(*args)
+        table = f.table.copy()
+        table[points] ^= 1
+        return boolfn.BooleanFunction(f.k, table)
+
+    monkeypatch.setattr(spreadbent, f"dual_{route}", flipped)
+    assert cli.main(argv) == 1
+    rep = json.loads(capsys.readouterr()[0])["report"]
+    assert rep["bent"] and rep["lineoval_ok"] and rep["verdicts_agree"]
+    assert rep["dual_routes_agree"] is False
+    assert rep["dual_routes_witness"] == [route, 37]
+
+
 def test_unreadable_input_path(tmp_path, capsys):
     for argv in (["oval", "verify", "--m", "3", "--json", str(tmp_path)],
                  ["ea", "--table", str(tmp_path)]):

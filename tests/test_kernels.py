@@ -3,12 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ovalbent import geometry, gf, kernels, niho, spread, spreadbent
+from ovalbent import boolfn, geometry, gf, kernels, niho, spread, spreadbent
 from ovalbent.geometry import AffineLineK
-from oracles import (bivariate_fill_naive, bivariate_product_dual_naive,
-                     collinear_triples_naive, dot_parity, line_cover_naive,
-                     mobius_rows, naive_mobius, naive_walsh, niho_fill_naive,
-                     walsh_by_rows, walsh_radix4_rows)
+from oracles import (anf_degree_naive, bivariate_fill_naive,
+                     bivariate_product_dual_naive, collinear_triples_naive,
+                     dot_parity, line_cover_naive, mobius_rows, naive_mobius,
+                     naive_walsh, niho_fill_naive, walsh_by_rows,
+                     walsh_radix4_rows)
 
 SPECS = [niho.NihoSpec("quadratic", 2), niho.NihoSpec("binomial_1_6", 2),
          niho.NihoSpec("quadratic", 3), niho.NihoSpec("binomial_3", 3),
@@ -125,19 +126,26 @@ def test_walsh_inplace_stops_at_k_24():
         kernels.walsh_inplace(w)
 
 
+def _unpacked(words, k):
+    """The first 2^k bits of little-endian uint64 words, as uint8."""
+    return np.unpackbits(words.view(np.uint8), count=1 << k, bitorder="little")
+
+
 @pytest.mark.parametrize("k", [1, 4, 8])
 def test_mobius_inplace(k):
+    """The transform of the packed table, read back over its 2^k bits."""
     table = np.random.default_rng(k).integers(0, 2, size=1 << k, dtype=np.uint8)
-    t = table.copy()
+    t = boolfn.packed_words(table)
     kernels.mobius_inplace(t)
-    assert np.array_equal(t, naive_mobius(table))
+    assert np.array_equal(_unpacked(t, k), naive_mobius(table))
 
 
 @pytest.mark.parametrize("k", [*range(18), 20])
 def test_butterflies_match_row_references(k):
     """Both transforms against the stage-by-stage butterflies: one block
-    below k = 17 and several above; for Moebius, no transposed block below
-    k = 4, c = 2 to 5 low bits below k = 12 and 6 above."""
+    below k = 17 and several above; for Moebius, one word (its in-word
+    stages on a Python int) up to k = 6, and k - 6 stages across words
+    above."""
     table = np.random.default_rng(200 + k).integers(0, 2, size=1 << k,
                                                     dtype=np.uint8)
     for dtype in (np.int32, np.int64):
@@ -147,10 +155,60 @@ def test_butterflies_match_row_references(k):
         kernels.walsh_inplace(w)
         assert w.dtype == dtype
         assert np.array_equal(w, want), dtype
-    t, want = table.copy(), table.copy()
+    t, want = boolfn.packed_words(table), table.copy()
     mobius_rows(want)
     kernels.mobius_inplace(t)
-    assert np.array_equal(t, want)
+    assert np.array_equal(_unpacked(t, k), want)
+
+
+def _planted(k: int, d: int, rng) -> np.ndarray:
+    """Seeded ANF coefficients of degree exactly d: random on the
+    monomials of weight <= d, plus one random monomial of weight d."""
+    weights = np.bitwise_count(np.arange(1 << k, dtype=np.uint32))
+    coeffs = rng.integers(0, 2, size=1 << k, dtype=np.uint8)
+    coeffs[weights > d] = 0
+    coeffs[rng.choice(np.flatnonzero(weights == d))] = 1
+    return coeffs
+
+
+@pytest.mark.parametrize("k", [*range(13), 18, 20])
+def test_packed_anf_against_the_byte_butterfly(k):
+    """`boolfn.anf` (the packed words) against the uint8 butterfly
+    `mobius_rows` and, up to k = 8, the subset sums of `naive_mobius`:
+    seeded random polynomials and polynomials of every planted degree
+    d = 0..k (d = 0, 3, k/2 and k at k = 18 and 20), sub-word tables
+    below k = 6 among them; the degree against the popcount scan."""
+    rng = np.random.default_rng(400 + k)
+    degrees = range(k + 1) if k <= 12 else (0, 3, k // 2, k)
+    cases = [(rng.integers(0, 2, size=1 << k, dtype=np.uint8), None)]
+    cases += [(_planted(k, d, rng), d) for d in degrees]
+    for coeffs, d in cases:
+        table = coeffs.copy()
+        mobius_rows(table)              # the butterfly is an involution
+        if k <= 8:
+            assert np.array_equal(naive_mobius(table), coeffs)
+        poly = boolfn.anf(boolfn.BooleanFunction(k, table))
+        assert poly.words.dtype == np.dtype("<u8")
+        assert poly.words.shape == (max(1, (1 << k) // 64),)
+        assert np.array_equal(poly.coeffs, coeffs)
+        if k < 6:                       # no coefficient past 2^k
+            assert int(poly.words[0]) >> (1 << k) == 0
+        assert poly.degree() == anf_degree_naive(coeffs)
+        if d is not None:
+            assert poly.degree() == d
+
+
+@pytest.mark.parametrize("k", [3, 12])
+def test_degree_reads_every_byte_value(k):
+    """Every byte value at byte 0 and at the heaviest byte: each entry of
+    the byte table gives the degree of the popcount scan."""
+    n = 1 << k
+    for j in sorted({0, n // 8 - 1}):
+        for b in range(256):
+            coeffs = np.zeros(n, dtype=np.uint8)
+            coeffs[8 * j:8 * j + 8] = (b >> np.arange(8)) & 1
+            got = boolfn.AnfPolynomial(k, boolfn.packed_words(coeffs)).degree()
+            assert got == anf_degree_naive(coeffs), (j, b)
 
 
 def test_walsh_inplace_holds_no_full_size_copy():
@@ -312,20 +370,32 @@ def test_bivariate_kernels_in_small_blocks(monkeypatch):
 
 @pytest.mark.parametrize("rows_per_block", [1, 3, 5, 64])
 def test_row_counts_match_per_row_bincount(monkeypatch, rows_per_block):
-    """Per-block counts of a (size, n) table with n != size, against one
-    bincount per row: every block, its first row and a ragged last block."""
-    size, n = 23, 37
-    data = np.random.default_rng(rows_per_block).integers(
-        0, size, size=(size, n)).astype(np.int32)
+    """Per-block counts of a (size, n) table with n != size, offset by an
+    array of n values and by 0, against one bincount per row: every
+    block, its first row and a ragged last block."""
+    size, n = 32, 37
+    rng = np.random.default_rng(rows_per_block)
+    data = rng.integers(0, size, size=(size, n)).astype(np.int16)
     data[4] = size - 1                           # one value n times
     monkeypatch.setattr(kernels, "BLOCK_ENTRIES", rows_per_block * size)
-    seen = []
-    for x0, counts in kernels.row_counts(size, lambda x0, b: data[x0:x0 + b]):
-        assert x0 == len(seen) and counts.shape[1] == size
-        seen.extend(counts)
-    assert len(seen) == size
-    for row, counts in zip(data, seen):
-        assert np.array_equal(counts, np.bincount(row, minlength=size))
+    for offsets in (rng.integers(0, size, size=n), 0):
+        seen = []
+        for x0, counts in kernels.row_counts(data, offsets):
+            assert x0 == len(seen) and counts.shape[1] == size
+            seen.extend(counts)
+        assert len(seen) == size
+        for row, counts in zip(data, seen):
+            assert np.array_equal(counts, np.bincount(row ^ offsets,
+                                                      minlength=size))
+
+
+@pytest.mark.parametrize("size", [3, 24, 48])
+def test_row_counts_needs_a_power_of_two_size(size):
+    """The XOR packing is the local index only when size * i has no bit
+    below size."""
+    table = np.zeros((size, size), dtype=np.int16)
+    with pytest.raises(ValueError, match="power-of-two size"):
+        next(kernels.row_counts(table, 0))
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

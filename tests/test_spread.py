@@ -7,11 +7,11 @@ from ovalbent import kernels, spread
 from ovalbent.gf import BinaryField
 from oracles import (adjoint_naive, apply, carrier_form, diagonal_sqrt,
                      dumps_pqf_naive, f_matrix_rep, field_mul, kantor_mul,
-                     left_adjoint_naive, luneburg_mul, orthonormal_basis,
-                     orthonormal_basis_field, pack, perpendicular_naive,
-                     pqf_mul, rank, right_mult_rows, scalar_table,
-                     spread_cover_naive, sqrt_diag_naive, symmetric_rep_naive,
-                     unpack, validate_naive)
+                     left_adjoint_naive, line_check_naive, luneburg_mul,
+                     orthonormal_basis, orthonormal_basis_field, pack,
+                     perpendicular_naive, pqf_mul, rank, right_mult_rows,
+                     scalar_table, spread_cover_naive, sqrt_diag_naive,
+                     symmetric_rep_naive, unpack, validate_naive)
 
 
 @pytest.fixture(scope="module")
@@ -914,6 +914,54 @@ def test_validation_in_small_row_blocks(name, rows, monkeypatch):
     got = spread.validate_prequasifield(Q).as_dict()
     assert got.pop("exhaustive") is True
     assert got == want
+
+
+def _left_edited(case: str) -> spread.Prequasifield:
+    """field:4 with rows edited around the top doubling step h = 8 of the
+    left axis (read in blocks of four rows):
+    - "top passing": row 5 swaps entries 3, 5 and 11, 13, so it passes
+      the top step, fails the step h = 4 and stays a permutation, among
+      linear rows;
+    - "one top passing row": rows 4, 6 and 7 swap entries 9 and 10, so
+      they fail the top step and stay permutations; row 5 takes r[3] =
+      r[5] and r[11] = r[13], so it passes the top step and is neither
+      linear nor a permutation, with no zero beyond entry 0 and its basis
+      values unchanged: only its sort can show it;
+    - "all fail, one singular": rows 8 .. 11 swap entries 9 and 10, and
+      row 10 also takes a zero at entry 3."""
+    Q = spread.field_pqf(4)
+    t = Q.table.copy()
+    if case == "top passing":
+        t[5, [3, 5, 11, 13]] = t[5, [5, 3, 13, 11]]
+    elif case == "one top passing row":
+        for x in (4, 6, 7):
+            t[x, [9, 10]] = t[x, [10, 9]]
+        t[5, [3, 11]] = t[5, [5, 13]]
+    else:
+        for x in range(8, 12):
+            t[x, [9, 10]] = t[x, [10, 9]]
+        t[10, 3] = 0
+    return spread.Prequasifield(Q.m, Q.shape, t, kind="table", name=case)
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+@pytest.mark.parametrize("case, want", [("top passing", (5, None)),
+                                        ("one top passing row", (4, 5)),
+                                        ("all fail, one singular", (8, 10))])
+def test_left_axis_checks_the_top_step_first(case, want, rows, monkeypatch):
+    """The left axis checks the top doubling step of a row block first and
+    skips the block's other steps only once every row in it has failed:
+    a nonlinear row that passes the top step is still found, alone or
+    beside rows that fail it, and a block that fails it whole still finds
+    its singular row by the sort.  The same lines as the scalar loops,
+    and the same report and witnesses as the all-triples oracle."""
+    Q = _left_edited(case)
+    expected = validate_naive(Q)
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", rows * Q.size)
+    assert spread._line_check(Q.table, 1) == line_check_naive(Q.table, 1) == want
+    got = spread.validate_prequasifield(Q).as_dict()
+    assert got.pop("exhaustive") is True
+    assert got == expected
 
 
 def test_linear_lines_are_decided_by_their_kernel():
