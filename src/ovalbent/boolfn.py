@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
+from .inputs import DomainError, plain_int
 
 # the weights of 0..255 as int16, and per byte value b of packed ANF
 # coefficients, 1 + the largest weight of a bit position 0..7 set in b;
@@ -268,16 +269,19 @@ def loads_truth_table(text: str) -> BooleanFunction:
     # whitespace, and rejects any other character that is not a hex digit
     if len(lines) != 2 or lines[0][:2] != "k=" or not lines[0][2:].isdecimal() \
             or not lines[0].isascii() or len(lines[1].split()) != 1:
-        raise ValueError("expected a `k=<int>` header line (k >= 0) and one hex line")
-    k = int(lines[0][2:])
+        raise DomainError("expected a `k=<int>` header line (k >= 0) and one hex line")
+    k = plain_int(lines[0][2:])
     if k > kernels.MAX_K:
-        raise ValueError(f"k={k} is above the truth-table cap k <= {kernels.MAX_K}")
-    raw = np.frombuffer(bytes.fromhex(lines[1]), dtype=np.uint8)
+        raise DomainError(f"k={k} is above the truth-table cap k <= {kernels.MAX_K}")
+    try:
+        raw = np.frombuffer(bytes.fromhex(lines[1]), dtype=np.uint8)
+    except ValueError as e:         # a non-hex character or an odd count
+        raise DomainError(str(e)) from None
     bits = np.unpackbits(raw, bitorder="little")
     # exactly the 2^k bits, 0-padded to one byte
     if bits.size != max(8, 1 << k) or bits[1 << k:].any():
-        raise ValueError(f"k={k} needs exactly (2^k + 7) // 8 bytes of hex, "
-                         "with the bits past 2^k zero")
+        raise DomainError(f"k={k} needs exactly (2^k + 7) // 8 bytes of hex, "
+                          "with the bits past 2^k zero")
     return BooleanFunction(k, bits[: 1 << k])
 
 

@@ -7,10 +7,11 @@ inputs; timing goes to stderr.  Table files and streams are written and
 read a row at a time (`spread.write_pqf`, `spread.read_pqf`).
 
 Exit codes: 0 all verdicts pass, 1 a verification failed (the report
-carries a witness), 2 usage or input errors (m outside 2..9 included,
-and carriers of GF(2) dimension outside 1..12), 3 an internal error
-(traceback on stderr).  A failed line-oval cover is a verdict with its
-witness (`geometry.NotALineOval`), never bad input, even on a bent f.
+carries a witness), 2 bad input (an argparse error, `inputs.DomainError`,
+`OSError` or undecodable input; m outside 2..9 and carriers of GF(2)
+dimension outside 1..12 included), 3 any other exception, an internal
+error (traceback on stderr).  A failed line-oval cover is a verdict with
+its witness (`geometry.NotALineOval`), never bad input, even on a bent f.
 """
 
 from __future__ import annotations
@@ -27,10 +28,7 @@ import numpy as np
 
 from . import boolfn, geometry, niho, spread, spreadbent
 from .gf import field_make
-
-
-class InputError(Exception):
-    """Bad input or parameters (exit code 2)."""
+from .inputs import DomainError, plain_int, plain_ints
 
 
 def _field_info(params) -> dict:
@@ -121,9 +119,9 @@ def cmd_oval(args) -> int:
         elif args.json:
             m, oval = geometry.oval_from_json(Path(args.json).read_text())
             if m != args.m:
-                raise InputError("field size mismatch between --m and the file")
+                raise DomainError("field size mismatch between --m and the file")
         else:
-            raise InputError("verify needs --catalog or --json")
+            raise DomainError("verify needs --catalog or --json")
         ok, witness = geometry.verify_oval(oval.points, params, oval.infinite)
         report = {"command": "oval verify", "field": _field_info(params),
                   "source": args.catalog or args.json,
@@ -138,7 +136,7 @@ def cmd_oval(args) -> int:
     if args.points_json:
         m, oval = geometry.oval_from_json(Path(args.points_json).read_text())
         if m != args.m:
-            raise InputError("conversion needs points over the same field")
+            raise DomainError("conversion needs points over the same field")
         lines = geometry.dual_oval_to_lines(oval, params)
         ok, witness = geometry.verify_no_three_concurrent(lines, params)
         print(geometry.line_oval_to_json(lines, params))
@@ -151,7 +149,7 @@ def cmd_oval(args) -> int:
         print(geometry.oval_to_json(oval, params))
         direction, verdict, wkey = "lines_to_points", "oval", "collinear_triple"
     else:
-        raise InputError("convert needs --points-json or --lines-json")
+        raise DomainError("convert needs --points-json or --lines-json")
     _emit({"command": "oval convert", "direction": direction,
            "verdicts": {verdict: ok}, "witnesses": {wkey: witness}},
           sys.stderr)
@@ -168,7 +166,7 @@ def cmd_dual(args) -> int:
     g = niho.g_of_spec(spec, params)
     spectrum = boolfn.walsh_transform(niho.bent_from_g(g, params))
     if not spectrum.is_bent():
-        raise InputError("the requested spec is not bent; no dual exists")
+        raise DomainError("the requested spec is not bent; no dual exists")
     report = {"command": "dual", "method": args.method, "cross_check": args.cross_check,
               "spec": json.loads(spec.to_json()), "field": _field_info(params)}
     try:    # one line oval for the routes that read it
@@ -259,28 +257,28 @@ def _read_pqf(path: str) -> spread.Prequasifield:
     if ":" in path and not Path(path).exists():
         kind, *fields = path.split(":")
         if kind not in _KIND_FIELDS or kind == "table":
-            raise InputError(f"unknown prequasifield kind {kind!r}")
+            raise DomainError(f"unknown prequasifield kind {kind!r}")
         if len(fields) != len(_KIND_FIELDS[kind]):
-            raise InputError(f"a {kind} kind spec has {len(_KIND_FIELDS[kind])} "
-                             f"field(s) after the kind, got {len(fields)}")
-        return _kind_pqf(kind, spread.plain_int(fields[0]), *fields[1:])
+            raise DomainError(f"a {kind} kind spec has {len(_KIND_FIELDS[kind])} "
+                              f"field(s) after the kind, got {len(fields)}")
+        return _kind_pqf(kind, plain_int(fields[0]), *fields[1:])
     return spread.load_pqf(path)
 
 
 def _csv_ints(text: str | None) -> list[int]:
-    return [spread.plain_int(v) for v in text.split(",")] if text else []
+    return [plain_int(v) for v in text.split(",")] if text else []
 
 
 def _build_pqf(args) -> spread.Prequasifield:
     for flag in ("m", "chain", "lambdas", "zetas", "table"):
         if getattr(args, flag) is not None and flag not in _KIND_FIELDS[args.kind]:
-            raise InputError(f"--kind {args.kind} does not read --{flag}")
+            raise DomainError(f"--kind {args.kind} does not read --{flag}")
     if args.kind == "table":
         if not args.table:
-            raise InputError("--kind table needs --table FILE")
+            raise DomainError("--kind table needs --table FILE")
         return _read_pqf(args.table)
     if args.m is None:
-        raise InputError(f"--kind {args.kind} needs --m")
+        raise DomainError(f"--kind {args.kind} needs --m")
     return _kind_pqf(args.kind, args.m, args.chain, args.lambdas, args.zetas)
 
 
@@ -323,7 +321,7 @@ def _valid_pqf(path: str) -> spread.Prequasifield:
     Q = _read_pqf(path)
     rep = spread.validate_prequasifield(Q)
     if not rep.axioms_ok:
-        raise InputError(f"prequasifield axioms fail: {rep.failures}")
+        raise DomainError(f"prequasifield axioms fail: {rep.failures}")
     return Q
 
 
@@ -364,10 +362,10 @@ def _g_table_from_flag(flag: str, Q: spread.Prequasifield) -> np.ndarray:
     if flag.startswith("table:"):
         text = Path(flag[len("table:"):]).read_text()
         # the digit rule per stripped line; SpreadBentSpec checks count and range
-        return spread.plain_ints(
+        return plain_ints(
             " ".join(line.strip() for line in text.split("\n")),
             "G values must be plain decimal digits and spaces")
-    raise InputError(f"unknown --g flag {flag!r}")
+    raise DomainError(f"unknown --g flag {flag!r}")
 
 
 def cmd_spread_bent(args) -> int:
@@ -401,10 +399,10 @@ def cmd_spread_bent(args) -> int:
 
 def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", choices=niho.FAMILIES)
-    p.add_argument("--m", type=spread.plain_int)
-    p.add_argument("--a-index", type=spread.plain_int, default=None)
-    p.add_argument("--alpha2-index", type=spread.plain_int, default=None)
-    p.add_argument("--r", type=spread.plain_int, default=None)
+    p.add_argument("--m", type=plain_int)
+    p.add_argument("--a-index", type=plain_int, default=None)
+    p.add_argument("--alpha2-index", type=plain_int, default=None)
+    p.add_argument("--r", type=plain_int, default=None)
     p.add_argument("--spec-json", default=None,
                    help="JSON file {family, m, a_index?, alpha2_index?, r?} "
                         "instead of flags")
@@ -418,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ovalbent",
         description="bent functions linear on spreads, their duals, and the "
                     "associated ovals and line ovals")
-    ap.add_argument("--seed", type=spread.plain_int, default=0,
+    ap.add_argument("--seed", type=plain_int, default=0,
                     help="has no effect (every check is exhaustive); kept "
                          "so that existing scripts keep working")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -430,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oval", help="verify or convert ovals and line ovals")
     p.add_argument("action", choices=["verify", "convert"])
-    p.add_argument("--m", type=spread.plain_int, required=True)
+    p.add_argument("--m", type=plain_int, required=True)
     p.add_argument("--catalog", choices=geometry.CATALOG_NAMES, default=None)
     p.add_argument("--json", default=None)
     p.add_argument("--points-json", default=None)
@@ -456,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = ssub.add_parser("build", help="construct a prequasifield table")
     b.add_argument("--kind", required=True, choices=list(_KIND_FIELDS))
-    b.add_argument("--m", type=spread.plain_int)
+    b.add_argument("--m", type=plain_int)
     b.add_argument("--chain", help="comma list of subfield degrees")
     b.add_argument("--lambdas", help="comma list of F-indices")
     b.add_argument("--zetas", help="comma list of F-indices")
@@ -482,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--pqf", default="-", help="table file, or - for stdin")
     s.add_argument("--g", required=True,
                    help="square-star | sqrt | sqrt-diag | table:FILE")
-    s.add_argument("--mu", type=spread.plain_int, default=0)
+    s.add_argument("--mu", type=plain_int, default=0)
     s.add_argument("--out-dir", default=None)
     s.set_defaults(cmd="spread_bent")
 
@@ -493,8 +491,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
+        if any("\0" in v for v in vars(args).values() if isinstance(v, str)):
+            raise DomainError("an argument holds a NUL, which no path may hold")
         code = globals()[f"cmd_{args.cmd}"](args)
-    except (InputError, OSError, ValueError) as e:
+    except (DomainError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

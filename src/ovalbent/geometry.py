@@ -26,6 +26,7 @@ import numpy as np
 
 from . import boolfn, kernels
 from .gf import M_RANGE, FieldParams
+from .inputs import DomainError, check_distinct, check_range, json_document
 
 
 class AffineLineK(NamedTuple):
@@ -183,7 +184,7 @@ def dual_points_to_lines(points: Iterable[int], params: FieldParams) -> list[Aff
     """
     pts = np.array(list(points), dtype=np.int32)
     if np.any(pts == 0):
-        raise ValueError("duality requires nonzero points")
+        raise DomainError("duality requires nonzero points")
     lam, j = params.polar(pts)
     mus = params.F.pow_table(-1)[lam]
     return [AffineLineK(u, mu)
@@ -201,7 +202,7 @@ def dual_lines_to_points(lines: Iterable[AffineLineK], params: FieldParams) -> l
 def _check_count(n: int, params: FieldParams, what: str) -> None:
     """An oval or a line oval has q+1 or q+2 members."""
     if n not in (params.q + 1, params.q + 2):
-        raise ValueError(f"expected q+1 or q+2 {what}, got {n}")
+        raise DomainError(f"expected q+1 or q+2 {what}, got {n}")
 
 
 def _check_members(params: FieldParams, what: str, *groups: list) -> None:
@@ -275,7 +276,7 @@ def rho_adelaide(params: FieldParams) -> np.ndarray:
     In characteristic 2, (a + 1)^3 = a^3 + a^2 + a + 1, so numerator and
     denominator are sums of circle powers."""
     if params.m % 2 != 0:
-        raise ValueError("the Adelaide catalog needs m even")
+        raise DomainError("the Adelaide catalog needs m even")
     cp, q1 = params.circle_pow, params.q + 1
     inv3 = pow(3, -1, q1)
     num = cp(2) ^ cp(5 * inv3) ^ cp(4 * inv3) ^ cp(1)
@@ -375,58 +376,6 @@ def oval_to_json(oval: Oval, params: FieldParams) -> str:
     }, sort_keys=True)
 
 
-def _is_json(v, types) -> bool:
-    """v is a JSON value of `types`; true and false are not integers."""
-    return isinstance(v, types) and not isinstance(v, bool)
-
-
-def _check_range(values: Iterable[int], hi: int, what: str) -> None:
-    """Reject any value that is not an integer in [0, hi)."""
-    for v in values:
-        if not _is_json(v, int) or not 0 <= v < hi:
-            raise ValueError(f"{what} {v} out of range [0, {hi})")
-
-
-def _check_distinct(values: Iterable, what: str) -> None:
-    seen = set()
-    for v in values:
-        if v in seen:
-            raise ValueError(f"{what} {v} appears twice")
-        seen.add(v)
-
-
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    _check_distinct((key for key, _ in pairs), "key")
-    return dict(pairs)
-
-
-def loads_json(text: str):
-    """The JSON reader of every input document: `json.loads`, except that
-    an object repeating a key is a ValueError (a dict would silently keep
-    the last value)."""
-    return json.loads(text, object_pairs_hook=_unique_keys)
-
-
-def _json_document(text: str, name: str, fields: dict,
-                   kind: str | None = None) -> dict:
-    """The JSON object in `text`, called `name` in the errors, of the given
-    kind when `kind` is set and with no key outside `fields`.  Each field
-    maps to None (any value) or to (types, message): its value, None when
-    absent, must be of `types`, or ValueError(message) is raised with
-    {key} and {value} filled in."""
-    d = loads_json(text)
-    if not isinstance(d, dict) or (kind and d.get("kind") != kind):
-        raise ValueError(f"not a JSON object of kind {kind!r}" if kind
-                         else f"{name} must be a JSON object")
-    extra = sorted(set(d) - set(fields))
-    if extra:
-        raise ValueError(f"unknown keys in {name}: {extra}")
-    for key, rule in fields.items():
-        if rule is not None and not _is_json(d.get(key), rule[0]):
-            raise ValueError(rule[1].format(key=key, value=d.get(key)))
-    return d
-
-
 # the typed fields of the oval and line-oval documents
 _M_FIELD = (int, "m must be an integer, not {value!r}")
 _LIST_FIELD = (list, "{key!r} must be a list")
@@ -435,18 +384,18 @@ _LIST_FIELD = (list, "{key!r} must be a list")
 def oval_from_json(text: str) -> tuple[int, Oval]:
     """(m, oval); points must be distinct K-indices and infinite tags
     distinct circle indices."""
-    d = _json_document(text, "the oval document",
-                       {"kind": None, "m": _M_FIELD, "points": _LIST_FIELD,
-                        "infinite": _LIST_FIELD, "nucleus": None}, "oval")
+    d = json_document(text, "the oval document",
+                      {"kind": None, "m": _M_FIELD, "points": _LIST_FIELD,
+                       "infinite": _LIST_FIELD, "nucleus": None}, "oval")
     m = d["m"]
     if m not in M_RANGE:
-        raise ValueError(f"m {m} out of the supported range")
+        raise DomainError(f"m {m} out of the supported range")
     nucleus = d.get("nucleus")
-    _check_range(d["points"], 1 << (2 * m), "point")
-    _check_range(d["infinite"], (1 << m) + 1, "infinite tag")
-    _check_range([] if nucleus is None else [nucleus], 1 << (2 * m), "nucleus")
-    _check_distinct(d["points"], "point")
-    _check_distinct(d["infinite"], "infinite tag")
+    check_range(d["points"], 1 << (2 * m), "point")
+    check_range(d["infinite"], (1 << m) + 1, "infinite tag")
+    check_range([] if nucleus is None else [nucleus], 1 << (2 * m), "nucleus")
+    check_distinct(d["points"], "point")
+    check_distinct(d["infinite"], "infinite tag")
     return m, Oval(frozenset(d["points"]), frozenset(d["infinite"]), nucleus)
 
 
@@ -460,15 +409,15 @@ def line_oval_to_json(lines: Iterable[AffineLineK], params: FieldParams) -> str:
 
 def line_oval_from_json(text: str, params: FieldParams) -> list[AffineLineK]:
     """Distinct lines [circle index, mu] over the field of `params`."""
-    d = _json_document(text, "the line_oval document",
-                       {"kind": None, "m": _M_FIELD, "lines": _LIST_FIELD},
-                       "line_oval")
+    d = json_document(text, "the line_oval document",
+                      {"kind": None, "m": _M_FIELD, "lines": _LIST_FIELD},
+                      "line_oval")
     if d["m"] != params.m:
-        raise ValueError("field size mismatch")
+        raise DomainError("field size mismatch")
     lines = d["lines"]
     if not all(isinstance(ln, list) and len(ln) == 2 for ln in lines):
-        raise ValueError("each line must be a pair [circle index, mu]")
-    _check_range((j for j, _ in lines), params.q + 1, "line circle index")
-    _check_range((mu for _, mu in lines), params.q, "line mu")
-    _check_distinct((tuple(ln) for ln in lines), "line")
+        raise DomainError("each line must be a pair [circle index, mu]")
+    check_range((j for j, _ in lines), params.q + 1, "line circle index")
+    check_range((mu for _, mu in lines), params.q, "line mu")
+    check_distinct((tuple(ln) for ln in lines), "line")
     return [AffineLineK(int(params.S[j]), mu) for j, mu in lines]

@@ -32,6 +32,7 @@ from numbers import Integral
 import numpy as np
 
 from . import kernels
+from .inputs import DomainError
 
 # log/exp (and other per-element) tables are built for every field; this
 # many bits is the largest supported degree.
@@ -325,7 +326,7 @@ class FieldParams:
 
     def __init__(self, m: int):
         if not isinstance(m, Integral) or m not in M_RANGE:
-            raise ValueError(f"m must be between {M_RANGE[0]} and {M_RANGE[-1]}")
+            raise DomainError(f"m must be between {M_RANGE[0]} and {M_RANGE[-1]}")
         self.m = m
         self.n = 2 * m
         self.q = 1 << m

@@ -31,6 +31,7 @@ import numpy as np
 
 from . import boolfn, geometry, kernels
 from .gf import FieldParams, field_make
+from .inputs import DomainError, json_document
 
 FAMILIES = ("quadratic", "binomial_3", "binomial_1_6", "leander_r")
 
@@ -68,39 +69,39 @@ class NihoSpec:
 
     def resolve(self, params: FieldParams) -> "ResolvedSpec":
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; have {FAMILIES}")
+            raise DomainError(f"unknown family {self.family!r}; have {FAMILIES}")
         if params.m != self.m:
             raise ValueError("field parameters do not match the spec")
         # a field the family never reads would still be echoed in reports
         if self.alpha2_index is not None and \
                 self.family not in ("binomial_3", "binomial_1_6"):
-            raise ValueError(f"alpha2_index is only read by binomial_3 and "
-                             f"binomial_1_6, not {self.family}")
+            raise DomainError(f"alpha2_index is only read by binomial_3 and "
+                              f"binomial_1_6, not {self.family}")
         if self.r is not None and self.family != "leander_r":
-            raise ValueError(f"r is only read by leander_r, not {self.family}")
+            raise DomainError(f"r is only read by leander_r, not {self.family}")
         for name in ("a_index", "alpha2_index"):
             v = getattr(self, name)
             if v is not None and not 0 <= v < params.K.size:
-                raise ValueError(f"{name} {v} is not a K-index in "
-                                 f"[0, {params.K.size})")
+                raise DomainError(f"{name} {v} is not a K-index in "
+                                  f"[0, {params.K.size})")
         a = self.a_index if self.a_index is not None else smallest_half_trace(params)
         ta = params.trace_rel(a)
         alpha2 = self.alpha2_index if self.alpha2_index is not None else 1
         r = self.r
         if self.family == "quadratic":
             if a == 0:
-                raise ValueError("the quadratic family needs a != 0")
+                raise DomainError("the quadratic family needs a != 0")
         elif self.family in ("binomial_3", "binomial_1_6"):
             if params.F.sqr(ta) != params.norm_rel(alpha2):
-                raise ValueError("binomial condition (a+a^q)^2 = "
-                                 "alpha2^(q+1) violated")
+                raise DomainError("binomial condition (a+a^q)^2 = "
+                                  "alpha2^(q+1) violated")
             if self.family == "binomial_1_6" and self.m % 2 != 0:
-                raise ValueError("the 1/6 binomial needs m even")
+                raise DomainError("the 1/6 binomial needs m even")
         else:
             if r is None or not 1 < r < self.m or math.gcd(r, self.m) != 1:
-                raise ValueError("leander_r needs 1 < r < m with gcd(r, m) = 1")
+                raise DomainError("leander_r needs 1 < r < m with gcd(r, m) = 1")
             if ta == 0:
-                raise ValueError("leander_r needs a + a^q != 0")
+                raise DomainError("leander_r needs a + a^q != 0")
         return ResolvedSpec(self.family, self.m, a, alpha2, r)
 
     def to_json(self) -> str:
@@ -115,7 +116,7 @@ class NihoSpec:
 
     @staticmethod
     def from_json(text: str) -> "NihoSpec":
-        return NihoSpec(**geometry._json_document(text, "a spec", _SPEC_FIELDS))
+        return NihoSpec(**json_document(text, "a spec", _SPEC_FIELDS))
 
 
 # the keys of a spec document with their JSON types; a_index, alpha2_index
@@ -276,7 +277,7 @@ def dual_budaghyan(spec: NihoSpec, params: FieldParams) -> boolfn.BooleanFunctio
     rs = spec.resolve(params)
     obstacle = closed_dual_obstacle(rs, params)
     if obstacle is not None:
-        raise ValueError(obstacle)
+        raise DomainError(obstacle)
     K, F = params.K, params.F
     e = smallest_half_trace(params)
 

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import kernels
 from .gf import BinaryField, binary_field, kept
+from .inputs import DomainError, plain_ints
 
 # GF(2) dimension cap of the carrier: every entry is below 2^12, so the
 # (size, size) table is int16 and takes 32 MB at dim 12, and `spread bent`
@@ -38,11 +39,11 @@ MAX_CARRIER_DIM = 12
 def carrier_dim(m: int, shape: str) -> int:
     """GF(2) dimension of the carrier, checked against MAX_CARRIER_DIM."""
     if shape not in ("flat", "pair"):
-        raise ValueError("shape must be 'flat' or 'pair'")
+        raise DomainError("shape must be 'flat' or 'pair'")
     dim = m if shape == "flat" else 2 * m
     if not 1 <= dim <= MAX_CARRIER_DIM:
-        raise ValueError(f"carrier dimension {dim} is outside "
-                         f"1..{MAX_CARRIER_DIM}")
+        raise DomainError(f"carrier dimension {dim} is outside "
+                          f"1..{MAX_CARRIER_DIM}")
     return dim
 
 
@@ -165,18 +166,18 @@ def kantor_chain(m: int, subdegrees: list[int], lambdas: list[int],
     degs = [m] + list(subdegrees)
     for a, b in zip(degs, degs[1:]):
         if not isinstance(b, Integral) or not 1 <= b < a or a % b:
-            raise ValueError("each subfield degree d must satisfy 1 <= d < its "
-                             "predecessor in the chain and divide it")
+            raise DomainError("each subfield degree d must satisfy 1 <= d < its "
+                              "predecessor in the chain and divide it")
     if (m // degs[-1]) % 2 == 0:
-        raise ValueError("[F : F_n] must be odd")
+        raise DomainError("[F : F_n] must be odd")
     n_links = len(subdegrees)
     if len(lambdas) != n_links or len(zetas) != n_links:
-        raise ValueError("need one lambda and one zeta per chain link")
+        raise DomainError("need one lambda and one zeta per chain link")
     if any(not 0 <= v < F.size for v in lambdas + zetas):
-        raise ValueError(f"lambdas and zetas must be F-indices below {F.size}")
+        raise DomainError(f"lambdas and zetas must be F-indices below {F.size}")
     for lam, d in zip(lambdas, subdegrees):
         if lam == 0 or F.pow(lam, 1 << d) != lam:
-            raise ValueError(f"lambda {lam} is not in F_{{2^{d}}}^*")
+            raise DomainError(f"lambda {lam} is not in F_{{2^{d}}}^*")
 
     c = [1]
     for lam in lambdas:
@@ -218,7 +219,7 @@ def luneburg(m: int) -> Prequasifield:
     XORed, so each entry is still the rule at its (x, z)."""
     carrier_dim(m, "pair")
     if m % 2 == 0 or m < 3:
-        raise ValueError("the Lueneburg spread needs odd m >= 3")
+        raise DomainError("the Lueneburg spread needs odd m >= 3")
     F = binary_field(m)
     k = (m - 1) // 2
     # sigma(a) = a^(2^(k+1)), so sigma^(-1)(a) = a^(2^k)
@@ -356,15 +357,12 @@ def _line_check(t: np.ndarray, axis: int) -> tuple[int | None, int | None]:
 
 def _doubling_witness(r: np.ndarray) -> tuple[int, int]:
     """(x, h) for a line r that is not linear: the smallest h = 2^j, then
-    the smallest x < h with r[x + h] != r[x] ^ r[h], from a 1-D rebuild.
-    The doubling steps lin[x + h] = lin[x] ^ r[h] from lin[0] = 0 give a
-    line that r agrees with below its first mismatch p, and h is the top
-    bit of p (h = 1 at p = 0, where r[0] != 0)."""
-    lin = np.zeros_like(r)
-    h = 1
-    while h < r.shape[0]:
-        np.bitwise_xor(lin[:h], r[h], out=lin[h:2 * h])
-        h *= 2
+    the smallest x < h with r[x + h] != r[x] ^ r[h].  The linear line
+    with the basis values of r (`kernels.linear_map_table`, the doubling
+    steps lin[x + h] = lin[x] ^ r[h]) agrees with r below its first
+    mismatch p, and h is the top bit of p (h = 1 at p = 0)."""
+    dim = r.shape[0].bit_length() - 1
+    lin = kernels.linear_map_table(r[1 << np.arange(dim)], dim, r.dtype)
     p = int(np.argmax(r != lin))
     h = 1 << max(p.bit_length() - 1, 0)
     return p % h, h
@@ -503,7 +501,7 @@ def knuth_orbit(Q: Prequasifield):
     list of (word, Prequasifield) in BFS order; isotopy is NOT decided."""
     rep = validate_prequasifield(Q)
     if not rep.is_presemifield:
-        raise ValueError("the Knuth orbit is defined for presemifields")
+        raise DomainError("the Knuth orbit is defined for presemifields")
     items = [("", Q)]
     # (item index, op) -> the index of the item with the table op(item)
     step: dict[tuple[int, str], int] = {}
@@ -593,7 +591,7 @@ def sqrt_diag_g_table(Q: Prequasifield) -> np.ndarray:
     self-adjoint, x -> B(x, x o z) is linear, so G(z) is the vector whose
     B mask has bit i = B(e_i, e_i o z), the diagonal of the Gram array."""
     if not is_symplectic(Q):
-        raise ValueError("diagonal construction needs a symplectic spread")
+        raise DomainError("diagonal construction needs a symplectic spread")
     return _vector_of_bits(np.diagonal(Q.gram(), axis1=0, axis2=1), Q)  # [z, i]
 
 
@@ -609,37 +607,6 @@ def write_pqf(Q: Prequasifield, fh) -> None:
         fh.write(" ".join(words[row].tolist()) + "\n")
 
 
-def _plain(text: str) -> bool:
-    """The digit rule of table lines: ASCII digits and spaces only, so no
-    sign, letter, point, comma, other whitespace or non-ASCII digit
-    reaches a parser.  One C pass deletes the digits and spaces and must
-    leave nothing."""
-    return text.isascii() and not text.encode().translate(None, b"0123456789 ")
-
-
-def plain_ints(text: str, message: str) -> np.ndarray:
-    """The int64 entries of text, space-separated plain decimal digits
-    (`_plain`), parsed in one C pass; ValueError(message) for any other
-    text.  An entry past the int64 range reads as the int64 maximum,
-    which the range check of every caller rejects."""
-    if not _plain(text):
-        raise ValueError(message)
-    return np.fromstring(text, dtype=np.int64, sep=" ")
-
-
-def plain_int(text: str) -> int:
-    """The integer of a plain decimal text: ASCII digits, after at most
-    one ASCII minus sign, so that a domain check still names a negative
-    value.  int() also reads a plus sign, underscores, whitespace at the
-    ends and non-ASCII digits; like the table files (`_plain`), the
-    integers the CLI reads from flags and kind specs take none of them."""
-    digits = text[1:] if text.startswith("-") else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"{text!r} is not a plain integer: ASCII digits "
-                         f"with at most a leading minus sign")
-    return int(text)
-
-
 def read_pqf(lines) -> Prequasifield:
     """Parse lines (of a file, stdin, a list) into the table, allocated once
     the header passes; a (q+2)-th line fails on arrival.  Blank lines are
@@ -650,17 +617,17 @@ def read_pqf(lines) -> Prequasifield:
     head = next(rows, "").split()
     if len(head) != 2 or not head[0].startswith("q=") or head[0] == "q=" \
             or not head[1].startswith("shape="):
-        raise ValueError("bad prequasifield header")
+        raise DomainError("bad prequasifield header")
     q = plain_ints(head[0][2:], "the q= value must be plain decimal digits")
     if len(head[0][2:].lstrip("0")) > 18:    # 19 digits: q may have saturated
-        raise ValueError(f"the q= value is past every carrier size: carriers "
-                         f"have GF(2) dimension 1..{MAX_CARRIER_DIM}")
+        raise DomainError(f"the q= value is past every carrier size: carriers "
+                          f"have GF(2) dimension 1..{MAX_CARRIER_DIM}")
     size, shape = int(q[0]), head[1][6:]
     dim = size.bit_length() - 1
     if size < 1 or 1 << dim != size:
-        raise ValueError("carrier size must be a power of 2")
+        raise DomainError("carrier size must be a power of 2")
     if shape == "pair" and dim % 2:
-        raise ValueError("pair carriers have even GF(2) dimension")
+        raise DomainError("pair carriers have even GF(2) dimension")
     m = dim if shape == "flat" else dim // 2
     carrier_dim(m, shape)
     table = np.empty((size, size), dtype=np.int16)
@@ -669,12 +636,12 @@ def read_pqf(lines) -> Prequasifield:
                          "table entries must be plain decimal digits "
                          "separated by spaces")
         if row.shape != (size,):
-            raise ValueError("table must be q rows of q integers")
+            raise DomainError("table must be q rows of q integers")
         if row.max() >= size:
-            raise ValueError(f"table entries must lie in [0, {size})")
+            raise DomainError(f"table entries must lie in [0, {size})")
         table[x] = row
     if next(rows, None) is not None:
-        raise ValueError("table must be q rows of q integers")
+        raise DomainError("table must be q rows of q integers")
     return Prequasifield(m, shape, table, kind="table")
 
 

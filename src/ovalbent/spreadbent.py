@@ -34,6 +34,7 @@ import numpy as np
 
 from . import boolfn, kernels, spread as spread_mod
 from .geometry import NotALineOval
+from .inputs import DomainError
 from .spread import Prequasifield
 
 
@@ -48,11 +49,11 @@ class SpreadBentSpec:
     def __post_init__(self):
         size = self.Q.size
         if self.G.shape != (size,):
-            raise ValueError("G must be a table over the carrier")
+            raise DomainError("G must be a table over the carrier")
         if not 0 <= self.mu < size:
-            raise ValueError(f"mu must be a carrier element in [0, {size})")
+            raise DomainError(f"mu must be a carrier element in [0, {size})")
         if self.G.min() < 0 or self.G.max() >= size:
-            raise ValueError(f"G values must be carrier elements in [0, {size})")
+            raise DomainError(f"G values must be carrier elements in [0, {size})")
         self.G.flags.writeable = False
 
 

@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ovalbent import boolfn, cli, geometry, niho, gf, spread, spreadbent
+from ovalbent import (boolfn, cli, geometry, gf, inputs, kernels, niho, spread,
+                      spreadbent)
 from oracles import b_form_masks, load_g_table, walsh_by_rows
 from test_spread import (NOT_F_SYMMETRIC, _relabel_phi, _relabelled_luneburg,
                          _rule_pqf)
@@ -535,7 +536,7 @@ def test_spread_bent_g_table_takes_plain_digits_only(tmp_path, capsys):
 ], ids=lambda argv: " ".join(argv).encode("unicode_escape").decode())
 def test_integer_flags_and_specs_take_plain_digits_only(argv, capsys):
     """Every integer of a flag or a kind spec follows the digit rule of
-    the table files (`spread.plain_int`): int() reads each of these
+    the table files (`inputs.plain_int`): int() reads each of these
     values, and each exits 2 with a message that names the rule; argparse
     rejects a flag by SystemExit."""
     try:
@@ -715,6 +716,69 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert cli.main(["ea", "--family", "quadratic", "--m", "2"]) == 3
     err = capsys.readouterr().err
     assert "Traceback" in err and "internal error: KeyError" in err
+
+
+@pytest.mark.parametrize("kernel, argv", [
+    ("row_counts", ["spread", "bent", "--pqf", "field:3", "--g", "sqrt"]),
+    ("univariate_product_dual", ["niho", "--family", "quadratic", "--m", "3"]),
+])
+def test_numpy_value_error_is_an_internal_error(monkeypatch, capsys, kernel, argv):
+    """A ValueError from inside a command, such as numpy's broadcast
+    fault, is a crash (exit 3), not bad input: only `inputs.DomainError`
+    is."""
+    def broadcast_fault(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+    monkeypatch.setattr(kernels, kernel, broadcast_fault)
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "internal error: ValueError" in err
+
+
+def test_deep_json_is_bad_input(tmp_path, capsys):
+    """A document nested 2,000 deep once exited 3 with RecursionError."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 2000 + "]" * 2000)
+    for argv in (["niho", "--spec-json", str(path)],
+                 ["oval", "verify", "--m", "3", "--json", str(path)],
+                 ["oval", "convert", "--m", "3", "--points-json", str(path)]):
+        _assert_input_error(argv, capsys)
+        assert cli.main(argv) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_integers_past_the_digit_limit(tmp_path, capsys):
+    """int() rejects more than 4,300 digits with a message that names
+    sys.set_int_max_str_digits; the digit rule has its own."""
+    big = "1" * 5000
+    path = tmp_path / "spec.json"
+    path.write_text('{"family": "quadratic", "m": %s}' % big)
+    for argv in (["spread", "build", "--kind", "kantor", "--m", "5", "--chain",
+                  "1", "--lambdas", big, "--zetas", "0"],
+                 ["niho", "--spec-json", str(path)]):
+        _named_input_error(argv, capsys, "an integer of 5000 digits is past "
+                           "every value the input rules read")
+    for read in (inputs.plain_int, inputs.loads_json):
+        with pytest.raises(inputs.DomainError, match="5000 digits"):
+            read(big)
+
+
+def test_standard_library_errors_are_bad_input(tmp_path, capsys):
+    """Undecodable bytes in each kind of input file and a NUL in a path
+    exit 2 (bad hex: `test_truth_table_malformed`)."""
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(b'{"family": "quadratic", "m": 3\xff}')
+    table = tmp_path / "t.pqf"
+    table.write_bytes(b"q=2 shape=flat\n0 0\n0 \xff\n")
+    g = tmp_path / "g.txt"
+    g.write_bytes(b"0 1 6 7 2 3 4\xff5\n")
+    tt = tmp_path / "tt.txt"
+    tt.write_bytes(b"k=3\n4\xff\n")
+    for argv in (["niho", "--spec-json", str(spec)],
+                 ["spread", "validate", "--pqf", str(table)],
+                 ["spread", "bent", "--pqf", "field:3", "--g", f"table:{g}"],
+                 ["ea", "--table", str(tt)],
+                 ["spread", "validate", "--pqf", f"{table}\0"]):
+        _assert_input_error(argv, capsys)
 
 
 def test_spec_json_malformed(tmp_path, capsys):
@@ -972,7 +1036,7 @@ def test_json_readers_reject_repeated_keys(tmp_path, capsys):
     _named_input_error(["oval", "verify", "--m", "3", "--json", doc], capsys,
                        "key points appears twice")
     with pytest.raises(ValueError, match="key m appears twice"):
-        geometry.loads_json('[{"m": 1, "m": 1}]')      # nested objects too
+        inputs.loads_json('[{"m": 1, "m": 1}]')        # nested objects too
 
 
 def test_truth_table_malformed(tmp_path, capsys):
@@ -982,7 +1046,8 @@ def test_truth_table_malformed(tmp_path, capsys):
                  "k=3\n4d00\n",        # one byte too many
                  "k=4\n4d\n",          # one byte too few
                  "k=-1\nff\n", "k=x\nff\n", "k=\nff\n",
-                 "k=99999999999999999999\n00\n", "k=3\nzz\n",
+                 "k=99999999999999999999\n00\n", "k=%s\n00\n" % ("9" * 5000),
+                 "k=3\nzz\n", "k=3\n4d0\n",
                  "k=\u0663\n4d\n", "k=4\nff ff\n"):     # once exit 0
         path.write_text(text, encoding="utf-8")
         _assert_input_error(["ea", "--table", str(path)], capsys)

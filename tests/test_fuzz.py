@@ -1,9 +1,10 @@
-"""Input loaders either return or raise ValueError, whatever they are fed,
-and `cli.main` keeps its exit-code contract on mixed valid and invalid
-commands.
+"""Input loaders either return or raise `inputs.DomainError`, whatever
+they are fed, and `cli.main` keeps its exit-code contract on mixed valid
+and invalid commands.
 
-`cli.main` maps ValueError to exit 2; any other exception would be an
-internal error (exit 3).
+`cli.main` maps DomainError (with OSError and undecodable input) to exit
+2; any other exception, a bare ValueError included, would be an internal
+error (exit 3).
 """
 
 import contextlib
@@ -15,7 +16,7 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ovalbent import boolfn, cli, geometry, gf, niho, spread
+from ovalbent import boolfn, cli, geometry, gf, inputs, niho, spread
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
@@ -40,18 +41,23 @@ documents = st.fixed_dictionaries({}, optional={
 texts = st.text() | documents.map(json.dumps) | json_values.map(json.dumps)
 
 
-def _returns_or_value_error(load, text):
+# a document nested past the recursion limit of the JSON parser
+DEEP_JSON = "[" * 2000 + "]" * 2000
+
+
+def _returns_or_domain_error(load, text):
     try:
         load(text)
-    except ValueError:
+    except inputs.DomainError:
         pass
 
 
 @settings(max_examples=300, deadline=None)
 @given(texts)
+@example(DEEP_JSON)
 def test_oval_loaders(text):
-    _returns_or_value_error(geometry.oval_from_json, text)
-    _returns_or_value_error(
+    _returns_or_domain_error(geometry.oval_from_json, text)
+    _returns_or_domain_error(
         lambda t: geometry.line_oval_from_json(t, gf.field_make(3)), text)
 
 
@@ -62,7 +68,7 @@ payloads = st.binary(max_size=70).map(bytes.hex) | st.text(max_size=10)
 @settings(max_examples=300, deadline=None)
 @given(headers, payloads, st.text(max_size=4))
 def test_truth_table_loader(header, payload, tail):
-    _returns_or_value_error(boolfn.loads_truth_table,
+    _returns_or_domain_error(boolfn.loads_truth_table,
                             f"{header}\n{payload}\n{tail}")
 
 
@@ -75,7 +81,7 @@ cells = st.integers(-3, 9) | st.integers() | st.text(max_size=3)
        st.lists(st.lists(cells, max_size=5), max_size=5))
 def test_pqf_loader(size, shape, rows):
     text = "\n".join([f"{size} {shape}"] + [" ".join(map(str, r)) for r in rows])
-    _returns_or_value_error(spread.loads_pqf, text)
+    _returns_or_domain_error(spread.loads_pqf, text)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +300,7 @@ def _first_json(text):
 @example((["spread", "build", "--kind", "kantor", "--m", "5", "--chain", "1",
            "--lambdas", "1", "--zetas", "1_1"], 2))
 @example((["spread", "bent", "--pqf", "field:3", "--g", "sqrt", "--mu", " 1"], 2))
+@example((["niho", "--spec-json", ("file", DEEP_JSON)], 2))
 def test_cli_exit_contract(command):
     """Exit 0, 1 or 2 only; exit 1 only with a false verdict in the report;
     inputs the library states valid exit 0, and a `spread build` flag its
